@@ -18,9 +18,7 @@ from .coreps import (
     conjugate_corep,
     corep_from_matrices,
     direct_sum,
-    f_of_h,
     gauge_transform,
-    product_rep_v,
     random_gauge,
     regular_corep,
     restrict_corep,
@@ -28,9 +26,7 @@ from .coreps import (
     validate_corep,
 )
 from .linalg import (
-    EigenSystem,
     eigenspace_of_one,
-    eigh,
     random_unitary,
     simultaneous_diag,
     symmetric_unitary_sqrt,
@@ -51,7 +47,6 @@ from .reduction import (
 from .kp import (
     KpModel,
     ProbeRepAction,
-    build_W,
     build_gamma_matrices,
     covariant_tuple_basis,
     dispersion_order,

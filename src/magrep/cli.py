@@ -111,10 +111,8 @@ def cmd_irreducible(args) -> int:
     rep = _rep_inputs(args)
     tol = args.tol if args.tol else 1e-8
     index = irreducibility_index(rep)
-    trace_form = irreducibility_index(rep, method="trace") if rep.group.is_magnetic else index
     report = {
         "criterion": index,
-        "criterion_trace_form": trace_form,
         "irreducible": bool(abs(index - 1.0) <= tol),
         "tol": tol,
     }

@@ -5,11 +5,11 @@ conjugation K when s(g) = 1.  The matrices satisfy the twisted rule
 
     M(g1) conj^[s(g1)](M(g2)) = omega(g1, g2) M(g1 g2),
 
-so a co-rep is the triple (group, factor system, matrices).  This module
-also builds the derived unitary objects used by the reduction and k.p
-engines: F(h) = M(t0) conj(M(h)) M(t0)^dag and the product representation
-V with V(h) = M(h) x F(h), V(t0) = M(t0) x M(t0), extended by the group law
-on the anti-unitary coset so that V(g) K_s(g) is an honest linear co-rep.
+so a co-rep is the triple (group, factor system, matrices).  ``CoRep.apply``
+is the adjoint action X -> M(g) conj^[s(g)](X) M(g)^dag of a whole array of
+elements at once; the reduction and k.p engines average and check with it.
+The module also holds the constructors (from matrices, direct sums, basis
+changes onto a subspace, gauges, restrictions) and the validation.
 """
 
 from __future__ import annotations
@@ -54,10 +54,17 @@ class CoRep:
     def m(self, g: int) -> np.ndarray:
         return self.matrices[g]
 
-    def apply(self, g: int, mat: np.ndarray) -> np.ndarray:
-        """Adjoint action of the (anti-)unitary operator of g on a matrix."""
-        mg = self.m(g)
-        return mg @ _conj_if(mat, self.group.s(g)) @ mg.conj().T
+    def apply(self, ids, mat: np.ndarray) -> np.ndarray:
+        """Adjoint action M(g) conj^[s(g)](X) M(g)^dag of every listed element.
+
+        ``ids`` is an element id or an array of them and ``mat`` a stack
+        ``(..., d, d)``; the result has shape ``ids.shape + mat.shape``.
+        """
+        ids = np.asarray(ids)
+        lead = ids.shape + (1,) * (np.ndim(mat) - 2)
+        mg = self.matrices[ids].reshape(lead + (self.dim, self.dim))
+        flip = self.group.antiunitary[ids].reshape(lead + (1, 1)) == 1
+        return mg @ np.where(flip, np.conj(mat), mat) @ np.conj(np.swapaxes(mg, -1, -2))
 
     @property
     def eta0(self) -> complex:
@@ -120,35 +127,6 @@ def character(rep: CoRep) -> Character:
     return Character(h_elements=h, values=np.einsum("gii->g", rep.matrices[h]))
 
 
-def f_of_h(rep: CoRep, h: int) -> np.ndarray:
-    """F(h) = M(t0) conj(M(h)) M(t0)^dag, the partner rep with Tr F = conj(chi)."""
-    g = rep.group
-    if g.t0 is None:
-        raise NoT0("F(h) needs an anti-unitary element")
-    if g.s(h) != 0:
-        raise InvalidCoRep("F is defined on the unitary subgroup only")
-    mt = rep.m(g.t0)
-    return mt @ np.conj(rep.m(h)) @ mt.conj().T
-
-
-def product_rep_v(rep: CoRep, g_id: int) -> np.ndarray:
-    """Matrix part of the product representation V on the d^2 space.
-
-    For unitary h this is M(h) x F(h); on the anti-unitary coset it is fixed
-    by the group law V(h t0) = V(h) V(t0) with V(t0) = M(t0) x M(t0), which
-    makes V(g) K_s(g) multiplicative with no cocycle left over.
-    """
-    g = rep.group
-    if g.s(g_id) == 0:
-        return np.kron(rep.m(g_id), f_of_h(rep, g_id))
-    if g.t0 is None:
-        raise NoT0("anti-unitary element in a purely unitary group")
-    h = g.mul(g_id, g.inv(g.t0))
-    vt0 = np.kron(rep.m(g.t0), rep.m(g.t0))
-    vh = np.kron(rep.m(h), f_of_h(rep, h))
-    return vh @ vt0
-
-
 # -- constructors and fixtures ------------------------------------------------
 
 def corep_from_matrices(group: MagneticGroup, matrices, tol: float = 1e-8) -> CoRep:
@@ -186,7 +164,8 @@ def direct_sum(reps: Sequence[CoRep]) -> CoRep:
     g = reps[0].group
     w = reps[0].omega
     for r in reps[1:]:
-        if r.group is not g and not np.array_equal(r.group.cayley, g.cayley):
+        if r.group is not g and not (np.array_equal(r.group.cayley, g.cayley) and
+                                     np.array_equal(r.group.antiunitary, g.antiunitary)):
             raise DimensionMismatch("direct sum needs a common group")
         if not np.allclose(r.omega.values, w.values, atol=1e-12):
             raise InvalidCoRep("direct sum needs a common factor system")
@@ -200,12 +179,14 @@ def direct_sum(reps: Sequence[CoRep]) -> CoRep:
 
 
 def conjugate_corep(rep: CoRep, u: np.ndarray) -> CoRep:
-    """Change of basis M(g) -> U^dag M(g) conj^[s(g)](U); same factor system."""
+    """Change of basis M(g) -> U^dag M(g) conj^[s(g)](U); same factor system.
+
+    ``u`` may be a ``(d, k)`` isometry onto an invariant subspace, which gives
+    the co-rep carried by that subspace.
+    """
     u = np.asarray(u, dtype=complex)
-    n = rep.group.order
-    out = np.empty_like(rep.matrices)
-    for g in range(n):
-        out[g] = u.conj().T @ rep.m(g) @ _conj_if(u, rep.group.s(g))
+    flip = rep.group.antiunitary[:, None, None] == 1
+    out = u.conj().T @ rep.matrices @ np.where(flip, np.conj(u), u)
     return CoRep(group=rep.group, omega=rep.omega, matrices=out)
 
 

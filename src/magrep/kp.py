@@ -8,11 +8,15 @@ obeying
     M(h)  gamma^m M(h)^dag  = sum_n dual(D)(h)_{nm}  gamma^n        (h unitary)
     M(t0) conj(gamma^m) M(t0)^dag = sum_n gamma^n dual(D)(t0)_{nm}  (anti-unitary)
 
-The count comes from a character formula; the matrices come from projecting
-the triple product D x M x F onto its symmetric fixed space and rebasing so
-the anti-unitary generator acts as plain conjugation.  A brute-force null
-space solver over the real parametrization of Hermitian tuples ships
-alongside as the independent ground truth for both the count and the span.
+The count is the character criterion of ``reduction.criterion_sums`` weighted
+by the probe characters.  The matrices come from one fixed space in plain
+gamma coordinates: the average of D(h) x M(h) x conj M(h) over the unitary
+subgroup, times (1 + L)/2 for magnetic groups, where L is the anti-unitary
+covariance followed by the Hermitian conjugate.  Rebasing that space so the
+Hermitian conjugate acts as plain conjugation makes real combinations
+Hermitian.  A brute-force null space solver over the real parametrization of
+Hermitian tuples ships alongside as the independent ground truth for both
+the count and the span.
 """
 
 from __future__ import annotations
@@ -22,19 +26,18 @@ from typing import Optional
 
 import numpy as np
 
-from .coreps import CoRep, character, f_of_h, restrict_corep
+from .coreps import CoRep, restrict_corep
 from .errors import (
     DimensionMismatch,
     EmptyChannel,
     GaugeFixFailed,
     InvalidAction,
     NonIntegerMultiplicity,
-    NoT0,
     SingularAction,
 )
 from .groups import FactorSystem, MagneticGroup, verify_embedding
 from .linalg import _cluster_slices, eigenspace_of_one, symmetric_unitary_sqrt, twist_matrix
-from .reduction import irreducibility_index
+from .reduction import criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
 
@@ -48,7 +51,7 @@ def _null_space(a: np.ndarray, atol: float = 1e-8) -> np.ndarray:
     """
     if a.size == 0:
         return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     rank = int((s > atol).sum())
     return vh[rank:].conj().T
 
@@ -149,59 +152,17 @@ def multiplicity_value(rep: CoRep, action: ProbeRepAction) -> float:
     term and the 1/2.
     """
     g = rep.group
-    chi = character(rep)
-    chi_v = action.character_h()
-    unitary_part = 0.0
-    for k, h in enumerate(g.h_elements):
-        unitary_part += abs(chi.values[k]) ** 2 * chi_v[k]
+    chi_v = np.zeros(g.order)
+    chi_v[g.h_elements] = action.character_h()
+    if g.is_magnetic:
+        chi_v[g.cayley[g.h_elements, g.t0]] = np.einsum("hab,ba->h", action.d_h, action.d_t0)
+    unitary, coset = criterion_sums(rep, chi_v)
     if not g.is_magnetic:
-        return float(unitary_part / g.halving_order)
-    coset_part = 0.0 + 0.0j
-    for h in g.h_elements:
-        u = g.mul(int(h), g.t0)
-        chi_v_u = float(np.trace(action.d(u)))
-        coset_part += chi_v_u * rep.omega(u, u) * np.trace(rep.m(g.mul(u, u)))
-    value = (unitary_part + coset_part) / (2 * g.halving_order)
+        return unitary
+    value = (unitary + coset) / 2
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise NonIntegerMultiplicity(f"criterion came out non-real: {value}")
     return float(value.real)
-
-
-def multiplicity_value_trace_form(rep: CoRep, action: ProbeRepAction) -> float:
-    """Coset term written as Tr[M(u) conj(M(u))]; must agree with the
-    factor-system form."""
-    g = rep.group
-    chi = character(rep)
-    chi_v = action.character_h()
-    unitary_part = sum(abs(chi.values[k]) ** 2 * chi_v[k]
-                       for k in range(len(chi_v)))
-    if not g.is_magnetic:
-        return float(unitary_part / g.halving_order)
-    coset_part = 0.0 + 0.0j
-    for h in g.h_elements:
-        u = g.mul(int(h), g.t0)
-        coset_part += float(np.trace(action.d(u))) * np.trace(
-            rep.m(u) @ np.conj(rep.m(u)))
-    return float(((unitary_part + coset_part) / (2 * g.halving_order)).real)
-
-
-def multiplicity_value_diagonal_t0(rep: CoRep, action: ProbeRepAction,
-                                   sign: int) -> float:
-    """Specialized criterion valid only when D(t0) = sign * identity:
-    the probe character factors out of the coset term."""
-    g = rep.group
-    if not g.is_magnetic:
-        raise NoT0("specialized path needs an anti-unitary group")
-    if not np.allclose(action.d_t0, sign * np.eye(action.dim_q), atol=1e-12):
-        raise InvalidAction(f"D(t0) is not {sign:+d} * identity")
-    chi = character(rep)
-    chi_v = action.character_h()
-    total = 0.0 + 0.0j
-    for k, h in enumerate(g.h_elements):
-        u = g.mul(int(h), g.t0)
-        total += (abs(chi.values[k]) ** 2
-                  + sign * rep.omega(u, u) * np.trace(rep.m(g.mul(u, u)))) * chi_v[k]
-    return float((total / (2 * g.halving_order)).real)
 
 
 def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
@@ -228,24 +189,6 @@ def trivial_multiplicity(action: ProbeRepAction) -> int:
 
 
 # -- explicit construction -------------------------------------------------------
-
-def build_W(rep: CoRep, action: ProbeRepAction, g_id: int) -> np.ndarray:
-    """Triple product D(h) x M(h) x F(h) on the (q d^2)-dimensional space.
-
-    On the coset the group law W(h t0) = W(h) W(t0) applies, with
-    W(t0) = D(t0) x M(t0) x M(t0); a stacked vector indexed as
-    n*d^2 + i*d + j then transforms with no leftover phase.
-    """
-    g = rep.group
-    if g.s(g_id) == 0:
-        return np.kron(action.d(g_id), np.kron(rep.m(g_id), f_of_h(rep, g_id)))
-    if g.t0 is None:
-        raise NoT0("anti-unitary element in a purely unitary group")
-    h = g.mul(g_id, g.inv(g.t0))
-    w_h = np.kron(action.d(h), np.kron(rep.m(h), f_of_h(rep, h)))
-    w_t0 = np.kron(action.d_t0, np.kron(rep.m(g.t0), rep.m(g.t0)))
-    return w_h @ w_t0
-
 
 @dataclass
 class KpModel:
@@ -277,28 +220,13 @@ def _covariance_residuals(rep: CoRep, action: ProbeRepAction,
                           gammas: np.ndarray) -> dict:
     g = rep.group
     dual = dual_rep(action)
-    res_h = 0.0
-    for k, h in enumerate(g.h_elements):
-        dh = dual.d_h[k]
-        for gam in gammas:
-            lhs = np.stack([rep.m(int(h)) @ gam[m] @ rep.m(int(h)).conj().T
-                            for m in range(gam.shape[0])])
-            rhs = np.einsum("nm,nab->mab", dh, gam)
-            res_h = max(res_h, float(np.abs(lhs - rhs).max()))
-    out = {"subgroup_covariance": res_h}
+    lhs = rep.apply(g.h_elements, gammas)
+    rhs = np.einsum("hnm,pnab->hpmab", dual.d_h, gammas)
+    out = {"subgroup_covariance": float(np.abs(lhs - rhs).max())}
     if g.is_magnetic:
-        mt = rep.m(g.t0)
-        dt = dual.d_t0
-        res_t = 0.0
-        for gam in gammas:
-            lhs = np.stack([mt @ np.conj(gam[m]) @ mt.conj().T
-                            for m in range(gam.shape[0])])
-            rhs = np.einsum("nab,nm->mab", gam, dt)
-            res_t = max(res_t, float(np.abs(lhs - rhs).max()))
-        out["t0_covariance"] = res_t
-    out["hermiticity"] = float(max(
-        np.abs(gam[m] - gam[m].conj().T).max()
-        for gam in gammas for m in range(gam.shape[0])) if len(gammas) else 0.0)
+        rhs = np.einsum("pnab,nm->pmab", gammas, dual.d_t0)
+        out["t0_covariance"] = float(np.abs(rep.apply(g.t0, gammas) - rhs).max())
+    out["hermiticity"] = float(np.abs(gammas - np.conj(np.swapaxes(gammas, -1, -2))).max())
     return out
 
 
@@ -306,52 +234,32 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
                          tol: float = 1e-9) -> KpModel:
     """Construct the Hermitian coupling tuples for one probe channel.
 
-    Three steps: (1) take the eigenvalue-1 space of the product of the
-    subgroup-average projector with the symmetrized-twist projector; (2)
-    rebase that space with the square root of the anti-unitary generator's
-    compressed matrix so it acts as plain conjugation, making real
-    combinations self-consistent; (3) cut each basis vector into its q
-    slices and untwist by conj(M(t0)).  Raises EmptyChannel when the
+    Two steps: (1) take the eigenvalue-1 space of the group-average
+    projector in plain gamma coordinates (``_fixed_space``); (2) rebase that
+    space with the square root of the Hermitian conjugate's compressed
+    matrix so it acts as plain conjugation, which makes the basis vectors,
+    cut into their q slices, Hermitian tuples.  Raises EmptyChannel when the
     multiplicity is zero.
     """
-    g = rep.group
     d = rep.dim
     q = action.dim_q
-    if g.is_magnetic:
-        zeta, proj_resid = _fixed_space_magnetic(rep, action, tol)
-    else:
-        zeta, proj_resid = _fixed_space_unitary(rep, action, tol)
+    zeta, proj_resid = _fixed_space(rep, action, tol)
     p = zeta.shape[1]
     if p == 0:
         raise EmptyChannel("channel multiplicity is zero at this order")
 
-    # antilinear generator compressed onto the fixed space
-    if g.is_magnetic:
-        w_t0 = build_W(rep, action, g.t0)
-        theta = lambda v: w_t0 @ np.conj(v)
-    else:
-        tw = np.kron(np.eye(q), twist_matrix(d))
-        theta = lambda v: tw @ np.conj(v)
-    image = theta(zeta)
-    m_t0 = zeta.conj().T @ image
-    closure = float(np.linalg.norm(image - zeta @ m_t0, ord=2))
-    gauge = float(np.linalg.norm(m_t0 @ np.conj(m_t0) - np.eye(p), ord=2))
+    # the Hermitian conjugate, an antilinear involution, compressed onto the
+    # fixed space
+    image = np.kron(np.eye(q), twist_matrix(d)) @ np.conj(zeta)
+    m_dag = zeta.conj().T @ image
+    closure = float(np.linalg.norm(image - zeta @ m_dag, ord=2))
+    gauge = float(np.linalg.norm(m_dag @ np.conj(m_dag) - np.eye(p), ord=2))
     if closure > max(100 * tol, 1e-7) or gauge > max(100 * tol, 1e-7):
         raise GaugeFixFailed(
-            f"anti-unitary generator leaves the fixed space (closure {closure:.3e}, "
+            f"Hermitian conjugate leaves the fixed space (closure {closure:.3e}, "
             f"square {gauge:.3e})")
-    root = symmetric_unitary_sqrt(m_t0, tol=max(tol, 1e-10))
-    delta = zeta @ root
-
-    gammas = np.empty((p, q, d, d), dtype=complex)
-    if g.is_magnetic:
-        m_conj = np.conj(rep.m(g.t0))
-        for i in range(p):
-            slices = delta[:, i].reshape(q, d, d)
-            gammas[i] = slices @ m_conj
-    else:
-        for i in range(p):
-            gammas[i] = delta[:, i].reshape(q, d, d)
+    delta = zeta @ symmetric_unitary_sqrt(m_dag, tol=max(tol, 1e-10))
+    gammas = delta.T.reshape(p, q, d, d)
 
     residuals = _covariance_residuals(rep, action, gammas)
     residuals["projector_idempotency"] = proj_resid
@@ -364,38 +272,26 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
                    residuals=residuals)
 
 
-def _fixed_space_magnetic(rep: CoRep, action: ProbeRepAction, tol: float):
+def _fixed_space(rep: CoRep, action: ProbeRepAction, tol: float):
+    """Complex tuples whose Hermitian parts are the coupling tuples.
+
+    Averages D(h) x M(h) x conj M(h) over H in one batched contraction; a
+    magnetic group then multiplies the average by (1 + L)/2 with the linear
+    L = dagger o theta_t0 = D(t0) x T (conj M(t0) x M(t0)).  L commutes with
+    the average and squares to an element of H, so the product is idempotent.
+    """
     g = rep.group
     d = rep.dim
-    q = action.dim_q
-    size = q * d * d
-    p_ident = np.zeros((size, size), dtype=complex)
-    for h in g.h_elements:
-        p_ident += build_W(rep, action, int(h))
-    p_ident /= g.halving_order
-    # symmetrized twist: eta0 * (D(t0) x T [M(sigma) x I]) on the stacked index
-    eta0 = rep.eta0
-    tw = twist_matrix(d) @ np.kron(rep.m(g.sigma), np.eye(d))
-    t_eta = eta0 * np.kron(action.d_t0, tw)
-    q_proj = 0.5 * (p_ident + p_ident @ t_eta)
-    resid = float(np.linalg.norm(q_proj @ q_proj - q_proj, ord=2))
-    basis = eigenspace_of_one(q_proj, tol=max(tol, 1e-9))
-    return basis, resid
-
-
-def _fixed_space_unitary(rep: CoRep, action: ProbeRepAction, tol: float):
-    g = rep.group
-    d = rep.dim
-    q = action.dim_q
-    size = q * d * d
-    p_ident = np.zeros((size, size), dtype=complex)
-    for h in g.h_elements:
-        p_ident += np.kron(action.d(int(h)),
-                           np.kron(rep.m(int(h)), np.conj(rep.m(int(h)))))
-    p_ident /= g.halving_order
-    resid = float(np.linalg.norm(p_ident @ p_ident - p_ident, ord=2))
-    basis = eigenspace_of_one(p_ident, tol=max(tol, 1e-9))
-    return basis, resid
+    size = action.dim_q * d * d
+    m_h = rep.matrices[g.h_elements]
+    proj = np.einsum("hab,hij,hkl->aikbjl", action.d_h, m_h, np.conj(m_h),
+                     optimize=True).reshape(size, size) / g.halving_order
+    if g.is_magnetic:
+        mt = rep.m(g.t0)
+        ell = np.kron(action.d_t0, twist_matrix(d) @ np.kron(np.conj(mt), mt))
+        proj = 0.5 * (proj + ell @ proj)
+    resid = float(np.linalg.norm(proj @ proj - proj, ord=2))
+    return eigenspace_of_one(proj, tol=max(tol, 1e-9)), resid
 
 
 # -- brute-force oracle ----------------------------------------------------------

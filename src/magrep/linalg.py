@@ -1,14 +1,13 @@
-"""Numerical kernels: Hermitian eigensolves, simultaneous diagonalization,
-symmetric-unitary square roots and projector eigenspaces.
+"""Numerical kernels: simultaneous diagonalization, symmetric-unitary square
+roots and projector eigenspaces.
 
-These wrap LAPACK via numpy/scipy but add the validation, determinism and
+These wrap LAPACK via numpy but add the validation, determinism and
 branch-cut policies the representation engines rely on.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,25 +22,6 @@ from .errors import (
 )
 
 LINALG_TOL = 1e-9
-
-
-@dataclass
-class EigenSystem:
-    """Ascending real eigenvalues with an orthonormal column eigenbasis."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigh(a: np.ndarray, tol: float = LINALG_TOL) -> EigenSystem:
-    """Hermitian eigendecomposition with an explicit hermiticity gate."""
-    a = np.asarray(a)
-    scale = max(1.0, np.linalg.norm(a, ord=2))
-    dev = np.linalg.norm(a - a.conj().T, ord=2)
-    if dev > tol * scale:
-        raise NotHermitian(f"deviation {dev:.3e} exceeds {tol:.1e} * norm")
-    vals, vecs = np.linalg.eigh(a)
-    return EigenSystem(values=vals, vectors=vecs)
 
 
 def _cluster_slices(values: np.ndarray, gap: float):

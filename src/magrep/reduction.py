@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coreps import CoRep, character, validate_corep
+from .coreps import CoRep, conjugate_corep, validate_corep
 from .errors import (
     ElementNotInSubgroup,
     IndicatorNotQuantized,
@@ -37,62 +37,51 @@ TORSION_INDICATOR = {1: 1.0, 2: 0.0, 4: -2.0}
 
 # -- irreducibility criterion --------------------------------------------------
 
-def coset_trace_sum(rep: CoRep) -> complex:
-    """(1/|H|) sum over anti-unitary u of Tr[M(u) conj(M(u))]."""
+def criterion_sums(rep: CoRep, weights: np.ndarray) -> tuple[float, complex]:
+    """The two character sums every criterion here is made of.
+
+    With per-element weights w (the probe characters Tr D(g); all ones for
+    the irreducibility index) returns
+
+        (1/|H|) sum_h |chi(h)|^2 w(h)   and   (1/|H|) sum_u w(u) omega(u, u) chi(u^2),
+
+    h over the unitary subgroup and u over the anti-unitary coset (the second
+    sum is 0 for purely unitary groups).
+    """
     g = rep.group
-    if not g.is_magnetic:
-        raise NoT0("coset sum needs anti-unitary elements")
-    total = 0.0 + 0.0j
-    for u in g.coset_elements:
-        total += np.trace(rep.m(int(u)) @ np.conj(rep.m(int(u))))
-    return total / g.halving_order
+    chi = np.einsum("gii->g", rep.matrices)
+    h = g.h_elements
+    unitary = float(np.sum(np.abs(chi[h]) ** 2 * weights[h])) / g.halving_order
+    u = g.coset_elements
+    coset = np.sum(weights[u] * rep.omega.values[u, u] * chi[g.cayley[u, u]])
+    return unitary, complex(coset) / g.halving_order
 
 
-def coset_character_sum(rep: CoRep) -> complex:
-    """Same coset sum written through the factor system:
-    (1/|H|) sum_u omega(u, u) chi(u^2)."""
-    g = rep.group
-    if not g.is_magnetic:
-        raise NoT0("coset sum needs anti-unitary elements")
-    total = 0.0 + 0.0j
-    for u in g.coset_elements:
-        u = int(u)
-        sq = g.mul(u, u)
-        total += rep.omega(u, u) * np.trace(rep.m(sq))
-    return total / g.halving_order
-
-
-def irreducibility_index(rep: CoRep, method: str = "character") -> float:
+def irreducibility_index(rep: CoRep) -> float:
     """Multiplicity-style index that equals 1 exactly when the co-rep is
     irreducible.
 
     For anti-unitary groups this is
     ``(1/2|H|) sum_h [ chi(h) chi*(h) + omega(t0 h, t0 h) chi((t0 h)^2) ]``;
     purely unitary groups use the plain character norm
-    ``(1/|H|) sum_h |chi(h)|^2``.  ``method`` selects the factor-system form
-    ("character") or the equivalent coset-trace form ("trace"); both paths
-    are gauge invariant and must agree.
+    ``(1/|H|) sum_h |chi(h)|^2``.  Both are gauge invariant.
     """
-    g = rep.group
-    chi = character(rep).values
-    unitary_part = float(np.sum(np.abs(chi) ** 2).real) / g.halving_order
-    if not g.is_magnetic:
-        return unitary_part
-    if method == "character":
-        coset = coset_character_sum(rep)
-    elif method == "trace":
-        coset = coset_trace_sum(rep)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    value = 0.5 * (unitary_part + coset)
+    unitary, coset = criterion_sums(rep, np.ones(rep.group.order))
+    if not rep.group.is_magnetic:
+        return unitary
+    value = 0.5 * (unitary + coset)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise InvalidCoRep(f"criterion came out non-real: {value}")
     return float(value.real)
 
 
 def torsion_indicator(rep: CoRep) -> float:
-    """Real value of the coset sum; quantized to {1, 0, -2} on irreducibles."""
-    value = coset_trace_sum(rep)
+    """Real value of the coset sum (1/|H|) sum_u omega(u, u) chi(u^2), which
+    equals (1/|H|) sum_u Tr[M(u) conj(M(u))]; quantized to {1, 0, -2} on
+    irreducibles."""
+    if not rep.group.is_magnetic:
+        raise NoT0("coset sum needs anti-unitary elements")
+    _, value = criterion_sums(rep, np.ones(rep.group.order))
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise InvalidCoRep(f"indicator came out non-real: {value}")
     return float(value.real)
@@ -139,10 +128,7 @@ def build_H_commutant(rep: CoRep, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     d = rep.dim
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    acc = np.zeros((d, d), dtype=complex)
-    for h in rep.group.h_elements:
-        mh = rep.m(int(h))
-        acc += mh @ a @ mh.conj().T
+    acc = rep.apply(rep.group.h_elements, a).sum(axis=0)
     return (acc + acc.conj().T) + 1j * (acc - acc.conj().T)
 
 
@@ -156,9 +142,7 @@ def build_G_commutant(rep: CoRep, seed: int) -> CommutantHamiltonian:
     if g.t0 is None:
         raise NoT0("use build_H_commutant for purely unitary groups")
     lam = build_H_commutant(rep, seed)
-    mt = rep.m(g.t0)
-    gamma = lam + mt @ np.conj(lam) @ mt.conj().T
-    return CommutantHamiltonian(gamma=gamma, lam=lam, seed=seed)
+    return CommutantHamiltonian(gamma=lam + rep.apply(g.t0, lam), lam=lam, seed=seed)
 
 
 def class_operator(rep: CoRep, class_rep: int, subgroup: Sequence[int]) -> np.ndarray:
@@ -174,12 +158,7 @@ def class_operator(rep: CoRep, class_rep: int, subgroup: Sequence[int]) -> np.nd
         raise ElementNotInSubgroup("class operators live in the unitary subgroup")
     if int(class_rep) not in members:
         raise ElementNotInSubgroup(f"element {class_rep} is outside the subgroup")
-    mi = rep.m(int(class_rep))
-    acc = np.zeros_like(mi)
-    for a in members:
-        ma = rep.m(a)
-        acc += ma @ mi @ ma.conj().T
-    return acc
+    return rep.apply(members, rep.m(int(class_rep))).sum(axis=0)
 
 
 def combined_class_operator(rep: CoRep, subgroup: Sequence[int],
@@ -236,22 +215,6 @@ class IrrepDecomposition:
     @property
     def block_dims(self) -> list:
         return [b.dim for b in self.blocks]
-
-
-def _apply_basis(rep: CoRep, u: np.ndarray) -> np.ndarray:
-    """Stack of U^dag M(g) conj^[s(g)](U) over all g."""
-    g = rep.group
-    out = np.empty((g.order, u.shape[1], u.shape[1]), dtype=complex)
-    for e in range(g.order):
-        right = np.conj(u) if g.s(e) else u
-        out[e] = u.conj().T @ rep.m(e) @ right
-    return out
-
-
-def block_corep(rep: CoRep, u_block: np.ndarray) -> CoRep:
-    """Co-rep carried by an invariant subspace given by isometry columns."""
-    return CoRep(group=rep.group, omega=rep.omega,
-                 matrices=_apply_basis(rep, u_block))
 
 
 def _herm_parts(x: np.ndarray) -> list[np.ndarray]:
@@ -361,7 +324,7 @@ def _reduce_once(rep: CoRep, seed: int, tol: float, block_tol: float,
     blocks = []
     for sl in block_slices:
         ub = u[:, sl]
-        sub_rep = block_corep(rep, ub)
+        sub_rep = conjugate_corep(rep, ub)
         index = irreducibility_index(sub_rep)
         if abs(index - 1.0) > max(10 * tol, 1e-7):
             raise NotIrreducible(
@@ -388,22 +351,20 @@ def _decomposition_residuals(rep: CoRep, u: np.ndarray, block_slices,
     mask = np.ones((d, d), dtype=bool)
     for sl in block_slices:
         mask[sl, sl] = False
-    rotated = _apply_basis(rep, u)
-    off = max(float(np.abs(rotated[e][mask]).max()) if mask.any() else 0.0
-              for e in range(g.order))
+    rotated = conjugate_corep(rep, u).matrices
+    off = float(np.abs(rotated[:, mask]).max()) if mask.any() else 0.0
 
     res = {
         "block_diagonality": off,
         "unitarity_of_basis": float(np.linalg.norm(u.conj().T @ u - np.eye(d), ord=2)),
     }
-    comm = max(np.linalg.norm(rep.apply(int(h), gamma) - gamma, ord=2)
-               for h in g.h_elements)
-    res["gamma_subgroup_commutation"] = float(comm)
+
+    def commutation(ids, x):
+        return float(np.linalg.norm(rep.apply(ids, x) - x, ord=2, axis=(-2, -1)).max())
+
+    res["gamma_subgroup_commutation"] = commutation(g.h_elements, gamma)
     if g.is_magnetic:
-        res["gamma_t0_commutation"] = float(
-            np.linalg.norm(rep.apply(g.t0, gamma) - gamma, ord=2))
-        lam_comm = max(np.linalg.norm(rep.apply(int(h), lam) - lam, ord=2)
-                       for h in g.h_elements)
-        res["lambda_subgroup_commutation"] = float(lam_comm)
+        res["gamma_t0_commutation"] = commutation(g.t0, gamma)
+        res["lambda_subgroup_commutation"] = commutation(g.h_elements, lam)
     res["gamma_hermiticity"] = float(np.linalg.norm(gamma - gamma.conj().T, ord=2))
     return res

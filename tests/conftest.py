@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import magrep as mr
-from magrep.errors import EigenvalueAtBranchCutWarning
+from magrep.errors import EigenvalueAtBranchCutWarning, InvalidAction, NoT0
 from magrep.kp import covariant_tuple_basis, linear_multiplicity, polynomial_channel
 
 
@@ -31,6 +31,62 @@ def compatible_rep_groups(entry):
         else:
             groups.append([(name, rep)])
     return groups
+
+
+# -- alternate criterion forms, kept as oracles for reduction.criterion_sums --
+
+def coset_trace_sum(rep):
+    """(1/|H|) sum over anti-unitary u of Tr[M(u) conj(M(u))]."""
+    g = rep.group
+    total = 0.0 + 0.0j
+    for u in g.coset_elements:
+        total += np.trace(rep.m(int(u)) @ np.conj(rep.m(int(u))))
+    return total / g.halving_order
+
+
+def irreducibility_index_trace_form(rep):
+    """Irreducibility index with the coset term written as coset_trace_sum."""
+    g = rep.group
+    chi = np.einsum("gii->g", rep.matrices[g.h_elements])
+    unitary_part = float(np.sum(np.abs(chi) ** 2)) / g.halving_order
+    if not g.is_magnetic:
+        return unitary_part
+    return float((0.5 * (unitary_part + coset_trace_sum(rep))).real)
+
+
+def multiplicity_value_trace_form(rep, action):
+    """Coset term written as Tr[M(u) conj(M(u))]; must agree with the
+    factor-system form."""
+    g = rep.group
+    chi = np.einsum("gii->g", rep.matrices[g.h_elements])
+    chi_v = action.character_h()
+    unitary_part = sum(abs(chi[k]) ** 2 * chi_v[k] for k in range(len(chi_v)))
+    if not g.is_magnetic:
+        return float(unitary_part / g.halving_order)
+    coset_part = 0.0 + 0.0j
+    for h in g.h_elements:
+        u = g.mul(int(h), g.t0)
+        coset_part += float(np.trace(action.d(u))) * np.trace(
+            rep.m(u) @ np.conj(rep.m(u)))
+    return float(((unitary_part + coset_part) / (2 * g.halving_order)).real)
+
+
+def multiplicity_value_diagonal_t0(rep, action, sign):
+    """Specialized criterion valid only when D(t0) = sign * identity:
+    the probe character factors out of the coset term."""
+    g = rep.group
+    if not g.is_magnetic:
+        raise NoT0("specialized path needs an anti-unitary group")
+    if not np.allclose(action.d_t0, sign * np.eye(action.dim_q), atol=1e-12):
+        raise InvalidAction(f"D(t0) is not {sign:+d} * identity")
+    chi = np.einsum("gii->g", rep.matrices[g.h_elements])
+    chi_v = action.character_h()
+    total = 0.0 + 0.0j
+    for k, h in enumerate(g.h_elements):
+        u = g.mul(int(h), g.t0)
+        total += (abs(chi[k]) ** 2
+                  + sign * rep.omega(u, u) * np.trace(rep.m(g.mul(u, u)))) * chi_v[k]
+    return float((total / (2 * g.halving_order)).real)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,11 @@ from magrep.reduction import (
     torsion_indicator,
     torsion_number,
 )
-from conftest import catalog_irreps, compatible_rep_groups
+from conftest import (
+    catalog_irreps,
+    compatible_rep_groups,
+    irreducibility_index_trace_form,
+)
 
 
 def _ok(n, text):
@@ -49,8 +53,8 @@ def test_criterion_01_exact_kramers_values():
 
 def test_criterion_02_dual_path_identity():
     for name, rep_name, rep in magnetic_irreps():
-        a = irreducibility_index(rep, method="character")
-        b = irreducibility_index(rep, method="trace")
+        a = irreducibility_index(rep)
+        b = irreducibility_index_trace_form(rep)
         assert abs(a - b) <= 1e-9, (name, rep_name)
     _ok(2, "factor-system and coset-trace criterion forms agree to 1e-9")
 

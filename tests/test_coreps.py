@@ -8,14 +8,12 @@ from magrep.coreps import (
     conjugate_corep,
     corep_from_matrices,
     direct_sum,
-    f_of_h,
-    product_rep_v,
     random_gauge,
     regular_corep,
     unitary_restriction,
     validate_corep,
 )
-from magrep.errors import InvalidCoRep, NoT0
+from magrep.errors import DimensionMismatch, InvalidCoRep
 from magrep.groups import FactorSystem, build_group
 from magrep.linalg import random_unitary
 
@@ -59,46 +57,6 @@ def test_characters_add_under_direct_sum():
     chi2 = character(direct_sum([rep, rep])).values
     assert np.allclose(chi2, 2 * chi1)
     assert chi1[0] == pytest.approx(2.0)
-
-
-def test_f_of_h_identity_and_trace_property():
-    rep = kramers()
-    assert np.allclose(f_of_h(rep, 0), np.eye(2))
-    spinful = mr.catalog_get("c4v_t").reps["e_half"]
-    chi = character(spinful)
-    for k, h in enumerate(spinful.group.h_elements):
-        f = f_of_h(spinful, int(h))
-        assert np.trace(f) == pytest.approx(np.conj(chi.values[k]), abs=1e-12)
-
-
-def test_f_of_h_needs_t0():
-    g = build_group([[0]], [0])
-    rep = CoRep(group=g, omega=FactorSystem.trivial(1), matrices=[np.eye(1)])
-    with pytest.raises(NoT0):
-        f_of_h(rep, 0)
-
-
-def test_product_rep_kramers_explicit():
-    rep = kramers()
-    v_t = product_rep_v(rep, 1)
-    assert np.allclose(v_t, np.kron(ISY, ISY))
-    assert np.abs(v_t.imag).max() == 0.0
-    assert np.allclose(product_rep_v(rep, 0), np.eye(4))
-
-
-@pytest.mark.parametrize("name,rep_name", [
-    ("c4v_t", "e_half"), ("z4t", "quaternion"), ("c8t", "complex_pair"),
-    ("c4v_c4", "c4_i"),
-])
-def test_product_rep_is_linear_corep(name, rep_name):
-    rep = mr.catalog_get(name).reps[rep_name]
-    g = rep.group
-    v = [product_rep_v(rep, e) for e in range(g.order)]
-    for a in range(g.order):
-        for b in range(g.order):
-            rhs = v[g.mul(a, b)]
-            lhs = v[a] @ (np.conj(v[b]) if g.s(a) else v[b])
-            assert np.abs(lhs - rhs).max() < 1e-12, (a, b)
 
 
 def test_eta0_relation():
@@ -149,6 +107,37 @@ def test_direct_sum_needs_matching_omega():
                                 matrices=[np.eye(1), np.eye(1)])])
     both = direct_sum([z2t, z2t])
     assert both.dim == 2
+
+
+def test_direct_sum_needs_matching_flags():
+    # same Cayley table, but element 1 is unitary in one group and
+    # anti-unitary in the other
+    z2 = build_group([[0, 1], [1, 0]], [0, 0])
+    sign = CoRep(group=z2, omega=FactorSystem.trivial(2),
+                 matrices=[np.eye(1), -np.eye(1)])
+    with pytest.raises(DimensionMismatch):
+        direct_sum([mr.catalog_get("z2t").reps["trivial"], sign])
+
+
+def test_apply_batches_over_element_ids():
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    x = random_unitary(2, 1)
+    stack = np.stack([x, x.T])
+    ids = np.arange(rep.group.order)
+    batched = rep.apply(ids, stack)
+    assert batched.shape == (rep.group.order, 2, 2, 2)
+    for g in ids:
+        for k in range(2):
+            assert np.allclose(batched[g, k], rep.apply(int(g), stack[k]))
+
+
+def test_conjugate_corep_onto_invariant_subspace():
+    kram = kramers()
+    u = random_unitary(4, 5)
+    mixed = conjugate_corep(direct_sum([kram, kram]), u)
+    block = conjugate_corep(mixed, u.conj().T[:, 2:])
+    assert block.dim == 2
+    assert np.allclose(block.matrices, kram.matrices)
 
 
 def test_regular_corep_of_unitary_group():

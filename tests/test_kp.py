@@ -13,21 +13,19 @@ from magrep.errors import (
 )
 from magrep.kp import (
     ProbeRepAction,
-    build_W,
     build_gamma_matrices,
     covariant_tuple_basis,
     dispersion_order,
     dual_rep,
     linear_multiplicity,
     multiplicity_value,
-    multiplicity_value_diagonal_t0,
-    multiplicity_value_trace_form,
     polynomial_channel,
     probe_stability,
     trivial_multiplicity,
     tuple_span_residual,
     validate_action,
 )
+from conftest import multiplicity_value_diagonal_t0, multiplicity_value_trace_form
 
 PAULI = [np.array(m, dtype=complex) for m in (
     [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
@@ -124,28 +122,7 @@ def test_unitary_group_multiplicity():
     assert covariant_tuple_basis(rep, act).shape[0] == 4
 
 
-# -- W and the explicit construction ---------------------------------------------------
-
-def test_build_W_identity_and_scalars():
-    rep, actions = kramers_setup()
-    act = actions["momentum"]
-    assert np.allclose(build_W(rep, act, 0), np.eye(12))
-    z2t = mr.catalog_get("z2t")
-    w = build_W(z2t.reps["trivial"], z2t.probe_actions["electric"], 1)
-    assert w.shape == (1, 1)
-
-
-def test_build_W_multiplicative_on_subgroup():
-    entry = mr.catalog_get("c4v_t")
-    rep = entry.reps["e_half"]
-    act = entry.probe_actions["momentum"]
-    g = rep.group
-    ws = {int(h): build_W(rep, act, int(h)) for h in g.h_elements}
-    for a in g.h_elements:
-        for b in g.h_elements:
-            prod = ws[int(a)] @ ws[int(b)]
-            assert np.abs(prod - ws[g.mul(int(a), int(b))]).max() < 1e-10
-
+# -- the explicit construction ---------------------------------------------------------
 
 def test_weyl_gammas_span_pauli_triple():
     rep, actions = kramers_setup()
@@ -357,9 +334,9 @@ def test_gamma_construction_gauge_robust():
 
 
 def test_gamma_construction_unitary_group_branch():
-    # purely unitary groups use the hermiticity involution instead of the
-    # anti-unitary generator for the rebase; check both a trivial group and a
-    # projective nonabelian one against the oracle
+    # purely unitary groups take the subgroup average alone, with no (1 + L)/2
+    # factor; check both a trivial group and a projective nonabelian one
+    # against the oracle
     h_rep, _ = mr.coreps.unitary_restriction(
         mr.catalog_get("z2t_kramers").reps["kramers"])
     act = ProbeRepAction(group=h_rep.group, d_h=[np.eye(1)], d_t0=None)

@@ -4,14 +4,12 @@ import pytest
 from magrep.errors import (
     EigenvalueAtBranchCutWarning,
     NotCommuting,
-    NotHermitian,
     NotIdempotent,
     NotSymmetricUnitary,
     TraceNotInteger,
 )
 from magrep.linalg import (
     eigenspace_of_one,
-    eigh,
     random_symmetric_unitary,
     random_unitary,
     simultaneous_diag,
@@ -21,38 +19,6 @@ from magrep.linalg import (
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def quadratic_eigenvalues(a, d, b):
-    """Characteristic-polynomial roots of [[a, b], [conj(b), d]]."""
-    mean = (a + d) / 2
-    disc = np.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
-    return np.array([mean - disc, mean + disc])
-
-
-def test_eigh_trivial():
-    sys = eigh(np.eye(2))
-    assert np.allclose(sys.values, [1.0, 1.0])
-    sys = eigh(SZ)
-    assert np.allclose(sys.values, [-1.0, 1.0])
-    assert np.allclose(np.abs(sys.vectors.conj().T @ SZ @ sys.vectors), np.eye(2))
-
-
-def test_eigh_matches_quadratic_formula():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        a, d = rng.standard_normal(2)
-        b = rng.standard_normal() + 1j * rng.standard_normal()
-        m = np.array([[a, b], [np.conj(b), d]])
-        sys = eigh(m)
-        assert np.allclose(sys.values, quadratic_eigenvalues(a, d, b), atol=1e-12)
-        resid = np.linalg.norm(m @ sys.vectors - sys.vectors @ np.diag(sys.values))
-        assert resid < 1e-12
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_simultaneous_diag_trivial_families():

@@ -10,6 +10,7 @@ from magrep.coreps import (
     unitary_restriction,
 )
 from magrep.errors import ElementNotInSubgroup, NotIrreducible
+from magrep.kp import ProbeRepAction, linear_multiplicity, multiplicity_value
 from magrep.linalg import random_unitary
 from magrep.reduction import (
     build_G_commutant,
@@ -21,7 +22,12 @@ from magrep.reduction import (
     torsion_indicator,
     torsion_number,
 )
-from conftest import catalog_irreps, compatible_rep_groups
+from conftest import (
+    catalog_irreps,
+    compatible_rep_groups,
+    coset_trace_sum,
+    irreducibility_index_trace_form,
+)
 
 
 def kramers():
@@ -49,9 +55,11 @@ def test_character_and_trace_forms_agree():
     for name, rep_name, rep in catalog_irreps():
         if not rep.group.is_magnetic:
             continue
-        a = irreducibility_index(rep, method="character")
-        b = irreducibility_index(rep, method="trace")
+        a = irreducibility_index(rep)
+        b = irreducibility_index_trace_form(rep)
         assert a == pytest.approx(b, abs=1e-9), (name, rep_name)
+        assert torsion_indicator(rep) == pytest.approx(
+            coset_trace_sum(rep).real, abs=1e-9), (name, rep_name)
 
 
 def test_criterion_at_least_one_on_random_sums():
@@ -74,6 +82,31 @@ def test_criterion_gauge_and_basis_invariance():
         assert irreducibility_index(gauged) == pytest.approx(base, abs=1e-9)
         rotated = conjugate_corep(rep, random_unitary(rep.dim, seed))
         assert irreducibility_index(rotated) == pytest.approx(base, abs=1e-9)
+
+
+def test_index_is_the_trivial_channel_multiplicity():
+    # the index is the shared character sum with unit probe weights, so it
+    # counts the Hermitian matrices commuting with the co-rep
+    rng = np.random.default_rng(7)
+    cases = []
+    for name in mr.catalog_list():
+        entry = mr.catalog_get(name)
+        cases += list(entry.reps.values())
+        cases += [unitary_restriction(rep)[0] for rep in entry.reps.values()]
+        for bucket in compatible_rep_groups(entry):
+            reps = [rep for _, rep in bucket]
+            for k in (2, 3):
+                cases.append(direct_sum([reps[int(rng.integers(len(reps)))]
+                                         for _ in range(k)]))
+    for rep in cases:
+        rep = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, rng)),
+                           int(rng.integers(1 << 30)))
+        g = rep.group
+        trivial = ProbeRepAction(group=g, d_h=np.ones((len(g.h_elements), 1, 1)),
+                                 d_t0=np.eye(1) if g.is_magnetic else None)
+        index = irreducibility_index(rep)
+        assert multiplicity_value(rep, trivial) == pytest.approx(index, abs=1e-9)
+        assert linear_multiplicity(rep, trivial) == round(index)
 
 
 # -- torsion ---------------------------------------------------------------------
