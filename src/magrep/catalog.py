@@ -70,18 +70,19 @@ def _spin_mirror(alpha: float) -> np.ndarray:
 def _group_from_realization(o3_list, flags, labels) -> MagneticGroup:
     """Cayley table by matching spatial products; T commutes with all of them,
     so the spatial part of a product ignores the flags and the flag is the xor."""
-    n = len(o3_list)
-    flags = list(flags)
-    cayley = np.zeros((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            prod = o3_list[a] @ o3_list[b]
-            want = flags[a] ^ flags[b]
-            hits = [c for c in range(n)
-                    if flags[c] == want and np.allclose(o3_list[c], prod, atol=1e-10)]
-            if len(hits) != 1:
-                raise ValueError(f"realization is not closed at ({labels[a]}, {labels[b]})")
-            cayley[a, b] = hits[0]
+    mats = np.asarray(o3_list)
+    flags = np.asarray(flags, dtype=int)
+    cayley = np.zeros((len(mats), len(mats)), dtype=int)
+    for a in range(len(mats)):
+        # hits[b, c]: element c matches the product a b in matrix and flag
+        hits = np.isclose(mats[None, :], (mats[a] @ mats)[:, None],
+                          atol=1e-10).all(axis=(-2, -1))
+        hits &= flags[None, :] == (flags[a] ^ flags)[:, None]
+        bad = hits.sum(axis=1) != 1
+        if bad.any():
+            raise ValueError(f"realization is not closed at "
+                             f"({labels[a]}, {labels[int(np.argmax(bad))]})")
+        cayley[a] = np.argmax(hits, axis=1)
     return build_group(cayley, flags, labels=labels)
 
 

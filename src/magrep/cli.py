@@ -72,6 +72,11 @@ def _emit(report: dict, args) -> None:
         print(f"report written to {args.out}")
 
 
+def _tol(args, default: float) -> float:
+    """The ``--tol`` override, or the command's default when none was given."""
+    return default if args.tol is None else args.tol
+
+
 def _rep_inputs(args):
     group, omega = _load_group_arg(args.group)
     rep = _load_corep_arg(args.rep, group=group, omega=omega)
@@ -89,14 +94,14 @@ def cmd_validate(args) -> int:
         report["omega"] = {"defaulted": True}
     else:
         report["omega"] = {"defaulted": False}
-    cocycle = validate_cocycle(group, omega, tol=args.tol if args.tol else 1e-10)
+    cocycle = validate_cocycle(group, omega, tol=_tol(args, 1e-10))
     report["cocycle"] = {"max_violation": cocycle.max_violation,
                          "max_modulus_error": cocycle.max_modulus_error,
                          "tol": cocycle.tol, "passed": cocycle.passed}
     ok = ok and cocycle.passed
     if args.rep:
         rep = _load_corep_arg(args.rep, group=group, omega=omega)
-        check = validate_corep(rep, tol=args.tol if args.tol else 1e-9)
+        check = validate_corep(rep, tol=_tol(args, 1e-9))
         report["corep"] = {"dim": rep.dim,
                            "unitarity_residual": check.unitarity_residual,
                            "relation_residual": check.relation_residual,
@@ -109,7 +114,7 @@ def cmd_validate(args) -> int:
 
 def cmd_irreducible(args) -> int:
     rep = _rep_inputs(args)
-    tol = args.tol if args.tol else 1e-8
+    tol = _tol(args, 1e-8)
     index = irreducibility_index(rep)
     report = {
         "criterion": index,
@@ -122,7 +127,7 @@ def cmd_irreducible(args) -> int:
 
 def cmd_torsion(args) -> int:
     rep = _rep_inputs(args)
-    tol = args.tol if args.tol else 1e-8
+    tol = _tol(args, 1e-8)
     from .reduction import torsion_indicator
     report = {"criterion": irreducibility_index(rep), "tol": tol}
     r = torsion_number(rep, tol=tol)
@@ -134,7 +139,7 @@ def cmd_torsion(args) -> int:
 
 def cmd_reduce(args) -> int:
     rep = _rep_inputs(args)
-    tol = args.tol if args.tol else 1e-9
+    tol = _tol(args, 1e-9)
     dec = reduce_corep(rep, seed=args.seed, tol=tol)
     index = irreducibility_index(rep)
     irreducible = bool(abs(index - 1.0) <= max(tol * 10, 1e-8))
@@ -183,7 +188,7 @@ def cmd_kp(args) -> int:
                   "seed": args.seed}
         if mult > 0:
             model = build_gamma_matrices(rep, action,
-                                         tol=args.tol if args.tol else 1e-9)
+                                         tol=_tol(args, 1e-9))
             report["gammas"] = model.gammas
             report["residuals"] = model.residuals
         _emit(report, args)
@@ -200,7 +205,7 @@ def cmd_kp(args) -> int:
             if entry["channels"][k]["multiplicity"] <= 0:
                 continue
             model = build_gamma_matrices(rep, ch.action,
-                                         tol=args.tol if args.tol else 1e-9)
+                                         tol=_tol(args, 1e-9))
             report["models"].append({
                 "order": n,
                 "channel": k,
@@ -238,7 +243,7 @@ def cmd_probe(args) -> int:
         name, ref = probe_arg.split("=", 1)
         probes[name] = _load_action_arg(ref, rep.group)
     report = probe_stability(rep, ids, probes=probes, seed=args.seed,
-                             tol=args.tol if args.tol else 1e-8)
+                             tol=_tol(args, 1e-8))
     _emit(report, args)
     return EXIT_OK
 
@@ -354,6 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "tol", None) is not None and not args.tol >= 0.0:   # rejects nan too
+        parser.error(f"argument --tol: tolerance must be >= 0, got {args.tol}")
     try:
         return args.func(args)
     except (ParseError, UnknownName) as err:

@@ -26,10 +26,6 @@ from .groups import FactorSystem, MagneticGroup, restricted_group
 COREP_TOL = 1e-9
 
 
-def _conj_if(mat: np.ndarray, s: int) -> np.ndarray:
-    return np.conj(mat) if s else mat
-
-
 @dataclass
 class CoRep:
     """Per-element unitary matrices of a projective co-representation."""
@@ -107,18 +103,15 @@ def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
     ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.
     """
     g = rep.group
-    d = rep.dim
-    eye = np.eye(d)
-    uni = max(np.linalg.norm(rep.m(a).conj().T @ rep.m(a) - eye, ord=2)
-              for a in range(g.order))
+    mats = rep.matrices
+    conj_mats = np.conj(mats)
+    uni = np.linalg.norm(np.swapaxes(conj_mats, -1, -2) @ mats - np.eye(rep.dim),
+                         ord=2, axis=(-2, -1)).max()
     rel = 0.0
     for a in range(g.order):
-        ma = rep.m(a)
-        sa = g.s(a)
-        for b in range(g.order):
-            lhs = ma @ _conj_if(rep.m(b), sa)
-            rhs = rep.omega(a, b) * rep.m(g.mul(a, b))
-            rel = max(rel, np.linalg.norm(lhs - rhs, ord=2))
+        lhs = mats[a] @ (conj_mats if g.s(a) else mats)
+        rhs = rep.omega.values[a, :, None, None] * mats[g.cayley[a]]
+        rel = max(rel, np.linalg.norm(lhs - rhs, ord=2, axis=(-2, -1)).max())
     return CoRepReport(unitarity_residual=float(uni), relation_residual=float(rel), tol=tol)
 
 
@@ -141,19 +134,20 @@ def corep_from_matrices(group: MagneticGroup, matrices, tol: float = 1e-8) -> Co
     if mats.shape[0] != n:
         raise DimensionMismatch("need one matrix per element")
     d = mats.shape[1]
+    conj_mats = np.conj(mats)
     omega = np.ones((n, n), dtype=complex)
     for a in range(n):
-        sa = group.s(a)
-        for b in range(n):
-            prod = mats[a] @ _conj_if(mats[b], sa)
-            target = mats[group.mul(a, b)]
-            # omega = <target, prod> / d for unitary target
-            w = np.trace(target.conj().T @ prod) / d
-            if abs(abs(w) - 1.0) > tol or np.linalg.norm(prod - w * target, ord=2) > tol:
-                raise InvalidCoRep(
-                    f"products are not scalar multiples of the table entry at "
-                    f"({group.label(a)}, {group.label(b)})")
-            omega[a, b] = w
+        prod = mats[a] @ (conj_mats if group.s(a) else mats)
+        target = mats[group.cayley[a]]
+        # omega = <target, prod> / d for unitary target
+        w = np.einsum("bij,bij->b", np.conj(target), prod) / d
+        bad = (np.abs(np.abs(w) - 1.0) > tol) | (
+            np.linalg.norm(prod - w[:, None, None] * target, ord=2, axis=(-2, -1)) > tol)
+        if bad.any():
+            raise InvalidCoRep(
+                f"products are not scalar multiples of the table entry at "
+                f"({group.label(a)}, {group.label(int(np.argmax(bad)))})")
+        omega[a] = w
     return CoRep(group=group, omega=FactorSystem(omega), matrices=mats)
 
 
@@ -238,7 +232,6 @@ def regular_corep(group: MagneticGroup, omega: Optional[FactorSystem] = None) ->
     if omega is None:
         omega = FactorSystem.trivial(n)
     mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        for b in range(n):
-            mats[g, group.mul(g, b), b] = omega(g, b)
+    ids = np.arange(n)
+    mats[ids[:, None], group.cayley, ids[None, :]] = omega.values
     return CoRep(group=group, omega=omega, matrices=mats)

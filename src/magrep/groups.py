@@ -155,11 +155,12 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
 
     # Each row and column must be a permutation (cancellativity).
     ids = np.arange(n)
-    for a in range(n):
-        if not np.array_equal(np.sort(table[a]), ids) or not np.array_equal(np.sort(table[:, a]), ids):
-            raise NotAGroup(f"row/column {a} is not a permutation of the element ids")
+    bad = ~((np.sort(table, axis=1) == ids).all(axis=1)
+            & (np.sort(table, axis=0) == ids[:, None]).all(axis=0))
+    if bad.any():
+        raise NotAGroup(f"row/column {int(np.argmax(bad))} is not a permutation of the element ids")
 
-    # Associativity by full triple scan; n <= ~100 keeps this cheap.
+    # Associativity by full triple scan: two n^3 int tables, 7 MB each at n = 96.
     left = table[table, :]            # left[a, b, c]  = (a b) c
     right = table[:, table]           # right[a, b, c] = a (b c)
     if not np.array_equal(left, right):
@@ -167,19 +168,16 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
         raise NotAGroup(f"associativity fails at triple {tuple(int(x) for x in bad)}")
 
     # Unique two-sided identity.
-    id_candidates = [e for e in range(n)
-                     if np.array_equal(table[e], ids) and np.array_equal(table[:, e], ids)]
+    id_candidates = np.nonzero((table == ids).all(axis=1) & (table == ids[:, None]).all(axis=0))[0]
     if len(id_candidates) != 1:
         raise NotAGroup(f"expected exactly one identity, found {len(id_candidates)}")
-    identity = id_candidates[0]
+    identity = int(id_candidates[0])
 
-    # Unique inverses.
-    inverse = np.zeros(n, dtype=int)
-    for a in range(n):
-        invs = np.nonzero(table[a] == identity)[0]
-        if len(invs) != 1 or table[invs[0], a] != identity:
-            raise NotAGroup(f"element {a} lacks a unique two-sided inverse")
-        inverse[a] = invs[0]
+    # Unique inverses; each row is a permutation, so it holds the identity once.
+    inverse = np.argmax(table == identity, axis=1)
+    bad = table[inverse, ids] != identity
+    if bad.any():
+        raise NotAGroup(f"element {int(np.argmax(bad))} lacks a unique two-sided inverse")
 
     # Flags must be a homomorphism onto Z2.
     if not np.array_equal(s[table], s[:, None] ^ s[None, :]):
@@ -218,10 +216,9 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
         sub_set = set(sub)
         if not sub_set <= h_set:
             raise ElementNotInSubgroup("subgroup chain member leaves the unitary part")
-        for a in sub:
-            for b in sub:
-                if int(table[a, b]) not in sub_set:
-                    raise NotAGroup(f"chain member {sub} is not closed under multiplication")
+        members = np.asarray(sub, dtype=int)
+        if not np.isin(table[np.ix_(members, members)], members).all():
+            raise NotAGroup(f"chain member {sub} is not closed under multiplication")
         if prev is not None and not prev <= sub_set:
             raise NotAGroup("subgroup chain is not ascending")
         prev = sub_set
@@ -243,18 +240,19 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
 
 def conjugacy_classes(group: MagneticGroup, members) -> tuple:
     """Conjugacy classes of the subgroup ``members``, ordered by lowest id."""
-    member_set = set(int(x) for x in members)
-    for a in member_set:
-        for b in member_set:
-            if group.mul(a, b) not in member_set:
-                raise NotAGroup("conjugacy classes requested for a non-closed subset")
+    m = np.asarray(sorted(set(int(x) for x in members)), dtype=int)
+    prods = group.cayley[np.ix_(m, m)]
+    if not np.isin(prods, m).all():
+        raise NotAGroup("conjugacy classes requested for a non-closed subset")
+    # orbits[i, j] = m_i m_j m_i^-1: column j is the class of m_j
+    orbits = group.cayley[prods, group.inverse[m][:, None]]
     classes = []
     seen = set()
-    for h in sorted(member_set):
+    for j, h in enumerate(m.tolist()):
         if h in seen:
             continue
-        cls = sorted({group.mul(group.mul(a, h), group.inv(a)) for a in member_set})
-        classes.append(tuple(cls))
+        cls = tuple(sorted(set(orbits[:, j].tolist())))
+        classes.append(cls)
         seen.update(cls)
     return tuple(classes)
 
@@ -317,15 +315,14 @@ def validate_cocycle(group: MagneticGroup, omega: FactorSystem,
     modulus_err = float(np.abs(np.abs(w) - 1.0).max())
 
     table = group.cayley
-    s = group.antiunitary
-    # lhs[a,b,c] = w^[s(a)](b,c) * conj(w(ab,c)) * w(a,bc) * conj(w(a,b))
-    w_bc = np.broadcast_to(w[None, :, :], (n, n, n))
-    w_bc = np.where(s[:, None, None] == 1, np.conj(w_bc), w_bc)
-    w_ab_c = w[table, :]                 # [a,b,c] -> w(ab, c)
-    w_a_bc = w[:, table]                 # [a,b,c] -> w(a, bc)
-    w_ab = np.broadcast_to(w[:, :, None], (n, n, n))
-    lhs = w_bc * np.conj(w_ab_c) * w_a_bc * np.conj(w_ab)
-    violation = float(np.abs(lhs - 1.0).max())
+    w_conj = np.conj(w)
+    # one row a at a time keeps the temporaries at n^2:
+    # lhs[b,c] = w^[s(a)](b,c) * conj(w(ab,c)) * w(a,bc) * conj(w(a,b))
+    violation = 0.0
+    for a in range(n):
+        lhs = ((w_conj if group.s(a) else w) * w_conj[table[a]] * w[a][table]
+               * w_conj[a][:, None])
+        violation = max(violation, float(np.abs(lhs - 1.0).max()))
     return CocycleReport(max_modulus_error=modulus_err, max_violation=violation, tol=tol)
 
 
@@ -339,17 +336,14 @@ def restricted_group(group: MagneticGroup, element_ids,
     emb = np.asarray(sorted(set(int(x) for x in element_ids)), dtype=int)
     if emb.size == 0 or emb.min() < 0 or emb.max() >= group.order:
         raise NotASubgroupEmbedding("element ids out of range")
-    pos = {int(g): k for k, g in enumerate(emb)}
-    m = len(emb)
-    table = np.zeros((m, m), dtype=int)
-    for a in range(m):
-        for b in range(m):
-            prod = group.mul(int(emb[a]), int(emb[b]))
-            if prod not in pos:
-                raise NotASubgroupEmbedding(
-                    f"subset not closed: {group.label(int(emb[a]))} * "
-                    f"{group.label(int(emb[b]))} falls outside")
-            table[a, b] = pos[prod]
+    pos = np.full(group.order, -1)
+    pos[emb] = np.arange(len(emb))
+    table = pos[group.cayley[np.ix_(emb, emb)]]
+    if (table < 0).any():
+        a, b = np.argwhere(table < 0)[0]
+        raise NotASubgroupEmbedding(
+            f"subset not closed: {group.label(int(emb[a]))} * "
+            f"{group.label(int(emb[b]))} falls outside")
     flags = group.antiunitary[emb]
     if labels is None:
         labels = [group.label(int(g)) for g in emb]
@@ -364,10 +358,13 @@ def verify_embedding(group: MagneticGroup, sub: MagneticGroup, embedding) -> np.
         raise NotASubgroupEmbedding("embedding length must equal subgroup order")
     if emb.min() < 0 or emb.max() >= group.order or len(set(emb.tolist())) != sub.order:
         raise NotASubgroupEmbedding("embedding must be injective into the parent ids")
-    for a in range(sub.order):
-        if group.s(int(emb[a])) != sub.s(a):
+    flag_bad = group.antiunitary[emb] != sub.antiunitary
+    prod_bad = group.cayley[np.ix_(emb, emb)] != emb[sub.cayley]
+    bad_rows = flag_bad | prod_bad.any(axis=1)
+    if bad_rows.any():
+        a = int(np.argmax(bad_rows))
+        if flag_bad[a]:
             raise NotASubgroupEmbedding(f"flag mismatch at subgroup element {a}")
-        for b in range(sub.order):
-            if group.mul(int(emb[a]), int(emb[b])) != int(emb[sub.mul(a, b)]):
-                raise NotASubgroupEmbedding(f"product mismatch at pair ({a}, {b})")
+        raise NotASubgroupEmbedding(
+            f"product mismatch at pair ({a}, {int(np.argmax(prod_bad[a]))})")
     return emb

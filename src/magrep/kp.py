@@ -84,7 +84,9 @@ class ProbeRepAction:
                 raise DimensionMismatch("t0 matrix shape mismatch")
         elif self.group.is_magnetic:
             raise InvalidAction("magnetic group needs the t0 probe matrix")
-        self._h_index = {int(h): k for k, h in enumerate(self.group.h_elements)}
+        # id -> position in h_elements; -1 marks the anti-unitary coset
+        self._h_pos = np.full(self.group.order, -1)
+        self._h_pos[self.group.h_elements] = np.arange(len(self.group.h_elements))
 
     @property
     def dim_q(self) -> int:
@@ -94,9 +96,9 @@ class ProbeRepAction:
         """Matrix of an arbitrary element; the coset uses D(h t0) = D(h) D(t0)."""
         grp = self.group
         if grp.s(g) == 0:
-            return self.d_h[self._h_index[int(g)]]
+            return self.d_h[self._h_pos[g]]
         h = grp.mul(int(g), grp.inv(grp.t0))
-        return self.d_h[self._h_index[h]] @ self.d_t0
+        return self.d_h[self._h_pos[h]] @ self.d_t0
 
     def character_h(self) -> np.ndarray:
         return np.einsum("gii->g", self.d_h)
@@ -110,21 +112,19 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     rep, so no factor system appears.
     """
     g = action.group
+    d_h = action.d_h
+    pos = action._h_pos
     resid = 0.0
-    for a in g.h_elements:
-        for b in g.h_elements:
-            prod = action.d(int(a)) @ action.d(int(b))
-            resid = max(resid, float(np.abs(prod - action.d(g.mul(int(a), int(b)))).max()))
+    for k, a in enumerate(g.h_elements):
+        prods = d_h[k] @ d_h
+        resid = max(resid, float(np.abs(prods - d_h[pos[g.cayley[a, g.h_elements]]]).max()))
     if g.is_magnetic:
         t0 = g.t0
         resid = max(resid, float(np.abs(
-            action.d_t0 @ action.d_t0 - action.d(g.sigma)).max()))
-        t0i = g.inv(t0)
-        d_t0_inv = np.linalg.inv(action.d_t0)
-        for h in g.h_elements:
-            conj_h = g.mul(g.mul(t0, int(h)), t0i)
-            lhs = action.d_t0 @ action.d(int(h)) @ d_t0_inv
-            resid = max(resid, float(np.abs(lhs - action.d(conj_h)).max()))
+            action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max()))
+        conj_h = g.cayley[g.cayley[t0, g.h_elements], g.inv(t0)]
+        lhs = action.d_t0 @ d_h @ np.linalg.inv(action.d_t0)
+        resid = max(resid, float(np.abs(lhs - d_h[pos[conj_h]]).max()))
     if resid > tol:
         raise InvalidAction(f"probe matrices violate the group law by {resid:.3e}")
     return resid

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import magrep as mr
-from magrep.errors import EigenvalueAtBranchCutWarning, InvalidAction, NoT0
+from magrep.errors import (
+    EigenvalueAtBranchCutWarning,
+    InvalidAction,
+    InvalidCoRep,
+    NotAGroup,
+    NotASubgroupEmbedding,
+    NoT0,
+)
 from magrep.kp import covariant_tuple_basis, linear_multiplicity, polynomial_channel
 
 
@@ -87,6 +94,132 @@ def multiplicity_value_diagonal_t0(rep, action, sign):
         total += (abs(chi[k]) ** 2
                   + sign * rep.omega(u, u) * np.trace(rep.m(g.mul(u, u)))) * chi_v[k]
     return float((total / (2 * g.halving_order)).real)
+
+
+# -- pair-by-pair loops, kept as oracles for the batched kernels ---------------
+
+def validate_corep_pairwise(rep):
+    """(unitarity, relation) residuals with one spectral norm per element pair."""
+    g = rep.group
+    eye = np.eye(rep.dim)
+    uni = max(np.linalg.norm(rep.m(a).conj().T @ rep.m(a) - eye, ord=2)
+              for a in range(g.order))
+    rel = 0.0
+    for a in range(g.order):
+        for b in range(g.order):
+            mb = np.conj(rep.m(b)) if g.s(a) else rep.m(b)
+            rhs = rep.omega(a, b) * rep.m(g.mul(a, b))
+            rel = max(rel, np.linalg.norm(rep.m(a) @ mb - rhs, ord=2))
+    return float(uni), float(rel)
+
+
+def omega_pairwise(group, matrices, tol=1e-8):
+    """Factor system read off pair by pair; raises like corep_from_matrices."""
+    mats = np.asarray(matrices, dtype=complex)
+    n, d = group.order, mats.shape[1]
+    omega = np.ones((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            prod = mats[a] @ (np.conj(mats[b]) if group.s(a) else mats[b])
+            target = mats[group.mul(a, b)]
+            w = np.trace(target.conj().T @ prod) / d
+            if abs(abs(w) - 1.0) > tol or np.linalg.norm(prod - w * target, ord=2) > tol:
+                raise InvalidCoRep(
+                    f"products are not scalar multiples of the table entry at "
+                    f"({group.label(a)}, {group.label(b)})")
+            omega[a, b] = w
+    return omega
+
+
+def action_residual_pairwise(action):
+    """Group-law residual of a probe action, one element pair at a time."""
+    g = action.group
+    resid = 0.0
+    for a in g.h_elements:
+        for b in g.h_elements:
+            prod = action.d(int(a)) @ action.d(int(b))
+            resid = max(resid, float(np.abs(prod - action.d(g.mul(int(a), int(b)))).max()))
+    if g.is_magnetic:
+        t0 = g.t0
+        resid = max(resid, float(np.abs(
+            action.d_t0 @ action.d_t0 - action.d(g.sigma)).max()))
+        d_t0_inv = np.linalg.inv(action.d_t0)
+        for h in g.h_elements:
+            conj_h = g.mul(g.mul(t0, int(h)), g.inv(t0))
+            lhs = action.d_t0 @ action.d(int(h)) @ d_t0_inv
+            resid = max(resid, float(np.abs(lhs - action.d(conj_h)).max()))
+    return resid
+
+
+def cayley_from_realization_pairwise(o3_list, flags, labels):
+    """Cayley table by matching every product against every element."""
+    n = len(o3_list)
+    cayley = np.zeros((n, n), dtype=int)
+    for a in range(n):
+        for b in range(n):
+            prod = o3_list[a] @ o3_list[b]
+            want = flags[a] ^ flags[b]
+            hits = [c for c in range(n)
+                    if flags[c] == want and np.allclose(o3_list[c], prod, atol=1e-10)]
+            if len(hits) != 1:
+                raise ValueError(f"realization is not closed at ({labels[a]}, {labels[b]})")
+            cayley[a, b] = hits[0]
+    return cayley
+
+
+def restricted_table_pairwise(group, element_ids):
+    """Cayley table of a subset in its own ids; raises like restricted_group."""
+    emb = sorted(set(int(x) for x in element_ids))
+    pos = {g: k for k, g in enumerate(emb)}
+    table = np.zeros((len(emb), len(emb)), dtype=int)
+    for a, ga in enumerate(emb):
+        for b, gb in enumerate(emb):
+            prod = group.mul(ga, gb)
+            if prod not in pos:
+                raise NotASubgroupEmbedding(
+                    f"subset not closed: {group.label(ga)} * {group.label(gb)} falls outside")
+            table[a, b] = pos[prod]
+    return table
+
+
+def verify_embedding_pairwise(group, sub, emb):
+    """Flag and product checks element by element; raises like verify_embedding."""
+    for a in range(sub.order):
+        if group.s(int(emb[a])) != sub.s(a):
+            raise NotASubgroupEmbedding(f"flag mismatch at subgroup element {a}")
+        for b in range(sub.order):
+            if group.mul(int(emb[a]), int(emb[b])) != int(emb[sub.mul(a, b)]):
+                raise NotASubgroupEmbedding(f"product mismatch at pair ({a}, {b})")
+    return emb
+
+
+def chain_member_closed_pairwise(table, sub):
+    sub_set = set(sub)
+    return all(int(table[a, b]) in sub_set for a in sub for b in sub)
+
+
+def conjugacy_classes_pairwise(group, members):
+    """Classes as sets of a h a^-1, ordered by lowest id; raises like the kernel."""
+    member_set = set(int(x) for x in members)
+    if not all(group.mul(a, b) in member_set for a in member_set for b in member_set):
+        raise NotAGroup("conjugacy classes requested for a non-closed subset")
+    classes, seen = [], set()
+    for h in sorted(member_set):
+        if h not in seen:
+            cls = sorted({group.mul(group.mul(a, h), group.inv(a)) for a in member_set})
+            classes.append(tuple(cls))
+            seen.update(cls)
+    return tuple(classes)
+
+
+def cocycle_violation_full(group, omega):
+    """Twisted cocycle violation from n^3 tables built in one piece."""
+    n, w, s, table = group.order, omega.values, group.antiunitary, group.cayley
+    w_bc = np.broadcast_to(w[None, :, :], (n, n, n))
+    w_bc = np.where(s[:, None, None] == 1, np.conj(w_bc), w_bc)
+    w_ab = np.broadcast_to(w[:, :, None], (n, n, n))
+    lhs = w_bc * np.conj(w[table, :]) * w[:, table] * np.conj(w_ab)
+    return float(np.abs(lhs - 1.0).max())
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,27 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_zero_tol_is_used_not_replaced_by_the_default(exported, capsys):
+    code, report = run_cli(
+        capsys, "validate",
+        str(exported / "z2t_kramers.group-kramers.json"),
+        str(exported / "z2t_kramers.rep-kramers.json"), "--tol", "0")
+    assert code == 0      # the Kramers pair is exact, so it passes even at 0
+    assert report["cocycle"]["tol"] == 0.0
+    assert report["corep"]["tol"] == 0.0
+    code, report = run_cli(capsys, "irreducible", "@z2t_kramers", "@z2t_kramers/kramers",
+                           "--tol", "0")
+    assert report["tol"] == 0.0
+
+
+@pytest.mark.parametrize("flag", [["--tol=-1e-9"], ["--tol", "-0.5"], ["--tol", "nan"]])
+def test_negative_tol_is_a_parse_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["irreducible", "@z2t_kramers", "@z2t_kramers/kramers", *flag])
+    assert exc.value.code == 2
+    assert "tolerance must be >= 0" in capsys.readouterr().err
+
+
 def test_missing_omega_defaults_to_trivial(exported, tmp_path, capsys):
     data = json.load(open(exported / "z2t.group-trivial.json"))
     data.pop("omega")
