@@ -7,7 +7,6 @@ from .groups import (
     MagneticGroup,
     build_group,
     conjugacy_classes,
-    conjugate_by_t0,
     restricted_group,
     validate_cocycle,
 )
@@ -38,7 +37,6 @@ from .reduction import (
     build_H_commutant,
     class_operator,
     combined_class_operator,
-    hermitian_class_operators,
     irreducibility_index,
     reduce_corep,
     torsion_indicator,

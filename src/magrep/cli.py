@@ -11,6 +11,7 @@ the report; the default seed is 0.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -20,8 +21,15 @@ from .catalog import catalog_get, catalog_list
 from .coreps import validate_corep
 from .errors import EmptyChannel, MagrepError, ParseError, UnknownName
 from .groups import FactorSystem, validate_cocycle
-from .kp import build_gamma_matrices, dispersion_order, probe_stability
-from .reduction import irreducibility_index, reduce_corep, torsion_number
+from .kp import (
+    build_gamma_matrices,
+    dispersion_order,
+    linear_multiplicity,
+    polynomial_channel,
+    probe_stability,
+    trivial_multiplicity,
+)
+from .reduction import irreducibility_index, reduce_corep, torsion_indicator, torsion_number
 
 DEFAULT_SEED = 0
 EXIT_OK = 0
@@ -128,7 +136,6 @@ def cmd_irreducible(args) -> int:
 def cmd_torsion(args) -> int:
     rep = _rep_inputs(args)
     tol = _tol(args, 1e-8)
-    from .reduction import torsion_indicator
     report = {"criterion": irreducibility_index(rep), "tol": tol}
     r = torsion_number(rep, tol=tol)
     report["indicator"] = torsion_indicator(rep)
@@ -180,7 +187,6 @@ def cmd_kp(args) -> int:
         raise ParseError("--max-order must be at least 1")
     if action.dim_q != 3:
         # non-momentum channel: only the linear coupling is defined
-        from .kp import linear_multiplicity, trivial_multiplicity
         mult = linear_multiplicity(rep, action)
         report = {"channel_dim": action.dim_q, "kind": action.kind,
                   "multiplicity": mult,
@@ -199,7 +205,6 @@ def cmd_kp(args) -> int:
         n = entry["order"]
         if entry["full"]["multiplicity"] <= 0:
             continue
-        from .kp import polynomial_channel
         chans = polynomial_channel(action, n, seed=args.seed)
         for k, ch in enumerate(chans.channels):
             if entry["channels"][k]["multiplicity"] <= 0:
@@ -263,7 +268,6 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     entry = catalog_get(args.name)
     if args.export:
-        import os
         os.makedirs(args.export, exist_ok=True)
         written = []
         for rep_name, rep in entry.reps.items():

@@ -160,12 +160,13 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
     if bad.any():
         raise NotAGroup(f"row/column {int(np.argmax(bad))} is not a permutation of the element ids")
 
-    # Associativity by full triple scan: two n^3 int tables, 7 MB each at n = 96.
-    left = table[table, :]            # left[a, b, c]  = (a b) c
-    right = table[:, table]           # right[a, b, c] = a (b c)
-    if not np.array_equal(left, right):
-        bad = np.argwhere(left != right)[0]
-        raise NotAGroup(f"associativity fails at triple {tuple(int(x) for x in bad)}")
+    # Associativity over all triples, one row a at a time (n^2 temporaries).
+    for a in range(n):
+        left = table[table[a]]        # left[b, c]  = (a b) c
+        right = table[a][table]       # right[b, c] = a (b c)
+        if not np.array_equal(left, right):
+            b, c = np.argwhere(left != right)[0]
+            raise NotAGroup(f"associativity fails at triple {(a, int(b), int(c))}")
 
     # Unique two-sided identity.
     id_candidates = np.nonzero((table == ids).all(axis=1) & (table == ids[:, None]).all(axis=0))[0]
@@ -255,11 +256,6 @@ def conjugacy_classes(group: MagneticGroup, members) -> tuple:
         classes.append(cls)
         seen.update(cls)
     return tuple(classes)
-
-
-def conjugate_by_t0(group: MagneticGroup, h: int) -> int:
-    """Id of ``t0^-1 h t0``; a bijection of H preserving its class structure."""
-    return group.conjugate_by_t0(h)
 
 
 @dataclass

@@ -17,6 +17,12 @@ Hermitian conjugate acts as plain conjugation makes real combinations
 Hermitian.  A brute-force null space solver over the real parametrization of
 Hermitian tuples ships alongside as the independent ground truth for both
 the count and the span.
+
+``ProbeRepAction.d`` takes an element id or an array of ids and returns the
+matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
+is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
+co-reps: the probe characters, the identity-coupling count and the
+substitution rep of the polynomial channels all read every element at once.
 """
 
 from __future__ import annotations
@@ -92,16 +98,20 @@ class ProbeRepAction:
     def dim_q(self) -> int:
         return self.d_h.shape[1]
 
-    def d(self, g: int) -> np.ndarray:
-        """Matrix of an arbitrary element; the coset uses D(h t0) = D(h) D(t0)."""
-        grp = self.group
-        if grp.s(g) == 0:
-            return self.d_h[self._h_pos[g]]
-        h = grp.mul(int(g), grp.inv(grp.t0))
-        return self.d_h[self._h_pos[h]] @ self.d_t0
+    def d(self, ids) -> np.ndarray:
+        """Matrices D(g) of every listed element.
 
-    def character_h(self) -> np.ndarray:
-        return np.einsum("gii->g", self.d_h)
+        ``ids`` is an element id or an array of them; the result has shape
+        ``ids.shape + (q, q)``.  The coset uses D(h t0) = D(h) D(t0).
+        """
+        ids = np.asarray(ids)
+        grp = self.group
+        if not grp.is_magnetic:
+            return self.d_h[self._h_pos[ids]]
+        flip = grp.antiunitary[ids] == 1
+        h = np.where(flip, grp.cayley[ids, grp.inverse[grp.t0]], ids)
+        mats = self.d_h[self._h_pos[h]]
+        return np.where(flip[..., None, None], mats @ self.d_t0, mats)
 
 
 def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
@@ -123,21 +133,26 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
         resid = max(resid, float(np.abs(
             action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max()))
         conj_h = g.cayley[g.cayley[t0, g.h_elements], g.inv(t0)]
-        lhs = action.d_t0 @ d_h @ np.linalg.inv(action.d_t0)
+        lhs = action.d_t0 @ d_h @ _dual_matrices(action.d_t0).T
         resid = max(resid, float(np.abs(lhs - d_h[pos[conj_h]]).max()))
     if resid > tol:
         raise InvalidAction(f"probe matrices violate the group law by {resid:.3e}")
     return resid
 
 
-def dual_rep(action: ProbeRepAction) -> ProbeRepAction:
-    """Elementwise inverse-transpose; equals the input for orthogonal actions."""
+def _dual_matrices(mats: np.ndarray) -> np.ndarray:
+    """Inverse-transpose of a stack ``(..., q, q)`` in one batched call."""
     try:
-        d_h = np.stack([np.linalg.inv(m).T for m in action.d_h])
-        d_t0 = None if action.d_t0 is None else np.linalg.inv(action.d_t0).T
+        return np.swapaxes(np.linalg.inv(mats), -1, -2)
     except np.linalg.LinAlgError as err:
         raise SingularAction(str(err)) from None
-    return ProbeRepAction(group=action.group, d_h=d_h, d_t0=d_t0, kind=action.kind)
+
+
+def dual_rep(action: ProbeRepAction) -> ProbeRepAction:
+    """Elementwise inverse-transpose; equals the input for orthogonal actions."""
+    d_t0 = None if action.d_t0 is None else _dual_matrices(action.d_t0)
+    return ProbeRepAction(group=action.group, d_h=_dual_matrices(action.d_h),
+                          d_t0=d_t0, kind=action.kind)
 
 
 # -- multiplicity criterion ------------------------------------------------------
@@ -152,10 +167,7 @@ def multiplicity_value(rep: CoRep, action: ProbeRepAction) -> float:
     term and the 1/2.
     """
     g = rep.group
-    chi_v = np.zeros(g.order)
-    chi_v[g.h_elements] = action.character_h()
-    if g.is_magnetic:
-        chi_v[g.cayley[g.h_elements, g.t0]] = np.einsum("hab,ba->h", action.d_h, action.d_t0)
+    chi_v = np.einsum("gii->g", action.d(np.arange(g.order)))
     unitary, coset = criterion_sums(rep, chi_v)
     if not g.is_magnetic:
         return unitary
@@ -179,13 +191,9 @@ def trivial_multiplicity(action: ProbeRepAction) -> int:
     """Number of identity-matrix coupling tuples: the dimension of the real
     vectors fixed by D(g) for every group element.  These shift all levels
     together and never split a degeneracy."""
-    g = action.group
     q = action.dim_q
-    rows = [action.d(int(h)) - np.eye(q) for h in g.h_elements]
-    if g.is_magnetic:
-        rows.append(action.d_t0 - np.eye(q))
-    ns = _null_space(np.vstack(rows))
-    return ns.shape[1]
+    rows = action.d(np.arange(action.group.order)) - np.eye(q)
+    return _null_space(rows.reshape(-1, q)).shape[1]
 
 
 # -- explicit construction -------------------------------------------------------
@@ -402,32 +410,30 @@ def evaluate_monomials(exponents, dk: np.ndarray) -> np.ndarray:
     return np.array([np.prod(dk ** np.asarray(e)) for e in exponents])
 
 
-def _substitution_matrix(exponents, lin: np.ndarray) -> np.ndarray:
-    """Matrix R with mono_a(lin @ k) = sum_b R[a, b] mono_b(k).
+def _substitution_matrices(lin: np.ndarray, n: int) -> np.ndarray:
+    """Matrices R with mono_a(lin @ k) = sum_b R[a, b] mono_b(k), degree n.
 
-    Expands each transformed monomial by multiplying out the linear forms;
-    exact in the coefficients of ``lin``.
+    ``lin`` is a stack ``(..., 3, 3)`` and the result ``(..., m, m)`` in the
+    order of ``monomial_exponents(n)``.  Built degree by degree: a monomial is
+    its first variable times a monomial one degree lower, so its row is that
+    parent row multiplied by the variable's linear form.
     """
-    n_mono = len(exponents)
-    index = {e: k for k, e in enumerate(exponents)}
-    r = np.zeros((n_mono, n_mono))
-    for row, expo in enumerate(exponents):
-        # polynomial as dict exponent -> coefficient, built factor by factor
-        poly = {(0, 0, 0): 1.0}
-        for var in range(3):
-            for _ in range(expo[var]):
-                new = {}
-                for mono, c in poly.items():
-                    for var2 in range(3):
-                        if lin[var, var2] == 0.0:
-                            continue
-                        key = list(mono)
-                        key[var2] += 1
-                        key = tuple(key)
-                        new[key] = new.get(key, 0.0) + c * lin[var, var2]
-                poly = new
-        for mono, c in poly.items():
-            r[row, index[mono]] = c
+    r = np.ones(lin.shape[:-2] + (1, 1))
+    prev = {(0, 0, 0): 0}                  # exponents -> row, one degree lower
+    for j in range(1, n + 1):
+        expos = monomial_exponents(j)
+        index = {e: k for k, e in enumerate(expos)}
+        first = [next(v for v in range(3) if e[v]) for e in expos]
+        parent = [prev[tuple(x - (w == v) for w, x in enumerate(e))]
+                  for e, v in zip(expos, first)]
+        # times[(b, w), c] = 1 when monomial b times k_w is monomial c
+        times = np.zeros((len(prev), 3, len(expos)))
+        for e, b in prev.items():
+            for w in range(3):
+                times[b, w, index[tuple(x + (u == w) for u, x in enumerate(e))]] = 1.0
+        terms = r[..., parent, :, None] * lin[..., first, None, :]
+        r = terms.reshape(terms.shape[:-2] + (-1,)) @ times.reshape(-1, len(expos))
+        prev = index
     return r
 
 
@@ -472,44 +478,23 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     validate_action(action)
     exponents = monomial_exponents(n)
     n_mono = len(exponents)
-    dual = dual_rep(action)
-
-    elements = [int(h) for h in g.h_elements]
-    subs = {}
-    for h in elements:
-        subs[h] = _substitution_matrix(exponents, dual.d(h))
-    sub_t0 = None
-    if g.is_magnetic:
-        sub_t0 = _substitution_matrix(exponents, dual.d_t0)
-
-    def sub_of(e):
-        if g.s(e) == 0:
-            return subs[e]
-        h = g.mul(e, g.inv(g.t0))
-        return subs[h] @ sub_t0
-
-    all_elements = list(range(g.order)) if g.is_magnetic else elements
+    # substitution rep of every element: the monomials of the dual matrices
+    subs = _substitution_matrices(_dual_matrices(action.d(np.arange(g.order))), n)
 
     # orthogonalize the substitution rep, then average a random symmetric seed
-    s_metric = np.zeros((n_mono, n_mono))
-    for e in all_elements:
-        r = sub_of(e)
-        s_metric += r.T @ r
-    s_metric /= len(all_elements)
+    flat = subs.reshape(-1, n_mono)
+    s_metric = flat.T @ flat / g.order
     vals, vecs = np.linalg.eigh(s_metric)
     if vals.min() <= 1e-12:
         raise SingularAction("substitution metric is singular")
     s_half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
     s_half_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-    ortho = {e: s_half @ sub_of(e) @ s_half_inv for e in all_elements}
+    ortho = s_half @ subs @ s_half_inv
 
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n_mono, n_mono))
     a = (a + a.T) / 2
-    lam = np.zeros((n_mono, n_mono))
-    for e in all_elements:
-        lam += ortho[e] @ a @ ortho[e].T
-    lam /= len(all_elements)
+    lam = (ortho @ a @ np.swapaxes(ortho, 1, 2)).sum(axis=0) / g.order
     lam = (lam + lam.T) / 2
     evals, evecs = np.linalg.eigh(lam)
     gap = 1e-7 * max(1.0, np.linalg.norm(lam, ord=2))
@@ -517,9 +502,9 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     channels = []
     for sl in _cluster_slices(evals, gap):
         basis = evecs[:, sl]                       # (n_mono, q_c) real orthonormal
-        d_h = np.stack([basis.T @ ortho[h] @ basis for h in elements])
-        d_t0 = basis.T @ ortho[g.t0] @ basis if g.is_magnetic else None
-        chan_action = ProbeRepAction(group=g, d_h=d_h, d_t0=d_t0,
+        chan = basis.T @ ortho @ basis
+        chan_action = ProbeRepAction(group=g, d_h=chan[g.h_elements],
+                                     d_t0=chan[g.t0] if g.is_magnetic else None,
                                      kind=f"polynomial({n})")
         validate_action(chan_action, tol=1e-7)
         channels.append(PolynomialChannel(
@@ -532,9 +517,9 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     if n == 1:
         full = action
     else:
-        d_h_full = np.stack([np.linalg.inv(subs[h]).T for h in elements])
-        d_t0_full = None if sub_t0 is None else np.linalg.inv(sub_t0).T
-        full = ProbeRepAction(group=g, d_h=d_h_full, d_t0=d_t0_full,
+        full_d = _dual_matrices(subs)
+        full = ProbeRepAction(group=g, d_h=full_d[g.h_elements],
+                              d_t0=full_d[g.t0] if g.is_magnetic else None,
                               kind=f"polynomial({n})")
     return PolynomialChannelSet(order=n, exponents=exponents,
                                 full_action=full, channels=channels)

@@ -172,22 +172,6 @@ def combined_class_operator(rep: CoRep, subgroup: Sequence[int],
     return acc
 
 
-def hermitian_class_operators(rep: CoRep, class_rep: int,
-                              subgroup: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Manifestly Hermitian class-operator pair built from C_i and its
-    t0-conjugate: with X = C_{h_i} + C_{t0 h_i t0^-1}, returns
-    (X + X^dag, i (X - X^dag)).  Both have real spectra by construction."""
-    g = rep.group
-    x = class_operator(rep, class_rep, subgroup)
-    if g.is_magnetic:
-        t0 = g.t0
-        conj_rep = g.mul(g.mul(t0, int(class_rep)), g.inv(t0))
-        members = set(int(m) for m in subgroup)
-        if conj_rep in members:
-            x = x + class_operator(rep, conj_rep, subgroup)
-    return x + x.conj().T, 1j * (x - x.conj().T)
-
-
 # -- full reduction -------------------------------------------------------------
 
 @dataclass

@@ -14,7 +14,7 @@ from magrep.errors import (
     NotASubgroupEmbedding,
     NoT0,
 )
-from magrep.kp import covariant_tuple_basis, linear_multiplicity, polynomial_channel
+from magrep.kp import _null_space, covariant_tuple_basis, linear_multiplicity, polynomial_channel
 
 
 def catalog_irreps():
@@ -66,7 +66,7 @@ def multiplicity_value_trace_form(rep, action):
     factor-system form."""
     g = rep.group
     chi = np.einsum("gii->g", rep.matrices[g.h_elements])
-    chi_v = action.character_h()
+    chi_v = np.einsum("gii->g", action.d_h)
     unitary_part = sum(abs(chi[k]) ** 2 * chi_v[k] for k in range(len(chi_v)))
     if not g.is_magnetic:
         return float(unitary_part / g.halving_order)
@@ -87,7 +87,7 @@ def multiplicity_value_diagonal_t0(rep, action, sign):
     if not np.allclose(action.d_t0, sign * np.eye(action.dim_q), atol=1e-12):
         raise InvalidAction(f"D(t0) is not {sign:+d} * identity")
     chi = np.einsum("gii->g", rep.matrices[g.h_elements])
-    chi_v = action.character_h()
+    chi_v = np.einsum("gii->g", action.d_h)
     total = 0.0 + 0.0j
     for k, h in enumerate(g.h_elements):
         u = g.mul(int(h), g.t0)
@@ -220,6 +220,49 @@ def cocycle_violation_full(group, omega):
     w_ab = np.broadcast_to(w[:, :, None], (n, n, n))
     lhs = w_bc * np.conj(w[table, :]) * w[:, table] * np.conj(w_ab)
     return float(np.abs(lhs - 1.0).max())
+
+
+def associativity_failure_full(table):
+    """First triple (a, b, c) with (a b) c != a (b c), from two n^3 tables;
+    None when the table is associative."""
+    bad = np.argwhere(table[table, :] != table[:, table])
+    return None if len(bad) == 0 else tuple(int(x) for x in bad[0])
+
+
+# -- element-by-element probe kernels, kept as oracles for the batched ones -----
+
+def substitution_matrix_dict(exponents, lin):
+    """Matrix R with mono_a(lin @ k) = sum_b R[a, b] mono_b(k), expanded by
+    multiplying out the linear forms monomial by monomial."""
+    index = {e: k for k, e in enumerate(exponents)}
+    r = np.zeros((len(exponents), len(exponents)))
+    for row, expo in enumerate(exponents):
+        poly = {(0, 0, 0): 1.0}      # exponent -> coefficient, factor by factor
+        for var in range(3):
+            for _ in range(expo[var]):
+                new = {}
+                for mono, c in poly.items():
+                    for var2 in range(3):
+                        if lin[var, var2] == 0.0:
+                            continue
+                        key = list(mono)
+                        key[var2] += 1
+                        key = tuple(key)
+                        new[key] = new.get(key, 0.0) + c * lin[var, var2]
+                poly = new
+        for mono, c in poly.items():
+            r[row, index[mono]] = c
+    return r
+
+
+def trivial_multiplicity_h_t0(action):
+    """Dimension of the vectors fixed by every D(h) and by D(t0)."""
+    g = action.group
+    q = action.dim_q
+    rows = [action.d(int(h)) - np.eye(q) for h in g.h_elements]
+    if g.is_magnetic:
+        rows.append(action.d_t0 - np.eye(q))
+    return _null_space(np.vstack(rows)).shape[1]
 
 
 @pytest.fixture(scope="session")

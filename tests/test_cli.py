@@ -174,6 +174,25 @@ def test_kp_cli_rejects_bad_order(exported, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["kp", "probe"])
+def test_singular_t0_probe_matrix_is_a_clean_domain_error(exported, tmp_path, capsys,
+                                                          command):
+    data = json.load(open(exported / "z2t.action-momentum.json"))
+    data["t0"] = np.zeros((3, 3)).tolist()
+    bad = tmp_path / "singular.action.json"
+    bad.write_text(json.dumps(data))
+    group = str(exported / "z2t.group-trivial.json")
+    rep = str(exported / "z2t.rep-trivial.json")
+    if command == "kp":
+        argv = ["kp", group, rep, str(bad)]
+    else:
+        argv = ["probe", group, rep, "--subgroup", "0", "--probe", f"k={bad}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "SingularAction" in err
+    assert "Traceback" not in err
+
+
 def test_probe_cli(capsys):
     code, report = run_cli(
         capsys, "probe", "@z2t_kramers", "@z2t_kramers/kramers",

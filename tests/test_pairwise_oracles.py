@@ -3,7 +3,9 @@
 Every catalog entry is checked as given, under a random basis change, under a
 random gauge and as 2- and 3-fold direct sums; corrupted inputs must fail with
 the oracle's exception and the oracle's element labels, or report the
-oracle's residual.
+oracle's residual.  The probe kernels (``ProbeRepAction.d`` over an id array,
+the degree-by-degree substitution matrices, the identity-coupling count) are
+checked against their element-by-element forms on every catalog action.
 """
 
 import dataclasses
@@ -23,11 +25,21 @@ from magrep.coreps import (
 )
 from magrep.errors import InvalidAction, NotAGroup
 from magrep.groups import build_group, conjugacy_classes, restricted_group, validate_cocycle
-from magrep.kp import ProbeRepAction, polynomial_channel, validate_action
+from magrep.kp import (
+    ProbeRepAction,
+    _dual_matrices,
+    _substitution_matrices,
+    dual_rep,
+    monomial_exponents,
+    polynomial_channel,
+    trivial_multiplicity,
+    validate_action,
+)
 from magrep.linalg import random_unitary
 
 from conftest import (
     action_residual_pairwise,
+    associativity_failure_full,
     cayley_from_realization_pairwise,
     catalog_irreps,
     chain_member_closed_pairwise,
@@ -35,6 +47,8 @@ from conftest import (
     conjugacy_classes_pairwise,
     omega_pairwise,
     restricted_table_pairwise,
+    substitution_matrix_dict,
+    trivial_multiplicity_h_t0,
     validate_corep_pairwise,
     verify_embedding_pairwise,
 )
@@ -157,6 +171,47 @@ def test_corrupted_action_matches_pairwise(name):
             assert str(err.value) == f"probe matrices violate the group law by {want:.3e}"
 
 
+@pytest.mark.parametrize("name", ENTRIES)
+def test_action_d_batches_over_element_ids(name):
+    for act_name, act in entry_actions(mr.catalog_get(name)).items():
+        n, q = act.group.order, act.dim_q
+        stacked = np.stack([act.d(g) for g in range(n)])
+        assert np.array_equal(act.d(np.arange(n)), stacked), act_name
+        ids = np.arange(n)[::-1].reshape(-1, 1)
+        assert np.array_equal(act.d(ids), stacked[::-1].reshape(n, 1, q, q)), act_name
+        # a linear rep of the whole group, coset included: D(a) D(b) = D(ab)
+        law = stacked[:, None] @ stacked[None, :] - act.d(act.group.cayley)
+        assert np.abs(law).max() <= 1e-12, act_name
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_substitution_matrices_match_dict_expansion(name):
+    momenta = [a for a in mr.catalog_get(name).probe_actions.values() if a.dim_q == 3]
+    assert momenta
+    for act in momenta:
+        lin = _dual_matrices(act.d(np.arange(act.group.order)))
+        for n in (1, 2, 3, 4):
+            want = np.stack([substitution_matrix_dict(monomial_exponents(n), m) for m in lin])
+            assert np.abs(_substitution_matrices(lin, n) - want).max() <= 1e-12, (act.kind, n)
+            # the induced action is the dual of the substitution rep
+            full = polynomial_channel(act, n).full_action
+            assert np.abs(dual_rep(full).d(np.arange(len(lin))) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_trivial_multiplicity_matches_h_plus_t0_oracle(name):
+    acts = entry_actions(mr.catalog_get(name))
+    for act_name, act in list(acts.items()):
+        if act.dim_q == 3:
+            for n in (2, 3):
+                sets = polynomial_channel(act, n)
+                acts[f"{act_name}-full{n}"] = sets.full_action
+                acts.update({f"{act_name}-ord{n}-{k}": c.action
+                             for k, c in enumerate(sets.channels)})
+    for act_name, act in acts.items():
+        assert trivial_multiplicity(act) == trivial_multiplicity_h_t0(act), act_name
+
+
 # -- groups ------------------------------------------------------------------------
 
 def entry_realizations(name):
@@ -229,3 +284,24 @@ def test_embedding_errors_match_pairwise(name):
         swapped[[a, b]] = swapped[[b, a]]
         want = raised(verify_embedding_pairwise, g, sub, swapped)
         assert raised(mr.groups.verify_embedding, g, sub, swapped) == want
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_associativity_matches_full_scan(name):
+    table = mr.catalog_get(name).group.cayley
+    n = len(table)
+    swap = np.arange(n)
+    swap[[1, n - 1]] = swap[[n - 1, 1]]
+    # Latin squares all: the permutation checks pass and associativity decides
+    variants = [table, table[swap], table[:, swap], swap[table], table[swap][:, swap],
+                (table + 1) % n]
+    failures = 0
+    for t in variants:
+        want = associativity_failure_full(t)
+        got = raised(build_group, t, np.zeros(n, dtype=int))
+        if want is None:
+            assert got is None or not got[1].startswith("associativity"), got
+        else:
+            failures += 1
+            assert got == (NotAGroup, f"associativity fails at triple {want}")
+    assert failures > 0 or n <= 2

@@ -16,7 +16,6 @@ from magrep.reduction import (
     build_G_commutant,
     build_H_commutant,
     class_operator,
-    hermitian_class_operators,
     irreducibility_index,
     reduce_corep,
     torsion_indicator,
@@ -240,17 +239,6 @@ def test_class_operator_membership_errors():
         class_operator(rep, 1, [0])            # anti-unitary element
     with pytest.raises(ElementNotInSubgroup):
         class_operator(rep, 0, [0, 1])
-
-
-def test_hermitian_class_operators_real_spectra():
-    rep = mr.catalog_get("c4v_t").reps["e_half"]
-    sub = [int(h) for h in rep.group.h_elements]
-    for cls in rep.group.h_classes:
-        plus, minus = hermitian_class_operators(rep, cls[0], sub)
-        for op in (plus, minus):
-            assert np.abs(op - op.conj().T).max() < 1e-12
-            vals = np.linalg.eigvals(op)
-            assert np.abs(vals.imag).max() < 1e-10
 
 
 # -- reduction ------------------------------------------------------------------------
