@@ -29,7 +29,13 @@ from .kp import (
     probe_stability,
     trivial_multiplicity,
 )
-from .reduction import irreducibility_index, reduce_corep, torsion_indicator, torsion_number
+from .reduction import (
+    TORSION_TOL,
+    irreducibility_index,
+    reduce_corep,
+    torsion_indicator,
+    torsion_number,
+)
 
 DEFAULT_SEED = 0
 EXIT_OK = 0
@@ -135,7 +141,7 @@ def cmd_irreducible(args) -> int:
 
 def cmd_torsion(args) -> int:
     rep = _rep_inputs(args)
-    tol = _tol(args, 1e-8)
+    tol = _tol(args, TORSION_TOL)
     report = {"criterion": irreducibility_index(rep), "tol": tol}
     r = torsion_number(rep, tol=tol)
     report["indicator"] = torsion_indicator(rep)

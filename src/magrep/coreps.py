@@ -24,6 +24,8 @@ from .groups import FactorSystem, MagneticGroup, restricted_group
 
 #: Default tolerance for unitarity / multiplication-rule residuals.
 COREP_TOL = 1e-9
+#: residual above which a product is not a scalar multiple of its table entry
+OMEGA_FIT_TOL = 1e-8
 
 
 @dataclass
@@ -122,12 +124,12 @@ def character(rep: CoRep) -> Character:
 
 # -- constructors and fixtures ------------------------------------------------
 
-def corep_from_matrices(group: MagneticGroup, matrices, tol: float = 1e-8) -> CoRep:
+def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
     """Build a CoRep from per-element matrices, deriving the factor system.
 
     The scalar omega(a, b) is read off the multiplication rule; a residual
-    above ``tol`` in the scalar fit means the matrices do not define a
-    projective co-rep at all.
+    above ``OMEGA_FIT_TOL`` in the scalar fit means the matrices do not
+    define a projective co-rep at all.
     """
     mats = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -141,8 +143,9 @@ def corep_from_matrices(group: MagneticGroup, matrices, tol: float = 1e-8) -> Co
         target = mats[group.cayley[a]]
         # omega = <target, prod> / d for unitary target
         w = np.einsum("bij,bij->b", np.conj(target), prod) / d
-        bad = (np.abs(np.abs(w) - 1.0) > tol) | (
-            np.linalg.norm(prod - w[:, None, None] * target, ord=2, axis=(-2, -1)) > tol)
+        bad = (np.abs(np.abs(w) - 1.0) > OMEGA_FIT_TOL) | (
+            np.linalg.norm(prod - w[:, None, None] * target, ord=2, axis=(-2, -1))
+            > OMEGA_FIT_TOL)
         if bad.any():
             raise InvalidCoRep(
                 f"products are not scalar multiples of the table entry at "

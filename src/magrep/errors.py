@@ -107,9 +107,5 @@ class ParseError(MagrepError):
     """Input file is syntactically or structurally malformed."""
 
 
-class ValidationFailed(MagrepError):
-    pass
-
-
 class EigenvalueAtBranchCutWarning(UserWarning):
     """A unitary eigenvalue sat within tolerance of -1; its phase was pinned to pi."""

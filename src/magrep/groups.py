@@ -10,7 +10,7 @@ sum over element ids, so groups are kept small and fully tabulated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,6 @@ class MagneticGroup:
     element_order: np.ndarray
     h_elements: np.ndarray
     subgroup_chain: tuple
-    h_classes: tuple = field(default=())
 
     @property
     def order(self) -> int:
@@ -224,7 +223,7 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
             raise NotAGroup("subgroup chain is not ascending")
         prev = sub_set
 
-    group = MagneticGroup(
+    return MagneticGroup(
         cayley=table,
         antiunitary=s,
         labels=labels,
@@ -235,8 +234,6 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
         h_elements=h_elements,
         subgroup_chain=chain,
     )
-    group.h_classes = conjugacy_classes(group, h_elements)
-    return group
 
 
 def conjugacy_classes(group: MagneticGroup, members) -> tuple:

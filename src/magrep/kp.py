@@ -12,11 +12,13 @@ The count is the character criterion of ``reduction.criterion_sums`` weighted
 by the probe characters.  The matrices come from one fixed space in plain
 gamma coordinates: the average of D(h) x M(h) x conj M(h) over the unitary
 subgroup, times (1 + L)/2 for magnetic groups, where L is the anti-unitary
-covariance followed by the Hermitian conjugate.  Rebasing that space so the
-Hermitian conjugate acts as plain conjugation makes real combinations
-Hermitian.  A brute-force null space solver over the real parametrization of
-Hermitian tuples ships alongside as the independent ground truth for both
-the count and the span.
+covariance followed by the Hermitian conjugate.  The Hermitian conjugate maps
+that space to itself; the vectors it fixes, one real null space of the
+compressed conjugate minus one, are the Hermitian tuples.  A brute-force null
+space solver over the real parametrization of Hermitian tuples ships
+alongside as the independent ground truth for both the count and the span.
+``_covariance_defects`` writes the covariance equation once, for any array
+of elements; the model residuals and the oracle's constraint rows read it.
 
 ``ProbeRepAction.d`` takes an element id or an array of ids and returns the
 matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
@@ -42,13 +44,15 @@ from .errors import (
     SingularAction,
 )
 from .groups import FactorSystem, MagneticGroup, verify_embedding
-from .linalg import _cluster_slices, eigenspace_of_one, symmetric_unitary_sqrt, twist_matrix
+from .linalg import _cluster_slices, eigenspace_of_one, twist_matrix
 from .reduction import criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
+#: singular values at or below this count as zero in ``_null_space``
+NULL_SPACE_ATOL = 1e-8
 
 
-def _null_space(a: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+def _null_space(a: np.ndarray) -> np.ndarray:
     """Null space with an absolute singular-value cutoff.
 
     The constraint systems here have nonzero singular values of order one,
@@ -58,7 +62,7 @@ def _null_space(a: np.ndarray, atol: float = 1e-8) -> np.ndarray:
     if a.size == 0:
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int((s > atol).sum())
+    rank = int((s > NULL_SPACE_ATOL).sum())
     return vh[rank:].conj().T
 
 
@@ -224,16 +228,28 @@ class KpModel:
         return np.einsum("i,m,imab->ab", r, k, self.gammas)
 
 
+def _covariance_defects(rep: CoRep, dual: ProbeRepAction, ids,
+                        tuples: np.ndarray) -> np.ndarray:
+    """Covariance defect of tuples ``(P, q, d, d)`` under every listed element:
+
+        M(g) conj^[s(g)](gamma^m) M(g)^dag - sum_n gamma^n dual(D)(g)_{nm},
+
+    shaped ``ids.shape + (P, q, d, d)``, with ``dual = dual_rep(action)``.
+    It vanishes for every g exactly on the coupling tuples.
+    """
+    rhs = np.einsum("...nm,pnab->...pmab", dual.d(ids), tuples)
+    return rep.apply(ids, tuples) - rhs
+
+
 def _covariance_residuals(rep: CoRep, action: ProbeRepAction,
                           gammas: np.ndarray) -> dict:
     g = rep.group
     dual = dual_rep(action)
-    lhs = rep.apply(g.h_elements, gammas)
-    rhs = np.einsum("hnm,pnab->hpmab", dual.d_h, gammas)
-    out = {"subgroup_covariance": float(np.abs(lhs - rhs).max())}
+    out = {"subgroup_covariance": float(np.abs(
+        _covariance_defects(rep, dual, g.h_elements, gammas)).max())}
     if g.is_magnetic:
-        rhs = np.einsum("pnab,nm->pmab", gammas, dual.d_t0)
-        out["t0_covariance"] = float(np.abs(rep.apply(g.t0, gammas) - rhs).max())
+        out["t0_covariance"] = float(np.abs(
+            _covariance_defects(rep, dual, g.t0, gammas)).max())
     out["hermiticity"] = float(np.abs(gammas - np.conj(np.swapaxes(gammas, -1, -2))).max())
     return out
 
@@ -243,11 +259,14 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
     """Construct the Hermitian coupling tuples for one probe channel.
 
     Two steps: (1) take the eigenvalue-1 space of the group-average
-    projector in plain gamma coordinates (``_fixed_space``); (2) rebase that
-    space with the square root of the Hermitian conjugate's compressed
-    matrix so it acts as plain conjugation, which makes the basis vectors,
-    cut into their q slices, Hermitian tuples.  Raises EmptyChannel when the
-    multiplicity is zero.
+    projector in plain gamma coordinates (``_fixed_space``); (2) keep the
+    vectors of that space the Hermitian conjugate fixes.  With the conjugate
+    compressed to ``zeta c -> zeta m conj(c)``, the fixed coefficients
+    c = x + i y are the real null space of
+    ``[[Re m - 1, Im m], [Im m, -Re m - 1]]``; since m conj(m) = 1 it has
+    exactly p orthonormal columns, and they make an orthonormal basis whose
+    vectors, cut into their q slices, are Hermitian tuples.  Raises
+    EmptyChannel when the multiplicity is zero.
     """
     d = rep.dim
     q = action.dim_q
@@ -266,7 +285,12 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
         raise GaugeFixFailed(
             f"Hermitian conjugate leaves the fixed space (closure {closure:.3e}, "
             f"square {gauge:.3e})")
-    delta = zeta @ symmetric_unitary_sqrt(m_dag, tol=max(tol, 1e-10))
+    a, b, one = m_dag.real, m_dag.imag, np.eye(p)
+    real_form = _null_space(np.block([[a - one, b], [b, -a - one]]))
+    if real_form.shape[1] != p:
+        raise GaugeFixFailed(
+            f"Hermitian conjugate fixes {real_form.shape[1]} real directions, expected {p}")
+    delta = zeta @ (real_form[:p] + 1j * real_form[p:])
     gammas = delta.T.reshape(p, q, d, d)
 
     residuals = _covariance_residuals(rep, action, gammas)
@@ -305,69 +329,44 @@ def _fixed_space(rep: CoRep, action: ProbeRepAction, tol: float):
 # -- brute-force oracle ----------------------------------------------------------
 
 def hermitian_basis(d: int) -> np.ndarray:
-    """d^2 Hermitian matrices spanning the space over the reals."""
-    out = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=complex)
-        m[i, i] = 1.0
-        out.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            out.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = -1j
-            m[j, i] = 1j
-            out.append(m)
-    return np.stack(out)
+    """d^2 Hermitian matrices spanning the space over the reals: the diagonal
+    units, then per pair i < j (row-major) the real and imaginary off-diagonals."""
+    i, j = np.triu_indices(d, 1)
+    re, im = d + 2 * np.arange(len(i)), d + 2 * np.arange(len(i)) + 1
+    out = np.zeros((d * d, d, d), dtype=complex)
+    out[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    out[re, i, j] = out[re, j, i] = 1.0
+    out[im, i, j], out[im, j, i] = -1j, 1j
+    return out
 
 
-def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction,
-                          atol: float = 1e-8) -> np.ndarray:
+def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
     """Null-space oracle: all Hermitian tuples satisfying both covariances.
 
     Stacks the real-linear constraint system over the q * d^2 real parameters
     of a Hermitian q-tuple and returns an orthonormal basis of solutions with
-    shape (n_solutions, q, d, d).  Independent of the projector construction;
-    used as ground truth for multiplicities and spans.
+    shape (n_solutions, q, d, d).  Each unitary element and t0 adds the
+    covariance defects of all parameter tuples at once.  Independent of the
+    projector construction; the ground truth for multiplicities and spans.
     """
     g = rep.group
     d = rep.dim
     q = action.dim_q
     dual = dual_rep(action)
-    basis = hermitian_basis(d)
     n_par = q * d * d
-
-    def constraint_images(gamma_tuple):
-        rows = []
-        for k, h in enumerate(g.h_elements):
-            mh = rep.m(int(h))
-            dh = dual.d_h[k]
-            lhs = np.einsum("ab,mbc,dc->mad", mh, gamma_tuple, np.conj(mh))
-            rhs = np.einsum("nm,nab->mab", dh, gamma_tuple)
-            rows.append((lhs - rhs).ravel())
-        if g.is_magnetic:
-            mt = rep.m(g.t0)
-            lhs = np.einsum("ab,mbc,dc->mad", mt, np.conj(gamma_tuple), np.conj(mt))
-            rhs = np.einsum("nab,nm->mab", gamma_tuple, dual.d_t0)
-            rows.append((lhs - rhs).ravel())
-        stacked = np.concatenate(rows)
-        return np.concatenate([stacked.real, stacked.imag])
-
-    columns = []
-    for m in range(q):
-        for b in basis:
-            tup = np.zeros((q, d, d), dtype=complex)
-            tup[m] = b
-            columns.append(constraint_images(tup))
-    system = np.stack(columns, axis=1)
-    sols = _null_space(system, atol=atol)
-    tuples = np.zeros((sols.shape[1], q, d, d), dtype=complex)
-    for s in range(sols.shape[1]):
-        coeff = sols[:, s].reshape(q, d * d)
-        tuples[s] = np.einsum("mk,kab->mab", coeff, basis)
-    return tuples
+    # parameter (m, k) is the tuple with the k-th Hermitian basis matrix in slot m
+    tuples = np.zeros((q, d * d, q, d, d), dtype=complex)
+    tuples[np.arange(q), :, np.arange(q)] = hermitian_basis(d)
+    tuples = tuples.reshape(n_par, q, d, d)
+    ids = np.append(g.h_elements, g.t0) if g.is_magnetic else g.h_elements
+    # rows: (real part, imaginary part) x element x defect entry
+    system = np.empty((2, len(ids), n_par, n_par))
+    for k, e in enumerate(ids):
+        defect = _covariance_defects(rep, dual, e, tuples).reshape(n_par, n_par).T
+        system[0, k] = defect.real
+        system[1, k] = defect.imag
+    sols = _null_space(system.reshape(-1, n_par))
+    return np.einsum("ps,pmab->smab", sols, tuples)
 
 
 def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -395,15 +394,9 @@ def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:
 
 # -- polynomial channels -----------------------------------------------------------
 
-def monomial_exponents(n: int, n_vars: int = 3) -> list:
-    """Degree-n exponent tuples in deterministic (descending lex) order."""
-    out = []
-    if n_vars == 3:
-        for a in range(n, -1, -1):
-            for b in range(n - a, -1, -1):
-                out.append((a, b, n - a - b))
-        return out
-    raise ValueError("only 3 momentum components are supported")
+def monomial_exponents(n: int) -> list:
+    """Degree-n exponent tuples in three variables, descending lex order."""
+    return [(a, b, n - a - b) for a in range(n, -1, -1) for b in range(n - a, -1, -1)]
 
 
 def evaluate_monomials(exponents, dk: np.ndarray) -> np.ndarray:
@@ -528,7 +521,7 @@ def polynomial_channel(action: ProbeRepAction, n: int,
 # -- dispersion order and probe stability -----------------------------------------
 
 def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
-                     seed: int = 0, tol: float = 1e-6) -> dict:
+                     seed: int = 0) -> dict:
     """Channel-by-channel multiplicity table for orders 1..n_max.
 
     The leading dispersion order is the smallest order whose full induced
@@ -541,7 +534,7 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
     leading = None
     for n in range(1, n_max + 1):
         chans = polynomial_channel(action, n, seed=seed)
-        full_mult = linear_multiplicity(rep, chans.full_action, tol=tol)
+        full_mult = linear_multiplicity(rep, chans.full_action)
         entry = {
             "order": n,
             "full": {
@@ -553,7 +546,7 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
         entry["full"]["splitting_multiplicity"] = (
             entry["full"]["multiplicity"] - entry["full"]["trivial_multiplicity"])
         for ch in chans.channels:
-            mult = linear_multiplicity(rep, ch.action, tol=tol)
+            mult = linear_multiplicity(rep, ch.action)
             triv = trivial_multiplicity(ch.action)
             entry["channels"].append({
                 "dim": ch.action.dim_q,
@@ -590,7 +583,7 @@ def probe_stability(rep: CoRep, embedding, g_sub: Optional[MagneticGroup] = None
         sub_rep, emb = restrict_corep(rep, ids)
 
     index = irreducibility_index(sub_rep)
-    protected = abs(index - 1.0) <= max(tol, 1e-8)
+    protected = abs(index - 1.0) <= tol
     report = {
         "subgroup_order": sub_rep.group.order,
         "subgroup_is_magnetic": sub_rep.group.is_magnetic,

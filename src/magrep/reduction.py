@@ -28,6 +28,12 @@ from .groups import conjugacy_classes
 from .linalg import simultaneous_diag, _cluster_slices
 
 DEFAULT_SEED = 0
+#: reseeded attempts after the first before ``reduce_corep`` gives up
+MAX_RETRIES = 5
+#: relative gap between commutant eigenvalues that separates two blocks
+BLOCK_TOL = 1e-7
+#: torsion_number's default tolerance on the index and the indicator
+TORSION_TOL = 1e-6
 
 #: indicator value of the coset sum (1/|H|) sum_u Tr[M(u) conj(M(u))] for each
 #: torsion class, calibrated on fixtures whose torsion is known independently
@@ -87,7 +93,7 @@ def torsion_indicator(rep: CoRep) -> float:
     return float(value.real)
 
 
-def torsion_number(rep: CoRep, tol: float = 1e-8) -> int:
+def torsion_number(rep: CoRep, tol: float = TORSION_TOL) -> int:
     """Torsion class R in {1, 2, 4} of an irreducible co-rep.
 
     R = 1, 2, 4 marks the real, complex and quaternion types; the coset
@@ -95,11 +101,11 @@ def torsion_number(rep: CoRep, tol: float = 1e-8) -> int:
     the criterion ties the coset sum to the restricted character norm).
     """
     index = irreducibility_index(rep)
-    if abs(index - 1.0) > max(tol, 1e-6):
+    if abs(index - 1.0) > tol:
         raise NotIrreducible(f"criterion is {index}, not 1")
     value = torsion_indicator(rep)
     for r, target in TORSION_INDICATOR.items():
-        if abs(value - target) <= max(tol, 1e-6):
+        if abs(value - target) <= tol:
             return r
     raise IndicatorNotQuantized(f"indicator {value} is not near any of {{1, 0, -2}}")
 
@@ -205,8 +211,7 @@ def _herm_parts(x: np.ndarray) -> list[np.ndarray]:
     return [x + x.conj().T, 1j * (x - x.conj().T)]
 
 
-def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9,
-                 max_retries: int = 5, block_tol: float = 1e-7) -> IrrepDecomposition:
+def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> IrrepDecomposition:
     """Reduce a co-rep into irreducible blocks.
 
     Builds the commutant Hamiltonian gamma (plus the subgroup-only lam),
@@ -224,23 +229,22 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9,
             f"input fails validation: unitarity {report.unitarity_residual:.3e}, "
             f"relation {report.relation_residual:.3e}")
 
-    g = rep.group
     seeds_used = []
     rng_master = np.random.default_rng(seed)
     last_error = None
     attempt_seed = seed
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         seeds_used.append(attempt_seed)
         try:
-            return _reduce_once(rep, attempt_seed, tol, block_tol, seeds_used)
+            return _reduce_once(rep, attempt_seed, tol, seeds_used)
         except NotIrreducible as err:
             last_error = err
             attempt_seed = int(rng_master.integers(1, 2**63 - 1))
     raise ReductionFailed(
-        f"no irreducible split after {max_retries + 1} seeds {seeds_used}: {last_error}")
+        f"no irreducible split after {MAX_RETRIES + 1} seeds {seeds_used}: {last_error}")
 
 
-def _reduce_once(rep: CoRep, seed: int, tol: float, block_tol: float,
+def _reduce_once(rep: CoRep, seed: int, tol: float,
                  seeds_used: list) -> IrrepDecomposition:
     g = rep.group
     d = rep.dim
@@ -277,7 +281,7 @@ def _reduce_once(rep: CoRep, seed: int, tol: float, block_tol: float,
     values = values[:, order]
     energies = values[-1]
 
-    gap = block_tol * max(1.0, np.linalg.norm(gamma, ord=2))
+    gap = BLOCK_TOL * max(1.0, np.linalg.norm(gamma, ord=2))
     block_slices = _cluster_slices(energies, gap)
 
     # complex class labels: fold the (re, im) Hermitian parts back together

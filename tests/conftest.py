@@ -1,20 +1,24 @@
 """Shared fixtures: catalog sweeps are expensive enough to build once."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 import magrep as mr
 from magrep.errors import (
-    EigenvalueAtBranchCutWarning,
     InvalidAction,
     InvalidCoRep,
     NotAGroup,
     NotASubgroupEmbedding,
     NoT0,
 )
-from magrep.kp import _null_space, covariant_tuple_basis, linear_multiplicity, polynomial_channel
+from magrep.kp import (
+    _null_space,
+    covariant_tuple_basis,
+    dual_rep,
+    hermitian_basis,
+    linear_multiplicity,
+    polynomial_channel,
+)
 
 
 def catalog_irreps():
@@ -265,47 +269,79 @@ def trivial_multiplicity_h_t0(action):
     return _null_space(np.vstack(rows)).shape[1]
 
 
+def covariant_tuple_basis_columnwise(rep, action):
+    """Null-space oracle built one parameter column, one element at a time."""
+    g = rep.group
+    d = rep.dim
+    q = action.dim_q
+    dual = dual_rep(action)
+    basis = hermitian_basis(d)
+
+    def constraint_images(gamma_tuple):
+        rows = []
+        for k, h in enumerate(g.h_elements):
+            mh = rep.m(int(h))
+            lhs = np.einsum("ab,mbc,dc->mad", mh, gamma_tuple, np.conj(mh))
+            rhs = np.einsum("nm,nab->mab", dual.d_h[k], gamma_tuple)
+            rows.append((lhs - rhs).ravel())
+        if g.is_magnetic:
+            mt = rep.m(g.t0)
+            lhs = np.einsum("ab,mbc,dc->mad", mt, np.conj(gamma_tuple), np.conj(mt))
+            rhs = np.einsum("nab,nm->mab", gamma_tuple, dual.d_t0)
+            rows.append((lhs - rhs).ravel())
+        stacked = np.concatenate(rows)
+        return np.concatenate([stacked.real, stacked.imag])
+
+    columns = []
+    for m in range(q):
+        for b in basis:
+            tup = np.zeros((q, d, d), dtype=complex)
+            tup[m] = b
+            columns.append(constraint_images(tup))
+    sols = _null_space(np.stack(columns, axis=1))
+    tuples = np.zeros((sols.shape[1], q, d, d), dtype=complex)
+    for s in range(sols.shape[1]):
+        coeff = sols[:, s].reshape(q, d * d)
+        tuples[s] = np.einsum("mk,kab->mab", coeff, basis)
+    return tuples
+
+
+def channel_actions(action, orders):
+    """(order, tag, action) for a field action itself, or for each order of a
+    3-dim action its full induced action ("full") and every channel."""
+    if action.dim_q != 3:
+        return [(1, "full", action)]
+    out = []
+    for n in orders:
+        sets = polynomial_channel(action, n, seed=0)
+        out.append((n, "full", sets.full_action))
+        out += [(n, f"chan{k}", c.action) for k, c in enumerate(sets.channels)]
+    return out
+
+
 @pytest.fixture(scope="session")
 def kp_sweep():
-    """Every (catalog rep x probe action x order <= 2) with q d^2 <= 200.
+    """Every catalog rep x probe action; a 3-dim action enters at orders 1-3,
+    each as its full induced action and as each of its channels.
 
     Each record carries the criterion value, the brute-force oracle basis and
     the constructed model (None when the channel is empty).  Built once; the
     acceptance tests and the kp unit tests both consume it.
     """
     records = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        for name in mr.catalog_list():
-            entry = mr.catalog_get(name)
-            for rep_name, rep in entry.reps.items():
-                for act_name, act in entry.probe_actions.items():
-                    for order in (1, 2):
-                        if act.dim_q != 3 and order > 1:
-                            continue
-                        if act.dim_q == 3:
-                            sets = polynomial_channel(act, order, seed=0)
-                            actions = [("full", sets.full_action)]
-                            actions += [(f"chan{k}", c.action)
-                                        for k, c in enumerate(sets.channels)]
-                        else:
-                            if order > 1:
-                                continue
-                            actions = [("full", act)]
-                        for tag, a in actions:
-                            if a.dim_q * rep.dim ** 2 > 200:
-                                continue
-                            crit = linear_multiplicity(rep, a)
-                            oracle = covariant_tuple_basis(rep, a)
-                            model = None
-                            if crit > 0:
-                                model = mr.build_gamma_matrices(rep, a)
-                            records.append({
-                                "where": (name, rep_name, act_name, order, tag),
-                                "rep": rep,
-                                "action": a,
-                                "criterion": crit,
-                                "oracle": oracle,
-                                "model": model,
-                            })
+    for name in mr.catalog_list():
+        entry = mr.catalog_get(name)
+        for rep_name, rep in entry.reps.items():
+            for act_name, act in entry.probe_actions.items():
+                for order, tag, a in channel_actions(act, (1, 2, 3)):
+                    crit = linear_multiplicity(rep, a)
+                    model = mr.build_gamma_matrices(rep, a) if crit > 0 else None
+                    records.append({
+                        "where": (name, rep_name, act_name, order, tag),
+                        "rep": rep,
+                        "action": a,
+                        "criterion": crit,
+                        "oracle": covariant_tuple_basis(rep, a),
+                        "model": model,
+                    })
     return records

@@ -177,19 +177,20 @@ def test_criterion_09_covariance_roundtrip(kp_sweep):
             continue
         rep, action = model.rep, model.action
         g = rep.group
-        dual = dual_rep(action)
-        duals = [dual.d(e) for e in range(g.order)]
-        mats = [rep.m(e) for e in range(g.order)]
-        for _ in range(50):
-            r = rng.standard_normal(model.multiplicity)
-            dk = rng.standard_normal(action.dim_q)
-            gam = model.evaluate(r, dk)
-            conj_gam = np.conj(gam)
-            for e in range(g.order):
-                target = model.evaluate(r, duals[e] @ dk)
-                inner = conj_gam if g.s(e) else gam
-                resid = np.abs(mats[e] @ inner @ mats[e].conj().T - target).max()
-                assert resid < 1e-8, record["where"]
+        duals = dual_rep(action).d(np.arange(g.order))
+        draws = [(rng.standard_normal(model.multiplicity),
+                  rng.standard_normal(action.dim_q)) for _ in range(50)]
+        r = np.stack([x for x, _ in draws])
+        dk = np.stack([k for _, k in draws])
+        gam = np.einsum("si,sm,imab->sab", r, dk, model.gammas)
+        # target[s, e] = H(r_s, D*(e) dk_s), the model at the transformed field
+        target = np.einsum("si,ems,imab->seab", r, duals @ dk.T, model.gammas)
+        flip = g.antiunitary[None, :, None, None] == 1
+        inner = np.where(flip, np.conj(gam)[:, None], gam[:, None])
+        mats = rep.matrices
+        lhs = np.einsum("eab,sebc,edc->sead", mats, inner, np.conj(mats))
+        resid = np.abs(lhs - target).max()
+        assert resid < 1e-8, record["where"]
     _ok(9, "50-draw covariance round-trip passes for every built model")
 
 
@@ -224,12 +225,10 @@ def test_criterion_11_gauge_invariance():
 def test_criterion_12_probe_stability():
     entry = mr.catalog_get("z2t_kramers")
     rep = entry.reps["kramers"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        report = probe_stability(rep, [0], probes={
-            "magnetic": entry.probe_actions["magnetic"],
-            "electric": entry.probe_actions["electric"],
-        })
+    report = probe_stability(rep, [0], probes={
+        "magnetic": entry.probe_actions["magnetic"],
+        "electric": entry.probe_actions["electric"],
+    })
     assert report["restricted_index"] > 1.0 + 1e-8      # reducible when all broken
     assert not report["protected"]
     assert report["probes"]["magnetic"]["multiplicity"] == 3

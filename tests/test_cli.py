@@ -95,6 +95,7 @@ def test_irreducible_and_torsion(capsys):
     assert report["criterion"] == pytest.approx(1.0)
     code, report = run_cli(capsys, "torsion", "@z2t_kramers", "@z2t_kramers/kramers")
     assert code == 0
+    assert report["tol"] == mr.reduction.TORSION_TOL   # the tolerance applied
     assert report["torsion"] == 4
     assert report["indicator"] == pytest.approx(-2.0)
 

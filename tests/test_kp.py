@@ -1,11 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 import magrep as mr
 from magrep.errors import (
-    EigenvalueAtBranchCutWarning,
     EmptyChannel,
     InvalidAction,
     NotASubgroupEmbedding,
@@ -13,6 +10,7 @@ from magrep.errors import (
 )
 from magrep.kp import (
     ProbeRepAction,
+    _covariance_residuals,
     build_gamma_matrices,
     covariant_tuple_basis,
     dispersion_order,
@@ -126,9 +124,7 @@ def test_unitary_group_multiplicity():
 
 def test_weyl_gammas_span_pauli_triple():
     rep, actions = kramers_setup()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        model = build_gamma_matrices(rep, actions["momentum"])
+    model = build_gamma_matrices(rep, actions["momentum"])
     assert model.multiplicity == 9
     # per momentum component the nine tuples span exactly the Pauli triple
     for m in range(3):
@@ -143,6 +139,17 @@ def test_weyl_gammas_span_pauli_triple():
     assert tuple_span_residual(model.gammas, oracle) < 1e-10
 
 
+def test_covariance_residuals_see_each_equation():
+    # the identity tuple is H-covariant (H is trivial) but odd momentum needs
+    # M(T) conj(gamma) M(T)^dag = -gamma, which the identity misses by 2
+    rep, actions = kramers_setup()
+    gammas = np.broadcast_to(np.eye(2), (1, 3, 2, 2)).astype(complex)
+    res = _covariance_residuals(rep, actions["momentum"], gammas)
+    assert res["subgroup_covariance"] == 0.0
+    assert res["t0_covariance"] == pytest.approx(2.0)
+    assert res["hermiticity"] == 0.0
+
+
 def test_empty_channel_raises():
     z2t = mr.catalog_get("z2t")
     with pytest.raises(EmptyChannel):
@@ -154,9 +161,7 @@ def test_gamma_covariance_roundtrip_random_draws():
     rep = entry.reps["complex_pair"]
     act = entry.probe_actions["momentum"]
     assert linear_multiplicity(rep, act) >= 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        model = build_gamma_matrices(rep, act)
+    model = build_gamma_matrices(rep, act)
     dual = dual_rep(act)
     g = rep.group
     rng = np.random.default_rng(5)
@@ -262,12 +267,22 @@ def test_probe_stability_full_group_protected():
     assert report["restricted_index"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_probe_stability_judges_at_the_tolerance_it_is_given():
+    # scaling by 1 + 2e-9 moves the restricted index to 1 + 3e-9
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    scaled = mr.CoRep(group=rep.group, omega=rep.omega,
+                      matrices=(1 + 2e-9) * rep.matrices)
+    ids = range(rep.group.order)
+    assert probe_stability(scaled, ids)["protected"]
+    report = probe_stability(scaled, ids, tol=1e-9)
+    assert report["tol"] == 1e-9
+    assert not report["protected"]
+
+
 def test_probe_stability_kramers_zeeman():
     rep, actions = kramers_setup()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        report = probe_stability(rep, [0], probes={
-            "magnetic": actions["magnetic"], "electric": actions["electric"]})
+    report = probe_stability(rep, [0], probes={
+        "magnetic": actions["magnetic"], "electric": actions["electric"]})
     assert report["restricted_index"] == pytest.approx(4.0, abs=1e-12)
     assert not report["protected"]
     assert report["probes"]["magnetic"]["splitting_multiplicity"] == 3
@@ -320,17 +335,15 @@ def test_gamma_construction_gauge_robust():
     entry = mr.catalog_get("z4t")
     rep = entry.reps["quaternion"]
     act = entry.probe_actions["momentum"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        for seed in range(6):
-            gauged = mr.random_gauge(rep, seed)
-            model = build_gamma_matrices(gauged, act)
-            oracle = covariant_tuple_basis(gauged, act)
-            assert model.multiplicity == oracle.shape[0] == 9
-            assert tuple_span_residual(model.gammas, oracle) < 1e-10
-            herm = np.abs(model.gammas
-                          - np.conj(np.swapaxes(model.gammas, 2, 3))).max()
-            assert herm < 1e-12
+    for seed in range(6):
+        gauged = mr.random_gauge(rep, seed)
+        model = build_gamma_matrices(gauged, act)
+        oracle = covariant_tuple_basis(gauged, act)
+        assert model.multiplicity == oracle.shape[0] == 9
+        assert tuple_span_residual(model.gammas, oracle) < 1e-10
+        herm = np.abs(model.gammas
+                      - np.conj(np.swapaxes(model.gammas, 2, 3))).max()
+        assert herm < 1e-12
 
 
 def test_gamma_construction_unitary_group_branch():
@@ -340,9 +353,7 @@ def test_gamma_construction_unitary_group_branch():
     h_rep, _ = mr.coreps.unitary_restriction(
         mr.catalog_get("z2t_kramers").reps["kramers"])
     act = ProbeRepAction(group=h_rep.group, d_h=[np.eye(1)], d_t0=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        model = build_gamma_matrices(h_rep, act)
+    model = build_gamma_matrices(h_rep, act)
     assert model.multiplicity == 4
     assert tuple_span_residual(model.gammas, covariant_tuple_basis(h_rep, act)) < 1e-10
 
@@ -352,9 +363,7 @@ def test_gamma_construction_unitary_group_branch():
     vec = ProbeRepAction(group=spinful.group, d_h=mom.d_h, d_t0=None, kind="momentum")
     validate_action(vec)
     assert linear_multiplicity(spinful, vec) == 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EigenvalueAtBranchCutWarning)
-        model = build_gamma_matrices(spinful, vec)
+    model = build_gamma_matrices(spinful, vec)
     oracle = covariant_tuple_basis(spinful, vec)
     assert model.multiplicity == oracle.shape[0] == 2
     assert tuple_span_residual(model.gammas, oracle) < 1e-10

@@ -5,7 +5,9 @@ random gauge and as 2- and 3-fold direct sums; corrupted inputs must fail with
 the oracle's exception and the oracle's element labels, or report the
 oracle's residual.  The probe kernels (``ProbeRepAction.d`` over an id array,
 the degree-by-degree substitution matrices, the identity-coupling count) are
-checked against their element-by-element forms on every catalog action.
+checked against their element-by-element forms on every catalog action, and
+the null-space oracle built from the batched covariance defects against the
+one built a parameter column and an element at a time.
 """
 
 import dataclasses
@@ -27,12 +29,15 @@ from magrep.errors import InvalidAction, NotAGroup
 from magrep.groups import build_group, conjugacy_classes, restricted_group, validate_cocycle
 from magrep.kp import (
     ProbeRepAction,
+    _covariance_defects,
     _dual_matrices,
     _substitution_matrices,
     dual_rep,
     monomial_exponents,
     polynomial_channel,
+    covariant_tuple_basis,
     trivial_multiplicity,
+    tuple_span_residual,
     validate_action,
 )
 from magrep.linalg import random_unitary
@@ -44,7 +49,9 @@ from conftest import (
     catalog_irreps,
     chain_member_closed_pairwise,
     cocycle_violation_full,
+    channel_actions,
     conjugacy_classes_pairwise,
+    covariant_tuple_basis_columnwise,
     omega_pairwise,
     restricted_table_pairwise,
     substitution_matrix_dict,
@@ -233,19 +240,56 @@ def entry_realizations(name):
 
 
 @pytest.mark.parametrize("name", ENTRIES)
+def test_covariant_tuple_basis_matches_columnwise_oracle(name):
+    # every rep, rotated and gauged, against every action and its channels of
+    # orders 1-3: the same null-space dimension and span
+    entry = mr.catalog_get(name)
+    for k, rep in enumerate(entry.reps.values()):
+        variant = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, 40 + k)), 50 + k)
+        for act in entry.probe_actions.values():
+            for order, tag, a in channel_actions(act, (1, 2, 3)):
+                got = covariant_tuple_basis(variant, a)
+                want = covariant_tuple_basis_columnwise(variant, a)
+                assert got.shape == want.shape, (order, tag)
+                assert tuple_span_residual(got, want) < 1e-12, (order, tag)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_covariance_defects_match_elementwise(name):
+    # the batched defect of random tuples, element by element and as one stack
+    entry = mr.catalog_get(name)
+    rng = np.random.default_rng(9)
+    for rep in entry.reps.values():
+        g, d = rep.group, rep.dim
+        for act in entry.probe_actions.values():
+            dual = dual_rep(act)
+            q = act.dim_q
+            tuples = rng.standard_normal((2, q, d, d)) + 1j * rng.standard_normal((2, q, d, d))
+            stack = _covariance_defects(rep, dual, np.arange(g.order), tuples)
+            for e in range(g.order):
+                m = rep.m(e)
+                inner = np.conj(tuples) if g.s(e) else tuples
+                want = (m @ inner @ m.conj().T
+                        - np.einsum("nm,pnab->pmab", dual.d(e), tuples))
+                assert np.abs(_covariance_defects(rep, dual, e, tuples) - want).max() < 1e-12
+                assert np.abs(stack[e] - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ENTRIES)
 def test_group_kernels_match_pairwise(name):
     g = mr.catalog_get(name).group
     for mats, flags, labels in entry_realizations(name):
         built = _group_from_realization(mats, flags, labels)
         want = cayley_from_realization_pairwise(list(mats), flags, labels)
         assert np.array_equal(built.cayley, want)
-    assert g.h_classes == conjugacy_classes_pairwise(g, g.h_elements)
+    assert conjugacy_classes(g, g.h_elements) == conjugacy_classes_pairwise(g, g.h_elements)
     for sub in g.subgroup_chain:
         assert chain_member_closed_pairwise(g.cayley, sub)
     for ids in (g.h_elements, [g.identity], range(g.order)):
         sub, emb = restricted_group(g, ids)
         assert np.array_equal(sub.cayley, restricted_table_pairwise(g, ids))
-        assert sub.h_classes == conjugacy_classes_pairwise(sub, sub.h_elements)
+        assert (conjugacy_classes(sub, sub.h_elements)
+                == conjugacy_classes_pairwise(sub, sub.h_elements))
         assert np.array_equal(mr.groups.verify_embedding(g, sub, emb), emb)
 
 

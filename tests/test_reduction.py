@@ -10,6 +10,7 @@ from magrep.coreps import (
     unitary_restriction,
 )
 from magrep.errors import ElementNotInSubgroup, NotIrreducible
+from magrep.groups import conjugacy_classes
 from magrep.kp import ProbeRepAction, linear_multiplicity, multiplicity_value
 from magrep.linalg import random_unitary
 from magrep.reduction import (
@@ -124,6 +125,17 @@ def test_torsion_indicator_values():
         mr.catalog_get("c8t").reps["complex_pair"]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_torsion_judges_at_the_tolerance_it_is_given():
+    # scaling by 1 + 1e-8 moves the index to 1 + 1.5e-8: inside the default
+    # 1e-6, outside a caller's 1e-9
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    scaled = mr.CoRep(group=rep.group, omega=rep.omega,
+                      matrices=(1 + 1e-8) * rep.matrices)
+    assert torsion_number(scaled) == torsion_number(rep)
+    with pytest.raises(NotIrreducible):
+        torsion_number(scaled, tol=1e-9)
+
+
 def test_torsion_rejects_reducible():
     with pytest.raises(NotIrreducible):
         torsion_number(direct_sum([kramers(), kramers()]))
@@ -226,7 +238,7 @@ def test_class_operator_abelian_linear():
 def test_class_operator_commutes_with_subgroup():
     rep = mr.catalog_get("c4v_t").reps["e_half"]   # projective: phases must cancel
     sub = [int(h) for h in rep.group.h_elements]
-    for cls in rep.group.h_classes:
+    for cls in conjugacy_classes(rep.group, rep.group.h_elements):
         c = class_operator(rep, cls[0], sub)
         for h in sub:
             mh = rep.m(h)
