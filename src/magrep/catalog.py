@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coreps import CoRep, corep_from_matrices, validate_corep
+from .coreps import COREP_TOL, CoRep, corep_from_matrices, residuals_within
 from .errors import UnknownName
 from .groups import MagneticGroup, build_group, validate_cocycle
-from .kp import ProbeRepAction, validate_action
+from .kp import ProbeRepAction, validated_action
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _I_SIGMA_Y = 1j * _SIGMA_Y
@@ -95,20 +95,18 @@ def _cyclic_magnetic(order: int, labels) -> MagneticGroup:
 
 def _make_corep(group: MagneticGroup, mats) -> CoRep:
     rep = corep_from_matrices(group, np.asarray(mats, dtype=complex))
-    report = validate_corep(rep)
-    assert report.passed, f"catalog rep failed validation: {report}"
+    assert residuals_within(rep, COREP_TOL), \
+        f"catalog rep failed validation: residuals {rep.residuals}"
     cocycle = validate_cocycle(group, rep.omega)
     assert cocycle.passed, f"catalog factor system failed validation: {cocycle}"
     return rep
 
 
 def _make_action(group: MagneticGroup, mats, kind: str) -> ProbeRepAction:
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    d_h = np.stack([mats[int(h)] for h in group.h_elements])
+    mats = np.stack([np.asarray(m, dtype=float) for m in mats])
     d_t0 = mats[group.t0] if group.is_magnetic else None
-    action = ProbeRepAction(group=group, d_h=d_h, d_t0=d_t0, kind=kind)
-    validate_action(action)
-    return action
+    return validated_action(ProbeRepAction(group=group, d_h=mats[group.h_elements],
+                                           d_t0=d_t0, kind=kind))
 
 
 def _uniform_actions(group: MagneticGroup, o3_list=None) -> dict:

@@ -155,7 +155,7 @@ def cmd_reduce(args) -> int:
     tol = _tol(args, 1e-9)
     dec = reduce_corep(rep, seed=args.seed, tol=tol)
     index = irreducibility_index(rep)
-    irreducible = bool(abs(index - 1.0) <= max(tol * 10, 1e-8))
+    irreducible = bool(abs(index - 1.0) <= tol)
     report = {
         "criterion": index,
         "irreducible": irreducible,

@@ -10,11 +10,23 @@ is the adjoint action X -> M(g) conj^[s(g)](X) M(g)^dag of a whole array of
 elements at once; the reduction and k.p engines average and check with it.
 The module also holds the constructors (from matrices, direct sums, basis
 changes onto a subspace, gauges, restrictions) and the validation.
+
+Validation happens once, at the boundary.  ``validate_corep`` always checks
+from scratch.  ``corep_from_matrices`` measures the same two residuals while
+it fits the factor system and stores them on the co-rep as ``residuals``;
+the constructors that derive a co-rep from one that carries residuals
+(a basis change by a square matrix, a gauge, a direct sum, a restriction)
+pass on an upper bound, and ``reduce_corep`` validates only a co-rep whose
+bounds it cannot accept.  A co-rep built as ``CoRep(...)``, read from a file,
+made by ``dataclasses.replace``, or projected onto a subspace by an isometry
+carries none.  A co-rep that carries residuals has read-only matrices and
+factor system, and assigning any of its fields drops the bounds, so they
+cannot go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +47,16 @@ class CoRep:
     group: MagneticGroup
     omega: FactorSystem
     matrices: np.ndarray  # (n, d, d) complex
+    #: upper bounds on the (unitarity, relation) residuals of ``validate_corep``;
+    #: set only by this module's constructors, None when nothing is known
+    residuals: Optional[tuple] = field(default=None, init=False, repr=False,
+                                       compare=False)
+
+    def __setattr__(self, name, value):
+        # bounds measured on the old matrices say nothing about new ones
+        if name != "residuals":
+            object.__setattr__(self, "residuals", None)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=complex)
@@ -107,14 +129,43 @@ def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
     g = rep.group
     mats = rep.matrices
     conj_mats = np.conj(mats)
-    uni = np.linalg.norm(np.swapaxes(conj_mats, -1, -2) @ mats - np.eye(rep.dim),
-                         ord=2, axis=(-2, -1)).max()
     rel = 0.0
     for a in range(g.order):
         lhs = mats[a] @ (conj_mats if g.s(a) else mats)
         rhs = rep.omega.values[a, :, None, None] * mats[g.cayley[a]]
         rel = max(rel, np.linalg.norm(lhs - rhs, ord=2, axis=(-2, -1)).max())
-    return CoRepReport(unitarity_residual=float(uni), relation_residual=float(rel), tol=tol)
+    return CoRepReport(unitarity_residual=_unitarity_residual(mats),
+                       relation_residual=float(rel), tol=tol)
+
+
+def residuals_within(rep: CoRep, tol: float) -> bool:
+    """True when the co-rep carries residual bounds and both are <= tol."""
+    return rep.residuals is not None and all(r <= tol for r in rep.residuals)
+
+
+def _unitarity_residual(mats: np.ndarray) -> float:
+    eye = np.eye(mats.shape[-1])
+    return float(np.linalg.norm(np.swapaxes(np.conj(mats), -1, -2) @ mats - eye,
+                                ord=2, axis=(-2, -1)).max())
+
+
+def _carrying(rep: CoRep, residuals) -> CoRep:
+    """``rep`` with the residual bounds ``(unitarity, relation)``, or as it
+    is when they are None.  Its matrices and factor system, which the caller
+    must not share, become read-only: writing to them would leave the
+    bounds stale."""
+    if residuals is not None:
+        rep.matrices.flags.writeable = False
+        rep.omega.values.flags.writeable = False
+        rep.residuals = (float(residuals[0]), float(residuals[1]))
+    return rep
+
+
+def _float_slack(d: int) -> float:
+    """Rounding allowance added to every inherited bound: a derived co-rep's
+    residual, computed from scratch, exceeds the exact-arithmetic bound by a
+    few float eps, from the d-term sums in its matrices and its products."""
+    return 8 * d * np.finfo(float).eps
 
 
 def character(rep: CoRep) -> Character:
@@ -129,80 +180,121 @@ def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
 
     The scalar omega(a, b) is read off the multiplication rule; a residual
     above ``OMEGA_FIT_TOL`` in the scalar fit means the matrices do not
-    define a projective co-rep at all.
+    define a projective co-rep at all.  The fit's residuals are exactly
+    the relation residual of ``validate_corep``, so the result carries it,
+    with the unitarity residual, as ``residuals``.
     """
     mats = np.asarray(matrices, dtype=complex)
+    if isinstance(matrices, np.ndarray) and np.may_share_memory(mats, matrices):
+        mats = mats.copy()   # the caller keeps a writable handle on its array
     n = group.order
     if mats.shape[0] != n:
         raise DimensionMismatch("need one matrix per element")
     d = mats.shape[1]
     conj_mats = np.conj(mats)
     omega = np.ones((n, n), dtype=complex)
+    rel = 0.0
     for a in range(n):
         prod = mats[a] @ (conj_mats if group.s(a) else mats)
         target = mats[group.cayley[a]]
         # omega = <target, prod> / d for unitary target
         w = np.einsum("bij,bij->b", np.conj(target), prod) / d
-        bad = (np.abs(np.abs(w) - 1.0) > OMEGA_FIT_TOL) | (
-            np.linalg.norm(prod - w[:, None, None] * target, ord=2, axis=(-2, -1))
-            > OMEGA_FIT_TOL)
+        misfit = np.linalg.norm(prod - w[:, None, None] * target, ord=2, axis=(-2, -1))
+        bad = (np.abs(np.abs(w) - 1.0) > OMEGA_FIT_TOL) | (misfit > OMEGA_FIT_TOL)
         if bad.any():
             raise InvalidCoRep(
                 f"products are not scalar multiples of the table entry at "
                 f"({group.label(a)}, {group.label(int(np.argmax(bad)))})")
         omega[a] = w
-    return CoRep(group=group, omega=FactorSystem(omega), matrices=mats)
+        rel = max(rel, misfit.max())
+    rep = CoRep(group=group, omega=FactorSystem(omega), matrices=mats)
+    return _carrying(rep, (_unitarity_residual(mats), rel))
 
 
 def direct_sum(reps: Sequence[CoRep]) -> CoRep:
-    """Block-diagonal sum; all summands must share group and factor system."""
+    """Block-diagonal sum; all summands must share group and factor system.
+
+    The factor systems must agree entry by entry within 1e-12, and the sum
+    takes the first one.  When every summand carries residuals the sum
+    carries the largest, the relation bound widened by each summand's
+    factor-system gap times the bound (1 + u) on its squared matrix norm.
+    """
     if not reps:
         raise ValueError("empty direct sum")
     g = reps[0].group
     w = reps[0].omega
-    for r in reps[1:]:
+    gaps = []
+    for r in reps:
         if r.group is not g and not (np.array_equal(r.group.cayley, g.cayley) and
                                      np.array_equal(r.group.antiunitary, g.antiunitary)):
             raise DimensionMismatch("direct sum needs a common group")
-        if not np.allclose(r.omega.values, w.values, atol=1e-12):
+        gap = float(np.abs(r.omega.values - w.values).max())
+        if not gap <= 1e-12:   # NaN fails too
             raise InvalidCoRep("direct sum needs a common factor system")
+        gaps.append(gap)
     d = sum(r.dim for r in reps)
     out = np.zeros((g.order, d, d), dtype=complex)
     off = 0
     for r in reps:
         out[:, off:off + r.dim, off:off + r.dim] = r.matrices
         off += r.dim
-    return CoRep(group=g, omega=w, matrices=out)
+    rep = CoRep(group=g, omega=w, matrices=out)
+    if any(r.residuals is None for r in reps):
+        return rep
+    slack = _float_slack(d)
+    uni = max(r.residuals[0] for r in reps) + slack
+    rel = max(r.residuals[1] + gap * (1 + r.residuals[0]) for r, gap in zip(reps, gaps))
+    return _carrying(rep, (uni, rel + slack))
 
 
 def conjugate_corep(rep: CoRep, u: np.ndarray) -> CoRep:
     """Change of basis M(g) -> U^dag M(g) conj^[s(g)](U); same factor system.
 
     ``u`` may be a ``(d, k)`` isometry onto an invariant subspace, which gives
-    the co-rep carried by that subspace.
+    the co-rep carried by that subspace; nothing checks that the subspace is
+    invariant, so that result carries no residuals.  A square ``u`` with
+    eps = ||u^dag u - 1||_2 passes on the bounds u' = (1+eps) u + eps + s and
+    r' = (1+eps) r + s, with the spill s = (1+eps)(1+u) eps plus the
+    rounding allowance.
     """
     u = np.asarray(u, dtype=complex)
     flip = rep.group.antiunitary[:, None, None] == 1
     out = u.conj().T @ rep.matrices @ np.where(flip, np.conj(u), u)
-    return CoRep(group=rep.group, omega=rep.omega, matrices=out)
+    rotated = CoRep(group=rep.group, omega=rep.omega, matrices=out)
+    if rep.residuals is None or u.shape[0] != u.shape[1]:
+        return rotated
+    eps = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u)), ord=2))
+    uni, rel = rep.residuals
+    spill = (1 + eps) * (1 + uni) * eps + _float_slack(rep.dim)
+    return _carrying(rotated, ((1 + eps) * uni + eps + spill, (1 + eps) * rel + spill))
 
 
 def gauge_transform(rep: CoRep, phases) -> CoRep:
     """Rephase M'(g) = Omega(g) M(g) and carry the factor system along.
 
     omega'(a, b) = omega(a, b) Omega(a) Omega^[s(a)](b) / Omega(ab).
+
+    With delta = max ||Omega(g)| - 1|, residual bounds (u, r) become
+    ((1+delta)^2 u + 2 delta + delta^2, (1+delta)^2 r).
     """
     ph = np.asarray(phases, dtype=complex)
     g = rep.group
     if ph.shape != (g.order,):
         raise DimensionMismatch("need one phase per group element")
-    if np.abs(np.abs(ph) - 1.0).max() > 1e-12:
+    delta = float(np.abs(np.abs(ph) - 1.0).max())
+    if delta > 1e-12:
         raise InvalidCoRep("gauge phases must have unit modulus")
     mats = ph[:, None, None] * rep.matrices
     s = g.antiunitary
     ph_b = np.where(s[:, None] == 1, np.conj(ph)[None, :], ph[None, :])
     omega = rep.omega.values * ph[:, None] * ph_b / ph[g.cayley]
-    return CoRep(group=g, omega=FactorSystem(omega), matrices=mats)
+    gauged = CoRep(group=g, omega=FactorSystem(omega), matrices=mats)
+    if rep.residuals is None:
+        return gauged
+    uni, rel = rep.residuals
+    grow, slack = (1 + delta) ** 2, _float_slack(rep.dim)
+    return _carrying(gauged, (grow * uni + 2 * delta + delta ** 2 + slack,
+                              grow * rel + slack))
 
 
 def random_gauge(rep: CoRep, seed: int) -> CoRep:
@@ -212,10 +304,14 @@ def random_gauge(rep: CoRep, seed: int) -> CoRep:
 
 
 def restrict_corep(rep: CoRep, element_ids) -> tuple[CoRep, np.ndarray]:
-    """Co-rep of the subgroup spanned by ``element_ids`` (ids of the parent)."""
+    """Co-rep of the subgroup spanned by ``element_ids`` (ids of the parent).
+
+    It checks a subset of the parent's element pairs, so it keeps the
+    parent's residual bounds."""
     sub, emb = restricted_group(rep.group, element_ids)
     omega = FactorSystem(rep.omega.values[np.ix_(emb, emb)])
-    return CoRep(group=sub, omega=omega, matrices=rep.matrices[emb]), emb
+    restricted = CoRep(group=sub, omega=omega, matrices=rep.matrices[emb])
+    return _carrying(restricted, rep.residuals), emb
 
 
 def unitary_restriction(rep: CoRep) -> tuple[CoRep, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 from .coreps import CoRep
 from .errors import ParseError
 from .groups import FactorSystem, MagneticGroup, build_group
-from .kp import ProbeRepAction, validate_action
+from .kp import ProbeRepAction, validated_action
 
 
 # -- primitive (de)serializers ----------------------------------------------------
@@ -191,10 +191,8 @@ def action_from_dict(data: dict, group: MagneticGroup) -> ProbeRepAction:
         if "t0" not in data:
             raise ParseError("magnetic group action needs the 't0' matrix")
         d_t0 = real_matrix(data["t0"], what="t0 action")
-    action = ProbeRepAction(group=group, d_h=d_h, d_t0=d_t0,
-                            kind=str(data.get("kind", "momentum")))
-    validate_action(action)
-    return action
+    return validated_action(ProbeRepAction(group=group, d_h=d_h, d_t0=d_t0,
+                                           kind=str(data.get("kind", "momentum"))))
 
 
 def load_action(source: Union[str, dict], group: MagneticGroup) -> ProbeRepAction:

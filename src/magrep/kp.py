@@ -81,6 +81,16 @@ class ProbeRepAction:
     d_h: np.ndarray          # (|H|, q, q) real
     d_t0: Optional[np.ndarray]
     kind: str = "momentum"
+    #: the ``validate_action`` residual measured when the action was built;
+    #: set only by ``validated_action``, None when nothing is known
+    residual: Optional[float] = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def __setattr__(self, name, value):
+        # a residual measured on the old matrices says nothing about new ones
+        if name != "residual":
+            object.__setattr__(self, "residual", None)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         self.d_h = np.asarray(self.d_h, dtype=float)
@@ -142,6 +152,17 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     if resid > tol:
         raise InvalidAction(f"probe matrices violate the group law by {resid:.3e}")
     return resid
+
+
+def validated_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> ProbeRepAction:
+    """``action`` carrying the residual ``validate_action`` measures; raises
+    like it.  The matrices, which the caller must not share, become
+    read-only: writing to them would leave the residual stale."""
+    action.residual = validate_action(action, tol)
+    action.d_h.flags.writeable = False
+    if action.d_t0 is not None:
+        action.d_t0.flags.writeable = False
+    return action
 
 
 def _dual_matrices(mats: np.ndarray) -> np.ndarray:
@@ -462,13 +483,17 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     engine uses, run in real arithmetic) splits that rep into minimal
     invariant channels; each eigenspace is returned as a ProbeRepAction with
     explicit polynomial bases.  n = 1 reproduces the input action.
+
+    The input is validated unless it carries a residual at or below
+    ``ACTION_TOL``; each channel carries the residual of its own check.
     """
     if n < 1:
         raise ValueError("polynomial order must be >= 1")
     g = action.group
     if action.dim_q != 3:
         raise InvalidAction("polynomial channels are induced from a 3-dim momentum action")
-    validate_action(action)
+    if not (action.residual is not None and action.residual <= ACTION_TOL):
+        validate_action(action)
     exponents = monomial_exponents(n)
     n_mono = len(exponents)
     # substitution rep of every element: the monomials of the dual matrices
@@ -496,10 +521,10 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     for sl in _cluster_slices(evals, gap):
         basis = evecs[:, sl]                       # (n_mono, q_c) real orthonormal
         chan = basis.T @ ortho @ basis
-        chan_action = ProbeRepAction(group=g, d_h=chan[g.h_elements],
-                                     d_t0=chan[g.t0] if g.is_magnetic else None,
-                                     kind=f"polynomial({n})")
-        validate_action(chan_action, tol=1e-7)
+        chan_action = validated_action(
+            ProbeRepAction(group=g, d_h=chan[g.h_elements],
+                           d_t0=chan[g.t0] if g.is_magnetic else None,
+                           kind=f"polynomial({n})"), tol=1e-7)
         channels.append(PolynomialChannel(
             action=chan_action,
             coefficients=basis.T @ s_half,

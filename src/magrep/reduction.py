@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coreps import CoRep, conjugate_corep, validate_corep
+from .coreps import CoRep, conjugate_corep, residuals_within, validate_corep
 from .errors import (
     ElementNotInSubgroup,
     IndicatorNotQuantized,
@@ -222,12 +222,17 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
     with gamma globally, but it does on each gamma eigenspace).  Every block
     must pass the irreducibility criterion; an accidental eigenvalue
     collision of the random gamma triggers a reseeded retry.
+
+    The input is validated only when it carries no residual bounds
+    (``CoRep.residuals``) at or below the validation tolerance.
     """
-    report = validate_corep(rep, tol=max(tol, 1e-9))
-    if not report.passed:
-        raise InvalidCoRep(
-            f"input fails validation: unitarity {report.unitarity_residual:.3e}, "
-            f"relation {report.relation_residual:.3e}")
+    check_tol = max(tol, 1e-9)
+    if not residuals_within(rep, check_tol):
+        report = validate_corep(rep, tol=check_tol)
+        if not report.passed:
+            raise InvalidCoRep(
+                f"input fails validation: unitarity {report.unitarity_residual:.3e}, "
+                f"relation {report.relation_residual:.3e}")
 
     seeds_used = []
     rng_master = np.random.default_rng(seed)

@@ -1,5 +1,8 @@
 """Shared fixtures: catalog sweeps are expensive enough to build once."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,28 @@ from magrep.kp import (
     linear_multiplicity,
     polynomial_channel,
 )
+
+
+def _load_ohtgen():
+    """``bench/ohtgen``: O_h x T (order 96) inputs built without the library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "ohtgen.py"
+    spec = importlib.util.spec_from_file_location("ohtgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ohtgen = _load_ohtgen()
+
+
+@pytest.fixture(scope="session")
+def oht():
+    """The order-96 group, its co-rep matrices and its lowering subgroups."""
+    gen = ohtgen.generate()
+    group = mr.build_group(gen["cayley"], gen["flags"], labels=gen["labels"])
+    return {"group": group,
+            "coreps": {r: mats for r, (mats, _) in gen["coreps"].items()},
+            "lowerings": {low: ids for low, (ids, _) in gen["subgroups"].items()}}
 
 
 def catalog_irreps():

@@ -122,6 +122,26 @@ def test_reduce_cli_irreducible_message(capsys):
     assert [b["torsion"] for b in report["blocks"]] == [4]
 
 
+def test_reduce_judges_irreducible_at_the_tolerance_it_echoes(tmp_path, capsys):
+    # 3e-10 off unitarity puts the criterion 4.5e-10 above 1
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    scaled = mr.CoRep(group=rep.group, omega=rep.omega, matrices=rep.matrices * (1 + 3e-10))
+    gpath = tmp_path / "g.json"
+    rpath = tmp_path / "r.json"
+    gpath.write_text(io.write_report(io.group_to_dict(rep.group, rep.omega)))
+    rpath.write_text(io.write_report(io.corep_to_dict(scaled, inline_group=False)))
+    code, report = run_cli(capsys, "reduce", str(gpath), str(rpath), "--tol", "1e-10")
+    assert code == 0
+    assert report["tol"] == 1e-10
+    assert abs(report["criterion"] - 1.0) > 1e-10
+    assert report["irreducible"] is False
+    assert report["torsion"] is None and "message" not in report
+    code, report = run_cli(capsys, "reduce", str(gpath), str(rpath))
+    assert report["tol"] == 1e-9
+    assert report["irreducible"] is True
+    assert report["message"] == "already irreducible"
+
+
 def test_reduce_report_roundtrip(tmp_path, capsys):
     # re-verify a written decomposition: identical residual verdicts
     out = tmp_path / "dec.json"

@@ -1,15 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import magrep as mr
+import magrep.reduction
+from magrep import io
 from magrep.coreps import (
     CoRep,
     character,
     conjugate_corep,
     corep_from_matrices,
     direct_sum,
+    gauge_transform,
     random_gauge,
     regular_corep,
+    restrict_corep,
     unitary_restriction,
     validate_corep,
 )
@@ -107,6 +113,16 @@ def test_direct_sum_needs_matching_omega():
                                 matrices=[np.eye(1), np.eye(1)])])
     both = direct_sum([z2t, z2t])
     assert both.dim == 2
+    # factor systems 2e-6 apart: within numpy's default relative tolerance,
+    # but the sum would silently keep only the first one
+    e_half = mr.catalog_get("c4v_t").reps["e_half"]
+    phases = np.ones(e_half.group.order, dtype=complex)
+    phases[3] = np.exp(1e-6j)
+    nudged = gauge_transform(e_half, phases)
+    gap = np.abs(nudged.omega.values - e_half.omega.values).max()
+    assert 1e-6 < gap < 3e-6
+    with pytest.raises(InvalidCoRep, match="common factor system"):
+        direct_sum([e_half, nudged])
 
 
 def test_direct_sum_needs_matching_flags():
@@ -148,3 +164,100 @@ def test_regular_corep_of_unitary_group():
     chi = character(reg).values
     assert chi[0] == pytest.approx(8.0)
     assert np.abs(chi[1:]).max() < 1e-12
+
+
+# -- residuals carried from the boundary -------------------------------------------
+
+def count_validations(monkeypatch):
+    """Calls of validate_corep made by reduce_corep, recorded per co-rep."""
+    calls = []
+    real = magrep.reduction.validate_corep
+
+    def counting(rep, tol=1e-9):
+        calls.append(rep)
+        return real(rep, tol)
+
+    monkeypatch.setattr(magrep.reduction, "validate_corep", counting)
+    return calls
+
+
+def bare(rep):
+    return CoRep(group=rep.group, omega=rep.omega, matrices=rep.matrices.copy())
+
+
+def test_reduce_validates_only_inputs_without_bounds(monkeypatch):
+    calls = count_validations(monkeypatch)
+    entry = mr.catalog_get("c4v_t")
+    pair = direct_sum([entry.reps["e_half"], entry.reps["e_half"]])
+    mixed = random_gauge(conjugate_corep(pair, random_unitary(4, 3)), 4)
+    halving, _ = unitary_restriction(mixed)
+    derived = [entry.reps["e"], mixed, halving]
+    decs = [mr.reduce_corep(rep, seed=2) for rep in derived]
+    assert calls == []
+    for rep, dec in zip(derived, decs):
+        again = mr.reduce_corep(bare(rep), seed=2)
+        assert calls[-1].residuals is None
+        assert again.block_dims == dec.block_dims
+        assert [b.torsion for b in again.blocks] == [b.torsion for b in dec.blocks]
+        assert np.array_equal(again.basis, dec.basis)
+    assert len(calls) == len(derived)
+
+
+def test_loose_bound_falls_back_to_full_validation(monkeypatch):
+    calls = count_validations(monkeypatch)
+    kram = direct_sum([kramers(), kramers()])
+    # a basis change 0.1% off unitarity: the bound admits it is not a co-rep
+    skewed = conjugate_corep(kram, 1.001 * random_unitary(4, 6))
+    assert min(skewed.residuals) > 1e-3
+    report = validate_corep(bare(skewed))
+    want = (f"input fails validation: unitarity {report.unitarity_residual:.3e}, "
+            f"relation {report.relation_residual:.3e}")
+    for rep in (skewed, bare(skewed)):
+        with pytest.raises(InvalidCoRep) as err:
+            mr.reduce_corep(rep)
+        assert str(err.value) == want
+    assert len(calls) == 2
+    # a valid co-rep whose bound is loose is validated, then reduced
+    loose = conjugate_corep(kram, random_unitary(4, 6))
+    loose.residuals = (1e-3, 1e-3)
+    assert mr.reduce_corep(loose).block_dims == [2, 2]
+    assert calls[-1] is loose
+
+
+def test_only_magrep_constructors_set_residuals():
+    kram = kramers()
+    assert kram.residuals is not None
+    u = random_unitary(4, 5)
+    doubled = direct_sum([kram, kram])
+    assert conjugate_corep(doubled, u).residuals is not None
+    # projecting onto a subspace does not check that it is invariant
+    assert conjugate_corep(conjugate_corep(doubled, u), u.conj().T[:, 2:]).residuals is None
+    assert dataclasses.replace(kram).residuals is None
+    assert dataclasses.replace(kram, matrices=kram.matrices * 2).residuals is None
+    assert bare(kram).residuals is None
+    assert direct_sum([kram, bare(kram)]).residuals is None
+    assert io.corep_from_dict(io.corep_to_dict(kram)).residuals is None
+    h_rep, _ = unitary_restriction(mr.catalog_get("c4v_t").reps["a1"])
+    assert regular_corep(h_rep.group).residuals is None
+    assert "residuals" not in repr(kram)
+
+
+def test_in_place_write_to_a_carrying_corep_raises():
+    e_half = mr.catalog_get("c4v_t").reps["e_half"]
+    for rep in (e_half, random_gauge(conjugate_corep(e_half, random_unitary(2, 1)), 2),
+                direct_sum([e_half, e_half]), restrict_corep(e_half, [0, 1, 2, 3])[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            rep.matrices[0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            rep.omega.values[0, 0] = 2.0
+    # assigning a field drops the bounds, so the input is validated again
+    rep = conjugate_corep(e_half, random_unitary(2, 1))
+    rep.matrices = 1.5 * rep.matrices
+    assert rep.residuals is None
+    with pytest.raises(InvalidCoRep, match="input fails validation"):
+        mr.reduce_corep(rep)
+    # the caller's own array is copied, not frozen
+    mats = e_half.matrices.copy()
+    rep = corep_from_matrices(e_half.group, mats)
+    mats[0] = 0.0
+    assert np.array_equal(rep.matrices, e_half.matrices)

@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 import magrep as mr
+import magrep.kp
+from magrep.cli import main
 from magrep.errors import (
     EmptyChannel,
     InvalidAction,
@@ -183,6 +187,37 @@ def test_polynomial_channel_order_one_recovers_input():
     sets = polynomial_channel(act, 1)
     assert sets.full_action is act
     assert sum(c.action.dim_q for c in sets.channels) == 3
+
+
+def test_polynomial_channel_validates_only_actions_without_a_residual(monkeypatch):
+    seen = []
+    real = magrep.kp.validate_action
+
+    def counting(action, tol=magrep.kp.ACTION_TOL):
+        seen.append(action)
+        return real(action, tol)
+
+    monkeypatch.setattr(magrep.kp, "validate_action", counting)
+    act = mr.catalog_get("c6v_t").probe_actions["momentum"]
+    assert act.residual is not None
+    sets = polynomial_channel(act, 2)
+    assert all(a is not act for a in seen)
+    # each channel is checked once, when it is built, and carries the residual
+    assert seen == [c.action for c in sets.channels]
+    assert all(0 <= c.action.residual <= 1e-7 for c in sets.channels)
+    with pytest.raises(ValueError, match="read-only"):
+        sets.channels[0].action.d_h[0, 0, 0] = 2.0
+    reassigned = polynomial_channel(act, 2).channels[0].action
+    reassigned.d_h = 2.0 * reassigned.d_h
+    assert reassigned.residual is None
+    bare = ProbeRepAction(group=act.group, d_h=act.d_h, d_t0=act.d_t0, kind=act.kind)
+    polynomial_channel(bare, 2)
+    assert sum(a is bare for a in seen) == 1
+    # the CLI asks for the same catalog action once per order, then once more
+    seen.clear()
+    assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum",
+                 "--max-order", "3", "--out", os.devnull]) == 0
+    assert seen and all(a is not act for a in seen)
 
 
 def test_monomial_count():

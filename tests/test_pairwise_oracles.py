@@ -1,9 +1,12 @@
 """Batched co-rep, action and group kernels against their pair-by-pair oracles.
 
 Every catalog entry is checked as given, under a random basis change, under a
-random gauge and as 2- and 3-fold direct sums; corrupted inputs must fail with
-the oracle's exception and the oracle's element labels, or report the
-oracle's residual.  The probe kernels (``ProbeRepAction.d`` over an id array,
+random gauge, as 2- and 3-fold direct sums and restricted to its unitary
+subgroup; corrupted inputs must fail with the oracle's exception and the
+oracle's element labels, or report the oracle's residual.  Each of these
+co-reps carries residual bounds inherited from the catalog rep, and the
+residuals measured from scratch must lie within them, here and on the
+order-96 co-reps of ``bench/ohtgen``.  The probe kernels (``ProbeRepAction.d`` over an id array,
 the degree-by-degree substitution matrices, the identity-coupling count) are
 checked against their element-by-element forms on every catalog action, and
 the null-space oracle built from the batched covariance defects against the
@@ -22,7 +25,10 @@ from magrep.coreps import (
     conjugate_corep,
     corep_from_matrices,
     direct_sum,
+    gauge_transform,
     random_gauge,
+    restrict_corep,
+    unitary_restriction,
     validate_corep,
 )
 from magrep.errors import InvalidAction, NotAGroup
@@ -66,15 +72,27 @@ IRREP_IDS = [f"{name}-{rep_name}" for name, rep_name, _ in IRREPS]
 
 
 def rep_variants(rep, seed):
-    """The rep, rotated, gauged, and 2- and 3-fold direct sums."""
+    """The rep, rotated, gauged, 2- and 3-fold direct sums, and the rotated
+    3-fold sum restricted to the unitary subgroup."""
     rotated = conjugate_corep(rep, random_unitary(rep.dim, seed))
-    return {
+    out = {
         "plain": rep,
         "rotated": rotated,
         "gauged": random_gauge(rep, seed + 1),
         "sum2": direct_sum([rep, rotated]),
         "sum3": random_gauge(direct_sum([rotated, rep, rotated]), seed + 2),
     }
+    if rep.group.is_magnetic:
+        mixed = conjugate_corep(out["sum3"], random_unitary(3 * rep.dim, seed + 3))
+        out["halving"] = unitary_restriction(mixed)[0]
+    return out
+
+
+def assert_within_bounds(rep, report, tag):
+    """Residuals measured from scratch lie within the bounds the co-rep carries."""
+    uni, rel = rep.residuals
+    assert report.unitarity_residual <= uni, (tag, report.unitarity_residual, uni)
+    assert report.relation_residual <= rel, (tag, report.relation_residual, rel)
 
 
 def entry_actions(entry):
@@ -118,6 +136,7 @@ def test_corep_kernels_match_pairwise(name, rep_name, rep):
     for tag, var in rep_variants(rep, seed=len(IRREP_IDS)).items():
         uni, rel = validate_corep_pairwise(var)
         report = validate_corep(var)
+        assert_within_bounds(var, report, tag)
         assert abs(report.unitarity_residual - uni) <= 1e-12, tag
         assert abs(report.relation_residual - rel) <= 1e-12, tag
         rebuilt = corep_from_matrices(var.group, var.matrices)
@@ -125,6 +144,44 @@ def test_corep_kernels_match_pairwise(name, rep_name, rep):
         assert np.abs(rebuilt.omega.values - var.omega.values).max() <= 1e-12, tag
         assert abs(validate_cocycle(var.group, var.omega).max_violation
                    - cocycle_violation_full(var.group, var.omega)) <= 1e-15, tag
+
+
+@pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
+def test_inherited_bounds_follow_loose_inputs(name, rep_name, rep):
+    # a basis change 1e-9 off unitary, phases 1e-12 off unit modulus, and a
+    # summand whose factor system is up to 1e-12 off: the residuals grow to
+    # first order in each, and the bounds must grow with them
+    rng = np.random.default_rng(len(rep_name) + rep.dim)
+    g, d = rep.group, rep.dim
+    u = random_unitary(d, 8) * (1 + 1e-9) + 1e-9 * rng.standard_normal((d, d))
+    phases = np.exp(2j * np.pi * rng.random(g.order)) * (1 + rng.uniform(-1e-12, 1e-12, g.order))
+    nudge = np.ones(g.order, dtype=complex)
+    nudge[-1] = np.exp(4e-13j)
+    skewed = conjugate_corep(rep, u)
+    variants = {
+        "skewed": skewed,
+        "stretched": gauge_transform(rep, phases),
+        "both": gauge_transform(skewed, phases),
+        "skewed-sum": direct_sum([rep, skewed]),
+        "nudged-sum": direct_sum([rep, gauge_transform(rep, nudge)]),
+    }
+    for tag, var in variants.items():
+        assert_within_bounds(var, validate_corep(var), tag)
+
+
+@pytest.mark.parametrize("rep_name", ["vector", "spinor", "gamma8", "quaternion"])
+def test_inherited_bounds_hold_at_order_96(oht, rep_name):
+    g, mats = oht["group"], oht["coreps"][rep_name]
+    rep = corep_from_matrices(g, mats)
+    report = validate_corep(rep)
+    # the fit's residuals are the validator's, bit for bit
+    assert rep.residuals == (report.unitarity_residual, report.relation_residual)
+    variants = rep_variants(rep, seed=96)
+    for low, ids in oht["lowerings"].items():
+        variants[low] = restrict_corep(variants["rotated"], ids)[0]
+    for tag, var in variants.items():
+        assert_within_bounds(var, validate_corep(var), tag)
+        assert max(var.residuals) <= 1e-12, tag
 
 
 @pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
