@@ -22,10 +22,9 @@ from .coreps import validate_corep
 from .errors import EmptyChannel, MagrepError, ParseError, UnknownName
 from .groups import FactorSystem, validate_cocycle
 from .kp import (
+    _dispersion_table,
     build_gamma_matrices,
-    dispersion_order,
     linear_multiplicity,
-    polynomial_channel,
     probe_stability,
     trivial_multiplicity,
 )
@@ -205,13 +204,12 @@ def cmd_kp(args) -> int:
             report["residuals"] = model.residuals
         _emit(report, args)
         return EXIT_OK
-    table = dispersion_order(rep, action, args.max_order, seed=args.seed)
+    table, sets = _dispersion_table(rep, action, args.max_order, args.seed)
     report = {"dispersion": table, "models": [], "seed": args.seed}
-    for entry in table["orders"]:
+    for entry, chans in zip(table["orders"], sets):
         n = entry["order"]
         if entry["full"]["multiplicity"] <= 0:
             continue
-        chans = polynomial_channel(action, n, seed=args.seed)
         for k, ch in enumerate(chans.channels):
             if entry["channels"][k]["multiplicity"] <= 0:
                 continue

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCoRep, NoT0
+from .errors import DimensionMismatch, InvalidCoRep
 from .groups import FactorSystem, MagneticGroup, restricted_group
 
 #: Default tolerance for unitarity / multiplication-rule residuals.
@@ -86,14 +86,6 @@ class CoRep:
         flip = self.group.antiunitary[ids].reshape(lead + (1, 1)) == 1
         return mg @ np.where(flip, np.conj(mat), mat) @ np.conj(np.swapaxes(mg, -1, -2))
 
-    @property
-    def eta0(self) -> complex:
-        """omega(t0, t0); the +-1 invariant for groups with t0^2 = identity."""
-        t0 = self.group.t0
-        if t0 is None:
-            raise NoT0("purely unitary group has no eta0")
-        return self.omega(t0, t0)
-
 
 @dataclass
 class Character:
@@ -124,10 +116,13 @@ def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
     """Residuals of unitarity and of the twisted multiplication rule.
 
     The relation residual is the max spectral norm over all element pairs of
-    ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.
+    ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.  Non-finite matrices or
+    factor systems, whose norms do not converge, fail with infinite residuals.
     """
     g = rep.group
     mats = rep.matrices
+    if not (np.isfinite(mats).all() and np.isfinite(rep.omega.values).all()):
+        return CoRepReport(unitarity_residual=np.inf, relation_residual=np.inf, tol=tol)
     conj_mats = np.conj(mats)
     rel = 0.0
     for a in range(g.order):
@@ -190,6 +185,8 @@ def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
     n = group.order
     if mats.shape[0] != n:
         raise DimensionMismatch("need one matrix per element")
+    if not np.isfinite(mats).all():
+        raise InvalidCoRep("matrices have non-finite entries")
     d = mats.shape[1]
     conj_mats = np.conj(mats)
     omega = np.ones((n, n), dtype=complex)

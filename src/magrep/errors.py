@@ -93,10 +93,6 @@ class EmptyChannel(MagrepError):
     """Channel has multiplicity zero, no coupling matrices exist at this order."""
 
 
-class GaugeFixFailed(MagrepError):
-    """Anti-unitary generator could not be rebased to plain conjugation."""
-
-
 # -- catalog / CLI -----------------------------------------------------------
 
 class UnknownName(MagrepError):

@@ -28,11 +28,18 @@ def complex_to_pair(z: complex) -> list:
 def matrix_to_pairs(m: np.ndarray) -> list:
     return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
 
+def _finite(out: np.ndarray, what: str) -> np.ndarray:
+    # JSON parses NaN and Infinity, which no linear algebra downstream survives
+    if not np.isfinite(out).all():
+        raise ParseError(f"{what} has non-finite entries")
+    return out
+
 def pairs_to_matrix(rows, what: str = "matrix") -> np.ndarray:
     try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
+        out = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as err:
         raise ParseError(f"malformed complex {what}: {err}") from None
+    return _finite(out, f"complex {what}")
 
 def real_matrix(rows, what: str = "matrix") -> np.ndarray:
     try:
@@ -41,7 +48,7 @@ def real_matrix(rows, what: str = "matrix") -> np.ndarray:
         raise ParseError(f"malformed real {what}: {err}") from None
     if out.ndim != 2:
         raise ParseError(f"{what} must be a matrix")
-    return out
+    return _finite(out, f"real {what}")
 
 
 def _load_json(path: str) -> dict:

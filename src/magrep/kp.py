@@ -9,14 +9,14 @@ obeying
     M(t0) conj(gamma^m) M(t0)^dag = sum_n gamma^n dual(D)(t0)_{nm}  (anti-unitary)
 
 The count is the character criterion of ``reduction.criterion_sums`` weighted
-by the probe characters.  The matrices come from one fixed space in plain
-gamma coordinates: the average of D(h) x M(h) x conj M(h) over the unitary
-subgroup, times (1 + L)/2 for magnetic groups, where L is the anti-unitary
-covariance followed by the Hermitian conjugate.  The Hermitian conjugate maps
-that space to itself; the vectors it fixes, one real null space of the
-compressed conjugate minus one, are the Hermitian tuples.  A brute-force null
-space solver over the real parametrization of Hermitian tuples ships
-alongside as the independent ground truth for both the count and the span.
+by the probe characters.  The matrices come from one real fixed space: in
+coordinates over the orthonormal ``hermitian_basis(d)`` the covariance action
+of g is the real matrix D(g) x a(g), where a(g) is the adjoint action of M(g)
+on Hermitian matrices, so the average of D(h) x a(h) over the unitary
+subgroup, times (1 + D(t0) x a(t0))/2 for magnetic groups, projects onto the
+coordinates of the coupling tuples.  A brute-force null space solver over
+the same parametrization ships alongside as the independent ground truth for
+both the count and the span.
 ``_covariance_defects`` writes the covariance equation once, for any array
 of elements; the model residuals and the oracle's constraint rows read it.
 
@@ -38,13 +38,12 @@ from .coreps import CoRep, restrict_corep
 from .errors import (
     DimensionMismatch,
     EmptyChannel,
-    GaugeFixFailed,
     InvalidAction,
     NonIntegerMultiplicity,
     SingularAction,
 )
 from .groups import FactorSystem, MagneticGroup, verify_embedding
-from .linalg import _cluster_slices, eigenspace_of_one, twist_matrix
+from .linalg import _cluster_slices, eigenspace_of_one
 from .reduction import criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
@@ -138,18 +137,17 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     g = action.group
     d_h = action.d_h
     pos = action._h_pos
-    resid = 0.0
-    for k, a in enumerate(g.h_elements):
-        prods = d_h[k] @ d_h
-        resid = max(resid, float(np.abs(prods - d_h[pos[g.cayley[a, g.h_elements]]]).max()))
+    # np.max, unlike the builtin max, lets a NaN residual through to the test
+    resids = [np.abs(d_h[k] @ d_h - d_h[pos[g.cayley[a, g.h_elements]]]).max()
+              for k, a in enumerate(g.h_elements)]
     if g.is_magnetic:
         t0 = g.t0
-        resid = max(resid, float(np.abs(
-            action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max()))
+        resids.append(np.abs(action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max())
         conj_h = g.cayley[g.cayley[t0, g.h_elements], g.inv(t0)]
         lhs = action.d_t0 @ d_h @ _dual_matrices(action.d_t0).T
-        resid = max(resid, float(np.abs(lhs - d_h[pos[conj_h]]).max()))
-    if resid > tol:
+        resids.append(np.abs(lhs - d_h[pos[conj_h]]).max())
+    resid = float(np.max(resids))
+    if not resid <= tol:   # a NaN residual fails too
         raise InvalidAction(f"probe matrices violate the group law by {resid:.3e}")
     return resid
 
@@ -275,48 +273,37 @@ def _covariance_residuals(rep: CoRep, action: ProbeRepAction,
     return out
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """d^2 Hermitian matrices, orthonormal under Re Tr(A^dag B), spanning the
+    space over the reals: the diagonal units, then per pair i < j (row-major)
+    the real and imaginary off-diagonals, each scaled by 1/sqrt(2)."""
+    i, j = np.triu_indices(d, 1)
+    re, im = d + 2 * np.arange(len(i)), d + 2 * np.arange(len(i)) + 1
+    off = 1.0 / np.sqrt(2.0)
+    out = np.zeros((d * d, d, d), dtype=complex)
+    out[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    out[re, i, j] = out[re, j, i] = off
+    out[im, i, j], out[im, j, i] = -1j * off, 1j * off
+    return out
+
+
 def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
                          tol: float = 1e-9) -> KpModel:
     """Construct the Hermitian coupling tuples for one probe channel.
 
-    Two steps: (1) take the eigenvalue-1 space of the group-average
-    projector in plain gamma coordinates (``_fixed_space``); (2) keep the
-    vectors of that space the Hermitian conjugate fixes.  With the conjugate
-    compressed to ``zeta c -> zeta m conj(c)``, the fixed coefficients
-    c = x + i y are the real null space of
-    ``[[Re m - 1, Im m], [Im m, -Re m - 1]]``; since m conj(m) = 1 it has
-    exactly p orthonormal columns, and they make an orthonormal basis whose
-    vectors, cut into their q slices, are Hermitian tuples.  Raises
-    EmptyChannel when the multiplicity is zero.
+    The tuples are the real combinations of ``hermitian_basis(d)`` whose
+    coordinates span the eigenvalue-1 space of the group-average projector
+    (``_fixed_space``); they are Hermitian by construction and orthonormal
+    under sum_m Re Tr(gamma^m_i^dag gamma^m_j).  Raises EmptyChannel when
+    the multiplicity is zero.
     """
-    d = rep.dim
-    q = action.dim_q
-    zeta, proj_resid = _fixed_space(rep, action, tol)
-    p = zeta.shape[1]
+    gammas, proj_resid = _fixed_space(rep, action, tol)
+    p = len(gammas)
     if p == 0:
         raise EmptyChannel("channel multiplicity is zero at this order")
 
-    # the Hermitian conjugate, an antilinear involution, compressed onto the
-    # fixed space
-    image = np.kron(np.eye(q), twist_matrix(d)) @ np.conj(zeta)
-    m_dag = zeta.conj().T @ image
-    closure = float(np.linalg.norm(image - zeta @ m_dag, ord=2))
-    gauge = float(np.linalg.norm(m_dag @ np.conj(m_dag) - np.eye(p), ord=2))
-    if closure > max(100 * tol, 1e-7) or gauge > max(100 * tol, 1e-7):
-        raise GaugeFixFailed(
-            f"Hermitian conjugate leaves the fixed space (closure {closure:.3e}, "
-            f"square {gauge:.3e})")
-    a, b, one = m_dag.real, m_dag.imag, np.eye(p)
-    real_form = _null_space(np.block([[a - one, b], [b, -a - one]]))
-    if real_form.shape[1] != p:
-        raise GaugeFixFailed(
-            f"Hermitian conjugate fixes {real_form.shape[1]} real directions, expected {p}")
-    delta = zeta @ (real_form[:p] + 1j * real_form[p:])
-    gammas = delta.T.reshape(p, q, d, d)
-
     residuals = _covariance_residuals(rep, action, gammas)
     residuals["projector_idempotency"] = proj_resid
-    residuals["gauge_closure"] = closure
     expected = linear_multiplicity(rep, action)
     if p != expected:
         raise NonIntegerMultiplicity(
@@ -326,40 +313,36 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
 
 
 def _fixed_space(rep: CoRep, action: ProbeRepAction, tol: float):
-    """Complex tuples whose Hermitian parts are the coupling tuples.
+    """Orthonormal coupling tuples ``(p, q, d, d)`` and the projector's
+    idempotency residual.
 
-    Averages D(h) x M(h) x conj M(h) over H in one batched contraction; a
-    magnetic group then multiplies the average by (1 + L)/2 with the linear
-    L = dagger o theta_t0 = D(t0) x T (conj M(t0) x M(t0)).  L commutes with
-    the average and squares to an element of H, so the product is idempotent.
+    The tuple sum_k c[m, k] hb_k, with hb = ``hermitian_basis(d)``, goes
+    under g to the one with coordinates D(g) x a(g) c, where
+    a(g)[k, l] is coordinate k of M(g) conj^[s(g)](hb_l) M(g)^dag; both
+    factors are real reps of the whole group, so the mean of D(h) x a(h)
+    over H, times (1 + D(t0) x a(t0))/2 for magnetic groups, is the group
+    average: a projector (oblique when D is) onto the tuples every element
+    fixes.
     """
     g = rep.group
     d = rep.dim
-    size = action.dim_q * d * d
-    m_h = rep.matrices[g.h_elements]
-    proj = np.einsum("hab,hij,hkl->aikbjl", action.d_h, m_h, np.conj(m_h),
-                     optimize=True).reshape(size, size) / g.halving_order
+    q = action.dim_q
+    size = q * d * d
+    hb = hermitian_basis(d)
+    ids = np.append(g.h_elements, g.t0) if g.is_magnetic else g.h_elements
+    images = rep.apply(ids, hb).reshape(len(ids), d * d, d * d)
+    a = (np.conj(hb.reshape(d * d, d * d)) @ np.swapaxes(images, -1, -2)).real
+    n_h = len(g.h_elements)
+    proj = np.einsum("hmn,hkl->mknl", action.d_h, a[:n_h]).reshape(size, size) / n_h
     if g.is_magnetic:
-        mt = rep.m(g.t0)
-        ell = np.kron(action.d_t0, twist_matrix(d) @ np.kron(np.conj(mt), mt))
-        proj = 0.5 * (proj + ell @ proj)
+        proj = 0.5 * (proj + proj @ np.kron(action.d_t0, a[n_h]))
     resid = float(np.linalg.norm(proj @ proj - proj, ord=2))
-    return eigenspace_of_one(proj, tol=max(tol, 1e-9)), resid
+    coords = eigenspace_of_one(proj, tol=max(tol, 1e-9))
+    tuples = coords.reshape(q, d * d, coords.shape[1])
+    return np.einsum("mki,kab->imab", tuples, hb), resid
 
 
 # -- brute-force oracle ----------------------------------------------------------
-
-def hermitian_basis(d: int) -> np.ndarray:
-    """d^2 Hermitian matrices spanning the space over the reals: the diagonal
-    units, then per pair i < j (row-major) the real and imaginary off-diagonals."""
-    i, j = np.triu_indices(d, 1)
-    re, im = d + 2 * np.arange(len(i)), d + 2 * np.arange(len(i)) + 1
-    out = np.zeros((d * d, d, d), dtype=complex)
-    out[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    out[re, i, j] = out[re, j, i] = 1.0
-    out[im, i, j], out[im, j, i] = -1j, 1j
-    return out
-
 
 def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
     """Null-space oracle: all Hermitian tuples satisfying both covariances.
@@ -553,9 +536,17 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
     action has positive multiplicity; per-channel entries expose which
     direction couples (splitting counts exclude identity-tuple couplings).
     """
+    return _dispersion_table(rep, action, n_max, seed)[0]
+
+
+def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
+                      seed: int) -> tuple[dict, list]:
+    """``dispersion_order``'s table and the channel set of each order it
+    built, so that callers who also need the channels build them once."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     orders = []
+    sets = []
     leading = None
     for n in range(1, n_max + 1):
         chans = polynomial_channel(action, n, seed=seed)
@@ -584,7 +575,8 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
         if leading is None and full_mult > 0:
             leading = n
         orders.append(entry)
-    return {"orders": orders, "leading_order": leading, "seed": seed}
+        sets.append(chans)
+    return {"orders": orders, "leading_order": leading, "seed": seed}, sets
 
 
 def probe_stability(rep: CoRep, embedding, g_sub: Optional[MagneticGroup] = None,

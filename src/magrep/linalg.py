@@ -155,9 +155,11 @@ def eigenspace_of_one(p: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray:
 
     Works for oblique projectors too: the fixed space equals the column
     space, and an idempotent's nonzero singular values are all >= 1, so an
-    SVD split at 1/2 is unambiguous.  The rank must match round(trace).
+    SVD split at 1/2 is unambiguous.  The rank must match round(trace).  A
+    real projector keeps real arithmetic and yields a real basis.
     """
-    p = np.asarray(p, dtype=complex)
+    p = np.asarray(p)
+    p = p.astype(np.result_type(p, float), copy=False)
     scale = max(1.0, np.linalg.norm(p, ord=2))
     if np.linalg.norm(p @ p - p, ord=2) > tol * scale:
         raise NotIdempotent("P^2 != P at tolerance")
@@ -166,7 +168,7 @@ def eigenspace_of_one(p: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray:
     if abs(tr - count) > max(tol * scale * p.shape[0], 1e-6):
         raise TraceNotInteger(f"trace {tr} is not close to an integer")
     if count == 0:
-        return np.zeros((p.shape[0], 0), dtype=complex)
+        return np.zeros((p.shape[0], 0), dtype=p.dtype)
     u, s, _ = np.linalg.svd(p)
     rank = int((s > 0.5).sum())
     if rank != count:
@@ -194,11 +196,3 @@ def random_symmetric_unitary(d: int, seed) -> np.ndarray:
     phases = np.exp(2j * np.pi * rng.random(d))
     return q.T @ np.diag(phases) @ q
 
-
-def twist_matrix(d: int) -> np.ndarray:
-    """Index-swap operator T on the d^2 product space: T vec(X) = vec(X^T)."""
-    t = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            t[i * d + j, j * d + i] = 1.0
-    return t

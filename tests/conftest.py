@@ -38,11 +38,16 @@ ohtgen = _load_ohtgen()
 
 @pytest.fixture(scope="session")
 def oht():
-    """The order-96 group, its co-rep matrices and its lowering subgroups."""
+    """The order-96 group, its co-rep matrices, its probe actions and its
+    lowering subgroups."""
     gen = ohtgen.generate()
     group = mr.build_group(gen["cayley"], gen["flags"], labels=gen["labels"])
+    h, t0 = group.h_elements, group.t0
     return {"group": group,
             "coreps": {r: mats for r, (mats, _) in gen["coreps"].items()},
+            "actions": {a: mr.ProbeRepAction(group=group, d_h=mats[h], d_t0=mats[t0],
+                                             kind=kind)
+                        for a, (mats, kind) in gen["actions"].items()},
             "lowerings": {low: ids for low, (ids, _) in gen["subgroups"].items()}}
 
 

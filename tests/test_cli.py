@@ -214,6 +214,29 @@ def test_singular_t0_probe_matrix_is_a_clean_domain_error(exported, tmp_path, ca
     assert "Traceback" not in err
 
 
+
+def test_non_finite_rep_file_is_a_parse_error(exported, tmp_path, capsys):
+    # JSON parses NaN; the loader refuses it before any norm meets it
+    data = json.load(open(exported / "z2t_kramers.rep-kramers.json"))
+    first = next(iter(data["matrices"]))
+    data["matrices"][first][0][0] = [float("nan"), 0.0]
+    bad = tmp_path / "nan.rep.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(exported / "z2t_kramers.group-kramers.json"),
+                 str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_non_finite_action_file_is_a_parse_error(exported, tmp_path, capsys):
+    data = json.load(open(exported / "z2t_kramers.action-magnetic.json"))
+    data["t0"] = [[float("nan")]]
+    bad = tmp_path / "nan.action.json"
+    bad.write_text(json.dumps(data))
+    assert main(["kp", "@z2t_kramers", "@z2t_kramers/kramers", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
 def test_probe_cli(capsys):
     code, report = run_cli(
         capsys, "probe", "@z2t_kramers", "@z2t_kramers/kramers",

@@ -66,17 +66,36 @@ def test_characters_add_under_direct_sum():
 
 
 def test_eta0_relation():
-    # M(t0) conj(M(t0)) = eta0 M(sigma), with eta0 = +-1 when t0^2 = E
+    # M(t0) conj(M(t0)) = eta0 M(sigma) with eta0 = omega(t0, t0), which is
+    # +-1 when t0^2 = E
     for name, rep_name in [("z2t_kramers", "kramers"), ("z4t", "quaternion"),
                            ("c8t", "complex_pair"), ("c4v_t", "e_half")]:
         rep = mr.catalog_get(name).reps[rep_name]
         g = rep.group
+        eta0 = rep.omega(g.t0, g.t0)
         lhs = rep.m(g.t0) @ np.conj(rep.m(g.t0))
-        rhs = rep.eta0 * rep.m(g.sigma)
+        rhs = eta0 * rep.m(g.sigma)
         assert np.abs(lhs - rhs).max() < 1e-12
         if g.sigma == g.identity:
-            assert rep.eta0 in (1.0, -1.0)
+            assert eta0 in (1.0, -1.0)
 
+
+
+def test_non_finite_matrices_fail_cleanly():
+    # no spectral norm of a NaN matrix converges: the validator reports the
+    # co-rep as failing and the factor-system fit refuses it, neither raising
+    # LinAlgError
+    rep = kramers()
+    mats = rep.matrices.copy()
+    mats[0, 0, 0] = np.nan
+    report = validate_corep(CoRep(group=rep.group, omega=rep.omega, matrices=mats))
+    assert not report.passed
+    with pytest.raises(InvalidCoRep):
+        corep_from_matrices(rep.group, mats)
+    omega = rep.omega.values.copy()
+    omega[0, 0] = np.inf
+    assert not validate_corep(CoRep(group=rep.group, omega=FactorSystem(omega),
+                                    matrices=rep.matrices)).passed
 
 def test_gauge_transform_keeps_validation():
     for seed in range(5):

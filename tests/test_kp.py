@@ -27,7 +27,11 @@ from magrep.kp import (
     tuple_span_residual,
     validate_action,
 )
-from conftest import multiplicity_value_diagonal_t0, multiplicity_value_trace_form
+from conftest import (
+    catalog_irreps,
+    multiplicity_value_diagonal_t0,
+    multiplicity_value_trace_form,
+)
 
 PAULI = [np.array(m, dtype=complex) for m in (
     [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
@@ -71,6 +75,16 @@ def test_action_group_law_violation_detected():
                          d_t0=2 * np.eye(3))
     with pytest.raises(InvalidAction):
         validate_action(bad)
+
+
+def test_non_finite_action_fails_validation():
+    # H = {E}, so each NaN residual comes after a finite one, which the
+    # builtin max would keep
+    mag = kramers_setup()[1]["magnetic"]
+    nan = np.full((1, 1, 1), np.nan)
+    for d_h, d_t0 in ((mag.d_h, nan[0]), (nan, mag.d_t0)):
+        with pytest.raises(InvalidAction):
+            validate_action(ProbeRepAction(group=mag.group, d_h=d_h, d_t0=d_t0))
 
 
 # -- multiplicity criterion -----------------------------------------------------------
@@ -213,11 +227,26 @@ def test_polynomial_channel_validates_only_actions_without_a_residual(monkeypatc
     bare = ProbeRepAction(group=act.group, d_h=act.d_h, d_t0=act.d_t0, kind=act.kind)
     polynomial_channel(bare, 2)
     assert sum(a is bare for a in seen) == 1
-    # the CLI asks for the same catalog action once per order, then once more
+    # the CLI asks for the same catalog action once per order
     seen.clear()
     assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum",
                  "--max-order", "3", "--out", os.devnull]) == 0
     assert seen and all(a is not act for a in seen)
+
+
+def test_cli_kp_builds_each_order_once(monkeypatch):
+    # polynomial_channel takes one substitution rep per call
+    orders = []
+    real = magrep.kp._substitution_matrices
+
+    def counting(lin, n):
+        orders.append(n)
+        return real(lin, n)
+
+    monkeypatch.setattr(magrep.kp, "_substitution_matrices", counting)
+    assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum",
+                 "--max-order", "3", "--out", os.devnull]) == 0
+    assert orders == [1, 2, 3]
 
 
 def test_monomial_count():
@@ -364,7 +393,17 @@ def test_substitution_oracle_hundred_samples_per_element():
             assert np.abs(lhs - rhs).max() < 1e-9
 
 
-def test_gamma_construction_gauge_robust():
+def test_gammas_are_orthonormal(kp_sweep):
+    for record in kp_sweep:
+        model = record["model"]
+        if model is None:
+            continue
+        flat = model.gammas.reshape(model.multiplicity, -1)
+        gram = (flat.conj() @ flat.T).real
+        assert np.abs(gram - np.eye(model.multiplicity)).max() < 1e-12, record["where"]
+
+
+def test_gamma_construction_gauge_robust(oht):
     # rephasing the co-rep makes the twist phase omega(t0, t0) fully complex;
     # the construction must still match the (gauged) oracle span exactly
     entry = mr.catalog_get("z4t")
@@ -378,7 +417,40 @@ def test_gamma_construction_gauge_robust():
         assert tuple_span_residual(model.gammas, oracle) < 1e-10
         herm = np.abs(model.gammas
                       - np.conj(np.swapaxes(model.gammas, 2, 3))).max()
-        assert herm < 1e-12
+        assert herm == 0.0
+
+    # every catalog co-rep in a random basis and gauge, the order-96 co-reps,
+    # and an oblique action S D S^-1, whose dual differs from it
+    cases = []
+    for k, (name, rep_name, rep) in enumerate(catalog_irreps()):
+        moved = mr.conjugate_corep(mr.random_gauge(rep, k), mr.random_unitary(rep.dim, k))
+        cases += [(moved, a) for a in mr.catalog_get(name).probe_actions.values()]
+    for mats in oht["coreps"].values():
+        rep = mr.corep_from_matrices(oht["group"], mats)
+        cases += [(rep, oht["actions"][a]) for a in ("momentum", "electric", "magnetic")]
+    entry = mr.catalog_get("c4v_t")
+    mom = entry.probe_actions["momentum"]
+    s = np.array([[1.0, 0.4, 0.0], [0.0, 1.0, -0.3], [0.2, 0.0, 1.0]])
+    s_inv = np.linalg.inv(s)
+    oblique = ProbeRepAction(group=mom.group, d_h=s @ mom.d_h @ s_inv,
+                             d_t0=s @ mom.d_t0 @ s_inv, kind="momentum")
+    validate_action(oblique)
+    assert np.abs(dual_rep(oblique).d_h - oblique.d_h).max() > 0.1
+    cases.append((entry.reps["e_half"], oblique))
+    built = 0
+    for rep, act in cases:
+        oracle = covariant_tuple_basis(rep, act)
+        if oracle.shape[0] == 0:
+            with pytest.raises(EmptyChannel):
+                build_gamma_matrices(rep, act)
+            continue
+        model = build_gamma_matrices(rep, act)
+        assert model.multiplicity == oracle.shape[0]
+        assert tuple_span_residual(model.gammas, oracle) < 1e-10
+        assert np.abs(model.gammas - np.conj(np.swapaxes(model.gammas, 2, 3))).max() == 0.0
+        built += 1
+    # the oblique case, last, couples; so do about half of the others
+    assert model.action is oblique and built > len(cases) // 3
 
 
 def test_gamma_construction_unitary_group_branch():

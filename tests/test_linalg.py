@@ -14,7 +14,6 @@ from magrep.linalg import (
     random_unitary,
     simultaneous_diag,
     symmetric_unitary_sqrt,
-    twist_matrix,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -117,6 +116,7 @@ def test_eigenspace_of_one_oblique_projector():
     p = np.array([[1.0, 1.0], [0.0, 0.0]])
     basis = eigenspace_of_one(p)
     assert basis.shape == (2, 1)
+    assert basis.dtype == np.float64   # a real projector keeps real arithmetic
     assert np.abs(p @ basis - basis).max() < 1e-12
 
 
@@ -126,9 +126,3 @@ def test_eigenspace_of_one_rejections():
     with pytest.raises((TraceNotInteger, NotIdempotent)):
         eigenspace_of_one(np.diag([1.0, 1e-3]))
 
-
-def test_twist_matrix_transposes():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    t = twist_matrix(3)
-    assert np.allclose(t @ x.reshape(-1), x.T.reshape(-1))
