@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCoRep
-from .groups import FactorSystem, MagneticGroup, restricted_group
+from .groups import FactorSystem, MagneticGroup, _same_group, restricted_group
 
 #: Default tolerance for unitarity / multiplication-rule residuals.
 COREP_TOL = 1e-9
@@ -116,21 +116,22 @@ def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
     """Residuals of unitarity and of the twisted multiplication rule.
 
     The relation residual is the max spectral norm over all element pairs of
-    ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.  Non-finite matrices or
-    factor systems, whose norms do not converge, fail with infinite residuals.
+    ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.  Cheap trace bounds on
+    each pair's norm (``_max_spectral_norm``) leave only the pairs that can
+    hold the maximum, and those go through the same LAPACK SVD as the full
+    set would, so the value is the one every pair's SVD gives.  Non-finite
+    matrices or factor systems, whose norms do not converge, fail with
+    infinite residuals.
     """
     g = rep.group
     mats = rep.matrices
     if not (np.isfinite(mats).all() and np.isfinite(rep.omega.values).all()):
         return CoRepReport(unitarity_residual=np.inf, relation_residual=np.inf, tol=tol)
-    conj_mats = np.conj(mats)
     rel = 0.0
-    for a in range(g.order):
-        lhs = mats[a] @ (conj_mats if g.s(a) else mats)
-        rhs = rep.omega.values[a, :, None, None] * mats[g.cayley[a]]
-        rel = max(rel, np.linalg.norm(lhs - rhs, ord=2, axis=(-2, -1)).max())
+    for rows, prod, target in _row_products(g, mats):
+        rel = _max_spectral_norm(prod - rep.omega.values[rows, :, None, None] * target, rel)
     return CoRepReport(unitarity_residual=_unitarity_residual(mats),
-                       relation_residual=float(rel), tol=tol)
+                       relation_residual=rel, tol=tol)
 
 
 def residuals_within(rep: CoRep, tol: float) -> bool:
@@ -140,8 +141,65 @@ def residuals_within(rep: CoRep, tol: float) -> bool:
 
 def _unitarity_residual(mats: np.ndarray) -> float:
     eye = np.eye(mats.shape[-1])
-    return float(np.linalg.norm(np.swapaxes(np.conj(mats), -1, -2) @ mats - eye,
-                                ord=2, axis=(-2, -1)).max())
+    return _max_spectral_norm(np.swapaxes(np.conj(mats), -1, -2) @ mats - eye)
+
+
+def _row_products(group: MagneticGroup, mats: np.ndarray):
+    """Yield ``(rows, prod, target)`` over blocks of first elements a:
+    prod[i, b] = M(a) conj^[s(a)](M(b)) and target[i, b] = M(ab) for
+    a = rows[i].  A block holds about 96 pairs, one row at order 96 and
+    above, so temporaries stay O(n d^2) while a small group's rows share
+    one call of each kernel."""
+    n = group.order
+    step = -(-96 // n)
+    conj_mats = np.conj(mats)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        flip = group.antiunitary[rows, None, None, None] == 1
+        yield (rows, mats[rows, None] @ np.where(flip, conj_mats, mats),
+               mats[group.cayley[rows]])
+
+
+def _max_spectral_norm(stack: np.ndarray, floor: float = 0.0) -> float:
+    """max(floor, max_k ||stack[k]||_2) over a complex stack ``(..., d, d)``,
+    equal to the batched LAPACK norm bit for bit while running the SVD on
+    few matrices.
+
+    ||E||_2 <= d max|E_ij| = d s skips every matrix that cannot pass
+    ``floor``.  For the others, G = F^dag F with F = E / s (scaled so that no
+    trace under- or overflows) has lambda_max(G) = ||E||_2^2 / s^2 between
+    max(tr G^2 / tr G, m + sqrt(v / (d-1))) and m + sqrt((d-1) v), where
+    m = tr G / d and v = ||G - m I||_F^2 / d (Wolkowicz & Styan, Linear
+    Algebra Appl. 29, 1980); v is summed from G - m I, because
+    tr G^2 / d - m^2 cancels when G is nearly isotropic and its rounding,
+    after the square root, can exceed the slack below.  Only matrices whose
+    upper bound reaches max(floor, largest lower bound) can hold the
+    maximum; they go through the SVD.  A relative slack of 1e-7, far above
+    the rounding of the bounds, keeps every such matrix, and non-finite
+    ones always reach the SVD.
+    """
+    d = stack.shape[-1]
+    stack = stack.reshape(-1, d, d)
+    slack = 1e-7
+    scale = np.abs(stack).max(axis=(1, 2))
+    near = ~(scale * (d * (1 + slack)) <= floor)   # NaN stays near
+    stack, scale = stack[near], scale[near]
+    if not len(stack):
+        return float(floor)
+    # divide the float pairs: complex division by a subnormal overflows
+    f = (stack.view(float) / scale[:, None, None]).view(complex)
+    gram = np.conj(np.swapaxes(f, 1, 2)) @ f
+    m = np.einsum("kii->k", gram).real / d
+    t2 = np.einsum("kij,kij->k", np.conj(gram), gram).real
+    gram -= m[:, None, None] * np.eye(d)
+    v = np.einsum("kij,kij->k", np.conj(gram), gram).real / d
+    upper = scale * np.sqrt((m + np.sqrt((d - 1) * v)) * (1 + slack))
+    lower = scale * np.sqrt(np.maximum(t2 / (d * m), m + np.sqrt(v / max(d - 1, 1)))
+                            * (1 - slack))
+    keep = ~(upper < max(floor, lower.max()))   # NaN bounds are kept too
+    if not keep.any():
+        return float(floor)
+    return float(max(floor, np.linalg.norm(stack[keep], ord=2, axis=(-2, -1)).max()))
 
 
 def _carrying(rep: CoRep, residuals) -> CoRep:
@@ -188,22 +246,23 @@ def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
     if not np.isfinite(mats).all():
         raise InvalidCoRep("matrices have non-finite entries")
     d = mats.shape[1]
-    conj_mats = np.conj(mats)
     omega = np.ones((n, n), dtype=complex)
     rel = 0.0
-    for a in range(n):
-        prod = mats[a] @ (conj_mats if group.s(a) else mats)
-        target = mats[group.cayley[a]]
+    for rows, prod, target in _row_products(group, mats):
         # omega = <target, prod> / d for unitary target
-        w = np.einsum("bij,bij->b", np.conj(target), prod) / d
-        misfit = np.linalg.norm(prod - w[:, None, None] * target, ord=2, axis=(-2, -1))
-        bad = (np.abs(np.abs(w) - 1.0) > OMEGA_FIT_TOL) | (misfit > OMEGA_FIT_TOL)
-        if bad.any():
+        w = np.einsum("abij,abij->ab", np.conj(target), prod) / d
+        diff = prod - w[..., None, None] * target
+        off_circle = np.abs(np.abs(w) - 1.0) > OMEGA_FIT_TOL
+        block = _max_spectral_norm(diff, rel)
+        if block > OMEGA_FIT_TOL or off_circle.any():
+            # name the first bad pair: every norm of this block is needed
+            misfit = np.linalg.norm(diff, ord=2, axis=(-2, -1))
+            a, b = np.unravel_index(np.argmax(off_circle | (misfit > OMEGA_FIT_TOL)), w.shape)
             raise InvalidCoRep(
                 f"products are not scalar multiples of the table entry at "
-                f"({group.label(a)}, {group.label(int(np.argmax(bad)))})")
-        omega[a] = w
-        rel = max(rel, misfit.max())
+                f"({group.label(int(rows[a]))}, {group.label(int(b))})")
+        omega[rows] = w
+        rel = block
     rep = CoRep(group=group, omega=FactorSystem(omega), matrices=mats)
     return _carrying(rep, (_unitarity_residual(mats), rel))
 
@@ -222,8 +281,7 @@ def direct_sum(reps: Sequence[CoRep]) -> CoRep:
     w = reps[0].omega
     gaps = []
     for r in reps:
-        if r.group is not g and not (np.array_equal(r.group.cayley, g.cayley) and
-                                     np.array_equal(r.group.antiunitary, g.antiunitary)):
+        if not _same_group(g, r.group):
             raise DimensionMismatch("direct sum needs a common group")
         gap = float(np.abs(r.omega.values - w.values).max())
         if not gap <= 1e-12:   # NaN fails too

@@ -319,6 +319,12 @@ def validate_cocycle(group: MagneticGroup, omega: FactorSystem,
     return CocycleReport(max_modulus_error=modulus_err, max_violation=violation, tol=tol)
 
 
+def _same_group(a: MagneticGroup, b: MagneticGroup) -> bool:
+    """True when ``b`` is ``a`` or has the same Cayley table and flags."""
+    return a is b or (np.array_equal(a.cayley, b.cayley) and
+                      np.array_equal(a.antiunitary, b.antiunitary))
+
+
 def restricted_group(group: MagneticGroup, element_ids,
                      labels=None) -> tuple[MagneticGroup, np.ndarray]:
     """Build the subgroup spanned by ``element_ids`` as its own MagneticGroup.

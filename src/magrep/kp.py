@@ -42,7 +42,7 @@ from .errors import (
     NonIntegerMultiplicity,
     SingularAction,
 )
-from .groups import FactorSystem, MagneticGroup, verify_embedding
+from .groups import FactorSystem, MagneticGroup, _same_group, verify_embedding
 from .linalg import _cluster_slices, eigenspace_of_one
 from .reduction import criterion_sums, irreducibility_index
 
@@ -103,6 +103,9 @@ class ProbeRepAction:
                 raise DimensionMismatch("t0 matrix shape mismatch")
         elif self.group.is_magnetic:
             raise InvalidAction("magnetic group needs the t0 probe matrix")
+        if not (np.isfinite(self.d_h).all() and
+                (self.d_t0 is None or np.isfinite(self.d_t0).all())):
+            raise InvalidAction("probe matrices have non-finite entries")
         # id -> position in h_elements; -1 marks the anti-unitary coset
         self._h_pos = np.full(self.group.order, -1)
         self._h_pos[self.group.h_elements] = np.arange(len(self.group.h_elements))
@@ -189,6 +192,7 @@ def multiplicity_value(rep: CoRep, action: ProbeRepAction) -> float:
     with chi_v(h t0) = Tr[D(h) D(t0)].  Purely unitary groups drop the coset
     term and the 1/2.
     """
+    _check_same_group(rep, action)
     g = rep.group
     chi_v = np.einsum("gii->g", action.d(np.arange(g.order)))
     unitary, coset = criterion_sums(rep, chi_v)
@@ -198,6 +202,11 @@ def multiplicity_value(rep: CoRep, action: ProbeRepAction) -> float:
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise NonIntegerMultiplicity(f"criterion came out non-real: {value}")
     return float(value.real)
+
+
+def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
+    if not _same_group(rep.group, action.group):
+        raise DimensionMismatch("the probe action belongs to another group")
 
 
 def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
@@ -297,6 +306,7 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
     under sum_m Re Tr(gamma^m_i^dag gamma^m_j).  Raises EmptyChannel when
     the multiplicity is zero.
     """
+    _check_same_group(rep, action)
     gammas, proj_resid = _fixed_space(rep, action, tol)
     p = len(gammas)
     if p == 0:

@@ -7,6 +7,7 @@ import magrep as mr
 import magrep.kp
 from magrep.cli import main
 from magrep.errors import (
+    DimensionMismatch,
     EmptyChannel,
     InvalidAction,
     NotASubgroupEmbedding,
@@ -85,6 +86,31 @@ def test_non_finite_action_fails_validation():
     for d_h, d_t0 in ((mag.d_h, nan[0]), (nan, mag.d_t0)):
         with pytest.raises(InvalidAction):
             validate_action(ProbeRepAction(group=mag.group, d_h=d_h, d_t0=d_t0))
+
+
+def test_non_finite_probe_matrices_fail_at_construction():
+    # neither the criterion nor the gamma construction may meet a NaN
+    mag = kramers_setup()[1]["magnetic"]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidAction, match="non-finite"):
+            ProbeRepAction(group=mag.group, d_h=mag.d_h, d_t0=[[bad]])
+        with pytest.raises(InvalidAction, match="non-finite"):
+            ProbeRepAction(group=mag.group, d_h=np.full((1, 1, 1), bad), d_t0=mag.d_t0)
+
+
+def test_action_of_another_group_is_a_dimension_mismatch():
+    rep = kramers_setup()[0]
+    foreign = mr.catalog_get("c4v_t").probe_actions["momentum"]
+    with pytest.raises(DimensionMismatch):
+        linear_multiplicity(rep, foreign)
+    with pytest.raises(DimensionMismatch):
+        build_gamma_matrices(rep, foreign)
+    # the same table and flags built again is the same group
+    mom = kramers_setup()[1]["momentum"]
+    twin = mr.build_group(mom.group.cayley, mom.group.antiunitary)
+    action = ProbeRepAction(group=twin, d_h=mom.d_h, d_t0=mom.d_t0)
+    assert linear_multiplicity(rep, action) == linear_multiplicity(rep, mom)
+    assert build_gamma_matrices(rep, action).multiplicity == 9
 
 
 # -- multiplicity criterion -----------------------------------------------------------

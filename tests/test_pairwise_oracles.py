@@ -10,7 +10,9 @@ order-96 co-reps of ``bench/ohtgen``.  The probe kernels (``ProbeRepAction.d`` o
 the degree-by-degree substitution matrices, the identity-coupling count) are
 checked against their element-by-element forms on every catalog action, and
 the null-space oracle built from the batched covariance defects against the
-one built a parameter column and an element at a time.
+one built a parameter column and an element at a time.  The bounded
+spectral-norm maximum behind the co-rep residuals must equal LAPACK's norm of
+every matrix bit for bit.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ import magrep as mr
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
     CoRep,
+    _max_spectral_norm,
     conjugate_corep,
     corep_from_matrices,
     direct_sum,
@@ -182,6 +185,70 @@ def test_inherited_bounds_hold_at_order_96(oht, rep_name):
     for tag, var in variants.items():
         assert_within_bounds(var, validate_corep(var), tag)
         assert max(var.residuals) <= 1e-12, tag
+
+
+@pytest.mark.parametrize("rep_name", ["vector", "spinor", "gamma8", "quaternion"])
+def test_validate_corep_matches_pairwise_at_order_96(oht, rep_name):
+    rep = corep_from_matrices(oht["group"], oht["coreps"][rep_name])
+    rep = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, 961)), 962)
+    uni, rel = validate_corep_pairwise(rep)
+    report = validate_corep(rep)
+    assert abs(report.unitarity_residual - uni) <= 1e-12
+    assert abs(report.relation_residual - rel) <= 1e-12
+
+
+def _norm_stacks(d, mag, rng, k=40):
+    """Stacks that make the trace bounds tight, tied or degenerate."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    base = gauss(d, d)
+    iso = np.stack([random_unitary(d, seed) for seed in range(k)])
+    onehot = np.zeros((k, d, d), dtype=complex)
+    onehot[3] = base
+    outlier = np.zeros((k, d, d), dtype=complex)
+    outlier[:, range(d), range(d)] = 1 + 1e-8 * rng.standard_normal((k, d))
+    outlier[:, 0, 0] += 1e-7 * rng.random(k)
+    # rank d-1 partial isometries: norm 1, far below m + sqrt(v) of their
+    # Gram matrix, among isotropic matrices of norm up to 1.05
+    mixed = iso.copy()
+    mixed[::2, :, -1] = 0
+    mixed[1::2] *= 1 + 0.05 * rng.random((k // 2, 1, 1))
+    stacks = {
+        "gauss": gauss(k, d, d),
+        "ties": np.repeat(base[None], k, axis=0),
+        "isotropic": iso,
+        "rank1": gauss(k, d, 1) @ gauss(k, 1, d),
+        "zero": np.zeros((k, d, d), dtype=complex),
+        "onehot": onehot,
+        "near-ties": base * (1 + 1e-15 * rng.standard_normal((k, 1, 1))),
+        "near-isotropic": iso * (1 + 1e-9 * rng.standard_normal((k, 1, 1))),
+        "outlier": outlier,
+        "mixed": mixed,
+        "noise": 1e-16 * gauss(k, d, d),
+    }
+    return {tag: mag * st for tag, st in stacks.items()}
+
+
+@pytest.mark.parametrize("mag", [1e-300, 1e-170, 1.0, 1e150])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+def test_max_spectral_norm_is_bit_equal_to_lapack(d, mag):
+    rng = np.random.default_rng(d)
+    for tag, stack in _norm_stacks(d, mag, rng).items():
+        norms = np.linalg.norm(stack, ord=2, axis=(-2, -1))
+        top = norms.max()
+        assert _max_spectral_norm(stack) == top, tag
+        for floor in (top, top * (1 - 1e-12), top * (1 + 1e-12), np.median(norms), 2 * top):
+            assert _max_spectral_norm(stack, floor) == max(floor, top), (tag, floor)
+
+
+def test_max_spectral_norm_sends_non_finite_matrices_to_lapack():
+    # no bound can vouch for a NaN: the SVD sees it and fails as it would
+    stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.norm(stack, ord=2, axis=(-2, -1))
+    with pytest.raises(np.linalg.LinAlgError):
+        _max_spectral_norm(stack)
 
 
 @pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
