@@ -8,8 +8,13 @@ obeying
     M(h)  gamma^m M(h)^dag  = sum_n dual(D)(h)_{nm}  gamma^n        (h unitary)
     M(t0) conj(gamma^m) M(t0)^dag = sum_n gamma^n dual(D)(t0)_{nm}  (anti-unitary)
 
-The count is the character criterion of ``reduction.criterion_sums`` weighted
-by the probe characters.  The matrices come from one real fixed space: in
+Every count comes from characters: the coupling multiplicity is the
+criterion of ``reduction.criterion_sums`` weighted by the probe characters,
+and the number of identity couplings is the mean probe character, the trace
+of the group-average projector onto the fixed vectors.  Both are linear in
+the probe character, so ``dispersion_order`` counts the full induced action
+and every channel of one order in one call on their stacked characters.
+The matrices come from one real fixed space: in
 coordinates over the orthonormal ``hermitian_basis(d)`` the covariance action
 of g is the real matrix D(g) x a(g), where a(g) is the adjoint action of M(g)
 on Hermitian matrices, so the average of D(h) x a(h) over the unitary
@@ -23,8 +28,9 @@ of elements; the model residuals and the oracle's constraint rows read it.
 ``ProbeRepAction.d`` takes an element id or an array of ids and returns the
 matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
 is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
-co-reps: the probe characters, the identity-coupling count and the
-substitution rep of the polynomial channels all read every element at once.
+co-reps: the probe characters and the substitution rep of the polynomial
+channels read every element at once.  ``validate_action`` checks all |H|^2
+subgroup products in one broadcast matmul.
 """
 
 from __future__ import annotations
@@ -140,9 +146,11 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     g = action.group
     d_h = action.d_h
     pos = action._h_pos
+    h = g.h_elements
+    # every product D(h1) D(h2) at once, against the table's D(h1 h2);
     # np.max, unlike the builtin max, lets a NaN residual through to the test
-    resids = [np.abs(d_h[k] @ d_h - d_h[pos[g.cayley[a, g.h_elements]]]).max()
-              for k, a in enumerate(g.h_elements)]
+    resids = [np.abs(d_h[:, None] @ d_h[None, :]
+                     - d_h[pos[g.cayley[np.ix_(h, h)]]]).max()]
     if g.is_magnetic:
         t0 = g.t0
         resids.append(np.abs(action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max())
@@ -193,15 +201,37 @@ def multiplicity_value(rep: CoRep, action: ProbeRepAction) -> float:
     term and the 1/2.
     """
     _check_same_group(rep, action)
-    g = rep.group
-    chi_v = np.einsum("gii->g", action.d(np.arange(g.order)))
+    return float(_criterion_values(rep, _characters(action)))
+
+
+def _characters(action: ProbeRepAction) -> np.ndarray:
+    """Probe characters Tr D(g) of every element, ordered by id."""
+    return np.einsum("gii->g", action.d(np.arange(action.group.order)))
+
+
+def _criterion_values(rep: CoRep, chi_v: np.ndarray) -> np.ndarray:
+    """``multiplicity_value`` for probe characters of shape ``(..., |G|)``."""
     unitary, coset = criterion_sums(rep, chi_v)
-    if not g.is_magnetic:
+    if not rep.group.is_magnetic:
         return unitary
     value = (unitary + coset) / 2
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
+    if (np.abs(value.imag) > 1e-8 * np.maximum(1.0, np.abs(value))).any():
         raise NonIntegerMultiplicity(f"criterion came out non-real: {value}")
-    return float(value.real)
+    return value.real
+
+
+def _integer_counts(values, what: str, tol: float = 1e-6) -> np.ndarray:
+    """``values`` rounded to integers; raises unless each is within ``tol``."""
+    nearest = np.rint(values)
+    if not (np.abs(values - nearest) <= tol).all():   # NaN fails too
+        raise NonIntegerMultiplicity(f"{what} {values} is not an integer")
+    return nearest.astype(int)
+
+
+def _fixed_dimensions(chi_v: np.ndarray) -> np.ndarray:
+    """Dimensions of the fixed vectors for probe characters ``(..., |G|)``:
+    the mean character, the trace of the group-average projector."""
+    return _integer_counts(chi_v.mean(axis=-1), "mean character")
 
 
 def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
@@ -212,20 +242,21 @@ def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
 def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
                         tol: float = 1e-6) -> int:
     """Integer multiplicity of the probe channel; > 0 means a coupling exists."""
-    value = multiplicity_value(rep, action)
-    nearest = round(value)
-    if abs(value - nearest) > tol:
-        raise NonIntegerMultiplicity(f"criterion value {value} is not an integer")
-    return int(nearest)
+    return int(_integer_counts(multiplicity_value(rep, action), "criterion value", tol))
 
 
 def trivial_multiplicity(action: ProbeRepAction) -> int:
     """Number of identity-matrix coupling tuples: the dimension of the real
     vectors fixed by D(g) for every group element.  These shift all levels
-    together and never split a degeneracy."""
-    q = action.dim_q
-    rows = action.d(np.arange(action.group.order)) - np.eye(q)
-    return _null_space(rows.reshape(-1, q)).shape[1]
+    together and never split a degeneracy.
+
+    Counted from characters: the mean character (1/|G|) sum_g Tr D(g) is the
+    trace of the group-average projector, so it equals that dimension for
+    every rep, oblique ones too.  It means nothing for matrices that are not
+    a rep: a non-integer mean raises NonIntegerMultiplicity, but an integer
+    one is returned, so validate actions of unknown origin first.
+    """
+    return int(_fixed_dimensions(_characters(action)))
 
 
 # -- explicit construction -------------------------------------------------------
@@ -463,6 +494,9 @@ class PolynomialChannelSet:
     exponents: list
     full_action: ProbeRepAction
     channels: list
+    #: probe characters ``(1 + len(channels), |G|)``: the full action's row,
+    #: then one row per channel
+    characters: np.ndarray
 
 
 def polynomial_channel(action: ProbeRepAction, n: int,
@@ -490,7 +524,9 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     exponents = monomial_exponents(n)
     n_mono = len(exponents)
     # substitution rep of every element: the monomials of the dual matrices
-    subs = _substitution_matrices(_dual_matrices(action.d(np.arange(g.order))), n)
+    mats = action.d(np.arange(g.order))
+    subs = _substitution_matrices(_dual_matrices(mats), n)
+    full_d = mats if n == 1 else _dual_matrices(subs)
 
     # orthogonalize the substitution rep, then average a random symmetric seed
     flat = subs.reshape(-1, n_mono)
@@ -510,30 +546,33 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     evals, evecs = np.linalg.eigh(lam)
     gap = 1e-7 * max(1.0, np.linalg.norm(lam, ord=2))
 
+    # the rep in the eigenbasis: each channel is one diagonal block
+    rotated = evecs.T @ ortho @ evecs
+    diagonal = np.einsum("gii->gi", rotated)
+    characters = [np.einsum("gii->g", full_d)]
     channels = []
     for sl in _cluster_slices(evals, gap):
-        basis = evecs[:, sl]                       # (n_mono, q_c) real orthonormal
-        chan = basis.T @ ortho @ basis
+        chan = rotated[:, sl, sl]
         chan_action = validated_action(
             ProbeRepAction(group=g, d_h=chan[g.h_elements],
                            d_t0=chan[g.t0] if g.is_magnetic else None,
                            kind=f"polynomial({n})"), tol=1e-7)
         channels.append(PolynomialChannel(
             action=chan_action,
-            coefficients=basis.T @ s_half,
+            coefficients=evecs[:, sl].T @ s_half,
             exponents=exponents,
             order=n,
         ))
+        characters.append(diagonal[:, sl].sum(axis=1))
 
     if n == 1:
         full = action
     else:
-        full_d = _dual_matrices(subs)
         full = ProbeRepAction(group=g, d_h=full_d[g.h_elements],
                               d_t0=full_d[g.t0] if g.is_magnetic else None,
                               kind=f"polynomial({n})")
-    return PolynomialChannelSet(order=n, exponents=exponents,
-                                full_action=full, channels=channels)
+    return PolynomialChannelSet(order=n, exponents=exponents, full_action=full,
+                                channels=channels, characters=np.stack(characters))
 
 
 # -- dispersion order and probe stability -----------------------------------------
@@ -545,6 +584,8 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
     The leading dispersion order is the smallest order whose full induced
     action has positive multiplicity; per-channel entries expose which
     direction couples (splitting counts exclude identity-tuple couplings).
+    Each order is counted from the character stack of its
+    ``PolynomialChannelSet`` in one criterion call.
     """
     return _dispersion_table(rep, action, n_max, seed)[0]
 
@@ -555,34 +596,27 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
     built, so that callers who also need the channels build them once."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_same_group(rep, action)
     orders = []
     sets = []
     leading = None
     for n in range(1, n_max + 1):
         chans = polynomial_channel(action, n, seed=seed)
-        full_mult = linear_multiplicity(rep, chans.full_action)
+        # row 0 is the full induced action, then one row per channel
+        mults = _integer_counts(_criterion_values(rep, chans.characters),
+                                "criterion value").tolist()
+        trivs = _fixed_dimensions(chans.characters).tolist()
+        counts = [{"multiplicity": m, "trivial_multiplicity": t,
+                   "splitting_multiplicity": m - t} for m, t in zip(mults, trivs)]
         entry = {
             "order": n,
-            "full": {
-                "multiplicity": full_mult,
-                "trivial_multiplicity": trivial_multiplicity(chans.full_action),
-            },
-            "channels": [],
+            "full": counts[0],
+            "channels": [{"dim": ch.action.dim_q, **count,
+                          "polynomials": ch.coefficients,
+                          "exponents": ch.exponents}
+                         for ch, count in zip(chans.channels, counts[1:])],
         }
-        entry["full"]["splitting_multiplicity"] = (
-            entry["full"]["multiplicity"] - entry["full"]["trivial_multiplicity"])
-        for ch in chans.channels:
-            mult = linear_multiplicity(rep, ch.action)
-            triv = trivial_multiplicity(ch.action)
-            entry["channels"].append({
-                "dim": ch.action.dim_q,
-                "multiplicity": mult,
-                "trivial_multiplicity": triv,
-                "splitting_multiplicity": mult - triv,
-                "polynomials": ch.coefficients,
-                "exponents": ch.exponents,
-            })
-        if leading is None and full_mult > 0:
+        if leading is None and mults[0] > 0:
             leading = n
         orders.append(entry)
         sets.append(chans)

@@ -43,7 +43,7 @@ TORSION_INDICATOR = {1: 1.0, 2: 0.0, 4: -2.0}
 
 # -- irreducibility criterion --------------------------------------------------
 
-def criterion_sums(rep: CoRep, weights: np.ndarray) -> tuple[float, complex]:
+def criterion_sums(rep: CoRep, weights: np.ndarray):
     """The two character sums every criterion here is made of.
 
     With per-element weights w (the probe characters Tr D(g); all ones for
@@ -52,15 +52,18 @@ def criterion_sums(rep: CoRep, weights: np.ndarray) -> tuple[float, complex]:
         (1/|H|) sum_h |chi(h)|^2 w(h)   and   (1/|H|) sum_u w(u) omega(u, u) chi(u^2),
 
     h over the unitary subgroup and u over the anti-unitary coset (the second
-    sum is 0 for purely unitary groups).
+    sum is 0 for purely unitary groups).  ``weights`` may stack several
+    weight rows, shape ``(..., |G|)``; the sums then have shape ``(...)``.
     """
     g = rep.group
     chi = np.einsum("gii->g", rep.matrices)
     h = g.h_elements
-    unitary = float(np.sum(np.abs(chi[h]) ** 2 * weights[h])) / g.halving_order
+    unitary = (np.abs(chi[h]) ** 2 * weights[..., h]).sum(axis=-1) / g.halving_order
     u = g.coset_elements
-    coset = np.sum(weights[u] * rep.omega.values[u, u] * chi[g.cayley[u, u]])
-    return unitary, complex(coset) / g.halving_order
+    coset = (weights[..., u] * rep.omega.values[u, u] * chi[g.cayley[u, u]]).sum(axis=-1)
+    # each part divided on its own: numpy divides a complex by a real through
+    # its reciprocal, which can move the last bit
+    return unitary, coset.real / g.halving_order + 1j * (coset.imag / g.halving_order)
 
 
 def irreducibility_index(rep: CoRep) -> float:
@@ -74,7 +77,7 @@ def irreducibility_index(rep: CoRep) -> float:
     """
     unitary, coset = criterion_sums(rep, np.ones(rep.group.order))
     if not rep.group.is_magnetic:
-        return unitary
+        return float(unitary)
     value = 0.5 * (unitary + coset)
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
         raise InvalidCoRep(f"criterion came out non-real: {value}")

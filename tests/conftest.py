@@ -15,6 +15,8 @@ from magrep.errors import (
     NoT0,
 )
 from magrep.kp import (
+    ACTION_TOL,
+    _dual_matrices,
     _null_space,
     covariant_tuple_basis,
     dual_rep,
@@ -289,6 +291,26 @@ def substitution_matrix_dict(exponents, lin):
     return r
 
 
+def validate_action_rowwise(action, tol=ACTION_TOL):
+    """Group-law residual with the subgroup products taken one row of H at a
+    time; raises like validate_action."""
+    g = action.group
+    d_h = action.d_h
+    pos = action._h_pos
+    resids = [np.abs(d_h[k] @ d_h - d_h[pos[g.cayley[a, g.h_elements]]]).max()
+              for k, a in enumerate(g.h_elements)]
+    if g.is_magnetic:
+        t0 = g.t0
+        resids.append(np.abs(action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max())
+        conj_h = g.cayley[g.cayley[t0, g.h_elements], g.inv(t0)]
+        lhs = action.d_t0 @ d_h @ _dual_matrices(action.d_t0).T
+        resids.append(np.abs(lhs - d_h[pos[conj_h]]).max())
+    resid = float(np.max(resids))
+    if not resid <= tol:
+        raise InvalidAction(f"probe matrices violate the group law by {resid:.3e}")
+    return resid
+
+
 def trivial_multiplicity_h_t0(action):
     """Dimension of the vectors fixed by every D(h) and by D(t0)."""
     g = action.group
@@ -334,6 +356,29 @@ def covariant_tuple_basis_columnwise(rep, action):
         coeff = sols[:, s].reshape(q, d * d)
         tuples[s] = np.einsum("mk,kab->mab", coeff, basis)
     return tuples
+
+
+def dispersion_table_per_channel(rep, action, n_max, seed=0):
+    """dispersion_order's table with one criterion call and one null space
+    per full action and per channel."""
+    orders, leading = [], None
+
+    def counts(act):
+        mult = linear_multiplicity(rep, act)
+        triv = trivial_multiplicity_h_t0(act)
+        return {"multiplicity": mult, "trivial_multiplicity": triv,
+                "splitting_multiplicity": mult - triv}
+
+    for n in range(1, n_max + 1):
+        chans = polynomial_channel(action, n, seed=seed)
+        full = counts(chans.full_action)
+        orders.append({"order": n, "full": full, "channels": [
+            {"dim": ch.action.dim_q, **counts(ch.action),
+             "polynomials": ch.coefficients, "exponents": ch.exponents}
+            for ch in chans.channels]})
+        if leading is None and full["multiplicity"] > 0:
+            leading = n
+    return {"orders": orders, "leading_order": leading, "seed": seed}
 
 
 def channel_actions(action, orders):

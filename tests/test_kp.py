@@ -10,6 +10,7 @@ from magrep.errors import (
     DimensionMismatch,
     EmptyChannel,
     InvalidAction,
+    NonIntegerMultiplicity,
     NotASubgroupEmbedding,
     SingularAction,
 )
@@ -32,6 +33,7 @@ from conftest import (
     catalog_irreps,
     multiplicity_value_diagonal_t0,
     multiplicity_value_trace_form,
+    trivial_multiplicity_h_t0,
 )
 
 PAULI = [np.array(m, dtype=complex) for m in (
@@ -111,6 +113,23 @@ def test_action_of_another_group_is_a_dimension_mismatch():
     action = ProbeRepAction(group=twin, d_h=mom.d_h, d_t0=mom.d_t0)
     assert linear_multiplicity(rep, action) == linear_multiplicity(rep, mom)
     assert build_gamma_matrices(rep, action).multiplicity == 9
+
+
+def test_dispersion_order_rejects_an_action_of_another_group():
+    rep = kramers_setup()[0]
+    foreign = mr.catalog_get("c4v_t").probe_actions["momentum"]
+    with pytest.raises(DimensionMismatch):
+        dispersion_order(rep, foreign, 2)
+
+
+def test_trivial_multiplicity_of_a_non_rep_fails_loudly():
+    electric = mr.catalog_get("z2t").probe_actions["electric"]
+    scaled = ProbeRepAction(group=electric.group, d_h=1.5 * electric.d_h,
+                            d_t0=electric.d_t0, kind=electric.kind)
+    # the mean character is 1.5; a null space of D(g) - 1 quietly finds none
+    with pytest.raises(NonIntegerMultiplicity, match="mean character"):
+        trivial_multiplicity(scaled)
+    assert trivial_multiplicity_h_t0(scaled) == 0
 
 
 # -- multiplicity criterion -----------------------------------------------------------
@@ -258,6 +277,18 @@ def test_polynomial_channel_validates_only_actions_without_a_residual(monkeypatc
     assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum",
                  "--max-order", "3", "--out", os.devnull]) == 0
     assert seen and all(a is not act for a in seen)
+
+
+def test_polynomial_channel_characters_are_the_action_traces():
+    for name in ("c4v_t", "c6v_t", "q8t", "z2t"):
+        act = mr.catalog_get(name).probe_actions["momentum"]
+        ids = np.arange(act.group.order)
+        for n in (1, 2, 3):
+            sets = polynomial_channel(act, n)
+            actions = [sets.full_action] + [c.action for c in sets.channels]
+            assert sets.characters.shape == (len(actions), len(ids))
+            want = np.stack([np.einsum("gii->g", a.d(ids)) for a in actions])
+            assert np.abs(sets.characters - want).max() <= 1e-12, (name, n)
 
 
 def test_cli_kp_builds_each_order_once(monkeypatch):

@@ -7,10 +7,13 @@ oracle's element labels, or report the oracle's residual.  Each of these
 co-reps carries residual bounds inherited from the catalog rep, and the
 residuals measured from scratch must lie within them, here and on the
 order-96 co-reps of ``bench/ohtgen``.  The probe kernels (``ProbeRepAction.d`` over an id array,
-the degree-by-degree substitution matrices, the identity-coupling count) are
-checked against their element-by-element forms on every catalog action, and
-the null-space oracle built from the batched covariance defects against the
-one built a parameter column and an element at a time.  The bounded
+the degree-by-degree substitution matrices, the identity-coupling count, the
+one-matmul ``validate_action``) are checked against their element-by-element
+or row-by-row forms on every catalog action, and the null-space oracle built
+from the batched covariance defects against the one built a parameter column
+and an element at a time.  ``dispersion_order``, which counts each order from
+one stack of characters, must give the table of one criterion call and one
+null space per channel, on the catalog and at order 96.  The bounded
 spectral-norm maximum behind the co-rep residuals must equal LAPACK's norm of
 every matrix bit for bit.
 """
@@ -41,6 +44,7 @@ from magrep.kp import (
     _covariance_defects,
     _dual_matrices,
     _substitution_matrices,
+    dispersion_order,
     dual_rep,
     monomial_exponents,
     polynomial_channel,
@@ -61,10 +65,12 @@ from conftest import (
     channel_actions,
     conjugacy_classes_pairwise,
     covariant_tuple_basis_columnwise,
+    dispersion_table_per_channel,
     omega_pairwise,
     restricted_table_pairwise,
     substitution_matrix_dict,
     trivial_multiplicity_h_t0,
+    validate_action_rowwise,
     validate_corep_pairwise,
     verify_embedding_pairwise,
 )
@@ -341,6 +347,94 @@ def test_trivial_multiplicity_matches_h_plus_t0_oracle(name):
                              for k, c in enumerate(sets.channels)})
     for act_name, act in acts.items():
         assert trivial_multiplicity(act) == trivial_multiplicity_h_t0(act), act_name
+
+
+def corrupted_actions(act):
+    """Copies that break the group law: one entry of the identity's matrix
+    + 1e-6, D(t0) x 1.5, and the identity's matrix swapped with the first
+    one that is not 1 (D'(E)^2 = D'(E) then fails)."""
+    g = act.group
+    e = list(g.h_elements).index(g.identity)
+    bumped = act.d_h.copy()
+    bumped[e, 0, 0] += 1e-6
+    out = {"bump": (bumped, act.d_t0)}
+    if act.d_t0 is not None:
+        out["t0"] = (act.d_h, 1.5 * act.d_t0)
+    other = [k for k in range(len(act.d_h)) if np.abs(act.d_h[k] - act.d_h[e]).max() > 1e-3]
+    if other:
+        swapped = act.d_h.copy()
+        swapped[[e, other[0]]] = swapped[[other[0], e]]
+        out["swap"] = (swapped, act.d_t0)
+    return {tag: ProbeRepAction(group=g, d_h=d_h, d_t0=d_t0, kind=act.kind)
+            for tag, (d_h, d_t0) in out.items()}
+
+
+def assert_action_matches_rowwise(act, tag):
+    assert abs(validate_action(act) - validate_action_rowwise(act)) <= 1e-15, tag
+    for how, broken in corrupted_actions(act).items():
+        want = validate_action_rowwise(broken, tol=np.inf)
+        assert abs(validate_action(broken, tol=np.inf) - want) <= 1e-15, (tag, how)
+        with pytest.raises(InvalidAction):
+            validate_action_rowwise(broken)
+        with pytest.raises(InvalidAction):
+            validate_action(broken)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_action_validation_matches_rowwise(name):
+    # every catalog action, and for each 3-dim one the full induced action
+    # and every channel of orders 1-3
+    for act_name, act in mr.catalog_get(name).probe_actions.items():
+        for order, tag, a in channel_actions(act, (1, 2, 3)):
+            assert_action_matches_rowwise(a, (act_name, order, tag))
+
+
+def test_action_validation_matches_rowwise_at_order_96(oht):
+    for act_name, act in oht["actions"].items():
+        assert_action_matches_rowwise(act, act_name)
+
+
+def assert_same_table(got, want, tag):
+    """Field-by-field equality of two dispersion tables."""
+    assert got["leading_order"] == want["leading_order"], tag
+    assert got["seed"] == want["seed"], tag
+    assert [o["order"] for o in got["orders"]] == [o["order"] for o in want["orders"]]
+    for a, b in zip(got["orders"], want["orders"]):
+        where = (tag, a["order"])
+        assert a["full"] == b["full"], where
+        assert len(a["channels"]) == len(b["channels"]), where
+        for x, y in zip(a["channels"], b["channels"]):
+            assert x.keys() == y.keys(), where
+            assert np.array_equal(x.pop("polynomials"), y.pop("polynomials")), where
+            assert x == y, where
+        counts = [a["full"]] + a["channels"]
+        # plain ints, as the JSON reports write them
+        assert all(type(c[k]) is int for c in counts for k in
+                   ("multiplicity", "trivial_multiplicity", "splitting_multiplicity"))
+
+
+def assert_table_matches_per_channel(rep, action, seed, tag):
+    variants = {"plain": rep,
+                "rotated": random_gauge(conjugate_corep(rep, random_unitary(rep.dim, seed)),
+                                        seed + 1)}
+    for how, r in variants.items():
+        assert_same_table(dispersion_order(r, action, 3),
+                          dispersion_table_per_channel(r, action, 3), (tag, how))
+
+
+@pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
+def test_dispersion_table_matches_per_channel(name, rep_name, rep):
+    momenta = {a: act for a, act in mr.catalog_get(name).probe_actions.items()
+               if act.dim_q == 3}
+    assert momenta
+    for act_name, act in momenta.items():
+        assert_table_matches_per_channel(rep, act, 17, act_name)
+
+
+@pytest.mark.parametrize("rep_name", ["vector", "spinor", "gamma8", "quaternion"])
+def test_dispersion_table_matches_per_channel_at_order_96(oht, rep_name):
+    rep = corep_from_matrices(oht["group"], oht["coreps"][rep_name])
+    assert_table_matches_per_channel(rep, oht["actions"]["momentum"], 23, rep_name)
 
 
 # -- groups ------------------------------------------------------------------------

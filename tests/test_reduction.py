@@ -17,6 +17,7 @@ from magrep.reduction import (
     build_G_commutant,
     build_H_commutant,
     class_operator,
+    criterion_sums,
     irreducibility_index,
     reduce_corep,
     torsion_indicator,
@@ -107,6 +108,23 @@ def test_index_is_the_trivial_channel_multiplicity():
         index = irreducibility_index(rep)
         assert multiplicity_value(rep, trivial) == pytest.approx(index, abs=1e-9)
         assert linear_multiplicity(rep, trivial) == round(index)
+
+
+def test_criterion_sums_take_a_stack_of_weight_rows():
+    rng = np.random.default_rng(3)
+    for _, _, rep in catalog_irreps():
+        weights = rng.standard_normal((2, 3, rep.group.order))
+        unitary, coset = criterion_sums(rep, weights)
+        assert unitary.shape == coset.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            u, c = criterion_sums(rep, weights[idx])
+            assert abs(unitary[idx] - u) <= 1e-12 and abs(coset[idx] - c) <= 1e-12
+        # one row: the coset sum over |H| as Python divides a complex, bit for bit
+        g, w = rep.group, weights[0, 0]
+        chi = np.einsum("gii->g", rep.matrices)
+        cos = g.coset_elements
+        total = np.sum(w[cos] * rep.omega.values[cos, cos] * chi[g.cayley[cos, cos]])
+        assert criterion_sums(rep, w)[1] == complex(total) / g.halving_order
 
 
 # -- torsion ---------------------------------------------------------------------
