@@ -11,9 +11,7 @@ from .groups import (
     validate_cocycle,
 )
 from .coreps import (
-    Character,
     CoRep,
-    character,
     conjugate_corep,
     corep_from_matrices,
     direct_sum,

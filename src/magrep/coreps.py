@@ -11,6 +11,13 @@ elements at once; the reduction and k.p engines average and check with it.
 The module also holds the constructors (from matrices, direct sums, basis
 changes onto a subspace, gauges, restrictions) and the validation.
 
+Validation and the factor-system fit share one pair kernel.  The n^2
+products M(a) conj^[s(a)](M(b)) come in blocks of consecutive first
+elements a, each of up to ``ROW_BLOCK_ENTRIES`` entries, as one matrix
+product per flag class against all n matrices laid side by side.  The
+largest residual norm is bounded from traces first; LAPACK runs only on the
+matrices the bounds cannot rule out, once per distinct matrix.
+
 Validation happens once, at the boundary.  ``validate_corep`` always checks
 from scratch.  ``corep_from_matrices`` measures the same two residuals while
 it fits the factor system and stores them on the co-rep as ``residuals``;
@@ -38,6 +45,8 @@ from .groups import FactorSystem, MagneticGroup, _same_group, restricted_group
 COREP_TOL = 1e-9
 #: residual above which a product is not a scalar multiple of its table entry
 OMEGA_FIT_TOL = 1e-8
+#: product entries per block of first elements in ``_row_products``
+ROW_BLOCK_ENTRIES = 2 ** 14
 
 
 @dataclass
@@ -88,20 +97,6 @@ class CoRep:
 
 
 @dataclass
-class Character:
-    """Traces chi(h) = Tr M(h) over the unitary subgroup."""
-
-    h_elements: np.ndarray
-    values: np.ndarray
-
-    def __getitem__(self, h: int) -> complex:
-        idx = np.nonzero(self.h_elements == h)[0]
-        if len(idx) != 1:
-            raise KeyError(f"element {h} is not unitary")
-        return complex(self.values[idx[0]])
-
-
-@dataclass
 class CoRepReport:
     unitarity_residual: float
     relation_residual: float
@@ -118,8 +113,10 @@ def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
     The relation residual is the max spectral norm over all element pairs of
     ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.  Cheap trace bounds on
     each pair's norm (``_max_spectral_norm``) leave only the pairs that can
-    hold the maximum, and those go through the same LAPACK SVD as the full
-    set would, so the value is the one every pair's SVD gives.  Non-finite
+    hold the maximum, and LAPACK runs once per distinct matrix among them,
+    so the value is the one every pair's SVD gives.  The products come a
+    block of first elements at a time from ``_row_products``, a block
+    holding up to ``ROW_BLOCK_ENTRIES`` product entries.  Non-finite
     matrices or factor systems, whose norms do not converge, fail with
     infinite residuals.
     """
@@ -147,17 +144,27 @@ def _unitarity_residual(mats: np.ndarray) -> float:
 def _row_products(group: MagneticGroup, mats: np.ndarray):
     """Yield ``(rows, prod, target)`` over blocks of first elements a:
     prod[i, b] = M(a) conj^[s(a)](M(b)) and target[i, b] = M(ab) for
-    a = rows[i].  A block holds about 96 pairs, one row at order 96 and
-    above, so temporaries stay O(n d^2) while a small group's rows share
-    one call of each kernel."""
-    n = group.order
-    step = -(-96 // n)
-    conj_mats = np.conj(mats)
+    a = rows[i].  The blocks run through the element ids in order, each
+    with as many rows as fit ``ROW_BLOCK_ENTRIES`` product entries (at
+    least one), so temporaries stay O(max(ROW_BLOCK_ENTRIES, n d^2)).
+
+    Every M(b) sits side by side in one ``(d, n d)`` matrix W, so a block's
+    unitary rows take all their products in one matrix product
+    ``M(rows) W`` with the rows' matrices stacked, and its anti-unitary
+    rows in one with conj(W)."""
+    n, d = mats.shape[:2]
+    step = max(1, ROW_BLOCK_ENTRIES // (n * d * d))
+    wide = mats.transpose(1, 0, 2).reshape(d, n * d)
+    wides = (wide, np.conj(wide))
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
-        flip = group.antiunitary[rows, None, None, None] == 1
-        yield (rows, mats[rows, None] @ np.where(flip, conj_mats, mats),
-               mats[group.cayley[rows]])
+        prod = np.empty((len(rows), n, d, d), dtype=complex)
+        for flag, w in enumerate(wides):
+            sel = group.antiunitary[rows] == flag
+            if sel.any():
+                out = mats[rows[sel]].reshape(-1, d) @ w
+                prod[sel] = out.reshape(-1, d, n, d).transpose(0, 2, 1, 3)
+        yield rows, prod, mats[group.cayley[rows]]
 
 
 def _max_spectral_norm(stack: np.ndarray, floor: float = 0.0) -> float:
@@ -174,9 +181,11 @@ def _max_spectral_norm(stack: np.ndarray, floor: float = 0.0) -> float:
     tr G^2 / d - m^2 cancels when G is nearly isotropic and its rounding,
     after the square root, can exceed the slack below.  Only matrices whose
     upper bound reaches max(floor, largest lower bound) can hold the
-    maximum; they go through the SVD.  A relative slack of 1e-7, far above
-    the rounding of the bounds, keeps every such matrix, and non-finite
-    ones always reach the SVD.
+    maximum; they go through the SVD, once per distinct byte pattern
+    (``_distinct``), since exact ties, as in residuals of unrotated
+    generator matrices, defeat the bounds.  A relative slack of 1e-7, far
+    above the rounding of the bounds, keeps every such matrix, and
+    non-finite ones always reach the SVD.
     """
     d = stack.shape[-1]
     stack = stack.reshape(-1, d, d)
@@ -199,7 +208,23 @@ def _max_spectral_norm(stack: np.ndarray, floor: float = 0.0) -> float:
     keep = ~(upper < max(floor, lower.max()))   # NaN bounds are kept too
     if not keep.any():
         return float(floor)
-    return float(max(floor, np.linalg.norm(stack[keep], ord=2, axis=(-2, -1)).max()))
+    return float(max(floor, np.linalg.norm(_distinct(stack[keep]), ord=2,
+                                           axis=(-2, -1)).max()))
+
+
+def _distinct(stack: np.ndarray) -> np.ndarray:
+    """One copy of each matrix of a ``(k, d, d)`` stack, compared byte for
+    byte: the rows, viewed as raw bytes, are sorted and kept where they
+    differ from the previous one.  Equal bytes give equal norms, so the
+    maximum norm is unchanged.  (``np.unique`` would do the same, but its
+    first call imports ``numpy.ma``.)"""
+    if len(stack) < 2:
+        return stack
+    rows = stack.reshape(len(stack), -1).view(np.dtype((np.void, stack[0].nbytes)))
+    raw = np.sort(rows[:, 0])
+    first = np.ones(len(raw), dtype=bool)
+    first[1:] = raw[1:] != raw[:-1]
+    return raw[first].view(complex).reshape((-1,) + stack.shape[1:])
 
 
 def _carrying(rep: CoRep, residuals) -> CoRep:
@@ -221,11 +246,6 @@ def _float_slack(d: int) -> float:
     return 8 * d * np.finfo(float).eps
 
 
-def character(rep: CoRep) -> Character:
-    h = rep.group.h_elements
-    return Character(h_elements=h, values=np.einsum("gii->g", rep.matrices[h]))
-
-
 # -- constructors and fixtures ------------------------------------------------
 
 def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
@@ -233,9 +253,11 @@ def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
 
     The scalar omega(a, b) is read off the multiplication rule; a residual
     above ``OMEGA_FIT_TOL`` in the scalar fit means the matrices do not
-    define a projective co-rep at all.  The fit's residuals are exactly
-    the relation residual of ``validate_corep``, so the result carries it,
-    with the unitarity residual, as ``residuals``.
+    define a projective co-rep at all; the error names the first such pair
+    in element-id order.  The fit runs over the same blocks of products as
+    ``validate_corep`` (up to ``ROW_BLOCK_ENTRIES`` entries each) and its
+    residuals are exactly that function's relation residual, so the result
+    carries it, with the unitarity residual, as ``residuals``.
     """
     mats = np.asarray(matrices, dtype=complex)
     if isinstance(matrices, np.ndarray) and np.may_share_memory(mats, matrices):

@@ -14,6 +14,8 @@ and the number of identity couplings is the mean probe character, the trace
 of the group-average projector onto the fixed vectors.  Both are linear in
 the probe character, so ``dispersion_order`` counts the full induced action
 and every channel of one order in one call on their stacked characters.
+Characters cannot tell a rep from a non-rep, so each entry point that
+counts validates an action that carries no residual from its construction.
 The matrices come from one real fixed space: in
 coordinates over the orthonormal ``hermitian_basis(d)`` the covariance action
 of g is the real matrix D(g) x a(g), where a(g) is the adjoint action of M(g)
@@ -239,10 +241,34 @@ def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
         raise DimensionMismatch("the probe action belongs to another group")
 
 
+def _require_rep(action: ProbeRepAction) -> None:
+    """Raise InvalidAction unless ``action`` is a rep: an action that
+    carries no residual at or below ``ACTION_TOL`` is validated."""
+    if not (action.residual is not None and action.residual <= ACTION_TOL):
+        validate_action(action)
+
+
+def _linear_count(rep: CoRep, action: ProbeRepAction, tol: float = 1e-6) -> int:
+    return int(_integer_counts(multiplicity_value(rep, action), "criterion value", tol))
+
+
+def _trivial_count(action: ProbeRepAction) -> int:
+    return int(_fixed_dimensions(_characters(action)))
+
+
 def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
                         tol: float = 1e-6) -> int:
-    """Integer multiplicity of the probe channel; > 0 means a coupling exists."""
-    return int(_integer_counts(multiplicity_value(rep, action), "criterion value", tol))
+    """Integer multiplicity of the probe channel; > 0 means a coupling exists.
+
+    The count comes from characters, which mean nothing for matrices that
+    are not a rep.  So an action that carries no residual at or below
+    ``ACTION_TOL`` is validated before the count is returned: a non-rep
+    raises InvalidAction, or NonIntegerMultiplicity when its count is not
+    even an integer.
+    """
+    count = _linear_count(rep, action, tol)
+    _require_rep(action)
+    return count
 
 
 def trivial_multiplicity(action: ProbeRepAction) -> int:
@@ -252,11 +278,13 @@ def trivial_multiplicity(action: ProbeRepAction) -> int:
 
     Counted from characters: the mean character (1/|G|) sum_g Tr D(g) is the
     trace of the group-average projector, so it equals that dimension for
-    every rep, oblique ones too.  It means nothing for matrices that are not
-    a rep: a non-integer mean raises NonIntegerMultiplicity, but an integer
-    one is returned, so validate actions of unknown origin first.
+    every rep, oblique ones too.  As in ``linear_multiplicity``, a non-integer
+    mean raises NonIntegerMultiplicity and an integer one is returned only
+    for an action that is a rep.
     """
-    return int(_fixed_dimensions(_characters(action)))
+    count = _trivial_count(action)
+    _require_rep(action)
+    return count
 
 
 # -- explicit construction -------------------------------------------------------
@@ -345,7 +373,7 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
 
     residuals = _covariance_residuals(rep, action, gammas)
     residuals["projector_idempotency"] = proj_resid
-    expected = linear_multiplicity(rep, action)
+    expected = _linear_count(rep, action)
     if p != expected:
         raise NonIntegerMultiplicity(
             f"fixed space dimension {p} disagrees with the criterion {expected}")
@@ -519,8 +547,7 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     g = action.group
     if action.dim_q != 3:
         raise InvalidAction("polynomial channels are induced from a 3-dim momentum action")
-    if not (action.residual is not None and action.residual <= ACTION_TOL):
-        validate_action(action)
+    _require_rep(action)
     exponents = monomial_exponents(n)
     n_mono = len(exponents)
     # substitution rep of every element: the monomials of the dual matrices
@@ -633,7 +660,9 @@ def probe_stability(rep: CoRep, embedding, g_sub: Optional[MagneticGroup] = None
     keeps the degeneracy, > 1 allows splitting at some order.  Each probe
     channel (a ProbeRepAction of the *full* group) is additionally checked
     for a linear coupling; its splitting multiplicity excludes pure
-    identity couplings, which shift but never split.
+    identity couplings, which shift but never split.  Like
+    ``linear_multiplicity``, each probe is validated, once, unless it carries
+    a residual at or below ``ACTION_TOL``.
     """
     ids = [int(x) for x in embedding]
     if g_sub is not None:
@@ -655,8 +684,9 @@ def probe_stability(rep: CoRep, embedding, g_sub: Optional[MagneticGroup] = None
         "probes": {},
     }
     for name, act in (probes or {}).items():
-        mult = linear_multiplicity(rep, act)
-        triv = trivial_multiplicity(act)
+        mult = _linear_count(rep, act)
+        triv = _trivial_count(act)
+        _require_rep(act)
         entry = {
             "multiplicity": mult,
             "trivial_multiplicity": triv,

@@ -132,6 +132,61 @@ def test_trivial_multiplicity_of_a_non_rep_fails_loudly():
     assert trivial_multiplicity_h_t0(scaled) == 0
 
 
+def scaled_quadratic_action():
+    """The c4v_t momentum action's order-2 full action with D(h) x 1.5: not
+    a rep, yet every count from its characters is an integer (3 identity
+    couplings, where the null space of D(g) - 1 finds none)."""
+    mom = mr.catalog_get("c4v_t").probe_actions["momentum"]
+    full = polynomial_channel(mom, 2).full_action
+    return ProbeRepAction(group=full.group, d_h=1.5 * full.d_h, d_t0=full.d_t0,
+                          kind=full.kind)
+
+
+def count_action_validations(monkeypatch):
+    seen = []
+    real = magrep.kp.validate_action
+
+    def counting(action, tol=magrep.kp.ACTION_TOL):
+        seen.append(action)
+        return real(action, tol)
+
+    monkeypatch.setattr(magrep.kp, "validate_action", counting)
+    return seen
+
+
+def test_counts_of_a_non_rep_raise_invalid_action():
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    bad = scaled_quadratic_action()
+    assert magrep.kp._trivial_count(bad) == 3
+    assert trivial_multiplicity_h_t0(bad) == 0
+    with pytest.raises(InvalidAction, match="group law"):
+        linear_multiplicity(rep, bad)
+    with pytest.raises(InvalidAction, match="group law"):
+        trivial_multiplicity(bad)
+    with pytest.raises(InvalidAction, match="group law"):
+        probe_stability(rep, range(8), probes={"quadratic": bad})
+
+
+def test_counts_validate_only_actions_without_a_residual(monkeypatch):
+    seen = count_action_validations(monkeypatch)
+    entry = mr.catalog_get("c4v_t")
+    rep, act = entry.reps["e_half"], entry.probe_actions["momentum"]
+    assert 0 <= act.residual <= magrep.kp.ACTION_TOL
+    linear_multiplicity(rep, act)
+    trivial_multiplicity(act)
+    probe_stability(rep, range(8), probes={"k": act})
+    assert seen == []
+    bare = ProbeRepAction(group=act.group, d_h=act.d_h, d_t0=act.d_t0, kind=act.kind)
+    linear_multiplicity(rep, bare)
+    trivial_multiplicity(bare)
+    assert seen == [bare, bare]
+    # once per probe, though the probe is counted twice and its gammas built
+    seen.clear()
+    report = probe_stability(rep, range(8), probes={"k": bare, "k2": act})
+    assert report["probes"]["k"]["multiplicity"] > 0
+    assert seen == [bare]
+
+
 # -- multiplicity criterion -----------------------------------------------------------
 
 def test_spinless_trim_has_no_linear_dispersion():

@@ -15,7 +15,9 @@ and an element at a time.  ``dispersion_order``, which counts each order from
 one stack of characters, must give the table of one criterion call and one
 null space per channel, on the catalog and at order 96.  The bounded
 spectral-norm maximum behind the co-rep residuals must equal LAPACK's norm of
-every matrix bit for bit.
+every matrix bit for bit, exact ties included, while LAPACK sees each
+distinct matrix once; the blocked products of ``_row_products`` must match
+the pair-by-pair products for d = 1-12.
 """
 
 import dataclasses
@@ -26,8 +28,10 @@ import pytest
 import magrep as mr
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
+    ROW_BLOCK_ENTRIES,
     CoRep,
     _max_spectral_norm,
+    _row_products,
     conjugate_corep,
     corep_from_matrices,
     direct_sum,
@@ -37,7 +41,7 @@ from magrep.coreps import (
     unitary_restriction,
     validate_corep,
 )
-from magrep.errors import InvalidAction, NotAGroup
+from magrep.errors import InvalidAction, InvalidCoRep, NotAGroup
 from magrep.groups import build_group, conjugacy_classes, restricted_group, validate_cocycle
 from magrep.kp import (
     ProbeRepAction,
@@ -203,6 +207,82 @@ def test_validate_corep_matches_pairwise_at_order_96(oht, rep_name):
     assert abs(report.relation_residual - rel) <= 1e-12
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+def test_validate_bare_order_96_sum_matches_pairwise(oht, rotated):
+    # spinor + gamma8, d = 6: 24 blocks of 4 rows; unrotated, the residuals tie
+    g = oht["group"]
+    rep = direct_sum([corep_from_matrices(g, oht["coreps"][r]) for r in ("spinor", "gamma8")])
+    if rotated:
+        rep = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, 963)), 964)
+    bare = CoRep(group=g, omega=rep.omega, matrices=rep.matrices)
+    assert bare.residuals is None and bare.dim == 6
+    uni, rel = validate_corep_pairwise(bare)
+    report = validate_corep(bare)
+    assert abs(report.unitarity_residual - uni) <= 1e-15
+    assert abs(report.relation_residual - rel) <= 1e-15
+
+
+@pytest.mark.parametrize("name", [*ENTRIES, "oht"])
+def test_row_products_match_pair_products(name, oht):
+    g = oht["group"] if name == "oht" else mr.catalog_get(name).group
+    n = g.order
+    rng = np.random.default_rng(n)
+    eps = np.finfo(float).eps
+    mixed = partial = False
+    for d in range(1, 13):
+        mats = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        bound = 4 * eps * np.linalg.norm(mats, ord=2, axis=(-2, -1)).max() ** 2
+        step = max(1, ROW_BLOCK_ENTRIES // (n * d * d))
+        start = 0
+        for rows, prod, target in _row_products(g, mats):
+            assert rows.tolist() == list(range(start, min(start + step, n))), d
+            start += len(rows)
+            mixed |= len(set(g.antiunitary[rows])) == 2
+            partial |= len(rows) < step
+            want = np.array([[mats[a] @ (np.conj(mats[b]) if g.s(a) else mats[b])
+                              for b in range(n)] for a in rows])
+            assert np.abs(prod - want).max() <= bound, d
+            assert np.array_equal(target, mats[g.cayley[rows]]), d
+        assert start == n, d
+    assert mixed and partial
+
+
+def relabelled(group, mats, perm):
+    """The group and matrices with new id i standing for old id perm[i]."""
+    inv = np.argsort(perm)
+    table = inv[group.cayley[np.ix_(perm, perm)]]
+    labels = [group.labels[p] for p in perm]
+    return build_group(table, group.antiunitary[perm], labels=labels), mats[perm]
+
+
+@pytest.mark.parametrize("source", ["c8t", "oht"])
+def test_fit_names_the_first_bad_pair_of_a_mixed_block(source, oht):
+    # bad pairs at (1, 5), an anti-unitary row, and (2, 3), a later unitary
+    # row of the same block: the fit must name (1, 5), as the oracle does
+    if source == "oht":
+        g, mats = oht["group"], oht["coreps"]["spinor"]
+        perm = np.stack([np.flatnonzero(g.antiunitary == 0),
+                         np.flatnonzero(g.antiunitary == 1)], axis=1).ravel()
+        g, mats = relabelled(g, mats, perm)
+    else:
+        rep = mr.catalog_get("c8t").reps["complex_pair"]
+        g, mats = rep.group, rep.matrices
+    n, d = g.order, mats.shape[1]
+    assert (g.s(1), g.s(2)) == (1, 0)
+    assert max(1, ROW_BLOCK_ENTRIES // (n * d * d)) > 2
+    table = g.cayley.copy()
+    for a, b in ((1, 5), (2, 3)):
+        true = mats[g.cayley[a, b]]
+        # an entry whose matrix is no multiple of the true product's
+        table[a, b] = next(c for c in range(n)
+                           if abs(np.trace(mats[c].conj().T @ true)) < d / 2)
+    skewed = dataclasses.replace(g, cayley=table)
+    want = raised(omega_pairwise, skewed, mats)
+    assert want == (InvalidCoRep, "products are not scalar multiples of the table "
+                    f"entry at ({g.label(1)}, {g.label(5)})")
+    assert raised(corep_from_matrices, skewed, mats) == want
+
+
 def _norm_stacks(d, mag, rng, k=40):
     """Stacks that make the trace bounds tight, tied or degenerate."""
     def gauss(*shape):
@@ -219,6 +299,12 @@ def _norm_stacks(d, mag, rng, k=40):
     mixed = iso.copy()
     mixed[::2, :, -1] = 0
     mixed[1::2] *= 1 + 0.05 * rng.random((k // 2, 1, 1))
+    # exact ties the bounds cannot split: a few distinct matrices, each
+    # repeated byte for byte, and a twin that differs only in a signed zero
+    repeats = np.repeat(iso[:5], k // 5, axis=0)[rng.permutation(k // 5 * 5)]
+    twins = np.repeat(base[None], k, axis=0)
+    twins[:, 0, -1] = 0.0
+    twins[1::3, 0, -1] = -0.0
     stacks = {
         "gauss": gauss(k, d, d),
         "ties": np.repeat(base[None], k, axis=0),
@@ -231,6 +317,8 @@ def _norm_stacks(d, mag, rng, k=40):
         "outlier": outlier,
         "mixed": mixed,
         "noise": 1e-16 * gauss(k, d, d),
+        "repeats": repeats,
+        "signed-zero": twins,
     }
     return {tag: mag * st for tag, st in stacks.items()}
 
@@ -248,13 +336,48 @@ def test_max_spectral_norm_is_bit_equal_to_lapack(d, mag):
 
 
 def test_max_spectral_norm_sends_non_finite_matrices_to_lapack():
-    # no bound can vouch for a NaN: the SVD sees it and fails as it would
-    stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
-    stack[1, 0, 1] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.norm(stack, ord=2, axis=(-2, -1))
-    with pytest.raises(np.linalg.LinAlgError):
-        _max_spectral_norm(stack)
+    # no bound can vouch for a NaN: the SVD sees it and fails as it would,
+    # also when the NaN matrix repeats byte for byte
+    for mag in (1e-300, 1e-170, 1.0, 1e150):
+        stack = mag * np.stack([np.eye(2)] * 4).astype(complex)
+        stack[1::2, 0, 1] = np.nan
+        want = raised(np.linalg.norm, stack, 2, (-2, -1))
+        assert want is not None and want[0] is np.linalg.LinAlgError, mag
+        assert raised(_max_spectral_norm, stack) == want, mag
+
+
+def count_lapack(monkeypatch):
+    """Matrices each later ``np.linalg.norm`` call is handed, call by call."""
+    seen = []
+    real = np.linalg.norm
+
+    def counting(x, *args, **kwargs):
+        seen.append(len(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return seen
+
+
+def test_max_spectral_norm_runs_lapack_once_per_distinct_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    # unitaries tie to within rounding, so the bounds keep every one
+    distinct = np.stack([random_unitary(3, seed) for seed in range(6)]
+                        + [np.diag(np.exp([0.1j, 0.2j, 0.3j]))] * 2)
+    distinct[-1, 0, 1] = -0.0    # a signed-zero twin of the phase matrix
+    stack = np.repeat(distinct, 9, axis=0)[rng.permutation(9 * len(distinct))]
+    top = np.linalg.norm(stack, ord=2, axis=(-2, -1)).max()
+    seen = count_lapack(monkeypatch)
+    assert _max_spectral_norm(stack) == top
+    assert seen == [len(distinct)]
+
+
+def test_unrotated_order_96_fit_sends_few_matrices_to_lapack(oht, monkeypatch):
+    # the quaternion co-rep's residuals repeat bit for bit: 6208 of them
+    # survive the bounds, and only a few hundred distinct ones reach LAPACK
+    seen = count_lapack(monkeypatch)
+    corep_from_matrices(oht["group"], oht["coreps"]["quaternion"])
+    assert 0 < sum(seen) <= 300
 
 
 @pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
