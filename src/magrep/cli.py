@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -42,39 +43,29 @@ EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 
 
-def _load_group_arg(arg: str):
-    if arg.startswith("@"):
-        entry = catalog_get(arg[1:].split("/")[0])
-        omega = None
-        if len(entry.omega_classes) == 1:
-            omega = next(iter(entry.omega_classes.values()))
-        return entry.group, omega
-    return io.load_group(arg)
+#: what ``@entry/name`` names: its noun in messages and the entry's table
+_CATALOG_TABLES = {"rep": ("co-rep", "reps"), "action": ("action", "probe_actions")}
 
 
-def _load_corep_arg(arg: str, group=None, omega=None):
-    if arg.startswith("@"):
-        parts = arg[1:].split("/")
-        if len(parts) != 2:
-            raise ParseError(f"catalog co-rep reference must be @entry/rep, got {arg!r}")
+def _resolve(arg: str, kind: str, load_file):
+    """The object an input argument names.  ``@entry`` names a catalog group
+    and its factor system, when the entry has only one; ``@entry/name`` names
+    a co-rep (``kind`` "rep") or a probe action (``kind`` "action") of the
+    entry.  Any other argument is a file, read by ``load_file``."""
+    if not arg.startswith("@"):
+        return load_file(arg)
+    parts = arg[1:].split("/")
+    if kind == "group":
         entry = catalog_get(parts[0])
-        if parts[1] not in entry.reps:
-            raise UnknownName(f"entry {parts[0]!r} has reps {sorted(entry.reps)}")
-        return entry.reps[parts[1]]
-    return io.load_corep(arg, group=group, omega=omega)
-
-
-def _load_action_arg(arg: str, group):
-    if arg.startswith("@"):
-        parts = arg[1:].split("/")
-        if len(parts) != 2:
-            raise ParseError(f"catalog action reference must be @entry/action, got {arg!r}")
-        entry = catalog_get(parts[0])
-        if parts[1] not in entry.probe_actions:
-            raise UnknownName(
-                f"entry {parts[0]!r} has actions {sorted(entry.probe_actions)}")
-        return entry.probe_actions[parts[1]]
-    return io.load_action(arg, group)
+        omegas = list(entry.omega_classes.values())
+        return entry.group, omegas[0] if len(omegas) == 1 else None
+    noun, table = _CATALOG_TABLES[kind]
+    if len(parts) != 2:
+        raise ParseError(f"catalog {noun} reference must be @entry/{kind}, got {arg!r}")
+    named = getattr(catalog_get(parts[0]), table)
+    if parts[1] not in named:
+        raise UnknownName(f"entry {parts[0]!r} has {kind}s {sorted(named)}")
+    return named[parts[1]]
 
 
 def _emit(report: dict, args) -> None:
@@ -91,13 +82,12 @@ def _tol(args, default: float) -> float:
 
 
 def _rep_inputs(args):
-    group, omega = _load_group_arg(args.group)
-    rep = _load_corep_arg(args.rep, group=group, omega=omega)
-    return rep
+    group, omega = _resolve(args.group, "group", io.load_group)
+    return _resolve(args.rep, "rep", partial(io.load_corep, group=group, omega=omega))
 
 
 def cmd_validate(args) -> int:
-    group, omega = _load_group_arg(args.group)
+    group, omega = _resolve(args.group, "group", io.load_group)
     report = {"group": {"order": group.order, "is_magnetic": group.is_magnetic,
                         "t0": None if group.t0 is None else group.label(group.t0),
                         "passed": True}}
@@ -113,7 +103,7 @@ def cmd_validate(args) -> int:
                          "tol": cocycle.tol, "passed": cocycle.passed}
     ok = ok and cocycle.passed
     if args.rep:
-        rep = _load_corep_arg(args.rep, group=group, omega=omega)
+        rep = _resolve(args.rep, "rep", partial(io.load_corep, group=group, omega=omega))
         check = validate_corep(rep, tol=_tol(args, 1e-9))
         report["corep"] = {"dim": rep.dim,
                            "unitarity_residual": check.unitarity_residual,
@@ -185,9 +175,8 @@ def _matrix_text(m: np.ndarray) -> list:
 
 
 def cmd_kp(args) -> int:
-    group, omega = _load_group_arg(args.group)
-    rep = _load_corep_arg(args.rep, group=group, omega=omega)
-    action = _load_action_arg(args.action, rep.group)
+    rep = _rep_inputs(args)
+    action = _resolve(args.action, "action", partial(io.load_action, group=rep.group))
     if args.max_order < 1:
         raise ParseError("--max-order must be at least 1")
     if action.dim_q != 3:
@@ -239,8 +228,7 @@ def cmd_kp(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    group, omega = _load_group_arg(args.group)
-    rep = _load_corep_arg(args.rep, group=group, omega=omega)
+    rep = _rep_inputs(args)
     try:
         ids = [int(tok) for tok in args.subgroup.split(",") if tok != ""]
     except ValueError:
@@ -250,7 +238,7 @@ def cmd_probe(args) -> int:
         if "=" not in probe_arg:
             raise ParseError("--probe takes NAME=ACTION")
         name, ref = probe_arg.split("=", 1)
-        probes[name] = _load_action_arg(ref, rep.group)
+        probes[name] = _resolve(ref, "action", partial(io.load_action, group=rep.group))
     report = probe_stability(rep, ids, probes=probes, seed=args.seed,
                              tol=_tol(args, 1e-8))
     _emit(report, args)
@@ -273,20 +261,17 @@ def cmd_catalog(args) -> int:
     entry = catalog_get(args.name)
     if args.export:
         os.makedirs(args.export, exist_ok=True)
-        written = []
+        files = []
         for rep_name, rep in entry.reps.items():
-            path = os.path.join(args.export, f"{args.name}.group-{rep_name}.json")
+            files += [(f"group-{rep_name}", io.group_to_dict(entry.group, rep.omega)),
+                      (f"rep-{rep_name}", io.corep_to_dict(rep, inline_group=False))]
+        files += [(f"action-{name}", io.action_to_dict(act))
+                  for name, act in entry.probe_actions.items()]
+        written = []
+        for kind, data in files:
+            path = os.path.join(args.export, f"{args.name}.{kind}.json")
             with open(path, "w") as fh:
-                fh.write(io.write_report(io.group_to_dict(entry.group, rep.omega)))
-            written.append(path)
-            path = os.path.join(args.export, f"{args.name}.rep-{rep_name}.json")
-            with open(path, "w") as fh:
-                fh.write(io.write_report(io.corep_to_dict(rep, inline_group=False)))
-            written.append(path)
-        for act_name, act in entry.probe_actions.items():
-            path = os.path.join(args.export, f"{args.name}.action-{act_name}.json")
-            with open(path, "w") as fh:
-                fh.write(io.write_report(io.action_to_dict(act)))
+                fh.write(io.write_report(data))
             written.append(path)
         _emit({"exported": written}, args)
         return EXIT_OK

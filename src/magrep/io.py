@@ -1,15 +1,22 @@
 """JSON file formats for groups, co-reps, probe actions and reports.
 
 Complex numbers serialize as [re, im] pairs, matrices row-major, so every
-file diffs cleanly and parses without a schema library.  Reports refuse to
-emit non-finite numbers and carry the tolerance next to each judged value.
+file diffs cleanly and parses without a schema library.  Reports carry the
+tolerance next to each judged value.  ``json`` renders them; ``_jsonable``
+converts what it cannot, numpy values and complex numbers.
+
+Non-finite numbers: a complex one in a report becomes ``null``, because
+``Block.labels`` marks "no label" with a complex NaN (the ``multiplet_split``
+column of ``magrep reduce``).  A real one raises ``ValueError``, in a report
+or in a file written from ``*_to_dict``.  The readers raise ``ParseError`` on
+any: JSON parses NaN and Infinity, which no linear algebra downstream survives.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -22,23 +29,24 @@ from .kp import ProbeRepAction, validated_action
 
 # -- primitive (de)serializers ----------------------------------------------------
 
-def complex_to_pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
+def _pairs(z: np.ndarray) -> list:
+    """A complex array as nested [re, im] pairs, in one conversion."""
+    return np.stack((z.real, z.imag), -1).tolist()
 
 def _finite(out: np.ndarray, what: str) -> np.ndarray:
-    # JSON parses NaN and Infinity, which no linear algebra downstream survives
     if not np.isfinite(out).all():
         raise ParseError(f"{what} has non-finite entries")
     return out
 
 def pairs_to_matrix(rows, what: str = "matrix") -> np.ndarray:
     try:
-        out = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as err:
+        pairs = np.asarray(rows)
+    except (TypeError, ValueError) as err:   # ragged rows, for one
         raise ParseError(f"malformed complex {what}: {err}") from None
+    # kind "biuf" keeps out the strings and None that numpy would take
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ParseError(f"malformed complex {what}: need rows of [re, im] pairs")
+    out = np.asarray(pairs, dtype=float).view(complex)[..., 0]
     return _finite(out, f"complex {what}")
 
 def real_matrix(rows, what: str = "matrix") -> np.ndarray:
@@ -104,7 +112,7 @@ def group_to_dict(group: MagneticGroup, omega: Optional[FactorSystem] = None) ->
         "subgroup_chain": [list(sub) for sub in group.subgroup_chain],
     }
     if omega is not None:
-        data["omega"] = matrix_to_pairs(omega.values)
+        data["omega"] = _pairs(omega.values)
     return data
 
 
@@ -157,10 +165,10 @@ def load_corep(source: Union[str, dict], group: Optional[MagneticGroup] = None,
 
 
 def corep_to_dict(rep: CoRep, inline_group: bool = True) -> dict:
+    pairs = _pairs(rep.matrices)
     data = {
         "dim": rep.dim,
-        "matrices": {rep.group.label(g): matrix_to_pairs(rep.m(g))
-                     for g in range(rep.group.order)},
+        "matrices": {rep.group.label(g): pairs[g] for g in range(rep.group.order)},
     }
     if inline_group:
         data["group"] = group_to_dict(rep.group, rep.omega)
@@ -223,38 +231,27 @@ def action_to_dict(action: ProbeRepAction) -> dict:
 
 # -- reports ---------------------------------------------------------------------------
 
-def _sanitize(obj):
-    """Recursively convert numpy containers and reject non-finite floats."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            if obj.ndim == 1:
-                return [None if not np.isfinite(z) else complex_to_pair(z) for z in obj]
-            return [_sanitize(row) for row in obj]
-        return [_sanitize(row) for row in obj.tolist()]
-    if isinstance(obj, (np.complexfloating, complex)):
-        if not (math.isfinite(obj.real) and math.isfinite(obj.imag)):
-            return None
-        return complex_to_pair(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        val = float(obj)
-        if not math.isfinite(val):
-            raise ValueError("report contains a non-finite number")
-        return val
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
+def _jsonable(obj):
+    """``json``'s fallback for what it cannot encode: numpy arrays and scalars
+    and complex numbers, whose non-finite entries become None; anything else
+    as its ``str``."""
+    if isinstance(obj, (np.ndarray, np.generic, complex)):
+        if not np.iscomplexobj(obj):
+            return obj.tolist()
+        z = np.asarray(obj)
+        pairs = _pairs(z)
+        bad = ~np.isfinite(z)
+        if z.ndim == 0:
+            return None if bad else pairs
+        for *path, last in np.argwhere(bad).tolist():
+            reduce(list.__getitem__, path, pairs)[last] = None
+        return pairs
     return str(obj)
 
 
 def write_report(report: dict, out: Optional[str] = None) -> str:
-    text = json.dumps(_sanitize(report), indent=2, sort_keys=True)
+    text = json.dumps(report, default=_jsonable, allow_nan=False, indent=2,
+                      sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -37,12 +37,12 @@ subgroup products in one broadcast matmul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .coreps import CoRep, restrict_corep
+from .coreps import CoRep, _restricted_to, restrict_corep
 from .errors import (
     DimensionMismatch,
     EmptyChannel,
@@ -50,7 +50,7 @@ from .errors import (
     NonIntegerMultiplicity,
     SingularAction,
 )
-from .groups import FactorSystem, MagneticGroup, _same_group, verify_embedding
+from .groups import MagneticGroup, _same_group, verify_embedding
 from .linalg import _cluster_slices, eigenspace_of_one
 from .reduction import criterion_sums, irreducibility_index
 
@@ -241,10 +241,14 @@ def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
         raise DimensionMismatch("the probe action belongs to another group")
 
 
+def _carries_rep_residual(action: ProbeRepAction) -> bool:
+    return action.residual is not None and action.residual <= ACTION_TOL
+
+
 def _require_rep(action: ProbeRepAction) -> None:
     """Raise InvalidAction unless ``action`` is a rep: an action that
     carries no residual at or below ``ACTION_TOL`` is validated."""
-    if not (action.residual is not None and action.residual <= ACTION_TOL):
+    if not _carries_rep_residual(action):
         validate_action(action)
 
 
@@ -612,7 +616,8 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
     action has positive multiplicity; per-channel entries expose which
     direction couples (splitting counts exclude identity-tuple couplings).
     Each order is counted from the character stack of its
-    ``PolynomialChannelSet`` in one criterion call.
+    ``PolynomialChannelSet`` in one criterion call.  An action that carries
+    no residual is validated once per call, not once per order.
     """
     return _dispersion_table(rep, action, n_max, seed)[0]
 
@@ -624,6 +629,12 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_same_group(rep, action)
+    if not _carries_rep_residual(action):
+        # validated once here rather than once per order; on copies, which
+        # ``validated_action`` freezes, so the caller's arrays stay writable
+        action = validated_action(replace(
+            action, d_h=action.d_h.copy(),
+            d_t0=None if action.d_t0 is None else action.d_t0.copy()))
     orders = []
     sets = []
     leading = None
@@ -666,11 +677,9 @@ def probe_stability(rep: CoRep, embedding, g_sub: Optional[MagneticGroup] = None
     """
     ids = [int(x) for x in embedding]
     if g_sub is not None:
-        emb = verify_embedding(rep.group, g_sub, ids)
-        omega = FactorSystem(rep.omega.values[np.ix_(emb, emb)])
-        sub_rep = CoRep(group=g_sub, omega=omega, matrices=rep.matrices[emb])
+        sub_rep = _restricted_to(rep, g_sub, verify_embedding(rep.group, g_sub, ids))
     else:
-        sub_rep, emb = restrict_corep(rep, ids)
+        sub_rep = restrict_corep(rep, ids)[0]
 
     index = irreducibility_index(sub_rep)
     protected = abs(index - 1.0) <= tol

@@ -305,3 +305,44 @@ def test_kp_report_roundtrip(exported, tmp_path, capsys):
         for tup in gammas:
             for mat in tup:
                 assert np.abs(mat - mat.conj().T).max() < 1e-10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "@nope"],
+     "unknown catalog entry 'nope'; have " + str(mr.catalog_list())),
+    (["validate", "@c6v_t", "@c6v_t"],
+     "catalog co-rep reference must be @entry/rep, got '@c6v_t'"),
+    (["reduce", "@c6v_t", "@c6v_t/e_half/x"],
+     "catalog co-rep reference must be @entry/rep, got '@c6v_t/e_half/x'"),
+    (["validate", "@c6v_t", "@c6v_t/nope"],
+     "entry 'c6v_t' has reps ['a1', 'e1', 'e2', 'e_half']"),
+    (["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t"],
+     "catalog action reference must be @entry/action, got '@c6v_t'"),
+    (["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/nope"],
+     "entry 'c6v_t' has actions ['kz_odd', 'momentum', 'vector_t_even']"),
+    (["probe", "@z2t_kramers", "@z2t_kramers/kramers", "--subgroup", "0",
+      "--probe", "m=@nope/x"],
+     "unknown catalog entry 'nope'; have " + str(mr.catalog_list())),
+])
+def test_unresolved_catalog_reference_is_an_input_error(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_export_writes_group_rep_and_action_files_that_read_back(tmp_path, capsys):
+    code, report = run_cli(capsys, "catalog", "c4v_t", "--export", str(tmp_path))
+    assert code == 0
+    entry = mr.catalog_get("c4v_t")
+    names = [f"c4v_t.{kind}-{r}.json" for r in entry.reps for kind in ("group", "rep")]
+    names += [f"c4v_t.action-{a}.json" for a in entry.probe_actions]
+    assert report["exported"] == [str(tmp_path / n) for n in names]
+    for r, rep in entry.reps.items():
+        path = tmp_path / f"c4v_t.group-{r}.json"
+        assert path.read_text() == io.write_report(io.group_to_dict(entry.group, rep.omega))
+        group, omega = io.load_group(str(path))
+        back = io.load_corep(str(tmp_path / f"c4v_t.rep-{r}.json"), group=group, omega=omega)
+        assert np.array_equal(back.matrices, rep.matrices)
+        assert np.array_equal(back.omega.values, rep.omega.values)
+    for a, act in entry.probe_actions.items():
+        back = io.load_action(str(tmp_path / f"c4v_t.action-{a}.json"), entry.group)
+        assert np.array_equal(back.d_h, act.d_h)

@@ -1,0 +1,134 @@
+import json
+
+import numpy as np
+import pytest
+
+import magrep as mr
+from magrep import io
+from magrep.coreps import CoRep, conjugate_corep
+from magrep.errors import ParseError
+from magrep.linalg import random_unitary
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def through_report(data):
+    return json.loads(io.write_report(data))
+
+
+def same_group(a, b):
+    assert same_bits(a.cayley, b.cayley)
+    assert same_bits(a.antiunitary, b.antiunitary)
+    assert list(a.labels) == list(b.labels)
+    assert [sorted(s) for s in a.subgroup_chain] == [sorted(s) for s in b.subgroup_chain]
+
+
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_catalog_entry_round_trips_bitwise(name):
+    entry = mr.catalog_get(name)
+    g = entry.group
+    for r, rep in entry.reps.items():
+        group, omega = io.load_group(through_report(io.group_to_dict(g, rep.omega)))
+        same_group(group, g)
+        assert same_bits(omega.values, rep.omega.values)
+        # a rotated copy puts full-precision floats of both signs in every entry
+        rotated = conjugate_corep(rep, random_unitary(rep.dim, 5))
+        for original in (rep, rotated):
+            back = io.load_corep(through_report(io.corep_to_dict(original)))
+            same_group(back.group, g)
+            assert same_bits(back.omega.values, original.omega.values)
+            assert same_bits(back.matrices, original.matrices)
+            flat = io.load_corep(through_report(io.corep_to_dict(original, inline_group=False)),
+                                 group=group, omega=omega)
+            assert same_bits(flat.matrices, original.matrices)
+    for a, act in entry.probe_actions.items():
+        back = io.load_action(through_report(io.action_to_dict(act)), g)
+        assert same_bits(back.d_h, act.d_h)
+        assert (back.d_t0 is None) == (act.d_t0 is None)
+        if act.d_t0 is not None:
+            assert same_bits(back.d_t0, act.d_t0)
+        assert back.kind == act.kind
+
+
+def test_pairs_to_matrix_reads_rows_of_pairs_exactly():
+    rows = [[[1, -0.0], [0.5, 2]], [[True, False], [-3, 1e-300]]]
+    got = io.pairs_to_matrix(rows)
+    want = np.array([[complex(1, -0.0), complex(0.5, 2)],
+                     [complex(1, 0), complex(-3, 1e-300)]])
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("rows", [
+    [[["1", 0.0]]],               # a string
+    [[[1.0, "0"]]],
+    [[None]],                     # None for a pair
+    [[[1.0, None]]],
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]],   # a ragged row
+    [[[1.0, 0.0, 0.0]]],          # a 3-element pair
+    [[[1.0]]],                    # a 1-element pair
+    [[1.0, 0.0]],                 # a row of numbers, not of pairs
+    [[[float("nan"), 0.0]]],      # non-finite entries
+    [[[0.0, float("inf")]]],
+    [[[10 ** 400, 0.0]]],         # an integer literal beyond float range
+], ids=["string", "string-im", "none", "none-im", "ragged", "triple", "single",
+        "flat", "nan", "inf", "huge-int"])
+def test_pairs_to_matrix_refuses_malformed_rows(rows):
+    with pytest.raises(ParseError):
+        io.pairs_to_matrix(rows)
+
+
+def test_report_converts_numpy_scalars_and_tuples():
+    report = {"i": np.int64(-3), "u": np.uint8(7), "b": np.bool_(True),
+              "f": np.float64(0.1), "f32": np.float32(0.5), "t": (1, np.int32(2)),
+              "z": np.complex128(1 - 2j), "c": 3 + 0j, "s": np.str_("x")}
+    assert through_report(report) == {
+        "i": -3, "u": 7, "b": True, "f": 0.1, "f32": 0.5, "t": [1, 2],
+        "z": [1.0, -2.0], "c": [3.0, 0.0], "s": "x"}
+
+
+def test_report_renders_non_finite_complex_entries_as_null():
+    nan = complex(np.nan, 0.0)
+    nested = np.array([[[1 + 2j, nan]], [[complex(0, np.inf), -0.0 - 1j]]])
+    assert through_report({
+        "zero_d": np.array(1 - 1j),
+        "zero_d_nan": np.array(nan),
+        "scalar_nan": np.complex64(nan),
+        "nested": nested,
+        "real": np.arange(3.0),
+    }) == {
+        "zero_d": [1.0, -1.0],
+        "zero_d_nan": None,
+        "scalar_nan": None,
+        "nested": [[[[1.0, 2.0], None]], [[None, [-0.0, -1.0]]]],
+        "real": [0.0, 1.0, 2.0],
+    }
+
+
+def test_report_keeps_the_no_label_nan_of_block_labels_as_null():
+    dec = mr.reduce_corep(mr.catalog_get("c4v_t").reps["a1"], seed=0)
+    labels = through_report({"labels": dec.blocks[0].labels})["labels"]
+    assert any(entry is None for row in labels for entry in row)
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), np.float64(-np.inf), np.float32(np.nan),
+    [1.0, float("nan")], (0.0, float("inf")), np.array([1.0, np.nan]),
+    np.array([[0.0], [np.inf]]), {"deep": [{"x": np.float64(np.nan)}]},
+], ids=["nan", "inf", "np-inf", "np32-nan", "list", "tuple", "array", "array-2d", "nested"])
+def test_report_refuses_non_finite_reals(value):
+    with pytest.raises(ValueError):
+        io.write_report({"value": value})
+
+
+def test_non_finite_corep_raises_on_write_and_writes_nothing(tmp_path):
+    rep = mr.catalog_get("z2t_kramers").reps["kramers"]
+    mats = rep.matrices.copy()
+    mats[1, 0, 1] = complex(np.nan, 1.0)
+    bad = CoRep(group=rep.group, omega=rep.omega, matrices=mats)
+    out = tmp_path / "bad.rep.json"
+    with pytest.raises(ValueError):
+        io.write_report(io.corep_to_dict(bad), out=str(out))
+    assert not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import magrep as mr
+import magrep.io
 import magrep.kp
 from magrep.cli import main
 from magrep.errors import (
@@ -303,6 +304,31 @@ def test_polynomial_channel_order_one_recovers_input():
     assert sum(c.action.dim_q for c in sets.channels) == 3
 
 
+def test_dispersion_order_validates_a_bare_action_once(monkeypatch):
+    entry = mr.catalog_get("c6v_t")
+    rep, act = entry.reps["e_half"], entry.probe_actions["momentum"]
+    seen = []
+    real = magrep.kp.validate_action
+
+    def counting(action, tol=magrep.kp.ACTION_TOL):
+        seen.append(action)
+        return real(action, tol)
+
+    monkeypatch.setattr(magrep.kp, "validate_action", counting)
+    want = magrep.io.write_report(dispersion_order(rep, act, 3))
+    # the channels of each order are checked when they are built; the input
+    # is the action whose kind is not a polynomial channel's
+    assert not [a for a in seen if a.kind == act.kind]
+    seen.clear()
+    bare = ProbeRepAction(group=act.group, d_h=act.d_h.copy(), d_t0=act.d_t0.copy(),
+                          kind=act.kind)
+    assert magrep.io.write_report(dispersion_order(rep, bare, 3)) == want
+    assert len([a for a in seen if a.kind == act.kind]) == 1
+    # the caller's action is neither frozen nor given a residual
+    assert bare.residual is None
+    assert bare.d_h.flags.writeable and bare.d_t0.flags.writeable
+
+
 def test_polynomial_channel_validates_only_actions_without_a_residual(monkeypatch):
     seen = []
     real = magrep.kp.validate_action
@@ -475,6 +501,15 @@ def test_probe_stability_with_explicit_subgroup_object():
     bad = mr.groups.build_group([[0, 1], [1, 0]], [0, 0])
     with pytest.raises(NotASubgroupEmbedding):
         probe_stability(rep, [0, 1], g_sub=bad)
+
+
+def test_probe_stability_on_a_subgroup_object_matches_the_id_list():
+    entry = mr.catalog_get("c4v_t")
+    rep, g = entry.reps["e_half"], entry.group
+    probes = {"kz_odd": entry.probe_actions["kz_odd"]}
+    sub, emb = mr.groups.restricted_group(g, g.h_elements)
+    assert (magrep.io.write_report(probe_stability(rep, emb, g_sub=sub, probes=probes))
+            == magrep.io.write_report(probe_stability(rep, g.h_elements, probes=probes)))
 
 
 def test_probe_stability_nodal_line_style_restriction():
