@@ -31,10 +31,10 @@ from .kp import (
 )
 from .reduction import (
     TORSION_TOL,
+    _index_and_coset,
+    _torsion,
     irreducibility_index,
     reduce_corep,
-    torsion_indicator,
-    torsion_number,
 )
 
 DEFAULT_SEED = 0
@@ -56,6 +56,8 @@ def _resolve(arg: str, kind: str, load_file):
         return load_file(arg)
     parts = arg[1:].split("/")
     if kind == "group":
+        if len(parts) != 1:
+            raise ParseError(f"catalog group reference must be @entry, got {arg!r}")
         entry = catalog_get(parts[0])
         omegas = list(entry.omega_classes.values())
         return entry.group, omegas[0] if len(omegas) == 1 else None
@@ -131,11 +133,10 @@ def cmd_irreducible(args) -> int:
 def cmd_torsion(args) -> int:
     rep = _rep_inputs(args)
     tol = _tol(args, TORSION_TOL)
-    report = {"criterion": irreducibility_index(rep), "tol": tol}
-    r = torsion_number(rep, tol=tol)
-    report["indicator"] = torsion_indicator(rep)
-    report["torsion"] = r
-    _emit(report, args)
+    index, coset = _index_and_coset(rep)   # one criterion evaluation
+    torsion = _torsion(index, coset, tol)
+    _emit({"criterion": index, "tol": tol, "indicator": float(coset.real),
+           "torsion": torsion}, args)
     return EXIT_OK
 
 

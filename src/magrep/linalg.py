@@ -36,15 +36,37 @@ def _cluster_slices(values: np.ndarray, gap: float):
     return slices
 
 
+def refine_eigenbasis(cols: np.ndarray, ops: Sequence[np.ndarray], gaps: Sequence[float]):
+    """Common eigenbasis of Hermitian ``ops`` on the span of the orthonormal
+    ``cols`` ``(d, m)``: ``ops[0]`` is diagonalized there, and each cluster
+    of its eigenvalues (split at ``gaps[0]``) wider than one column is
+    refined by the remaining ops in turn.  Returns the columns and each op's
+    eigenvalues on them, ``(len(ops), m)``, NaN where a column was already
+    alone in its cluster."""
+    values = np.full((len(ops), cols.shape[1]), np.nan)
+    if cols.shape[1] == 1 or not ops:
+        return cols, values
+    sub = cols.conj().T @ ops[0] @ cols
+    sub = (sub + sub.conj().T) / 2
+    values[0], vecs = np.linalg.eigh(sub)
+    cols = cols @ vecs
+    out = []
+    for sl in _cluster_slices(values[0], gaps[0]):
+        part, values[1:, sl] = refine_eigenbasis(cols[:, sl], ops[1:], gaps[1:])
+        out.append(part)
+    return np.hstack(out), values
+
+
 def simultaneous_diag(family: Sequence[np.ndarray], seed: int = 0,
                       tol: float = LINALG_TOL):
     """Common eigenbasis of a family of commuting Hermitian matrices.
 
     A seeded random real combination of the family is diagonalized first;
     clusters that remain degenerate are refined by each family member in
-    turn, restricted to the cluster subspace.  Columns are ordered
-    lexicographically by their per-matrix eigenvalue tuples (clustered at
-    tolerance) so the output is deterministic given (inputs, seed).
+    turn, restricted to the cluster subspace (``refine_eigenbasis``).
+    Columns are ordered lexicographically by their per-matrix eigenvalue
+    tuples (clustered at tolerance) so the output is deterministic given
+    (inputs, seed).
 
     Returns
     -------
@@ -78,27 +100,11 @@ def simultaneous_diag(family: Sequence[np.ndarray], seed: int = 0,
     if real_input:
         combo = combo.real
 
-    def refine(cols: np.ndarray, ops: list) -> np.ndarray:
-        # cols: (d, m) isometry onto the current cluster subspace
-        if cols.shape[1] == 1 or not ops:
-            return cols
-        a = ops[0]
-        sub = cols.conj().T @ a @ cols
-        sub = (sub + sub.conj().T) / 2
-        vals, vecs = np.linalg.eigh(sub)
-        cols = cols @ vecs
-        gap = tol * max(1.0, np.linalg.norm(a, ord=2))
-        out = []
-        for sl in _cluster_slices(vals, gap):
-            out.append(refine(cols[:, sl], ops[1:]))
-        return np.hstack(out)
-
     vals0, vecs0 = np.linalg.eigh((combo + combo.conj().T) / 2)
     gap0 = tol * max(1.0, np.linalg.norm(combo, ord=2))
-    blocks = []
-    for sl in _cluster_slices(vals0, gap0):
-        blocks.append(refine(vecs0[:, sl], mats))
-    u = np.hstack(blocks)
+    gaps = [tol * scale for scale in scales]
+    u = np.hstack([refine_eigenbasis(vecs0[:, sl], mats, gaps)[0]
+                   for sl in _cluster_slices(vals0, gap0)])
 
     # Per-matrix eigenvalues, clustered so equal labels compare equal.
     values = np.empty((len(mats), d))

@@ -1,11 +1,11 @@
 """Irreducibility criterion, torsion numbers, and complete reduction of
 co-representations into irreducible blocks.
 
-The reduction device is a random Hermitian matrix commuting with the whole
-co-rep: its eigenspaces are exactly the irreducible subspaces, so one
-eigendecomposition performs the entire block split.  Class operators of the
-unitary subgroup (and of a user-supplied subgroup chain) provide the labels
-that identify equivalent blocks and order the basis inside each block.
+The reduction device is a random Hermitian matrix gamma commuting with the
+whole co-rep: its eigenspaces are exactly the irreducible subspaces.  One
+refinement inside each orders and labels its basis by class operators of the
+unitary subgroup (and of a user-supplied subgroup chain), then by a random
+matrix commuting with the unitary subgroup only.
 """
 
 from __future__ import annotations
@@ -15,17 +15,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coreps import CoRep, conjugate_corep, residuals_within, validate_corep
+from .coreps import (
+    CoRep,
+    _max_spectral_norm,
+    conjugate_corep,
+    residuals_within,
+    validate_corep,
+)
 from .errors import (
     ElementNotInSubgroup,
     IndicatorNotQuantized,
     InvalidCoRep,
     NoT0,
+    NotCommuting,
+    NotHermitian,
     NotIrreducible,
     ReductionFailed,
 )
 from .groups import conjugacy_classes
-from .linalg import simultaneous_diag, _cluster_slices
+from .linalg import _cluster_slices, refine_eigenbasis
 
 DEFAULT_SEED = 0
 #: reseeded attempts after the first before ``reduce_corep`` gives up
@@ -75,12 +83,20 @@ def irreducibility_index(rep: CoRep) -> float:
     purely unitary groups use the plain character norm
     ``(1/|H|) sum_h |chi(h)|^2``.  Both are gauge invariant.
     """
+    return _index_and_coset(rep)[0]
+
+
+def _index_and_coset(rep: CoRep):
+    """The index and the complex coset sum (None on unitary groups)."""
     unitary, coset = criterion_sums(rep, np.ones(rep.group.order))
     if not rep.group.is_magnetic:
-        return float(unitary)
-    value = 0.5 * (unitary + coset)
+        return float(unitary), None
+    return _real(0.5 * (unitary + coset), "criterion"), coset
+
+
+def _real(value: complex, what: str) -> float:
     if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
-        raise InvalidCoRep(f"criterion came out non-real: {value}")
+        raise InvalidCoRep(f"{what} came out non-real: {value}")
     return float(value.real)
 
 
@@ -90,10 +106,7 @@ def torsion_indicator(rep: CoRep) -> float:
     irreducibles."""
     if not rep.group.is_magnetic:
         raise NoT0("coset sum needs anti-unitary elements")
-    _, value = criterion_sums(rep, np.ones(rep.group.order))
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
-        raise InvalidCoRep(f"indicator came out non-real: {value}")
-    return float(value.real)
+    return _real(criterion_sums(rep, np.ones(rep.group.order))[1], "indicator")
 
 
 def torsion_number(rep: CoRep, tol: float = TORSION_TOL) -> int:
@@ -103,10 +116,15 @@ def torsion_number(rep: CoRep, tol: float = TORSION_TOL) -> int:
     indicator evaluates to 1, 0, -2 respectively (the value is 2 - R, since
     the criterion ties the coset sum to the restricted character norm).
     """
-    index = irreducibility_index(rep)
+    return _torsion(*_index_and_coset(rep), tol)
+
+
+def _torsion(index: float, coset, tol: float) -> int:
     if abs(index - 1.0) > tol:
         raise NotIrreducible(f"criterion is {index}, not 1")
-    value = torsion_indicator(rep)
+    if coset is None:
+        raise NoT0("coset sum needs anti-unitary elements")
+    value = _real(coset, "indicator")
     for r, target in TORSION_INDICATOR.items():
         if abs(value - target) <= tol:
             return r
@@ -154,17 +172,20 @@ def build_G_commutant(rep: CoRep, seed: int) -> CommutantHamiltonian:
     return CommutantHamiltonian(gamma=lam + rep.apply(g.t0, lam), lam=lam, seed=seed)
 
 
+def _unitary_members(rep: CoRep, subgroup: Sequence[int]) -> list:
+    members = sorted(set(int(x) for x in subgroup))
+    if not set(members) <= set(int(h) for h in rep.group.h_elements):
+        raise ElementNotInSubgroup("class operators live in the unitary subgroup")
+    return members
+
+
 def class_operator(rep: CoRep, class_rep: int, subgroup: Sequence[int]) -> np.ndarray:
     """C_i = sum over the subgroup of M(h_a) M(h_i) M(h_a)^dag.
 
     Commutes with every M(h_a) exactly, including for projective reps, since
     the factor-system phases cancel between M(h_a) and its adjoint.
     """
-    members = sorted(set(int(x) for x in subgroup))
-    g = rep.group
-    h_set = set(int(h) for h in g.h_elements)
-    if not set(members) <= h_set:
-        raise ElementNotInSubgroup("class operators live in the unitary subgroup")
+    members = _unitary_members(rep, subgroup)
     if int(class_rep) not in members:
         raise ElementNotInSubgroup(f"element {class_rep} is outside the subgroup")
     return rep.apply(members, rep.m(int(class_rep))).sum(axis=0)
@@ -172,13 +193,13 @@ def class_operator(rep: CoRep, class_rep: int, subgroup: Sequence[int]) -> np.nd
 
 def combined_class_operator(rep: CoRep, subgroup: Sequence[int],
                             rng: np.random.Generator) -> np.ndarray:
-    """Random real combination sum_i r_i C_i over the subgroup's classes."""
+    """Random real combination sum_i r_i C_i over the subgroup's classes, as
+    one subgroup average of sum_i r_i M(h_i): C_i is linear in M(h_i)."""
     classes = conjugacy_classes(rep.group, subgroup)
     coeff = rng.standard_normal(len(classes))
-    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for r, cls in zip(coeff, classes):
-        acc += r * class_operator(rep, cls[0], subgroup)
-    return acc
+    members = _unitary_members(rep, subgroup)
+    mix = np.tensordot(coeff, rep.matrices[[cls[0] for cls in classes]], axes=1)
+    return rep.apply(members, mix).sum(axis=0)
 
 
 # -- full reduction -------------------------------------------------------------
@@ -210,21 +231,16 @@ class IrrepDecomposition:
         return [b.dim for b in self.blocks]
 
 
-def _herm_parts(x: np.ndarray) -> list[np.ndarray]:
-    return [x + x.conj().T, 1j * (x - x.conj().T)]
-
-
 def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> IrrepDecomposition:
     """Reduce a co-rep into irreducible blocks.
 
-    Builds the commutant Hamiltonian gamma (plus the subgroup-only lam),
-    simultaneously diagonalizes the class-operator combinations of the
-    subgroup chain together with gamma, groups columns into blocks by the
-    gamma eigenvalue, and refines residual degeneracies inside each block
-    with lam compressed onto the degenerate cluster (lam need not commute
-    with gamma globally, but it does on each gamma eigenspace).  Every block
-    must pass the irreducibility criterion; an accidental eigenvalue
-    collision of the random gamma triggers a reseeded retry.
+    The blocks are the eigenspaces of the commutant Hamiltonian gamma.  One
+    refinement inside each (``linalg.refine_eigenbasis``) orders and labels
+    its columns by the subgroup chain's class-operator combinations, in
+    chain order, then on magnetic groups by the subgroup-only lam, which
+    commutes with gamma on each of its eigenspaces.  Every block must pass
+    the irreducibility criterion; an accidental eigenvalue collision of the
+    random gamma triggers a reseeded retry.
 
     The input is validated only when it carries no residual bounds
     (``CoRep.residuals``) at or below the validation tolerance.
@@ -255,93 +271,70 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
 def _reduce_once(rep: CoRep, seed: int, tol: float,
                  seeds_used: list) -> IrrepDecomposition:
     g = rep.group
-    d = rep.dim
     rng = np.random.default_rng(seed)
+    com = build_G_commutant(rep, seed) if g.is_magnetic else None
+    lam = com.lam if com else build_H_commutant(rep, seed)
+    gamma = com.gamma if com else lam
 
-    if g.is_magnetic:
-        com = build_G_commutant(rep, seed)
-        gamma, lam = com.gamma, com.lam
-    else:
-        lam = build_H_commutant(rep, seed)
-        gamma = lam
+    label_tol = max(tol, 1e-10)
+    energies, u = np.linalg.eigh(gamma)
+    scale = max(1.0, np.abs(energies).max())
+    hermiticity = float(np.linalg.norm(gamma - gamma.conj().T, ord=2))
+    if hermiticity > label_tol * scale:
+        raise NotHermitian("gamma is not Hermitian at tolerance")
+    block_slices = _cluster_slices(energies, BLOCK_TOL * scale)
 
-    family = []
-    names = []
     chain = list(g.subgroup_chain)
     h_tuple = tuple(int(h) for h in g.h_elements)
     if not chain or tuple(chain[-1]) != h_tuple:
         chain.append(h_tuple)
-    for sub in chain:
-        if len(sub) == 1:
-            continue  # singleton class operators are scalar, no labels to gain
-        c = combined_class_operator(rep, sub, rng)
-        family.extend(_herm_parts(c))
-        names.append(f"class_ops_subgroup_{len(sub)}")
-    family.append(gamma)
-    names.append("energy")
+    chain = [sub for sub in chain if len(sub) > 1]   # singletons label nothing
+    names = [f"class_ops_subgroup_{len(sub)}" for sub in chain] + ["energy", "multiplet_split"]
+    parts = []
+    for c in (combined_class_operator(rep, sub, rng) for sub in chain):
+        parts += [c + c.conj().T, 1j * (c - c.conj().T)]
+    # lam commutes with gamma only inside a block, so it refines only there
+    ops = (parts + [lam]) if g.is_magnetic else parts
+    scales = [max(1.0, np.linalg.norm(a, ord=2)) for a in ops]
+    refined = [refine_eigenbasis(u[:, sl], ops, [label_tol * s for s in scales])
+               for sl in block_slices]
+    u = np.hstack([cols for cols, _ in refined])
 
-    u, values = simultaneous_diag(family, seed=seed, tol=max(tol, 1e-10))
-
-    # columns sorted by the gamma eigenvalue, stably, so blocks are contiguous
-    energies = values[-1]
-    order = np.argsort(energies, kind="stable")
-    u = u[:, order]
-    values = values[:, order]
-    energies = values[-1]
-
-    gap = BLOCK_TOL * max(1.0, np.linalg.norm(gamma, ord=2))
-    block_slices = _cluster_slices(energies, gap)
-
-    # complex class labels: fold the (re, im) Hermitian parts back together
-    n_class = (len(family) - 1) // 2
-    col_labels = np.full((d, n_class + 2), np.nan, dtype=complex)
-    for k in range(n_class):
-        col_labels[:, k] = (values[2 * k] + 1j * values[2 * k + 1]) / 2
-    col_labels[:, n_class] = energies
-
-    # refine leftover degeneracy inside each block with the compressed lam;
-    # lam commutes with gamma only blockwise, so it never enters the global
-    # simultaneous diagonalization
+    diags = []
+    for a, s in zip(parts, scales):
+        rot = u.conj().T @ a @ u
+        diags.append(rot.diagonal().real)
+        resid = np.abs(rot - np.diag(diags[-1])).max()
+        if resid > 10 * label_tol * s:
+            raise NotCommuting(f"off-diagonal residual {resid:.3e} after refinement")
+    labels = np.full((rep.dim, len(chain) + 2), np.nan, dtype=complex)
+    for k in range(len(chain)):   # the (re, im) parts folded back together
+        labels[:, k] = (diags[2 * k] + 1j * diags[2 * k + 1]) / 2
     if g.is_magnetic:
-        for sl in block_slices:
-            cols = np.arange(sl.start, sl.stop)
-            seen: dict = {}
-            for c in cols:
-                seen.setdefault(col_labels[c, :n_class + 1].tobytes(), []).append(c)
-            for idx in seen.values():
-                if len(idx) < 2:
-                    continue
-                sub = u[:, idx].conj().T @ lam @ u[:, idx]
-                sub = (sub + sub.conj().T) / 2
-                vals, vecs = np.linalg.eigh(sub)
-                u[:, idx] = u[:, idx] @ vecs
-                col_labels[idx, n_class + 1] = vals
+        labels[:, -1] = np.hstack([values[-1] for _, values in refined])
 
     blocks = []
     for sl in block_slices:
-        ub = u[:, sl]
-        sub_rep = conjugate_corep(rep, ub)
-        index = irreducibility_index(sub_rep)
+        index, coset = _index_and_coset(conjugate_corep(rep, u[:, sl]))
         if abs(index - 1.0) > max(10 * tol, 1e-7):
             raise NotIrreducible(
                 f"block {sl} has criterion {index}; accidental degeneracy suspected")
-        torsion = torsion_number(sub_rep) if g.is_magnetic else None
+        energy = float(energies[sl].mean())
+        labels[sl, len(chain)] = energy
         blocks.append(Block(
-            start=sl.start, stop=sl.stop,
-            energy=float(energies[sl].mean()),
-            torsion=torsion,
-            labels=col_labels[sl.start:sl.stop],
-            index=index,
+            start=sl.start, stop=sl.stop, energy=energy,
+            torsion=_torsion(index, coset, TORSION_TOL) if g.is_magnetic else None,
+            labels=labels[sl], index=index,
         ))
 
-    residuals = _decomposition_residuals(rep, u, block_slices, gamma, lam)
-    names.append("multiplet_split")
+    residuals = _decomposition_residuals(rep, u, block_slices, gamma, lam, hermiticity)
     return IrrepDecomposition(basis=u, blocks=blocks, residuals=residuals,
                               seeds_used=list(seeds_used), label_names=names)
 
 
 def _decomposition_residuals(rep: CoRep, u: np.ndarray, block_slices,
-                             gamma: np.ndarray, lam: np.ndarray) -> dict:
+                             gamma: np.ndarray, lam: np.ndarray,
+                             hermiticity: float) -> dict:
     g = rep.group
     d = rep.dim
     mask = np.ones((d, d), dtype=bool)
@@ -350,17 +343,16 @@ def _decomposition_residuals(rep: CoRep, u: np.ndarray, block_slices,
     rotated = conjugate_corep(rep, u).matrices
     off = float(np.abs(rotated[:, mask]).max()) if mask.any() else 0.0
 
+    def commutation(ids, x):
+        return _max_spectral_norm(rep.apply(ids, x) - x)
+
     res = {
         "block_diagonality": off,
         "unitarity_of_basis": float(np.linalg.norm(u.conj().T @ u - np.eye(d), ord=2)),
+        "gamma_subgroup_commutation": commutation(g.h_elements, gamma),
     }
-
-    def commutation(ids, x):
-        return float(np.linalg.norm(rep.apply(ids, x) - x, ord=2, axis=(-2, -1)).max())
-
-    res["gamma_subgroup_commutation"] = commutation(g.h_elements, gamma)
     if g.is_magnetic:
         res["gamma_t0_commutation"] = commutation(g.t0, gamma)
         res["lambda_subgroup_commutation"] = commutation(g.h_elements, lam)
-    res["gamma_hermiticity"] = float(np.linalg.norm(gamma - gamma.conj().T, ord=2))
+    res["gamma_hermiticity"] = hermiticity
     return res

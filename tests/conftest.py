@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 import magrep as mr
+from magrep.coreps import conjugate_corep
 from magrep.errors import (
     InvalidAction,
     InvalidCoRep,
     NotAGroup,
     NotASubgroupEmbedding,
     NoT0,
+    NotIrreducible,
 )
+from magrep.groups import conjugacy_classes
 from magrep.kp import (
     ACTION_TOL,
     _dual_matrices,
@@ -23,6 +26,17 @@ from magrep.kp import (
     hermitian_basis,
     linear_multiplicity,
     polynomial_channel,
+)
+from magrep.linalg import _cluster_slices, simultaneous_diag
+from magrep.reduction import (
+    BLOCK_TOL,
+    Block,
+    IrrepDecomposition,
+    build_G_commutant,
+    build_H_commutant,
+    class_operator,
+    irreducibility_index,
+    torsion_number,
 )
 
 
@@ -130,6 +144,80 @@ def multiplicity_value_diagonal_t0(rep, action, sign):
         total += (abs(chi[k]) ** 2
                   + sign * rep.omega(u, u) * np.trace(rep.m(g.mul(u, u)))) * chi_v[k]
     return float((total / (2 * g.halving_order)).real)
+
+
+# -- the two-pass labelling, kept as an oracle for reduction._reduce_once ------
+
+def reduce_once_two_pass(rep, seed, tol, seeds_used):
+    """One reduction attempt through a global simultaneous diagonalization of
+    the class-operator parts together with gamma, a stable re-sort by energy
+    and a separate lam pass over columns whose labels agree byte for byte.
+    The class-operator combinations are summed class by class.  Drop-in for
+    ``reduction._reduce_once``, so ``reduce_corep``'s retries run it too."""
+    g = rep.group
+    d = rep.dim
+    rng = np.random.default_rng(seed)
+    if g.is_magnetic:
+        com = build_G_commutant(rep, seed)
+        gamma, lam = com.gamma, com.lam
+    else:
+        lam = build_H_commutant(rep, seed)
+        gamma = lam
+
+    family, names = [], []
+    chain = list(g.subgroup_chain)
+    h_tuple = tuple(int(h) for h in g.h_elements)
+    if not chain or tuple(chain[-1]) != h_tuple:
+        chain.append(h_tuple)
+    for sub in chain:
+        if len(sub) == 1:
+            continue
+        classes = conjugacy_classes(g, sub)
+        coeff = rng.standard_normal(len(classes))
+        c = sum(r * class_operator(rep, cls[0], sub) for r, cls in zip(coeff, classes))
+        family += [c + c.conj().T, 1j * (c - c.conj().T)]
+        names.append(f"class_ops_subgroup_{len(sub)}")
+    family.append(gamma)
+    names.append("energy")
+
+    u, values = simultaneous_diag(family, seed=seed, tol=max(tol, 1e-10))
+    order = np.argsort(values[-1], kind="stable")
+    u, values = u[:, order], values[:, order]
+    energies = values[-1]
+    block_slices = _cluster_slices(
+        energies, BLOCK_TOL * max(1.0, np.linalg.norm(gamma, ord=2)))
+
+    n_class = (len(family) - 1) // 2
+    col_labels = np.full((d, n_class + 2), np.nan, dtype=complex)
+    for k in range(n_class):
+        col_labels[:, k] = (values[2 * k] + 1j * values[2 * k + 1]) / 2
+    col_labels[:, n_class] = energies
+    if g.is_magnetic:
+        for sl in block_slices:
+            seen = {}
+            for c in range(sl.start, sl.stop):
+                seen.setdefault(col_labels[c, :n_class + 1].tobytes(), []).append(c)
+            for idx in seen.values():
+                if len(idx) < 2:
+                    continue
+                sub = u[:, idx].conj().T @ lam @ u[:, idx]
+                vals, vecs = np.linalg.eigh((sub + sub.conj().T) / 2)
+                u[:, idx] = u[:, idx] @ vecs
+                col_labels[idx, n_class + 1] = vals
+
+    blocks = []
+    for sl in block_slices:
+        sub_rep = conjugate_corep(rep, u[:, sl])
+        index = irreducibility_index(sub_rep)
+        if abs(index - 1.0) > max(10 * tol, 1e-7):
+            raise NotIrreducible(f"block {sl} has criterion {index}")
+        blocks.append(Block(start=sl.start, stop=sl.stop,
+                            energy=float(energies[sl].mean()),
+                            torsion=torsion_number(sub_rep) if g.is_magnetic else None,
+                            labels=col_labels[sl], index=index))
+    names.append("multiplet_split")
+    return IrrepDecomposition(basis=u, blocks=blocks, residuals={},
+                              seeds_used=list(seeds_used), label_names=names)
 
 
 # -- pair-by-pair loops, kept as oracles for the batched kernels ---------------

@@ -323,6 +323,10 @@ def test_kp_report_roundtrip(exported, tmp_path, capsys):
     (["probe", "@z2t_kramers", "@z2t_kramers/kramers", "--subgroup", "0",
       "--probe", "m=@nope/x"],
      "unknown catalog entry 'nope'; have " + str(mr.catalog_list())),
+    (["reduce", "@c6v_t/e_half", "@c6v_t/e_half"],
+     "catalog group reference must be @entry, got '@c6v_t/e_half'"),
+    (["validate", "@c6v_t/typo"],
+     "catalog group reference must be @entry, got '@c6v_t/typo'"),
 ])
 def test_unresolved_catalog_reference_is_an_input_error(argv, message, capsys):
     assert main(argv) == 2

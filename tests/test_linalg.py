@@ -12,6 +12,7 @@ from magrep.linalg import (
     eigenspace_of_one,
     random_symmetric_unitary,
     random_unitary,
+    refine_eigenbasis,
     simultaneous_diag,
     symmetric_unitary_sqrt,
 )
@@ -64,6 +65,20 @@ def test_simultaneous_diag_real_inputs_stay_real():
     a = np.array([[1.0, 2.0], [2.0, 0.5]])
     u, _ = simultaneous_diag([a, np.eye(2)])
     assert np.isrealobj(u)
+
+
+def test_refine_eigenbasis_labels_only_the_columns_it_splits():
+    # a leaves one degenerate pair, which b splits; the columns a already
+    # isolated never reach b, so b's value there is NaN
+    q = random_unitary(4, 3)
+    a = q @ np.diag([2.0, 1.0, 0.0, 1.0]) @ q.conj().T
+    b = q @ np.diag([7.0, 5.0, 9.0, 3.0]) @ q.conj().T
+    cols, values = refine_eigenbasis(q[:, ::-1], [a, b], [1e-9, 1e-9])
+    assert np.allclose(values[0], [0.0, 1.0, 1.0, 2.0], atol=1e-12)
+    assert np.isnan(values[1, [0, 3]]).all()
+    assert np.allclose(values[1, 1:3], [3.0, 5.0], atol=1e-12)
+    for mat, want in ((a, [0.0, 1.0, 1.0, 2.0]), (b, [9.0, 3.0, 5.0, 7.0])):
+        assert np.abs(cols.conj().T @ mat @ cols - np.diag(want)).max() < 1e-12
 
 
 def test_symmetric_sqrt_identity_and_diagonal():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import magrep as mr
+from magrep import reduction
 from magrep.coreps import (
     conjugate_corep,
+    corep_from_matrices,
     direct_sum,
     random_gauge,
     regular_corep,
+    restrict_corep,
     unitary_restriction,
 )
 from magrep.errors import ElementNotInSubgroup, NotIrreducible
@@ -17,6 +20,7 @@ from magrep.reduction import (
     build_G_commutant,
     build_H_commutant,
     class_operator,
+    combined_class_operator,
     criterion_sums,
     irreducibility_index,
     reduce_corep,
@@ -28,6 +32,7 @@ from conftest import (
     compatible_rep_groups,
     coset_trace_sum,
     irreducibility_index_trace_form,
+    reduce_once_two_pass,
 )
 
 
@@ -356,3 +361,146 @@ def test_reduce_projective_regular_rep():
     dec = reduce_corep(reg, seed=0)
     assert sorted(dec.block_dims) == [2, 2, 2, 2]
     assert sum(dec.block_dims) == reg.dim
+
+
+# -- parity with the two-pass labelling -------------------------------------------
+
+OHT_SUMS = (("vector", "vector"), ("spinor", "gamma8"), ("quaternion", "quaternion"),
+            ("spinor", "spinor", "gamma8", "gamma8"))
+
+
+def _rotated(rep, rng):
+    rep = conjugate_corep(rep, random_unitary(rep.dim, rng))
+    return random_gauge(rep, int(rng.integers(1 << 30)))
+
+
+def reduction_inputs(source, oht):
+    """Direct sums, plain and rotated + gauged, and halvings or lowerings of
+    rotated co-reps: of one catalog entry, or of the order-96 group."""
+    rng = np.random.default_rng(11)
+    if source == "oht":
+        g = oht["group"]
+        reps = {r: corep_from_matrices(g, m) for r, m in oht["coreps"].items()}
+        sums = [direct_sum([reps[p] for p in parts]) for parts in OHT_SUMS]
+        lowerings = list(oht["lowerings"].values())
+    else:
+        entry = mr.catalog_get(source)
+        g, reps = entry.group, entry.reps
+        sums = [direct_sum([rep for _, rep in bucket + bucket[:1]])
+                for bucket in compatible_rep_groups(entry)]
+        lowerings = [g.h_elements] if g.is_magnetic else []
+    cases = [rep for s in sums for rep in (s, _rotated(s, rng))]
+    for rep in reps.values():
+        rotated = _rotated(rep, rng)
+        cases += [restrict_corep(rotated, ids)[0] for ids in lowerings]
+    return cases
+
+
+def _same_label_multiset(a, b, tol):
+    """Rows of a and b pair up with equal NaN patterns and the other entries
+    within tol."""
+    rest = list(b)
+    for row in a:
+        for k, other in enumerate(rest):
+            nan = np.isnan(row)
+            if (nan == np.isnan(other)).all() and (np.abs(row - other)[~nan] <= tol).all():
+                del rest[k]
+                break
+        else:
+            return False
+    return not rest
+
+
+@pytest.mark.parametrize("source", [*mr.catalog_list(), "oht"])
+def test_reduction_matches_the_two_pass_labelling(source, oht, monkeypatch):
+    for rep in reduction_inputs(source, oht):
+        for seed in (0, 7):
+            new = reduce_corep(rep, seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(reduction, "_reduce_once", reduce_once_two_pass)
+                old = reduce_corep(rep, seed=seed)
+            assert new.block_dims == old.block_dims
+            assert new.seeds_used == old.seeds_used
+            assert new.label_names == old.label_names
+            assert max(new.residuals.values()) <= 1e-8
+            for b, ob in zip(new.blocks, old.blocks):
+                assert b.torsion == ob.torsion
+                assert b.index == pytest.approx(ob.index, abs=1e-12)
+                assert b.energy == pytest.approx(ob.energy, abs=1e-9)
+                assert _same_label_multiset(b.labels, ob.labels, 1e-9)
+
+
+def test_a_collided_first_seed_retries_like_the_two_pass_labelling(monkeypatch):
+    # a scalar lam on the first seed puts both copies in one gamma eigenspace
+    build = reduction.build_H_commutant
+    monkeypatch.setattr(reduction, "build_H_commutant", lambda rep, seed: (
+        3.0 * np.eye(rep.dim) if seed == 0 else build(rep, seed)))
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    rep = conjugate_corep(direct_sum([rep, rep]), random_unitary(4, 2))
+    new = reduce_corep(rep, seed=0)
+    monkeypatch.setattr(reduction, "_reduce_once", reduce_once_two_pass)
+    old = reduce_corep(rep, seed=0)
+    assert len(new.seeds_used) == 2 and new.seeds_used == old.seeds_used
+    assert new.block_dims == old.block_dims == [2, 2]
+
+
+@pytest.mark.parametrize("source", [*mr.catalog_list(), "oht"])
+def test_combined_class_operator_is_the_sum_of_class_operators(source, oht):
+    if source == "oht":
+        g = oht["group"]
+        reps = [corep_from_matrices(g, m) for m in oht["coreps"].values()]
+        subgroups = [[i for i in ids if not g.antiunitary[i]]
+                     for ids in oht["lowerings"].values()]
+    else:
+        entry = mr.catalog_get(source)
+        g, reps = entry.group, list(entry.reps.values())
+        subgroups = []
+    subgroups += [list(sub) for sub in g.subgroup_chain] + [list(g.h_elements)]
+    for rep in reps:
+        for sub in subgroups:
+            classes = conjugacy_classes(g, sub)
+            coeff = np.random.default_rng(5).standard_normal(len(classes))
+            want = sum(r * class_operator(rep, cls[0], sub)
+                       for r, cls in zip(coeff, classes))
+            got = combined_class_operator(rep, sub, np.random.default_rng(5))
+            scale = len(sub) * np.abs(coeff).sum()
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("source", ["c4v_t", "c6v_t", "oht"])
+def test_commutation_residuals_are_the_per_element_norms(source, oht):
+    for rep in reduction_inputs(source, oht):
+        dec = reduce_corep(rep, seed=3)
+        g, seed = rep.group, dec.seeds_used[-1]
+        if g.is_magnetic:
+            com = build_G_commutant(rep, seed)
+            gamma, lam = com.gamma, com.lam
+        else:
+            gamma = lam = build_H_commutant(rep, seed)
+
+        def per_element(ids, x):
+            stack = (rep.apply(ids, x) - x).reshape(-1, rep.dim, rep.dim)
+            return max(float(np.linalg.norm(m, ord=2)) for m in stack)
+
+        res = dec.residuals
+        assert res["gamma_subgroup_commutation"] == per_element(g.h_elements, gamma)
+        if g.is_magnetic:
+            assert res["gamma_t0_commutation"] == per_element(g.t0, gamma)
+            assert res["lambda_subgroup_commutation"] == per_element(g.h_elements, lam)
+
+
+def test_reduction_evaluates_the_criterion_once_per_block(monkeypatch):
+    calls = []
+
+    def counted(rep, weights):
+        calls.append(rep.dim)
+        return criterion_sums(rep, weights)
+
+    monkeypatch.setattr(reduction, "criterion_sums", counted)
+    entry = mr.catalog_get("z4t")
+    rep = direct_sum([entry.reps["scalar"], entry.reps["quaternion"], entry.reps["scalar"]])
+    dec = reduce_corep(conjugate_corep(rep, random_unitary(4, 2)), seed=1)
+    assert calls == dec.block_dims
+    calls.clear()
+    assert torsion_number(kramers()) == 4
+    assert calls == [2]
