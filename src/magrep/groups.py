@@ -11,6 +11,7 @@ sum over element ids, so groups are kept small and fully tabulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -106,6 +107,34 @@ class MagneticGroup:
 
     def label(self, g: int) -> str:
         return self.labels[g]
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """Ids of a generating set of H, then t0 on magnetic groups.
+
+        Greedy and deterministic: the unitary elements in descending element
+        order, lowest id first, each kept when the words in those kept so
+        far (a breadth-first search over the Cayley table) do not reach it.
+        Computed on first use, so that building a group, as
+        ``restricted_group`` does per call, does not pay for it.
+        """
+        gens = []
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        for h in sorted(self.h_elements.tolist(), key=lambda h: (-self.element_order[h], h)):
+            if reached[h]:
+                continue
+            gens.append(h)
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                new = np.zeros_like(reached)
+                new[self.cayley[frontier][:, gens]] = True
+                new &= ~reached
+                reached |= new
+                frontier = np.flatnonzero(new)
+        out = np.array(gens + ([self.t0] if self.is_magnetic else []), dtype=int)
+        out.flags.writeable = False
+        return out
 
 
 def _element_orders(cayley: np.ndarray, identity: int) -> np.ndarray:

@@ -23,7 +23,9 @@ on Hermitian matrices, so the average of D(h) x a(h) over the unitary
 subgroup, times (1 + D(t0) x a(t0))/2 for magnetic groups, projects onto the
 coordinates of the coupling tuples.  A brute-force null space solver over
 the same parametrization ships alongside as the independent ground truth for
-both the count and the span.
+both the count and the span.  Its constraints come from
+``group.generators`` only: the covariance map is a group action, so a
+tuple fixed by a generating set of H and by t0 is fixed by every element.
 ``_covariance_defects`` writes the covariance equation once, for any array
 of elements; the model residuals and the oracle's constraint rows read it.
 
@@ -422,27 +424,23 @@ def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
 
     Stacks the real-linear constraint system over the q * d^2 real parameters
     of a Hermitian q-tuple and returns an orthonormal basis of solutions with
-    shape (n_solutions, q, d, d).  Each unitary element and t0 adds the
-    covariance defects of all parameter tuples at once.  Independent of the
-    projector construction; the ground truth for multiplicities and spans.
+    shape (n_solutions, q, d, d).  For a co-rep and a rep the covariance map
+    is a group action, so a tuple that ``group.generators`` (a generating set
+    of H, plus t0) fix is fixed by every element: one ``_covariance_defects``
+    call over them writes the whole system.  Independent of the projector
+    construction; the ground truth for multiplicities and spans.
     """
-    g = rep.group
     d = rep.dim
     q = action.dim_q
-    dual = dual_rep(action)
     n_par = q * d * d
     # parameter (m, k) is the tuple with the k-th Hermitian basis matrix in slot m
     tuples = np.zeros((q, d * d, q, d, d), dtype=complex)
     tuples[np.arange(q), :, np.arange(q)] = hermitian_basis(d)
     tuples = tuples.reshape(n_par, q, d, d)
-    ids = np.append(g.h_elements, g.t0) if g.is_magnetic else g.h_elements
-    # rows: (real part, imaginary part) x element x defect entry
-    system = np.empty((2, len(ids), n_par, n_par))
-    for k, e in enumerate(ids):
-        defect = _covariance_defects(rep, dual, e, tuples).reshape(n_par, n_par).T
-        system[0, k] = defect.real
-        system[1, k] = defect.imag
-    sols = _null_space(system.reshape(-1, n_par))
+    defects = _covariance_defects(rep, dual_rep(action), rep.group.generators, tuples)
+    # rows: (real part, imaginary part) x generator x defect entry
+    system = np.moveaxis(defects, 1, -1).reshape(-1, n_par)
+    sols = _null_space(np.concatenate([system.real, system.imag]))
     return np.einsum("ps,pmab->smab", sols, tuples)
 
 
@@ -450,8 +448,9 @@ def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:
     """Distance between the real spans of two sets of Hermitian tuples.
 
     Embeds each tuple as a real vector (re, im stacked), orthonormalizes both
-    sets, and returns the norm of the difference of the two orthogonal
-    projectors.
+    sets to Q_a and Q_b, and returns the norm of the difference of the two
+    orthogonal projectors; for spans of equal dimension that is
+    ||Q_b - Q_a (Q_a^T Q_b)||_2, a thin norm that needs neither projector.
     """
     def embed(tuples):
         if len(tuples) == 0:
@@ -466,7 +465,7 @@ def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     qa, _ = np.linalg.qr(va)
     qb, _ = np.linalg.qr(vb)
-    return float(np.linalg.norm(qa @ qa.T - qb @ qb.T, ord=2))
+    return float(np.linalg.norm(qb - qa @ (qa.T @ qb), ord=2))
 
 
 # -- polynomial channels -----------------------------------------------------------

@@ -313,9 +313,13 @@ def _reduce_once(rep: CoRep, seed: int, tol: float,
     if g.is_magnetic:
         labels[:, -1] = np.hstack([values[-1] for _, values in refined])
 
+    # one rotation: each block's co-rep is its diagonal block, and the rest
+    # is what block_diagonality measures
+    rotated = conjugate_corep(rep, u).matrices
     blocks = []
     for sl in block_slices:
-        index, coset = _index_and_coset(conjugate_corep(rep, u[:, sl]))
+        index, coset = _index_and_coset(
+            CoRep(group=g, omega=rep.omega, matrices=rotated[:, sl, sl]))
         if abs(index - 1.0) > max(10 * tol, 1e-7):
             raise NotIrreducible(
                 f"block {sl} has criterion {index}; accidental degeneracy suspected")
@@ -327,20 +331,20 @@ def _reduce_once(rep: CoRep, seed: int, tol: float,
             labels=labels[sl], index=index,
         ))
 
-    residuals = _decomposition_residuals(rep, u, block_slices, gamma, lam, hermiticity)
+    residuals = _decomposition_residuals(rep, u, rotated, block_slices, gamma, lam,
+                                         hermiticity)
     return IrrepDecomposition(basis=u, blocks=blocks, residuals=residuals,
                               seeds_used=list(seeds_used), label_names=names)
 
 
-def _decomposition_residuals(rep: CoRep, u: np.ndarray, block_slices,
-                             gamma: np.ndarray, lam: np.ndarray,
+def _decomposition_residuals(rep: CoRep, u: np.ndarray, rotated: np.ndarray,
+                             block_slices, gamma: np.ndarray, lam: np.ndarray,
                              hermiticity: float) -> dict:
     g = rep.group
     d = rep.dim
     mask = np.ones((d, d), dtype=bool)
     for sl in block_slices:
         mask[sl, sl] = False
-    rotated = conjugate_corep(rep, u).matrices
     off = float(np.abs(rotated[:, mask]).max()) if mask.any() else 0.0
 
     def commutation(ids, x):

@@ -16,7 +16,7 @@ from magrep.errors import (
     NoT0,
     NotIrreducible,
 )
-from magrep.groups import conjugacy_classes
+from magrep.groups import build_group, conjugacy_classes
 from magrep.kp import (
     ACTION_TOL,
     _dual_matrices,
@@ -65,6 +65,14 @@ def oht():
                                              kind=kind)
                         for a, (mats, kind) in gen["actions"].items()},
             "lowerings": {low: ids for low, (ids, _) in gen["subgroups"].items()}}
+
+
+def relabelled(group, mats, perm):
+    """The group and matrices with new id i standing for old id perm[i]."""
+    inv = np.argsort(perm)
+    table = inv[group.cayley[np.ix_(perm, perm)]]
+    labels = [group.labels[p] for p in perm]
+    return build_group(table, group.antiunitary[perm], labels=labels), mats[perm]
 
 
 def catalog_irreps():
@@ -444,6 +452,21 @@ def covariant_tuple_basis_columnwise(rep, action):
         coeff = sols[:, s].reshape(q, d * d)
         tuples[s] = np.einsum("mk,kab->mab", coeff, basis)
     return tuples
+
+
+def tuple_span_residual_projectors(a, b):
+    """Span distance as the spectral norm of the difference of the two
+    orthogonal projectors, each built in full; inf for unequal dimensions."""
+    def basis(tuples):
+        flat = tuples.reshape(len(tuples), -1)
+        return np.linalg.qr(np.concatenate([flat.real, flat.imag], axis=1).T)[0]
+
+    if len(a) != len(b):
+        return float("inf")
+    if len(a) == 0:
+        return 0.0
+    qa, qb = basis(a), basis(b)
+    return float(np.linalg.norm(qa @ qa.T - qb @ qb.T, ord=2))
 
 
 def dispersion_table_per_channel(rep, action, n_max, seed=0):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import magrep as mr
+from magrep.coreps import CoRep
 from magrep.errors import (
     ElementNotInSubgroup,
     FlagInconsistent,
@@ -17,8 +20,12 @@ from magrep.groups import (
     restricted_group,
     validate_cocycle,
 )
+from magrep.kp import ProbeRepAction, covariant_tuple_basis, linear_multiplicity
+
+from conftest import relabelled
 
 Z2T_CAYLEY = [[0, 1], [1, 0]]
+ENTRIES = mr.catalog_list()
 
 
 def element_order_bruteforce(cayley, identity, g):
@@ -186,3 +193,106 @@ def test_restricted_group_and_embedding():
     mr.groups.verify_embedding(g, sub, emb)
     with pytest.raises(NotASubgroupEmbedding):
         restricted_group(g, [0, 1])  # C4 alone without its powers is not closed
+
+
+# -- generators ------------------------------------------------------------------
+
+def words_reach(cayley, identity, gens):
+    """Ids of every product of the listed elements, grown a set at a time."""
+    reached, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [int(cayley[a][b]) for a in frontier for b in gens
+                     if int(cayley[a][b]) not in reached]
+        reached.update(frontier)
+    return reached
+
+
+def assert_generates(g):
+    gens = [int(x) for x in g.generators]
+    assert words_reach(g.cayley, g.identity, gens) == set(range(g.order))
+    h_gens = gens[:-1] if g.is_magnetic else gens
+    assert words_reach(g.cayley, g.identity, h_gens) == set(g.h_elements.tolist())
+    assert not g.antiunitary[h_gens].any()
+    assert (g.t0 in gens) == g.is_magnetic and (not g.is_magnetic or gens[-1] == g.t0)
+    assert len(set(gens)) == len(gens)
+
+
+def generator_groups(oht):
+    """Every catalog group, O_h x T, and their unitary halvings and the
+    O_h x T lowerings as standalone groups."""
+    groups = [mr.catalog_get(name).group for name in ENTRIES] + [oht["group"]]
+    subs = [restricted_group(g, g.h_elements)[0] for g in groups]
+    subs += [restricted_group(oht["group"], ids)[0] for ids in oht["lowerings"].values()]
+    return groups + subs
+
+
+def test_generators_generate_every_group(oht):
+    groups = generator_groups(oht)
+    assert any(g.is_magnetic for g in groups) and any(not g.is_magnetic for g in groups)
+    for g in groups:
+        assert_generates(g)
+    # O_h x T: three unitary generators and T
+    assert len(oht["group"].generators) == 4
+
+
+def test_generators_follow_the_greedy_rule(oht):
+    # descending element order, lowest id first, kept when not yet reached
+    for g in generator_groups(oht):
+        gens = []
+        for h in sorted(g.h_elements.tolist(), key=lambda h: (-g.element_order[h], h)):
+            if h not in words_reach(g.cayley, g.identity, gens):
+                gens.append(h)
+        assert g.generators.tolist() == gens + ([g.t0] if g.is_magnetic else [])
+
+
+def test_generators_are_deterministic_and_lazy(oht):
+    for g in generator_groups(oht):
+        again = build_group(g.cayley, g.antiunitary, labels=g.labels)
+        assert "generators" not in vars(again)     # computed on first use only
+        assert np.array_equal(g.generators, again.generators)
+        assert g.generators is g.generators
+        assert not g.generators.flags.writeable
+
+
+def test_generators_of_the_trivial_group_are_empty():
+    g = build_group([[0]], [0])
+    assert g.generators.shape == (0,)
+    assert list(build_group(Z2T_CAYLEY, [0, 1]).generators) == [1]
+
+
+def relabelled_entry(name, perm):
+    """The entry's group, co-reps and probe actions with new id i standing for
+    old id perm[i]."""
+    entry = mr.catalog_get(name)
+    perm = np.asarray(perm)
+    new, _ = relabelled(entry.group, perm, perm)   # the group alone: no matrices
+    reps = [CoRep(group=new, omega=FactorSystem(rep.omega.values[np.ix_(perm, perm)]),
+                  matrices=rep.matrices[perm]) for rep in entry.reps.values()]
+    actions = []
+    for act in entry.probe_actions.values():
+        mats = act.d(perm)
+        actions.append(ProbeRepAction(group=new, d_h=mats[new.h_elements],
+                                      d_t0=mats[new.t0] if new.is_magnetic else None,
+                                      kind=act.kind))
+    return new, reps, actions
+
+
+@st.composite
+def relabellings(draw):
+    name = draw(st.sampled_from(ENTRIES))
+    n = mr.catalog_get(name).group.order
+    return name, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(relabellings())
+def test_generators_and_oracle_survive_relabelling(case):
+    # relabelling moves the identity, t0 and the greedy generator choice; the
+    # generators must still generate, and the oracle built on them must count
+    # what the criterion counts
+    name, perm = case
+    g, reps, actions = relabelled_entry(name, perm)
+    assert_generates(g)
+    for rep in reps:
+        for act in actions:
+            assert covariant_tuple_basis(rep, act).shape[0] == linear_multiplicity(rep, act)

@@ -16,6 +16,7 @@ from magrep.errors import (
     SingularAction,
 )
 from magrep.kp import (
+    NULL_SPACE_ATOL,
     ProbeRepAction,
     _covariance_residuals,
     build_gamma_matrices,
@@ -32,6 +33,8 @@ from magrep.kp import (
 )
 from conftest import (
     catalog_irreps,
+    channel_actions,
+    tuple_span_residual_projectors,
     multiplicity_value_diagonal_t0,
     multiplicity_value_trace_form,
     trivial_multiplicity_h_t0,
@@ -598,6 +601,95 @@ def test_gamma_construction_gauge_robust(oht):
         built += 1
     # the oblique case, last, couples; so do about half of the others
     assert model.action is oblique and built > len(cases) // 3
+
+
+def test_oracle_writes_one_defect_call_over_the_generators(monkeypatch):
+    # the whole constraint system comes from one batched call over
+    # group.generators, never from an element-by-element loop
+    calls = []
+    defects = mr.kp._covariance_defects
+
+    def counted(rep, dual, ids, tuples):
+        calls.append(np.asarray(ids).tolist())
+        return defects(rep, dual, ids, tuples)
+
+    monkeypatch.setattr(mr.kp, "_covariance_defects", counted)
+    for name, _, rep in catalog_irreps():
+        for act in mr.catalog_get(name).probe_actions.values():
+            calls.clear()
+            covariant_tuple_basis(rep, act)
+            assert calls == [rep.group.generators.tolist()], name
+
+
+def test_span_residual_matches_the_projector_form(kp_sweep):
+    # the thin norm against the difference of the full projectors: on every
+    # model/oracle pair of the catalog sweep and on perturbed subspaces
+    rng = np.random.default_rng(23)
+    pairs = 0
+    for record in kp_sweep:
+        model, oracle = record["model"], record["oracle"]
+        if model is None:
+            continue
+        pairs += 1
+        want = tuple_span_residual_projectors(model.gammas, oracle)
+        assert abs(tuple_span_residual(model.gammas, oracle) - want) <= 1e-15
+        for eps in (1e-3, 1e-8, 1e-13):
+            kick = eps * (rng.standard_normal(oracle.shape)
+                          + 1j * rng.standard_normal(oracle.shape))
+            moved = oracle + kick
+            want = tuple_span_residual_projectors(oracle, moved)
+            got = tuple_span_residual(oracle, moved)
+            assert abs(got - want) <= 1e-3 * want + 1e-15, (record["where"], eps)
+    assert pairs > 30
+    rep, actions = kramers_setup()
+    three = covariant_tuple_basis(rep, actions["magnetic"])
+    assert tuple_span_residual(three, three[:2]) == float("inf")
+    assert tuple_span_residual(three[:0], three[:0]) == 0.0
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_oracle_matches_the_criterion_on_order_96_gamma8_sums(oht, copies):
+    # d = 8 and 12 against the magnetic channel, where the all-element
+    # system would have 49 * 2 * 3 d^2 rows: count and span, plain and
+    # rotated + gauged
+    gamma8 = mr.corep_from_matrices(oht["group"], oht["coreps"]["gamma8"])
+    rep = mr.direct_sum([gamma8] * copies)
+    act = oht["actions"]["magnetic"]
+    moved = mr.random_gauge(mr.conjugate_corep(rep, mr.random_unitary(rep.dim, 80)), 81)
+    for r in (rep, moved):
+        oracle = covariant_tuple_basis(r, act)
+        assert oracle.shape[0] == linear_multiplicity(r, act) > 0
+        model = build_gamma_matrices(r, act)
+        assert tuple_span_residual(model.gammas, oracle) <= 1e-10
+
+
+def test_oracle_systems_are_far_from_the_cutoff(oht, monkeypatch):
+    # every generator system of the catalog sweep and of the order-96 co-reps
+    # (d <= 4 against each probe and its channels of orders 1-2, Gamma8 + Gamma8
+    # against the magnetic one): its singular values are rounding noise or of
+    # order one, far on either side of NULL_SPACE_ATOL
+    spectra = []
+    null_space = mr.kp._null_space
+
+    def recorded(a):
+        spectra.append(np.linalg.svd(a, compute_uv=False))
+        return null_space(a)
+
+    monkeypatch.setattr(mr.kp, "_null_space", recorded)
+    for name, _, rep in catalog_irreps():
+        for act in mr.catalog_get(name).probe_actions.values():
+            for _, _, a in channel_actions(act, (1, 2, 3)):
+                covariant_tuple_basis(rep, a)
+    reps = {r: mr.corep_from_matrices(oht["group"], m) for r, m in oht["coreps"].items()}
+    for rep in reps.values():
+        for probe in ("momentum", "electric", "magnetic"):
+            for _, _, a in channel_actions(oht["actions"][probe], (1, 2)):
+                covariant_tuple_basis(rep, a)
+    covariant_tuple_basis(mr.direct_sum([reps["gamma8"]] * 2), oht["actions"]["magnetic"])
+    values = np.concatenate(spectra)
+    assert len(spectra) > 800
+    assert values[values > NULL_SPACE_ATOL].min() > 1e-1
+    assert values[values <= NULL_SPACE_ATOL].max() < 1e-13
 
 
 def test_gamma_construction_unitary_group_branch():

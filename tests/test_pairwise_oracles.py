@@ -71,6 +71,7 @@ from conftest import (
     covariant_tuple_basis_columnwise,
     dispersion_table_per_channel,
     omega_pairwise,
+    relabelled,
     restricted_table_pairwise,
     substitution_matrix_dict,
     trivial_multiplicity_h_t0,
@@ -245,14 +246,6 @@ def test_row_products_match_pair_products(name, oht):
             assert np.array_equal(target, mats[g.cayley[rows]]), d
         assert start == n, d
     assert mixed and partial
-
-
-def relabelled(group, mats, perm):
-    """The group and matrices with new id i standing for old id perm[i]."""
-    inv = np.argsort(perm)
-    table = inv[group.cayley[np.ix_(perm, perm)]]
-    labels = [group.labels[p] for p in perm]
-    return build_group(table, group.antiunitary[perm], labels=labels), mats[perm]
 
 
 @pytest.mark.parametrize("source", ["c8t", "oht"])
@@ -593,6 +586,23 @@ def test_covariant_tuple_basis_matches_columnwise_oracle(name):
                 want = covariant_tuple_basis_columnwise(variant, a)
                 assert got.shape == want.shape, (order, tag)
                 assert tuple_span_residual(got, want) < 1e-12, (order, tag)
+
+
+@pytest.mark.parametrize("rep_name", ["vector", "spinor", "gamma8", "quaternion"])
+def test_covariant_tuple_basis_matches_columnwise_oracle_at_order_96(oht, rep_name):
+    # the four generators against all 49 elements of H plus t0: every probe
+    # and its order-2 channels, the co-rep plain and rotated + gauged
+    rep = corep_from_matrices(oht["group"], oht["coreps"][rep_name])
+    variant = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, 60)), 70)
+    for probe in ("momentum", "electric", "magnetic"):
+        act = oht["actions"][probe]
+        channels = [c.action for c in polynomial_channel(act, 2).channels]
+        for k, a in enumerate([act] + channels):
+            for r in (rep, variant):
+                got = covariant_tuple_basis(r, a)
+                want = covariant_tuple_basis_columnwise(r, a)
+                assert got.shape == want.shape, (probe, k)
+                assert tuple_span_residual(got, want) < 1e-12, (probe, k)
 
 
 @pytest.mark.parametrize("name", ENTRIES)

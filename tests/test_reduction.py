@@ -504,3 +504,29 @@ def test_reduction_evaluates_the_criterion_once_per_block(monkeypatch):
     calls.clear()
     assert torsion_number(kramers()) == 4
     assert calls == [2]
+
+
+def test_reduction_rotates_the_co_rep_once_per_attempt(monkeypatch):
+    # the per-block criteria and block_diagonality read one rotated stack; the
+    # scalar lam on seed 0 makes the first attempt fail, so two attempts run
+    attempts, rotations = [], []
+    reduce_once, rotate = reduction._reduce_once, reduction.conjugate_corep
+
+    def counted_attempt(*args):
+        attempts.append(args[1])
+        return reduce_once(*args)
+
+    def counted_rotation(rep, u):
+        rotations.append(np.shape(u))
+        return rotate(rep, u)
+
+    build = reduction.build_H_commutant
+    monkeypatch.setattr(reduction, "build_H_commutant", lambda rep, seed: (
+        3.0 * np.eye(rep.dim) if seed == 0 else build(rep, seed)))
+    monkeypatch.setattr(reduction, "_reduce_once", counted_attempt)
+    monkeypatch.setattr(reduction, "conjugate_corep", counted_rotation)
+    entry = mr.catalog_get("z4t")
+    rep = direct_sum([entry.reps["scalar"], entry.reps["quaternion"], entry.reps["scalar"]])
+    dec = reduce_corep(conjugate_corep(rep, random_unitary(4, 2)), seed=0)
+    assert len(dec.blocks) == 3 and len(attempts) == 2
+    assert rotations == [(4, 4)] * 2
