@@ -16,8 +16,11 @@ the probe character, so ``dispersion_order`` counts the full induced action
 and every channel of one order in one call on their stacked characters.
 Characters cannot tell a rep from a non-rep, so each entry point that
 counts validates an action that carries no residual from its construction.
-The matrices come from one real fixed space: in
-coordinates over the orthonormal ``hermitian_basis(d)`` the covariance action
+The channels of one polynomial order carry the residual of one group-law
+check of the block-diagonal rep they form, the largest of their own up to
+rounding.
+The matrices come from one real fixed space: in coordinates over the
+orthonormal, shared ``hermitian_basis(d)`` the covariance action
 of g is the real matrix D(g) x a(g), where a(g) is the adjoint action of M(g)
 on Hermitian matrices, so the average of D(h) x a(h) over the unitary
 subgroup, times (1 + D(t0) x a(t0))/2 for magnetic groups, projects onto the
@@ -34,17 +37,19 @@ matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
 is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
 co-reps: the probe characters and the substitution rep of the polynomial
 channels read every element at once.  ``validate_action`` checks all |H|^2
-subgroup products in one broadcast matmul.
+subgroup products in broadcast matmuls, one per block of rows of up to
+``ROW_BLOCK_ENTRIES`` product entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .coreps import CoRep, _restricted_to, restrict_corep
+from .coreps import ROW_BLOCK_ENTRIES, CoRep, _restricted_to, restrict_corep
 from .errors import (
     DimensionMismatch,
     EmptyChannel,
@@ -53,7 +58,7 @@ from .errors import (
     SingularAction,
 )
 from .groups import MagneticGroup, _same_group, verify_embedding
-from .linalg import _cluster_slices, eigenspace_of_one
+from .linalg import _cluster_slices, _fixed_basis
 from .reduction import criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
@@ -151,10 +156,15 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     d_h = action.d_h
     pos = action._h_pos
     h = g.h_elements
-    # every product D(h1) D(h2) at once, against the table's D(h1 h2);
+    # every product D(h1) D(h2) against the table's D(h1 h2), one broadcast
+    # matmul per block of rows h1 of up to ROW_BLOCK_ENTRIES entries: at
+    # order 96 one block of all |H|^2 products would be megabytes of
+    # temporaries, each slower to fill than the products are to take.
     # np.max, unlike the builtin max, lets a NaN residual through to the test
-    resids = [np.abs(d_h[:, None] @ d_h[None, :]
-                     - d_h[pos[g.cayley[np.ix_(h, h)]]]).max()]
+    table = pos[g.cayley[np.ix_(h, h)]]
+    step = max(1, ROW_BLOCK_ENTRIES // max(1, d_h[:1].size * len(h)))
+    resids = [np.abs(d_h[a:a + step, None] @ d_h[None, :] - d_h[table[a:a + step]]).max()
+              for a in range(0, len(h), step)]
     if g.is_magnetic:
         t0 = g.t0
         resids.append(np.abs(action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max())
@@ -171,7 +181,13 @@ def validated_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> ProbeRe
     """``action`` carrying the residual ``validate_action`` measures; raises
     like it.  The matrices, which the caller must not share, become
     read-only: writing to them would leave the residual stale."""
-    action.residual = validate_action(action, tol)
+    return _frozen(action, validate_action(action, tol))
+
+
+def _frozen(action: ProbeRepAction, residual: float) -> ProbeRepAction:
+    """``action`` carrying ``residual``, a group-law residual measured on its
+    matrices, which become read-only."""
+    action.residual = residual
     action.d_h.flags.writeable = False
     if action.d_t0 is not None:
         action.d_t0.flags.writeable = False
@@ -347,10 +363,14 @@ def _covariance_residuals(rep: CoRep, action: ProbeRepAction,
     return out
 
 
+@cache
 def hermitian_basis(d: int) -> np.ndarray:
     """d^2 Hermitian matrices, orthonormal under Re Tr(A^dag B), spanning the
     space over the reals: the diagonal units, then per pair i < j (row-major)
-    the real and imaginary off-diagonals, each scaled by 1/sqrt(2)."""
+    the real and imaginary off-diagonals, each scaled by 1/sqrt(2).
+
+    Built once per d and shared by every caller, so the array is read-only;
+    copy it before writing."""
     i, j = np.triu_indices(d, 1)
     re, im = d + 2 * np.arange(len(i)), d + 2 * np.arange(len(i)) + 1
     off = 1.0 / np.sqrt(2.0)
@@ -358,6 +378,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     out[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     out[re, i, j] = out[re, j, i] = off
     out[im, i, j], out[im, j, i] = -1j * off, 1j * off
+    out.flags.writeable = False
     return out
 
 
@@ -411,8 +432,7 @@ def _fixed_space(rep: CoRep, action: ProbeRepAction, tol: float):
     proj = np.einsum("hmn,hkl->mknl", action.d_h, a[:n_h]).reshape(size, size) / n_h
     if g.is_magnetic:
         proj = 0.5 * (proj + proj @ np.kron(action.d_t0, a[n_h]))
-    resid = float(np.linalg.norm(proj @ proj - proj, ord=2))
-    coords = eigenspace_of_one(proj, tol=max(tol, 1e-9))
+    coords, resid = _fixed_basis(proj, tol=max(tol, 1e-9))
     tuples = coords.reshape(q, d * d, coords.shape[1])
     return np.einsum("mki,kab->imab", tuples, hb), resid
 
@@ -479,30 +499,41 @@ def evaluate_monomials(exponents, dk: np.ndarray) -> np.ndarray:
     return np.array([np.prod(dk ** np.asarray(e)) for e in exponents])
 
 
+@cache
+def _degree_tables(j: int) -> tuple:
+    """Read-only tables that raise ``_substitution_matrices`` from degree
+    j - 1 to j, in the order of ``monomial_exponents``: ``first[c]``, the
+    first variable of monomial c; ``parent[c]``, monomial c divided by it;
+    and ``times[(b, w), c]`` = 1 when monomial b times k_w is monomial c."""
+    prev = {e: k for k, e in enumerate(monomial_exponents(j - 1))}
+    expos = monomial_exponents(j)
+    index = {e: k for k, e in enumerate(expos)}
+    first = np.array([next(v for v in range(3) if e[v]) for e in expos])
+    parent = np.array([prev[tuple(x - (w == v) for w, x in enumerate(e))]
+                       for e, v in zip(expos, first)])
+    times = np.zeros((len(prev), 3, len(expos)))
+    for e, b in prev.items():
+        for w in range(3):
+            times[b, w, index[tuple(x + (u == w) for u, x in enumerate(e))]] = 1.0
+    times = times.reshape(-1, len(expos))
+    for table in (first, parent, times):
+        table.flags.writeable = False
+    return first, parent, times
+
+
 def _substitution_matrices(lin: np.ndarray, n: int) -> np.ndarray:
     """Matrices R with mono_a(lin @ k) = sum_b R[a, b] mono_b(k), degree n.
 
     ``lin`` is a stack ``(..., 3, 3)`` and the result ``(..., m, m)`` in the
     order of ``monomial_exponents(n)``.  Built degree by degree: a monomial is
     its first variable times a monomial one degree lower, so its row is that
-    parent row multiplied by the variable's linear form.
+    parent row multiplied by the variable's linear form (``_degree_tables``).
     """
     r = np.ones(lin.shape[:-2] + (1, 1))
-    prev = {(0, 0, 0): 0}                  # exponents -> row, one degree lower
     for j in range(1, n + 1):
-        expos = monomial_exponents(j)
-        index = {e: k for k, e in enumerate(expos)}
-        first = [next(v for v in range(3) if e[v]) for e in expos]
-        parent = [prev[tuple(x - (w == v) for w, x in enumerate(e))]
-                  for e, v in zip(expos, first)]
-        # times[(b, w), c] = 1 when monomial b times k_w is monomial c
-        times = np.zeros((len(prev), 3, len(expos)))
-        for e, b in prev.items():
-            for w in range(3):
-                times[b, w, index[tuple(x + (u == w) for u, x in enumerate(e))]] = 1.0
+        first, parent, times = _degree_tables(j)
         terms = r[..., parent, :, None] * lin[..., first, None, :]
-        r = terms.reshape(terms.shape[:-2] + (-1,)) @ times.reshape(-1, len(expos))
-        prev = index
+        r = terms.reshape(terms.shape[:-2] + (-1,)) @ times
     return r
 
 
@@ -543,7 +574,10 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     explicit polynomial bases.  n = 1 reproduces the input action.
 
     The input is validated unless it carries a residual at or below
-    ``ACTION_TOL``; each channel carries the residual of its own check.
+    ``ACTION_TOL``.  The channels are checked together, in one group-law
+    check of the block-diagonal rep they form (tolerance 1e-7), and each
+    carries that residual: the largest of the channels' own residuals, up to
+    last-place rounding.
     """
     if n < 1:
         raise ValueError("polynomial order must be >= 1")
@@ -574,19 +608,31 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     lam = (ortho @ a @ np.swapaxes(ortho, 1, 2)).sum(axis=0) / g.order
     lam = (lam + lam.T) / 2
     evals, evecs = np.linalg.eigh(lam)
-    gap = 1e-7 * max(1.0, np.linalg.norm(lam, ord=2))
+    # lam is symmetric, so its spectral norm is its largest |eigenvalue|
+    gap = 1e-7 * max(1.0, np.abs(evals).max())
+    slices = _cluster_slices(evals, gap)
 
-    # the rep in the eigenbasis: each channel is one diagonal block
-    rotated = evecs.T @ ortho @ evecs
+    # the rep in the eigenbasis: each channel is one diagonal block.  Off the
+    # blocks it is zeroed, so one group-law check of the block-diagonal stack
+    # checks every channel: its off-block products are exact zeros, and its
+    # residual is the largest of the channels' own, up to the last-place
+    # rounding of the larger inverse of D(t0).  A bad split fails it.
+    in_block = np.zeros((n_mono, n_mono), dtype=bool)
+    for sl in slices:
+        in_block[sl, sl] = True
+    rotated = np.where(in_block, evecs.T @ ortho @ evecs, 0.0)
+    resid = validate_action(ProbeRepAction(
+        group=g, d_h=rotated[g.h_elements], d_t0=rotated[g.t0] if g.is_magnetic else None,
+        kind=f"polynomial({n})"), tol=1e-7)
     diagonal = np.einsum("gii->gi", rotated)
     characters = [np.einsum("gii->g", full_d)]
     channels = []
-    for sl in _cluster_slices(evals, gap):
+    for sl in slices:
         chan = rotated[:, sl, sl]
-        chan_action = validated_action(
+        chan_action = _frozen(
             ProbeRepAction(group=g, d_h=chan[g.h_elements],
                            d_t0=chan[g.t0] if g.is_magnetic else None,
-                           kind=f"polynomial({n})"), tol=1e-7)
+                           kind=f"polynomial({n})"), resid)
         channels.append(PolynomialChannel(
             action=chan_action,
             coefficients=evecs[:, sl].T @ s_half,

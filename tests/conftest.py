@@ -14,7 +14,9 @@ from magrep.errors import (
     NotAGroup,
     NotASubgroupEmbedding,
     NoT0,
+    NotIdempotent,
     NotIrreducible,
+    TraceNotInteger,
 )
 from magrep.groups import build_group, conjugacy_classes
 from magrep.kp import (
@@ -25,9 +27,10 @@ from magrep.kp import (
     dual_rep,
     hermitian_basis,
     linear_multiplicity,
+    monomial_exponents,
     polynomial_channel,
 )
-from magrep.linalg import _cluster_slices, simultaneous_diag
+from magrep.linalg import LINALG_TOL, _cluster_slices, simultaneous_diag
 from magrep.reduction import (
     BLOCK_TOL,
     Block,
@@ -385,6 +388,54 @@ def substitution_matrix_dict(exponents, lin):
         for mono, c in poly.items():
             r[row, index[mono]] = c
     return r
+
+
+def substitution_matrices_per_call(lin, n):
+    """``_substitution_matrices`` with its degree tables built on every call
+    from dicts of exponents."""
+    r = np.ones(lin.shape[:-2] + (1, 1))
+    prev = {(0, 0, 0): 0}                  # exponents -> row, one degree lower
+    for j in range(1, n + 1):
+        expos = monomial_exponents(j)
+        index = {e: k for k, e in enumerate(expos)}
+        first = [next(v for v in range(3) if e[v]) for e in expos]
+        parent = [prev[tuple(x - (w == v) for w, x in enumerate(e))]
+                  for e, v in zip(expos, first)]
+        # times[(b, w), c] = 1 when monomial b times k_w is monomial c
+        times = np.zeros((len(prev), 3, len(expos)))
+        for e, b in prev.items():
+            for w in range(3):
+                times[b, w, index[tuple(x + (u == w) for u, x in enumerate(e))]] = 1.0
+        terms = r[..., parent, :, None] * lin[..., first, None, :]
+        r = terms.reshape(terms.shape[:-2] + (-1,)) @ times.reshape(-1, len(expos))
+        prev = index
+    return r
+
+
+def fixed_basis_two_norms(p, tol=LINALG_TOL):
+    """``linalg._fixed_basis`` with the scale taken by its own spectral norm
+    and the idempotency residual by its own SVD before the basis SVD, an
+    empty basis returned without one."""
+    p = np.asarray(p)
+    p = p.astype(np.result_type(p, float), copy=False)
+    scale = max(1.0, np.linalg.norm(p, ord=2))
+    resid = float(np.linalg.norm(p @ p - p, ord=2))
+    if resid > tol * scale:
+        raise NotIdempotent("P^2 != P at tolerance")
+    tr = np.trace(p)
+    count = round(tr.real)
+    if abs(tr - count) > max(tol * scale * p.shape[0], 1e-6):
+        raise TraceNotInteger(f"trace {tr} is not close to an integer")
+    if count == 0:
+        return np.zeros((p.shape[0], 0), dtype=p.dtype), resid
+    u, s, _ = np.linalg.svd(p)
+    rank = int((s > 0.5).sum())
+    if rank != count:
+        raise TraceNotInteger(f"rank {rank} disagrees with trace {count}")
+    basis = u[:, :rank]
+    if np.linalg.norm(p @ basis - basis, ord=2) > 10 * tol * scale:
+        raise NotIdempotent("recovered basis is not fixed by the projector")
+    return basis, resid
 
 
 def validate_action_rowwise(action, tol=ACTION_TOL):

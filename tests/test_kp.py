@@ -341,26 +341,67 @@ def test_polynomial_channel_validates_only_actions_without_a_residual(monkeypatc
         return real(action, tol)
 
     monkeypatch.setattr(magrep.kp, "validate_action", counting)
+    # catalog momentum actions x orders 1-4 x two seeds: one check per order,
+    # of the block-diagonal rep the channels form, and each channel carries
+    # its residual, the largest of the channels' own.  Products of the blocks
+    # are bit-equal to the channels' own, but LAPACK may round the inverse of
+    # the larger D(t0) differently in the last place (c4v_c4 momentum at
+    # order 1, seed 7: 2.73e-16 against 2.27e-16)
+    for name in mr.catalog_list():
+        for act in mr.catalog_get(name).probe_actions.values():
+            if act.dim_q != 3:
+                continue
+            assert act.residual is not None
+            for n in (1, 2, 3, 4):
+                for seed in (0, 7):
+                    seen.clear()
+                    sets = polynomial_channel(act, n, seed=seed)
+                    assert [a.kind for a in seen] == [f"polynomial({n})"], (name, n)
+                    assert seen[0].dim_q == len(sets.exponents)
+                    own = max(real(c.action, 1e-7) for c in sets.channels)
+                    assert all(abs(c.action.residual - own) <= 1e-15
+                               for c in sets.channels), (name, n, seed)
+                    assert all(0 <= c.action.residual <= 1e-7 for c in sets.channels)
     act = mr.catalog_get("c6v_t").probe_actions["momentum"]
-    assert act.residual is not None
     sets = polynomial_channel(act, 2)
-    assert all(a is not act for a in seen)
-    # each channel is checked once, when it is built, and carries the residual
-    assert seen == [c.action for c in sets.channels]
-    assert all(0 <= c.action.residual <= 1e-7 for c in sets.channels)
     with pytest.raises(ValueError, match="read-only"):
         sets.channels[0].action.d_h[0, 0, 0] = 2.0
     reassigned = polynomial_channel(act, 2).channels[0].action
     reassigned.d_h = 2.0 * reassigned.d_h
     assert reassigned.residual is None
     bare = ProbeRepAction(group=act.group, d_h=act.d_h, d_t0=act.d_t0, kind=act.kind)
+    seen.clear()
     polynomial_channel(bare, 2)
-    assert sum(a is bare for a in seen) == 1
+    assert seen[0] is bare and len(seen) == 2
     # the CLI asks for the same catalog action once per order
     seen.clear()
     assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum",
                  "--max-order", "3", "--out", os.devnull]) == 0
     assert seen and all(a is not act for a in seen)
+
+
+def _unitary_halving(name):
+    """The momentum action of a catalog entry restricted to its unitary
+    subgroup, built as a group of its own."""
+    act = mr.catalog_get(name).probe_actions["momentum"]
+    sub, emb = mr.groups.restricted_group(act.group, act.group.h_elements)
+    assert not sub.is_magnetic
+    return ProbeRepAction(group=sub, d_h=act.d(emb[sub.h_elements]), d_t0=None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polynomial_channel_block_check_catches_a_bad_split(monkeypatch, n):
+    # every eigenvalue its own cluster cuts the 2-dim channels in half; the
+    # halves are no reps, and the one block-diagonal check must see it
+    for act in (mr.catalog_get("c6v_t").probe_actions["momentum"],
+                _unitary_halving("c6v_t")):
+        sets = polynomial_channel(act, n)
+        assert max(c.action.dim_q for c in sets.channels) > 1
+        with monkeypatch.context() as m:
+            m.setattr(magrep.kp, "_cluster_slices",
+                      lambda values, gap: [slice(k, k + 1) for k in range(len(values))])
+            with pytest.raises(InvalidAction, match="group law"):
+                polynomial_channel(act, n)
 
 
 def test_polynomial_channel_characters_are_the_action_traces():
@@ -388,6 +429,20 @@ def test_cli_kp_builds_each_order_once(monkeypatch):
     assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum",
                  "--max-order", "3", "--out", os.devnull]) == 0
     assert orders == [1, 2, 3]
+
+
+def test_constant_tables_are_built_once_and_read_only():
+    for d in (1, 2, 4):
+        basis = magrep.kp.hermitian_basis(d)
+        assert magrep.kp.hermitian_basis(d) is basis
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0, 0] = 2.0
+    for j in (1, 2, 5):
+        tables = magrep.kp._degree_tables(j)
+        assert magrep.kp._degree_tables(j) is tables
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 1
 
 
 def test_monomial_count():

@@ -9,6 +9,7 @@ from magrep.errors import (
     TraceNotInteger,
 )
 from magrep.linalg import (
+    _fixed_basis,
     eigenspace_of_one,
     random_symmetric_unitary,
     random_unitary,
@@ -16,6 +17,8 @@ from magrep.linalg import (
     simultaneous_diag,
     symmetric_unitary_sqrt,
 )
+
+from conftest import fixed_basis_two_norms
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -141,3 +144,33 @@ def test_eigenspace_of_one_rejections():
     with pytest.raises((TraceNotInteger, NotIdempotent)):
         eigenspace_of_one(np.diag([1.0, 1e-3]))
 
+
+def test_eigenspace_of_one_rejects_non_finite_entries():
+    # a NaN or inf used to reach LAPACK, which raised "SVD did not converge"
+    for bad in (np.array([[np.nan]]), np.diag([1.0, np.inf]),
+                np.array([[1.0, 0.0], [np.nan, 0.0]], dtype=complex)):
+        with pytest.raises(NotIdempotent, match="non-finite"):
+            eigenspace_of_one(bad)
+    with pytest.raises(NotIdempotent, match=r"2 non-finite entries, the first nan at \(0, 1\)"):
+        eigenspace_of_one(np.array([[1.0, np.nan], [-np.inf, 0.0]]))
+
+
+def test_fixed_basis_matches_the_two_norm_form():
+    # the cases above: one SVD gives the basis and the scale, bit for bit
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v /= np.linalg.norm(v)
+    # the last, an oblique projector of norm 1e6 off by 1e-12, passes only
+    # because the idempotency tolerance scales with the norm
+    for p in (np.zeros((3, 3)), np.eye(3), np.outer(v, v.conj()),
+              np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1e6], [0.0, 1e-12]])):
+        basis, resid = _fixed_basis(p)
+        want_basis, want_resid = fixed_basis_two_norms(p)
+        assert basis.dtype == want_basis.dtype and np.array_equal(basis, want_basis)
+        assert resid == want_resid
+        assert np.array_equal(eigenspace_of_one(p), want_basis)
+    for p in (np.diag([0.5, 0.0]), np.diag([1.0, 1e-3])):
+        with pytest.raises((TraceNotInteger, NotIdempotent)) as got:
+            _fixed_basis(p)
+        with pytest.raises(got.type):
+            fixed_basis_two_norms(p)

@@ -8,8 +8,11 @@ co-reps carries residual bounds inherited from the catalog rep, and the
 residuals measured from scratch must lie within them, here and on the
 order-96 co-reps of ``bench/ohtgen``.  The probe kernels (``ProbeRepAction.d`` over an id array,
 the degree-by-degree substitution matrices, the identity-coupling count, the
-one-matmul ``validate_action``) are checked against their element-by-element
-or row-by-row forms on every catalog action, and the null-space oracle built
+row-blocked ``validate_action``) are checked against their element-by-element
+or row-by-row forms on every catalog action; the substitution matrices from
+cached degree tables, and the fixed-space basis and idempotency residual
+from one SVD, bit for bit against tables built per call and against the
+form that took two more norms.  The null-space oracle built
 from the batched covariance defects against the one built a parameter column
 and an element at a time.  ``dispersion_order``, which counts each order from
 one stack of characters, must give the table of one criterion call and one
@@ -26,6 +29,7 @@ import numpy as np
 import pytest
 
 import magrep as mr
+import magrep.kp
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
     ROW_BLOCK_ENTRIES,
@@ -50,6 +54,7 @@ from magrep.kp import (
     _substitution_matrices,
     dispersion_order,
     dual_rep,
+    linear_multiplicity,
     monomial_exponents,
     polynomial_channel,
     covariant_tuple_basis,
@@ -70,9 +75,11 @@ from conftest import (
     conjugacy_classes_pairwise,
     covariant_tuple_basis_columnwise,
     dispersion_table_per_channel,
+    fixed_basis_two_norms,
     omega_pairwise,
     relabelled,
     restricted_table_pairwise,
+    substitution_matrices_per_call,
     substitution_matrix_dict,
     trivial_multiplicity_h_t0,
     validate_action_rowwise,
@@ -443,12 +450,40 @@ def test_substitution_matrices_match_dict_expansion(name):
     assert momenta
     for act in momenta:
         lin = _dual_matrices(act.d(np.arange(act.group.order)))
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
+            got = _substitution_matrices(lin, n)
+            # the cached degree tables do the arithmetic of tables built per call
+            assert np.array_equal(got, substitution_matrices_per_call(lin, n)), (act.kind, n)
             want = np.stack([substitution_matrix_dict(monomial_exponents(n), m) for m in lin])
-            assert np.abs(_substitution_matrices(lin, n) - want).max() <= 1e-12, (act.kind, n)
+            assert np.abs(got - want).max() <= 1e-12, (act.kind, n)
             # the induced action is the dual of the substitution rep
             full = polynomial_channel(act, n).full_action
             assert np.abs(dual_rep(full).d(np.arange(len(lin))) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_fixed_space_basis_matches_the_two_norm_form(name, monkeypatch):
+    # every projector the gamma construction of this entry diagonalizes:
+    # its co-reps x probe actions, and each polynomial channel of orders 1-3
+    seen = []
+    real = magrep.kp._fixed_basis
+
+    def both(p, tol):
+        got = real(p, tol)
+        seen.append((got, fixed_basis_two_norms(p, tol)))
+        return got
+
+    monkeypatch.setattr(magrep.kp, "_fixed_basis", both)
+    entry = mr.catalog_get(name)
+    for rep in entry.reps.values():
+        for act in entry.probe_actions.values():
+            for _, _, a in channel_actions(act, (1, 2, 3)):
+                if linear_multiplicity(rep, a) > 0:
+                    mr.build_gamma_matrices(rep, a)
+    assert seen
+    for (basis, resid), (want_basis, want_resid) in seen:
+        assert basis.dtype == want_basis.dtype and np.array_equal(basis, want_basis)
+        assert resid == want_resid
 
 
 @pytest.mark.parametrize("name", ENTRIES)
@@ -506,8 +541,12 @@ def test_action_validation_matches_rowwise(name):
 
 
 def test_action_validation_matches_rowwise_at_order_96(oht):
+    # the 3-dim actions take two row blocks, and the order-3 induced action
+    # of the momenta (10 x 10) sixteen
     for act_name, act in oht["actions"].items():
         assert_action_matches_rowwise(act, act_name)
+    for order, tag, a in channel_actions(oht["actions"]["momentum"], (2, 3)):
+        assert_action_matches_rowwise(a, (order, tag))
 
 
 def assert_same_table(got, want, tag):
