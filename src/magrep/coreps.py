@@ -15,8 +15,11 @@ Validation and the factor-system fit share one pair kernel.  The n^2
 products M(a) conj^[s(a)](M(b)) come in blocks of consecutive first
 elements a, each of up to ``ROW_BLOCK_ENTRIES`` entries, as one matrix
 product per flag class against all n matrices laid side by side.  The
-largest residual norm is bounded from traces first; LAPACK runs only on the
-matrices the bounds cannot rule out, once per distinct matrix.
+largest residual norm (``_max_spectral_norm``) comes in three stages: the
+Frobenius norms, from one pass of squares, rule out most matrices; bounds
+from the traces of E^dag E rule out most of the rest; LAPACK runs on what
+is left, once per distinct matrix.  Each stage keeps every matrix that can
+hold the maximum, so the value is LAPACK's, bit for bit.
 
 Validation happens once, at the boundary.  ``validate_corep`` always checks
 from scratch.  ``corep_from_matrices`` measures the same two residuals while
@@ -47,6 +50,12 @@ COREP_TOL = 1e-9
 OMEGA_FIT_TOL = 1e-8
 #: product entries per block of first elements in ``_row_products``
 ROW_BLOCK_ENTRIES = 2 ** 14
+#: relative slack by which ``_max_spectral_norm``'s screens keep a matrix
+#: whose upper bound falls just short of a lower bound
+_NORM_SLACK = 1e-7
+#: smallest sum of squares the Frobenius screen trusts: below it, squares of
+#: entries may be subnormal and lose relative precision
+_FRO2_MIN = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass
@@ -111,10 +120,11 @@ def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
     """Residuals of unitarity and of the twisted multiplication rule.
 
     The relation residual is the max spectral norm over all element pairs of
-    ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.  Cheap trace bounds on
-    each pair's norm (``_max_spectral_norm``) leave only the pairs that can
-    hold the maximum, and LAPACK runs once per distinct matrix among them,
-    so the value is the one every pair's SVD gives.  The products come a
+    ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.  Cheap bounds on each
+    pair's norm (``_max_spectral_norm``), from its Frobenius norm and then
+    from the traces of its Gram matrix, leave only the pairs that can hold
+    the maximum, and LAPACK runs once per distinct matrix among them, so
+    the value is the one every pair's SVD gives.  The products come a
     block of first elements at a time from ``_row_products``, a block
     holding up to ``ROW_BLOCK_ENTRIES`` product entries.  Non-finite
     matrices or factor systems, whose norms do not converge, fail with
@@ -172,44 +182,82 @@ def _max_spectral_norm(stack: np.ndarray, floor: float = 0.0) -> float:
     equal to the batched LAPACK norm bit for bit while running the SVD on
     few matrices.
 
-    ||E||_2 <= d max|E_ij| = d s skips every matrix that cannot pass
+    Two screens, each keeping every matrix that can hold the maximum, leave
+    few matrices for the SVD: the Frobenius norms (``_frobenius_screen``),
+    then bounds from the traces of E^dag E (``_trace_screen``).  The SVD
+    then runs once per distinct byte pattern (``_distinct``), since exact
+    ties, as in residuals of unrotated generator matrices, defeat every
+    bound.  Both screens keep a matrix unless its upper bound falls short of
+    a lower bound by a relative slack of ``_NORM_SLACK``, far above the
+    rounding of the bounds, so the largest SVD norm is never dropped.  A
+    lone matrix, as in the reduction's t0 commutation check, skips both.
+    """
+    d = stack.shape[-1]
+    stack = np.ascontiguousarray(stack).reshape(-1, d, d)
+    if len(stack) > 1:   # a lone matrix's bounds cost more than its SVD
+        stack = stack[_frobenius_screen(stack, floor)]
+        stack = stack[_trace_screen(stack, floor)]
+    if not len(stack):
+        return float(floor)
+    return float(max(floor, np.linalg.norm(_distinct(stack), ord=2, axis=(-2, -1)).max()))
+
+
+def _frobenius_screen(stack: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the matrices of a contiguous ``(k, d, d)`` stack that the
+    bracket ||E||_F / sqrt(d) <= ||E||_2 <= ||E||_F (Golub & Van Loan,
+    Matrix Computations, 2.3) cannot rule out: those whose ||E||_F reaches
+    max(floor, largest ||E||_F / sqrt(d)).
+
+    A dropped matrix's norm is at most its ||E||_F, which lies below the
+    floor or below another matrix's norm, so it cannot be the maximum.
+    ||E||_F^2 takes one pass of squares over the stack's float view.  A
+    matrix whose sum of squares is non-finite (overflow, NaN) or below
+    tiny / eps, where the squares of its entries may have lost their
+    precision to underflow, gets no bound and is kept: NaN still reaches
+    the SVD and raises there.
+    """
+    d = stack.shape[-1]
+    flat = stack.reshape(len(stack), d * d).view(float)
+    fro2 = np.einsum("ki,ki->k", flat, flat)
+    bounded = (fro2 >= _FRO2_MIN) & (fro2 < np.inf)
+    fro = np.sqrt(fro2)
+    lower = max(floor, np.max(fro, where=bounded, initial=0.0) / np.sqrt(d))
+    return ~(bounded & (fro * (1 + _NORM_SLACK) < lower))
+
+
+def _trace_screen(stack: np.ndarray, floor: float) -> np.ndarray:
+    """Mask of the matrices of a ``(k, d, d)`` stack that bounds from the
+    traces of E^dag E cannot rule out.
+
+    ||E||_2 <= d max|E_ij| = d s drops every matrix that cannot pass
     ``floor``.  For the others, G = F^dag F with F = E / s (scaled so that no
     trace under- or overflows) has lambda_max(G) = ||E||_2^2 / s^2 between
     max(tr G^2 / tr G, m + sqrt(v / (d-1))) and m + sqrt((d-1) v), where
     m = tr G / d and v = ||G - m I||_F^2 / d (Wolkowicz & Styan, Linear
     Algebra Appl. 29, 1980); v is summed from G - m I, because
     tr G^2 / d - m^2 cancels when G is nearly isotropic and its rounding,
-    after the square root, can exceed the slack below.  Only matrices whose
-    upper bound reaches max(floor, largest lower bound) can hold the
-    maximum; they go through the SVD, once per distinct byte pattern
-    (``_distinct``), since exact ties, as in residuals of unrotated
-    generator matrices, defeat the bounds.  A relative slack of 1e-7, far
-    above the rounding of the bounds, keeps every such matrix, and
-    non-finite ones always reach the SVD.
+    after the square root, can exceed the slack.  Only matrices whose upper
+    bound reaches max(floor, largest lower bound) are kept, and so are
+    non-finite ones.
     """
     d = stack.shape[-1]
-    stack = stack.reshape(-1, d, d)
-    slack = 1e-7
     scale = np.abs(stack).max(axis=(1, 2))
-    near = ~(scale * (d * (1 + slack)) <= floor)   # NaN stays near
-    stack, scale = stack[near], scale[near]
-    if not len(stack):
-        return float(floor)
+    keep = ~(scale * (d * (1 + _NORM_SLACK)) <= floor)   # NaN is kept
+    if not keep.any():
+        return keep
+    near, scale = stack[keep], scale[keep]
     # divide the float pairs: complex division by a subnormal overflows
-    f = (stack.view(float) / scale[:, None, None]).view(complex)
+    f = (near.view(float) / scale[:, None, None]).view(complex)
     gram = np.conj(np.swapaxes(f, 1, 2)) @ f
     m = np.einsum("kii->k", gram).real / d
     t2 = np.einsum("kij,kij->k", np.conj(gram), gram).real
     gram -= m[:, None, None] * np.eye(d)
     v = np.einsum("kij,kij->k", np.conj(gram), gram).real / d
-    upper = scale * np.sqrt((m + np.sqrt((d - 1) * v)) * (1 + slack))
+    upper = scale * np.sqrt((m + np.sqrt((d - 1) * v)) * (1 + _NORM_SLACK))
     lower = scale * np.sqrt(np.maximum(t2 / (d * m), m + np.sqrt(v / max(d - 1, 1)))
-                            * (1 - slack))
-    keep = ~(upper < max(floor, lower.max()))   # NaN bounds are kept too
-    if not keep.any():
-        return float(floor)
-    return float(max(floor, np.linalg.norm(_distinct(stack[keep]), ord=2,
-                                           axis=(-2, -1)).max()))
+                            * (1 - _NORM_SLACK))
+    keep[keep] = ~(upper < max(floor, lower.max()))   # NaN bounds are kept too
+    return keep
 
 
 def _distinct(stack: np.ndarray) -> np.ndarray:

@@ -109,6 +109,15 @@ class MagneticGroup:
         return self.labels[g]
 
     @cached_property
+    def h_position(self) -> np.ndarray:
+        """Read-only ``(n,)`` table: the position of each unitary element in
+        ``h_elements``, -1 on the anti-unitary coset.  Built on first use."""
+        pos = np.full(self.order, -1)
+        pos[self.h_elements] = np.arange(len(self.h_elements))
+        pos.flags.writeable = False
+        return pos
+
+    @cached_property
     def generators(self) -> np.ndarray:
         """Ids of a generating set of H, then t0 on magnetic groups.
 
@@ -149,6 +158,24 @@ def _element_orders(cayley: np.ndarray, identity: int) -> np.ndarray:
                 raise NotAGroup(f"element {g} generates no identity within |G| steps")
         orders[g] = k
     return orders
+
+
+def _pick_t0(flags: np.ndarray, orders: np.ndarray) -> Optional[int]:
+    """The anti-unitary element of minimal order, lowest id as the
+    tie-break; None when there is none."""
+    anti = np.flatnonzero(flags == 1)
+    if not len(anti):
+        return None
+    return int(min(anti, key=lambda g: (orders[g], g)))
+
+
+def _checked_labels(labels, n: int) -> tuple:
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != n:
+        raise DimensionMismatch("label count does not match group order")
+    if len(set(labels)) != n:
+        raise DimensionMismatch("element labels must be unique")
+    return labels
 
 
 def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGroup:
@@ -219,20 +246,8 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
             f"unitary part has {len(h_elements)} of {n} elements, expected {n // 2}")
 
     orders = _element_orders(table, identity)
-
-    t0 = None
-    if len(anti) > 0:
-        # Minimal element order first, lowest id as the tie-break.
-        t0 = int(min(anti, key=lambda g: (orders[g], g)))
-
-    if labels is None:
-        labels = tuple(f"g{k}" for k in range(n))
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise DimensionMismatch("label count does not match group order")
-        if len(set(labels)) != n:
-            raise DimensionMismatch("element labels must be unique")
+    t0 = _pick_t0(s, orders)
+    labels = tuple(f"g{k}" for k in range(n)) if labels is None else _checked_labels(labels, n)
 
     if subgroup_chain is None:
         chain = ((identity,), tuple(int(h) for h in h_elements))
@@ -360,6 +375,14 @@ def restricted_group(group: MagneticGroup, element_ids,
 
     Returns the new group plus the embedding array mapping new ids to ids in
     the parent.  Raises NotASubgroupEmbedding when the subset is not closed.
+
+    A nonempty subset of a finite group that is closed under multiplication
+    is a subgroup, so the subgroup inherits what ``build_group`` checks on
+    the parent: associativity, the permutation rows, identity, inverses,
+    element orders and the flag homomorphism (whose kernel on the subgroup
+    is a halving subgroup or all of it).  Only the closure and the
+    caller's ``labels`` are checked here; t0 is picked by ``build_group``'s
+    rule.
     """
     emb = np.asarray(sorted(set(int(x) for x in element_ids)), dtype=int)
     if emb.size == 0 or emb.min() < 0 or emb.max() >= group.order:
@@ -372,10 +395,25 @@ def restricted_group(group: MagneticGroup, element_ids,
         raise NotASubgroupEmbedding(
             f"subset not closed: {group.label(int(emb[a]))} * "
             f"{group.label(int(emb[b]))} falls outside")
-    flags = group.antiunitary[emb]
     if labels is None:
-        labels = [group.label(int(g)) for g in emb]
-    sub = build_group(table, flags, labels=labels)
+        labels = tuple(group.labels[g] for g in emb)
+    else:
+        labels = _checked_labels(labels, len(emb))
+    flags = group.antiunitary[emb]
+    orders = group.element_order[emb]
+    identity = int(pos[group.identity])
+    h_elements = np.flatnonzero(flags == 0)
+    sub = MagneticGroup(
+        cayley=table,
+        antiunitary=flags,
+        labels=labels,
+        identity=identity,
+        t0=_pick_t0(flags, orders),
+        inverse=pos[group.inverse[emb]],
+        element_order=orders,
+        h_elements=h_elements,
+        subgroup_chain=((identity,), tuple(int(h) for h in h_elements)),
+    )
     return sub, emb
 
 

@@ -184,7 +184,6 @@ def action_from_dict(data: dict, group: MagneticGroup) -> ProbeRepAction:
     index = {lab: k for k, lab in enumerate(group.labels)}
     q = int(data.get("dim") or 0)
     d_h = None
-    h_pos = {int(h): k for k, h in enumerate(group.h_elements)}
     for lab, rows in raw.items():
         if lab not in index:
             raise ParseError(f"action matrix for unknown element label {lab!r}")
@@ -198,7 +197,7 @@ def action_from_dict(data: dict, group: MagneticGroup) -> ProbeRepAction:
             raise ParseError(f"action of {lab} is not {q} x {q}")
         if d_h is None:
             d_h = np.zeros((len(group.h_elements), q, q))
-        d_h[h_pos[g]] = m
+        d_h[group.h_position[g]] = m
     if d_h is None or len(raw) != len(group.h_elements):
         raise ParseError("action file must cover every unitary element")
     d_t0 = None

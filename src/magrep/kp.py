@@ -121,9 +121,6 @@ class ProbeRepAction:
         if not (np.isfinite(self.d_h).all() and
                 (self.d_t0 is None or np.isfinite(self.d_t0).all())):
             raise InvalidAction("probe matrices have non-finite entries")
-        # id -> position in h_elements; -1 marks the anti-unitary coset
-        self._h_pos = np.full(self.group.order, -1)
-        self._h_pos[self.group.h_elements] = np.arange(len(self.group.h_elements))
 
     @property
     def dim_q(self) -> int:
@@ -138,10 +135,10 @@ class ProbeRepAction:
         ids = np.asarray(ids)
         grp = self.group
         if not grp.is_magnetic:
-            return self.d_h[self._h_pos[ids]]
+            return self.d_h[grp.h_position[ids]]
         flip = grp.antiunitary[ids] == 1
         h = np.where(flip, grp.cayley[ids, grp.inverse[grp.t0]], ids)
-        mats = self.d_h[self._h_pos[h]]
+        mats = self.d_h[grp.h_position[h]]
         return np.where(flip[..., None, None], mats @ self.d_t0, mats)
 
 
@@ -154,7 +151,7 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     """
     g = action.group
     d_h = action.d_h
-    pos = action._h_pos
+    pos = g.h_position
     h = g.h_elements
     # every product D(h1) D(h2) against the table's D(h1 h2), one broadcast
     # matmul per block of rows h1 of up to ROW_BLOCK_ENTRIES entries: at

@@ -317,6 +317,16 @@ def restricted_table_pairwise(group, element_ids):
     return table
 
 
+def restricted_group_rebuilt(group, element_ids, labels=None):
+    """``restricted_group`` that revalidates the subgroup from scratch: its
+    table and flags go through ``build_group``."""
+    emb = np.asarray(sorted(set(int(x) for x in element_ids)), dtype=int)
+    table = restricted_table_pairwise(group, emb)
+    if labels is None:
+        labels = [group.label(int(g)) for g in emb]
+    return build_group(table, group.antiunitary[emb], labels=labels), emb
+
+
 def verify_embedding_pairwise(group, sub, emb):
     """Flag and product checks element by element; raises like verify_embedding."""
     for a in range(sub.order):
@@ -443,7 +453,7 @@ def validate_action_rowwise(action, tol=ACTION_TOL):
     time; raises like validate_action."""
     g = action.group
     d_h = action.d_h
-    pos = action._h_pos
+    pos = g.h_position
     resids = [np.abs(d_h[k] @ d_h - d_h[pos[g.cayley[a, g.h_elements]]]).max()
               for k, a in enumerate(g.h_elements)]
     if g.is_magnetic:

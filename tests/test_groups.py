@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import magrep as mr
 from magrep.coreps import CoRep
 from magrep.errors import (
+    DimensionMismatch,
     ElementNotInSubgroup,
     FlagInconsistent,
     NoHalvingSubgroup,
@@ -22,7 +25,7 @@ from magrep.groups import (
 )
 from magrep.kp import ProbeRepAction, covariant_tuple_basis, linear_multiplicity
 
-from conftest import relabelled
+from conftest import relabelled, restricted_group_rebuilt
 
 Z2T_CAYLEY = [[0, 1], [1, 0]]
 ENTRIES = mr.catalog_list()
@@ -195,6 +198,39 @@ def test_restricted_group_and_embedding():
         restricted_group(g, [0, 1])  # C4 alone without its powers is not closed
 
 
+def assert_same_group(a, b):
+    for f in dataclasses.fields(mr.MagneticGroup):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+def test_restricted_group_matches_a_rebuilt_subgroup(oht):
+    # the subgroup inherits the parent's validation field for field,
+    # t0 included, where build_group would re-check it from scratch
+    cases = []
+    for name in ENTRIES:
+        g = mr.catalog_get(name).group
+        cases += [(g, g.h_elements), (g, range(g.order))]
+        cases += [(g, member) for member in g.subgroup_chain]
+    cases += [(oht["group"], ids) for ids in oht["lowerings"].values()]
+    assert any(restricted_group(g, ids)[0].is_magnetic for g, ids in cases)
+    for g, ids in cases:
+        sub, emb = restricted_group(g, ids)
+        want, want_emb = restricted_group_rebuilt(g, ids)
+        assert np.array_equal(emb, want_emb)
+        assert_same_group(sub, want)
+    g = mr.catalog_get("c4v_t").group
+    names = [f"x{k}" for k in range(8)]
+    assert_same_group(restricted_group(g, g.h_elements, labels=names)[0],
+                      restricted_group_rebuilt(g, g.h_elements, labels=names)[0])
+    for bad in (names[:7], names[:7] + names[:1]):
+        with pytest.raises(DimensionMismatch):
+            restricted_group(g, g.h_elements, labels=bad)
+
+
 # -- generators ------------------------------------------------------------------
 
 def words_reach(cayley, identity, gens):
@@ -252,6 +288,16 @@ def test_generators_are_deterministic_and_lazy(oht):
         assert np.array_equal(g.generators, again.generators)
         assert g.generators is g.generators
         assert not g.generators.flags.writeable
+
+
+def test_h_position_is_a_cached_read_only_table(oht):
+    for g in generator_groups(oht):
+        again = build_group(g.cayley, g.antiunitary, labels=g.labels)
+        assert "h_position" not in vars(again)     # computed on first use only
+        pos = g.h_position
+        assert pos is g.h_position and not pos.flags.writeable
+        assert np.array_equal(pos[g.h_elements], np.arange(g.halving_order))
+        assert (pos[g.coset_elements] == -1).all()
 
 
 def test_generators_of_the_trivial_group_are_empty():

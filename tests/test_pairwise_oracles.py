@@ -18,8 +18,9 @@ and an element at a time.  ``dispersion_order``, which counts each order from
 one stack of characters, must give the table of one criterion call and one
 null space per channel, on the catalog and at order 96.  The bounded
 spectral-norm maximum behind the co-rep residuals must equal LAPACK's norm of
-every matrix bit for bit, exact ties included, while LAPACK sees each
-distinct matrix once; the blocked products of ``_row_products`` must match
+every matrix bit for bit, exact ties, under- and overflowing squares and
+non-contiguous stacks included, while LAPACK sees each distinct matrix once
+and, on rotated order-96 co-reps, the trace bounds see few pairs; the blocked products of ``_row_products`` must match
 the pair-by-pair products for d = 1-12.
 """
 
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 
 import magrep as mr
+import magrep.coreps
 import magrep.kp
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
@@ -284,7 +286,8 @@ def test_fit_names_the_first_bad_pair_of_a_mixed_block(source, oht):
 
 
 def _norm_stacks(d, mag, rng, k=40):
-    """Stacks that make the trace bounds tight, tied or degenerate."""
+    """Stacks that make the Frobenius and trace bounds tight, tied or
+    degenerate, scaled by ``mag``, and two non-contiguous views."""
     def gauss(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     base = gauss(d, d)
@@ -319,11 +322,18 @@ def _norm_stacks(d, mag, rng, k=40):
         "noise": 1e-16 * gauss(k, d, d),
         "repeats": repeats,
         "signed-zero": twins,
+        # sums of squares that underflow, overflow and stay normal in one stack
+        "mixed-magnitude": gauss(k, d, d) * 10.0 ** rng.uniform(-140, 140, (k, 1, 1)),
     }
-    return {tag: mag * st for tag, st in stacks.items()}
+    out = {tag: mag * st for tag, st in stacks.items()}
+    # the float view of the Frobenius screen needs a contiguous last axis
+    out["transposed"] = np.swapaxes(out["mixed-magnitude"], 1, 2)
+    out["strided"] = (mag * gauss(k, d, 2 * d))[:, :, ::2]
+    return out
 
 
-@pytest.mark.parametrize("mag", [1e-300, 1e-170, 1.0, 1e150])
+# squares of entries go subnormal from 1e-160 down and overflow at 1e160
+@pytest.mark.parametrize("mag", [1e-300, 1e-170, 1e-160, 1.0, 1e150, 1e160])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
 def test_max_spectral_norm_is_bit_equal_to_lapack(d, mag):
     rng = np.random.default_rng(d)
@@ -344,6 +354,17 @@ def test_max_spectral_norm_sends_non_finite_matrices_to_lapack():
         want = raised(np.linalg.norm, stack, 2, (-2, -1))
         assert want is not None and want[0] is np.linalg.LinAlgError, mag
         assert raised(_max_spectral_norm, stack) == want, mag
+
+
+def test_max_spectral_norm_keeps_finite_squares_beside_overflowing_ones():
+    # the isotropic matrix's sum of squares overflows, yet its norm is below
+    # that of the rank-one matrix, whose sum of squares stays finite
+    iso = 1e154 * random_unitary(4, 0)
+    rank1 = np.zeros((4, 4), dtype=complex)
+    rank1[0, 0] = 1.2e154
+    stack = np.stack([iso, rank1, iso])
+    assert _max_spectral_norm(stack) == np.linalg.norm(stack, ord=2, axis=(-2, -1)).max()
+    assert _max_spectral_norm(stack) == 1.2e154
 
 
 def count_lapack(monkeypatch):
@@ -378,6 +399,28 @@ def test_unrotated_order_96_fit_sends_few_matrices_to_lapack(oht, monkeypatch):
     seen = count_lapack(monkeypatch)
     corep_from_matrices(oht["group"], oht["coreps"]["quaternion"])
     assert 0 < sum(seen) <= 300
+
+
+@pytest.mark.parametrize("rep_name", ["vector", "spinor", "gamma8", "quaternion"])
+def test_rotated_order_96_validation_sends_few_pairs_to_the_trace_bounds(
+        oht, rep_name, monkeypatch):
+    # rotated and gauged residuals spread in norm, so the largest one's
+    # ||E||_F / sqrt(d) rules out most of the 9216 pairs before any Gram
+    # matrix is formed (the n unitarity residuals are counted too)
+    rep = corep_from_matrices(oht["group"], oht["coreps"][rep_name])
+    real = magrep.coreps._trace_screen
+    seen = []
+
+    def counting(stack, floor):
+        seen.append(len(stack))
+        return real(stack, floor)
+
+    monkeypatch.setattr(magrep.coreps, "_trace_screen", counting)
+    for seed in range(3):
+        moved = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, seed)), seed)
+        seen.clear()
+        validate_corep(moved)
+        assert 0 < sum(seen) < 9216 / 3, seed
 
 
 @pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
