@@ -25,7 +25,6 @@ from .coreps import (
 from .linalg import (
     eigenspace_of_one,
     random_unitary,
-    simultaneous_diag,
     symmetric_unitary_sqrt,
 )
 from .reduction import (

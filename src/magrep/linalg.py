@@ -1,5 +1,5 @@
-"""Numerical kernels: simultaneous diagonalization, symmetric-unitary square
-roots and projector eigenspaces.
+"""Numerical kernels: common eigenbases refined block by block,
+symmetric-unitary square roots and projector eigenspaces.
 
 These wrap LAPACK via numpy but add the validation, determinism and
 branch-cut policies the representation engines rely on.
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     EigenvalueAtBranchCutWarning,
     NotCommuting,
-    NotHermitian,
     NotIdempotent,
     NotSymmetricUnitary,
     TraceNotInteger,
@@ -44,7 +43,7 @@ def refine_eigenbasis(cols: np.ndarray, ops: Sequence[np.ndarray], gaps: Sequenc
     eigenvalues on them, ``(len(ops), m)``, NaN where a column was already
     alone in its cluster."""
     values = np.full((len(ops), cols.shape[1]), np.nan)
-    if cols.shape[1] == 1 or not ops:
+    if cols.shape[1] == 1 or len(ops) == 0:
         return cols, values
     sub = cols.conj().T @ ops[0] @ cols
     sub = (sub + sub.conj().T) / 2
@@ -57,82 +56,21 @@ def refine_eigenbasis(cols: np.ndarray, ops: Sequence[np.ndarray], gaps: Sequenc
     return np.hstack(out), values
 
 
-def simultaneous_diag(family: Sequence[np.ndarray], seed: int = 0,
-                      tol: float = LINALG_TOL):
-    """Common eigenbasis of a family of commuting Hermitian matrices.
-
-    A seeded random real combination of the family is diagonalized first;
-    clusters that remain degenerate are refined by each family member in
-    turn, restricted to the cluster subspace (``refine_eigenbasis``).
-    Columns are ordered lexicographically by their per-matrix eigenvalue
-    tuples (clustered at tolerance) so the output is deterministic given
-    (inputs, seed).
-
-    Returns
-    -------
-    u : ``(d, d)`` ndarray
-        Unitary matrix of common eigenvectors (real when the family is real).
-    values : ``(k, d)`` ndarray
-        ``values[i, j]`` is the eigenvalue of ``family[i]`` on column j.
-    """
-    mats = [np.asarray(a) for a in family]
-    if not mats:
-        raise ValueError("empty family")
-    d = mats[0].shape[0]
-    real_input = all(np.isrealobj(a) for a in mats)
-    scales = []
-    for a in mats:
-        if a.shape != (d, d):
-            raise NotHermitian("family members must share one square shape")
-        scale = max(1.0, np.linalg.norm(a, ord=2))
-        if np.linalg.norm(a - a.conj().T, ord=2) > tol * scale:
-            raise NotHermitian("family member is not Hermitian at tolerance")
-        scales.append(scale)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i], ord=2)
-            if comm > tol * max(1.0, scales[i] * scales[j]):
-                raise NotCommuting(f"members {i} and {j} do not commute: {comm:.3e}")
-
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(mats))
-    combo = sum(c * a for c, a in zip(coeff, mats))
-    if real_input:
-        combo = combo.real
-
-    vals0, vecs0 = np.linalg.eigh((combo + combo.conj().T) / 2)
-    gap0 = tol * max(1.0, np.linalg.norm(combo, ord=2))
-    gaps = [tol * scale for scale in scales]
-    u = np.hstack([refine_eigenbasis(vecs0[:, sl], mats, gaps)[0]
-                   for sl in _cluster_slices(vals0, gap0)])
-
-    # Per-matrix eigenvalues, clustered so equal labels compare equal.
-    values = np.empty((len(mats), d))
-    for i, a in enumerate(mats):
-        diag = np.einsum("ij,ik,kj->j", u.conj(), a, u).real
-        order = np.argsort(diag)
-        gap = tol * max(1.0, scales[i]) * 10
-        lab = diag.copy()
-        for sl in _cluster_slices(diag[order], gap):
-            idx = order[sl]
-            lab[idx] = diag[idx].mean()
-        values[i] = lab
-        resid = np.abs(u.conj().T @ a @ u - np.diag(diag)).max()
-        if resid > 10 * tol * max(1.0, scales[i]):
-            raise NotCommuting(f"off-diagonal residual {resid:.3e} after refinement")
-
-    order = np.lexsort(values[::-1])
-    return u[:, order], values[:, order]
-
-
 def symmetric_unitary_sqrt(m: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray:
     """Principal square root U of a symmetric unitary M, with U^T = U.
 
     M @ conj(M) = I forces M symmetric; writing M = A + iB with commuting
-    real symmetric A, B lets a real orthogonal basis diagonalize both, so the
-    root U = R diag(exp(i theta / 2)) R^T stays symmetric and U* = U^-1.
-    Phases use theta in (-pi, pi]; eigenvalues within ``tol`` of -1 are
-    pinned to theta = pi (deterministic branch) with a warning.
+    real symmetric A, B, ``refine_eigenbasis`` diagonalizes A and splits each
+    of its clusters by B, then by A again, so one real orthogonal R carries
+    cos theta and sin theta on its rotated diagonals and the root
+    U = R diag(exp(i theta / 2)) R^T stays symmetric with U* = U^-1.  The
+    first split is at sqrt(tol): at tol, cos theta values a little more than
+    tol apart (theta and -theta + 1e-8) would have their eigenvectors mixed
+    by ~eps / gap.  B separates such pairs, and A again those that share
+    sin theta (pi/2 +- 1e-7).  Raises
+    NotCommuting if an off-diagonal entry of R^T A R or R^T B R exceeds
+    10 tol.  Phases use theta in (-pi, pi]; eigenvalues within ``tol`` of -1
+    are pinned to theta = pi (deterministic branch) with a warning.
     """
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
@@ -142,18 +80,20 @@ def symmetric_unitary_sqrt(m: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray
     if np.linalg.norm(m @ np.conj(m) - eye, ord=2) > tol:
         raise NotSymmetricUnitary("M @ conj(M) != I")
 
-    a = (m + np.conj(m)).real / 2
-    b = (m - np.conj(m)).imag / 2
-    u_basis, vals = simultaneous_diag([a, b], seed=0, tol=tol)
-    cos_t, sin_t = vals[0], vals[1]
+    parts = np.stack([m.real, m.imag])
+    r = refine_eigenbasis(eye, parts[[0, 1, 0]], [np.sqrt(tol), tol, tol])[0]
+    rotated = r.T @ parts @ r
+    cos_t, sin_t = np.diagonal(rotated, axis1=1, axis2=2)
+    resid = np.abs(rotated * (1.0 - eye)).max(initial=0.0)
+    if resid > 10 * tol:
+        raise NotCommuting(f"off-diagonal residual {resid:.3e} after refinement")
     theta = np.arctan2(sin_t, cos_t)
     near_cut = np.abs(np.exp(1j * theta) + 1.0) <= tol
     if near_cut.any():
         warnings.warn("unitary eigenvalue at the -1 branch cut pinned to phase pi",
                       EigenvalueAtBranchCutWarning)
         theta = np.where(near_cut, np.pi, theta)
-    root = u_basis @ np.diag(np.exp(0.5j * theta)) @ u_basis.T
-    return root
+    return r @ np.diag(np.exp(0.5j * theta)) @ r.T
 
 
 def eigenspace_of_one(p: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from magrep.errors import (
     InvalidCoRep,
     NotAGroup,
     NotASubgroupEmbedding,
+    NotCommuting,
+    NotHermitian,
     NoT0,
     NotIdempotent,
     NotIrreducible,
@@ -30,7 +33,7 @@ from magrep.kp import (
     monomial_exponents,
     polynomial_channel,
 )
-from magrep.linalg import LINALG_TOL, _cluster_slices, simultaneous_diag
+from magrep.linalg import LINALG_TOL, _cluster_slices, refine_eigenbasis
 from magrep.reduction import (
     BLOCK_TOL,
     Block,
@@ -157,7 +160,78 @@ def multiplicity_value_diagonal_t0(rep, action, sign):
     return float((total / (2 * g.halving_order)).real)
 
 
-# -- the two-pass labelling, kept as an oracle for reduction._reduce_once ------
+# -- the seeded simultaneous diagonalization and the two-pass labelling built
+# on it, kept as oracles for linalg.symmetric_unitary_sqrt and
+# reduction._reduce_once ------------------------------------------------------
+
+def simultaneous_diag(family: Sequence[np.ndarray], seed: int = 0,
+                      tol: float = LINALG_TOL):
+    """Common eigenbasis of a family of commuting Hermitian matrices.
+
+    A seeded random real combination of the family is diagonalized first;
+    clusters that remain degenerate are refined by each family member in
+    turn, restricted to the cluster subspace (``refine_eigenbasis``).
+    Columns are ordered lexicographically by their per-matrix eigenvalue
+    tuples (clustered at tolerance) so the output is deterministic given
+    (inputs, seed).
+
+    Returns
+    -------
+    u : ``(d, d)`` ndarray
+        Unitary matrix of common eigenvectors (real when the family is real).
+    values : ``(k, d)`` ndarray
+        ``values[i, j]`` is the eigenvalue of ``family[i]`` on column j.
+    """
+    mats = [np.asarray(a) for a in family]
+    if not mats:
+        raise ValueError("empty family")
+    d = mats[0].shape[0]
+    real_input = all(np.isrealobj(a) for a in mats)
+    scales = []
+    for a in mats:
+        if a.shape != (d, d):
+            raise NotHermitian("family members must share one square shape")
+        scale = max(1.0, np.linalg.norm(a, ord=2))
+        if np.linalg.norm(a - a.conj().T, ord=2) > tol * scale:
+            raise NotHermitian("family member is not Hermitian at tolerance")
+        scales.append(scale)
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i], ord=2)
+            if comm > tol * max(1.0, scales[i] * scales[j]):
+                raise NotCommuting(f"members {i} and {j} do not commute: {comm:.3e}")
+
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(len(mats))
+    combo = sum(c * a for c, a in zip(coeff, mats))
+    if real_input:
+        combo = combo.real
+
+    vals0, vecs0 = np.linalg.eigh((combo + combo.conj().T) / 2)
+    gap0 = tol * max(1.0, np.linalg.norm(combo, ord=2))
+    gaps = [tol * scale for scale in scales]
+    u = np.hstack([refine_eigenbasis(vecs0[:, sl], mats, gaps)[0]
+                   for sl in _cluster_slices(vals0, gap0)])
+
+    # Per-matrix eigenvalues, clustered so equal labels compare equal.
+    values = np.empty((len(mats), d))
+    for i, a in enumerate(mats):
+        diag = np.einsum("ij,ik,kj->j", u.conj(), a, u).real
+        order = np.argsort(diag)
+        gap = tol * max(1.0, scales[i]) * 10
+        lab = diag.copy()
+        for sl in _cluster_slices(diag[order], gap):
+            idx = order[sl]
+            lab[idx] = diag[idx].mean()
+        values[i] = lab
+        resid = np.abs(u.conj().T @ a @ u - np.diag(diag)).max()
+        if resid > 10 * tol * max(1.0, scales[i]):
+            raise NotCommuting(f"off-diagonal residual {resid:.3e} after refinement")
+
+    order = np.lexsort(values[::-1])
+    return u[:, order], values[:, order]
+
+
 
 def reduce_once_two_pass(rep, seed, tol, seeds_used):
     """One reduction attempt through a global simultaneous diagonalization of

@@ -14,11 +14,10 @@ from magrep.linalg import (
     random_symmetric_unitary,
     random_unitary,
     refine_eigenbasis,
-    simultaneous_diag,
     symmetric_unitary_sqrt,
 )
 
-from conftest import fixed_basis_two_norms
+from conftest import fixed_basis_two_norms, simultaneous_diag
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -84,6 +83,16 @@ def test_refine_eigenbasis_labels_only_the_columns_it_splits():
         assert np.abs(cols.conj().T @ mat @ cols - np.diag(want)).max() < 1e-12
 
 
+def test_refine_eigenbasis_takes_an_array_stack_of_ops():
+    q = random_unitary(4, 3)
+    a = q @ np.diag([2.0, 1.0, 0.0, 1.0]) @ q.conj().T
+    b = q @ np.diag([7.0, 5.0, 9.0, 3.0]) @ q.conj().T
+    listed = refine_eigenbasis(q, [a, b], [1e-9, 1e-9])
+    stacked = refine_eigenbasis(q, np.stack([a, b]), [1e-9, 1e-9])
+    assert np.array_equal(listed[0], stacked[0])
+    assert np.array_equal(listed[1], stacked[1], equal_nan=True)
+
+
 def test_symmetric_sqrt_identity_and_diagonal():
     assert np.allclose(symmetric_unitary_sqrt(np.eye(3)), np.eye(3))
     m = np.diag([1j, -1j])
@@ -102,8 +111,48 @@ def test_symmetric_sqrt_random_fixtures():
         assert np.abs(u.conj().T @ m @ np.conj(u) - np.eye(d)).max() < 1e-10
 
 
+def _two_pass_root(m, tol=1e-9):
+    """The root as it was built on the seeded ``simultaneous_diag``."""
+    u_basis, (cos_t, sin_t) = simultaneous_diag([m.real, m.imag], seed=0, tol=tol)
+    return u_basis @ np.diag(np.exp(0.5j * np.arctan2(sin_t, cos_t))) @ u_basis.T
+
+
+def test_symmetric_sqrt_matches_the_two_pass_root_on_repeated_phases():
+    # phases from the 7th roots of unity repeat often and come in conjugate
+    # pairs (equal cos theta), so the refinement by sin theta runs; none is -1
+    rng = np.random.default_rng(16)
+    roots = np.exp(2j * np.pi * np.arange(7) / 7)
+    for d in range(1, 17):
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            m = q.T @ np.diag(rng.choice(roots, d)) @ q
+            u = symmetric_unitary_sqrt(m)
+            assert np.linalg.norm(u - _two_pass_root(m), ord=2) < 1e-8
+            assert np.linalg.norm(u @ u - m, ord=2) < 1e-10
+
+
+def test_symmetric_sqrt_separates_near_conjugate_and_reflected_phases():
+    # cos theta of theta and -theta + delta differ by ~delta, just above the
+    # tolerance: split there, their eigenvectors would be mixed by ~eps/delta.
+    # pi/2 +- eps share sin theta, so only cos theta, again, separates them
+    rng = np.random.default_rng(5)
+    for delta in (1e-7, 1e-8, 3e-9):
+        eps = 50 * delta
+        for pair in ([1.1, -1.1 + delta], [np.pi / 2 + eps, np.pi / 2 - eps]):
+            for _ in range(10):
+                q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+                m = q.T @ np.diag(np.exp(1j * np.array(pair + [0.3, 2.0]))) @ q
+                u = symmetric_unitary_sqrt(m)
+                assert np.linalg.norm(u @ u - m, ord=2) < 1e-12
+
+
 def test_symmetric_sqrt_branch_cut_warns():
     m = np.diag([-1.0 + 0j, 1.0])
+    with pytest.warns(EigenvalueAtBranchCutWarning):
+        u = symmetric_unitary_sqrt(m)
+    assert np.allclose(u, np.diag([1j, 1.0]))
+    # just below the cut, theta = -pi + 1e-12 is pinned to pi: the root is i, not -i
+    m = np.diag([np.exp(-1j * (np.pi - 1e-12)), 1.0])
     with pytest.warns(EigenvalueAtBranchCutWarning):
         u = symmetric_unitary_sqrt(m)
     assert np.allclose(u, np.diag([1j, 1.0]))
