@@ -22,13 +22,7 @@ from .catalog import catalog_get, catalog_list
 from .coreps import validate_corep
 from .errors import EmptyChannel, MagrepError, ParseError, UnknownName
 from .groups import FactorSystem, validate_cocycle
-from .kp import (
-    _dispersion_table,
-    build_gamma_matrices,
-    linear_multiplicity,
-    probe_stability,
-    trivial_multiplicity,
-)
+from .kp import _dispersion_table, _linear_couplings, build_gamma_matrices, probe_stability
 from .reduction import (
     TORSION_TOL,
     _index_and_coset,
@@ -182,17 +176,8 @@ def cmd_kp(args) -> int:
         raise ParseError("--max-order must be at least 1")
     if action.dim_q != 3:
         # non-momentum channel: only the linear coupling is defined
-        mult = linear_multiplicity(rep, action)
-        report = {"channel_dim": action.dim_q, "kind": action.kind,
-                  "multiplicity": mult,
-                  "trivial_multiplicity": trivial_multiplicity(action),
-                  "seed": args.seed}
-        if mult > 0:
-            model = build_gamma_matrices(rep, action,
-                                         tol=_tol(args, 1e-9))
-            report["gammas"] = model.gammas
-            report["residuals"] = model.residuals
-        _emit(report, args)
+        field = _linear_couplings(rep, {"field": action}, _tol(args, 1e-9))["field"]
+        _emit({"channel_dim": action.dim_q, "seed": args.seed, **field}, args)
         return EXIT_OK
     table, sets = _dispersion_table(rep, action, args.max_order, args.seed)
     report = {"dispersion": table, "models": [], "seed": args.seed}

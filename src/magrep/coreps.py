@@ -429,18 +429,13 @@ def random_gauge(rep: CoRep, seed: int) -> CoRep:
 
 
 def restrict_corep(rep: CoRep, element_ids) -> tuple[CoRep, np.ndarray]:
-    """Co-rep of the subgroup spanned by ``element_ids`` (ids of the parent)."""
+    """Co-rep of the subgroup spanned by ``element_ids`` (ids of the parent),
+    and the ``restricted_group`` embedding.  The subgroup's pairs are a
+    subset of the parent's, so it keeps the parent's residual bounds."""
     sub, emb = restricted_group(rep.group, element_ids)
-    return _restricted_to(rep, sub, emb), emb
-
-
-def _restricted_to(rep: CoRep, sub: MagneticGroup, emb: np.ndarray) -> CoRep:
-    """``rep`` on ``sub``, whose element k is the parent's ``emb[k]`` (an
-    embedding the caller has checked).  The subgroup's pairs are a subset of
-    the parent's, so it keeps the parent's residual bounds."""
     omega = FactorSystem(rep.omega.values[np.ix_(emb, emb)])
     return _carrying(CoRep(group=sub, omega=omega, matrices=rep.matrices[emb]),
-                     rep.residuals)
+                     rep.residuals), emb
 
 
 def unitary_restriction(rep: CoRep) -> tuple[CoRep, np.ndarray]:

@@ -355,12 +355,14 @@ def validate_cocycle(group: MagneticGroup, omega: FactorSystem,
     w_conj = np.conj(w)
     # one row a at a time keeps the temporaries at n^2:
     # lhs[b,c] = w^[s(a)](b,c) * conj(w(ab,c)) * w(a,bc) * conj(w(a,b))
-    violation = 0.0
+    violations = []
     for a in range(n):
         lhs = ((w_conj if group.s(a) else w) * w_conj[table[a]] * w[a][table]
                * w_conj[a][:, None])
-        violation = max(violation, float(np.abs(lhs - 1.0).max()))
-    return CocycleReport(max_modulus_error=modulus_err, max_violation=violation, tol=tol)
+        violations.append(np.abs(lhs - 1.0).max())
+    # np.max, unlike the builtin max, lets a NaN violation through
+    return CocycleReport(max_modulus_error=modulus_err,
+                         max_violation=float(np.max(violations)), tol=tol)
 
 
 def _same_group(a: MagneticGroup, b: MagneticGroup) -> bool:
@@ -369,8 +371,7 @@ def _same_group(a: MagneticGroup, b: MagneticGroup) -> bool:
                       np.array_equal(a.antiunitary, b.antiunitary))
 
 
-def restricted_group(group: MagneticGroup, element_ids,
-                     labels=None) -> tuple[MagneticGroup, np.ndarray]:
+def restricted_group(group: MagneticGroup, element_ids) -> tuple[MagneticGroup, np.ndarray]:
     """Build the subgroup spanned by ``element_ids`` as its own MagneticGroup.
 
     Returns the new group plus the embedding array mapping new ids to ids in
@@ -380,9 +381,8 @@ def restricted_group(group: MagneticGroup, element_ids,
     is a subgroup, so the subgroup inherits what ``build_group`` checks on
     the parent: associativity, the permutation rows, identity, inverses,
     element orders and the flag homomorphism (whose kernel on the subgroup
-    is a halving subgroup or all of it).  Only the closure and the
-    caller's ``labels`` are checked here; t0 is picked by ``build_group``'s
-    rule.
+    is a halving subgroup or all of it), and the parent's labels.  Only the
+    closure is checked here; t0 is picked by ``build_group``'s rule.
     """
     emb = np.asarray(sorted(set(int(x) for x in element_ids)), dtype=int)
     if emb.size == 0 or emb.min() < 0 or emb.max() >= group.order:
@@ -395,10 +395,6 @@ def restricted_group(group: MagneticGroup, element_ids,
         raise NotASubgroupEmbedding(
             f"subset not closed: {group.label(int(emb[a]))} * "
             f"{group.label(int(emb[b]))} falls outside")
-    if labels is None:
-        labels = tuple(group.labels[g] for g in emb)
-    else:
-        labels = _checked_labels(labels, len(emb))
     flags = group.antiunitary[emb]
     orders = group.element_order[emb]
     identity = int(pos[group.identity])
@@ -406,7 +402,7 @@ def restricted_group(group: MagneticGroup, element_ids,
     sub = MagneticGroup(
         cayley=table,
         antiunitary=flags,
-        labels=labels,
+        labels=tuple(group.labels[g] for g in emb),
         identity=identity,
         t0=_pick_t0(flags, orders),
         inverse=pos[group.inverse[emb]],
@@ -415,22 +411,3 @@ def restricted_group(group: MagneticGroup, element_ids,
         subgroup_chain=((identity,), tuple(int(h) for h in h_elements)),
     )
     return sub, emb
-
-
-def verify_embedding(group: MagneticGroup, sub: MagneticGroup, embedding) -> np.ndarray:
-    """Check that ``embedding`` maps ``sub`` into ``group`` as a magnetic subgroup."""
-    emb = np.asarray(embedding, dtype=int)
-    if emb.shape != (sub.order,):
-        raise NotASubgroupEmbedding("embedding length must equal subgroup order")
-    if emb.min() < 0 or emb.max() >= group.order or len(set(emb.tolist())) != sub.order:
-        raise NotASubgroupEmbedding("embedding must be injective into the parent ids")
-    flag_bad = group.antiunitary[emb] != sub.antiunitary
-    prod_bad = group.cayley[np.ix_(emb, emb)] != emb[sub.cayley]
-    bad_rows = flag_bad | prod_bad.any(axis=1)
-    if bad_rows.any():
-        a = int(np.argmax(bad_rows))
-        if flag_bad[a]:
-            raise NotASubgroupEmbedding(f"flag mismatch at subgroup element {a}")
-        raise NotASubgroupEmbedding(
-            f"product mismatch at pair ({a}, {int(np.argmax(prod_bad[a]))})")
-    return emb

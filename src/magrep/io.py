@@ -59,6 +59,19 @@ def real_matrix(rows, what: str = "matrix") -> np.ndarray:
     return _finite(out, f"real {what}")
 
 
+def _matrix_table(data: dict, what: str) -> tuple[dict, int]:
+    """The ``matrices`` object (element label -> matrix) of a co-rep or
+    action file and its declared ``dim``, 0 when none is given."""
+    if "matrices" not in data:
+        raise ParseError(f"{what} file misses 'matrices'")
+    if not isinstance(data["matrices"], dict):
+        raise ParseError("'matrices' must map element labels to matrices")
+    try:
+        return data["matrices"], int(data.get("dim") or 0)
+    except (TypeError, ValueError):
+        raise ParseError(f"'dim' must be an integer, got {data['dim']!r}") from None
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -75,6 +88,8 @@ def _load_json(path: str) -> dict:
 # -- groups -------------------------------------------------------------------------
 
 def group_from_dict(data: dict) -> tuple[MagneticGroup, Optional[FactorSystem]]:
+    if not isinstance(data, dict):
+        raise ParseError(f"a group must be a JSON object, got {type(data).__name__}")
     for key in ("order", "cayley", "antiunitary"):
         if key not in data:
             raise ParseError(f"group file misses required key {key!r}")
@@ -82,12 +97,11 @@ def group_from_dict(data: dict) -> tuple[MagneticGroup, Optional[FactorSystem]]:
     cayley = data["cayley"]
     if not isinstance(cayley, list) or len(cayley) != n:
         raise ParseError("cayley table size disagrees with the declared order")
-    group = build_group(
-        cayley,
-        data["antiunitary"],
-        labels=data.get("labels"),
-        subgroup_chain=data.get("subgroup_chain"),
-    )
+    try:
+        group = build_group(cayley, data["antiunitary"], labels=data.get("labels"),
+                            subgroup_chain=data.get("subgroup_chain"))
+    except (TypeError, ValueError) as err:   # ids that are no integers, for one
+        raise ParseError(f"malformed group: {err}") from None
     omega = None
     if data.get("omega") is not None:
         values = pairs_to_matrix(data["omega"], what="factor system")
@@ -131,13 +145,8 @@ def corep_from_dict(data: dict, group: Optional[MagneticGroup] = None,
             group, omega = group_from_dict(ref)
     if omega is None:
         omega = FactorSystem.trivial(group.order)
-    if "matrices" not in data:
-        raise ParseError("co-rep file misses 'matrices'")
-    raw = data["matrices"]
-    if not isinstance(raw, dict):
-        raise ParseError("'matrices' must map element labels to matrices")
+    raw, d = _matrix_table(data, "co-rep")
     index = {lab: k for k, lab in enumerate(group.labels)}
-    d = int(data.get("dim") or 0)
     mats = None
     for lab, rows in raw.items():
         if lab not in index:
@@ -178,11 +187,8 @@ def corep_to_dict(rep: CoRep, inline_group: bool = True) -> dict:
 # -- probe actions --------------------------------------------------------------------
 
 def action_from_dict(data: dict, group: MagneticGroup) -> ProbeRepAction:
-    if "matrices" not in data:
-        raise ParseError("action file misses 'matrices'")
-    raw = data["matrices"]
+    raw, q = _matrix_table(data, "action")
     index = {lab: k for k, lab in enumerate(group.labels)}
-    q = int(data.get("dim") or 0)
     d_h = None
     for lab, rows in raw.items():
         if lab not in index:

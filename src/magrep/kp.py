@@ -12,8 +12,9 @@ Every count comes from characters: the coupling multiplicity is the
 criterion of ``reduction.criterion_sums`` weighted by the probe characters,
 and the number of identity couplings is the mean probe character, the trace
 of the group-average projector onto the fixed vectors.  Both are linear in
-the probe character, so ``dispersion_order`` counts the full induced action
-and every channel of one order in one call on their stacked characters.
+the probe character, so ``_coupling_counts`` takes both for a stack of
+characters in one call: the full induced action and every channel of one
+order in ``dispersion_order``, every probe in ``probe_stability``.
 Characters cannot tell a rep from a non-rep, so each entry point that
 counts validates an action that carries no residual from its construction.
 The channels of one polynomial order carry the residual of one group-law
@@ -49,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coreps import ROW_BLOCK_ENTRIES, CoRep, _restricted_to, restrict_corep
+from .coreps import ROW_BLOCK_ENTRIES, CoRep, restrict_corep
 from .errors import (
     DimensionMismatch,
     EmptyChannel,
@@ -57,7 +58,7 @@ from .errors import (
     NonIntegerMultiplicity,
     SingularAction,
 )
-from .groups import MagneticGroup, _same_group, verify_embedding
+from .groups import MagneticGroup, _same_group
 from .linalg import _cluster_slices, _fixed_basis
 from .reduction import criterion_sums, irreducibility_index
 
@@ -245,10 +246,16 @@ def _integer_counts(values, what: str, tol: float = 1e-6) -> np.ndarray:
     return nearest.astype(int)
 
 
-def _fixed_dimensions(chi_v: np.ndarray) -> np.ndarray:
-    """Dimensions of the fixed vectors for probe characters ``(..., |G|)``:
-    the mean character, the trace of the group-average projector."""
-    return _integer_counts(chi_v.mean(axis=-1), "mean character")
+def _coupling_counts(rep: CoRep, chars: np.ndarray) -> list:
+    """Counts of each row of a ``(k, |G|)`` stack of probe characters, in one
+    criterion call: ``multiplicity``, the criterion weighted by the row;
+    ``trivial_multiplicity``, the mean character, the trace of the
+    group-average projector onto the fixed vectors; and their difference,
+    ``splitting_multiplicity``, the couplings that can split a level."""
+    mults = _integer_counts(_criterion_values(rep, chars), "criterion value").tolist()
+    trivs = _integer_counts(chars.mean(axis=-1), "mean character").tolist()
+    return [{"multiplicity": m, "trivial_multiplicity": t, "splitting_multiplicity": m - t}
+            for m, t in zip(mults, trivs)]
 
 
 def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
@@ -267,14 +274,6 @@ def _require_rep(action: ProbeRepAction) -> None:
         validate_action(action)
 
 
-def _linear_count(rep: CoRep, action: ProbeRepAction, tol: float = 1e-6) -> int:
-    return int(_integer_counts(multiplicity_value(rep, action), "criterion value", tol))
-
-
-def _trivial_count(action: ProbeRepAction) -> int:
-    return int(_fixed_dimensions(_characters(action)))
-
-
 def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
                         tol: float = 1e-6) -> int:
     """Integer multiplicity of the probe channel; > 0 means a coupling exists.
@@ -285,7 +284,7 @@ def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
     raises InvalidAction, or NonIntegerMultiplicity when its count is not
     even an integer.
     """
-    count = _linear_count(rep, action, tol)
+    count = int(_integer_counts(multiplicity_value(rep, action), "criterion value", tol))
     _require_rep(action)
     return count
 
@@ -301,7 +300,7 @@ def trivial_multiplicity(action: ProbeRepAction) -> int:
     mean raises NonIntegerMultiplicity and an integer one is returned only
     for an action that is a rep.
     """
-    count = _trivial_count(action)
+    count = int(_integer_counts(_characters(action).mean(), "mean character"))
     _require_rep(action)
     return count
 
@@ -397,7 +396,7 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
 
     residuals = _covariance_residuals(rep, action, gammas)
     residuals["projector_idempotency"] = proj_resid
-    expected = _linear_count(rep, action)
+    expected = _integer_counts(multiplicity_value(rep, action), "criterion value")
     if p != expected:
         raise NonIntegerMultiplicity(
             f"fixed space dimension {p} disagrees with the criterion {expected}")
@@ -683,11 +682,7 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
     for n in range(1, n_max + 1):
         chans = polynomial_channel(action, n, seed=seed)
         # row 0 is the full induced action, then one row per channel
-        mults = _integer_counts(_criterion_values(rep, chans.characters),
-                                "criterion value").tolist()
-        trivs = _fixed_dimensions(chans.characters).tolist()
-        counts = [{"multiplicity": m, "trivial_multiplicity": t,
-                   "splitting_multiplicity": m - t} for m, t in zip(mults, trivs)]
+        counts = _coupling_counts(rep, chans.characters)
         entry = {
             "order": n,
             "full": counts[0],
@@ -696,57 +691,55 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
                           "exponents": ch.exponents}
                          for ch, count in zip(chans.channels, counts[1:])],
         }
-        if leading is None and mults[0] > 0:
+        if leading is None and counts[0]["multiplicity"] > 0:
             leading = n
         orders.append(entry)
         sets.append(chans)
     return {"orders": orders, "leading_order": leading, "seed": seed}, sets
 
 
-def probe_stability(rep: CoRep, embedding, g_sub: Optional[MagneticGroup] = None,
-                    probes: Optional[dict] = None, seed: int = 0,
-                    tol: float = 1e-8) -> dict:
+def _linear_couplings(rep: CoRep, probes: dict, tol: float) -> dict:
+    """Linear-coupling entry of each named probe action (of the co-rep's
+    group): its ``_coupling_counts``, its kind and, where it couples, the
+    ``build_gamma_matrices`` tuples and residuals.  All probes are counted
+    in one criterion call on their stacked characters, whatever their
+    dimensions; like ``linear_multiplicity``, each is then validated, once,
+    unless it carries a residual at or below ``ACTION_TOL``."""
+    for act in probes.values():
+        _check_same_group(rep, act)
+    chars = [_characters(act) for act in probes.values()]
+    counts = _coupling_counts(rep, np.stack(chars)) if chars else []
+    out = {}
+    for (name, act), count in zip(probes.items(), counts):
+        _require_rep(act)
+        entry = out[name] = {**count, "kind": act.kind}
+        if count["multiplicity"] > 0:
+            model = build_gamma_matrices(rep, act, tol)
+            entry["gammas"] = model.gammas
+            entry["residuals"] = model.residuals
+    return out
+
+
+def probe_stability(rep: CoRep, embedding, probes: Optional[dict] = None,
+                    seed: int = 0, tol: float = 1e-8) -> dict:
     """Robustness of a degeneracy against a symmetry-lowering perturbation.
 
     ``embedding`` lists the parent-group element ids that remain symmetries.
     The restricted co-rep's irreducibility index decides protection; = 1
     keeps the degeneracy, > 1 allows splitting at some order.  Each probe
     channel (a ProbeRepAction of the *full* group) is additionally checked
-    for a linear coupling; its splitting multiplicity excludes pure
-    identity couplings, which shift but never split.  Like
-    ``linear_multiplicity``, each probe is validated, once, unless it carries
-    a residual at or below ``ACTION_TOL``.
+    for a linear coupling (``_linear_couplings``); its splitting
+    multiplicity excludes pure identity couplings, which shift but never
+    split.
     """
-    ids = [int(x) for x in embedding]
-    if g_sub is not None:
-        sub_rep = _restricted_to(rep, g_sub, verify_embedding(rep.group, g_sub, ids))
-    else:
-        sub_rep = restrict_corep(rep, ids)[0]
-
+    sub_rep = restrict_corep(rep, embedding)[0]
     index = irreducibility_index(sub_rep)
-    protected = abs(index - 1.0) <= tol
-    report = {
+    return {
         "subgroup_order": sub_rep.group.order,
         "subgroup_is_magnetic": sub_rep.group.is_magnetic,
         "restricted_index": index,
-        "protected": protected,
+        "protected": abs(index - 1.0) <= tol,
         "tol": tol,
         "seed": seed,
-        "probes": {},
+        "probes": _linear_couplings(rep, probes or {}, tol),
     }
-    for name, act in (probes or {}).items():
-        mult = _linear_count(rep, act)
-        triv = _trivial_count(act)
-        _require_rep(act)
-        entry = {
-            "multiplicity": mult,
-            "trivial_multiplicity": triv,
-            "splitting_multiplicity": mult - triv,
-            "kind": act.kind,
-        }
-        if mult > 0:
-            model = build_gamma_matrices(rep, act, tol=max(tol, 1e-9))
-            entry["gammas"] = model.gammas
-            entry["residuals"] = model.residuals
-        report["probes"][name] = entry
-    return report

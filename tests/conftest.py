@@ -391,18 +391,19 @@ def restricted_table_pairwise(group, element_ids):
     return table
 
 
-def restricted_group_rebuilt(group, element_ids, labels=None):
+def restricted_group_rebuilt(group, element_ids):
     """``restricted_group`` that revalidates the subgroup from scratch: its
-    table and flags go through ``build_group``."""
+    table, flags and labels go through ``build_group``."""
     emb = np.asarray(sorted(set(int(x) for x in element_ids)), dtype=int)
     table = restricted_table_pairwise(group, emb)
-    if labels is None:
-        labels = [group.label(int(g)) for g in emb]
+    labels = [group.label(int(g)) for g in emb]
     return build_group(table, group.antiunitary[emb], labels=labels), emb
 
 
 def verify_embedding_pairwise(group, sub, emb):
-    """Flag and product checks element by element; raises like verify_embedding."""
+    """Embedding oracle: checks, element by element, that ``emb[k]`` maps
+    each element k of ``sub`` into ``group`` with its flag and products;
+    raises NotASubgroupEmbedding at the first mismatch, else returns ``emb``."""
     for a in range(sub.order):
         if group.s(int(emb[a])) != sub.s(a):
             raise NotASubgroupEmbedding(f"flag mismatch at subgroup element {a}")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 import magrep as mr
 from magrep import io
 from magrep.cli import main
+from magrep.errors import ParseError
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +239,39 @@ def test_non_finite_action_file_is_a_parse_error(exported, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "non-finite" in err and "Traceback" not in err
 
+def _edited(src, dst, key, value):
+    data = json.load(open(src))
+    data[key] = value
+    dst.write_text(json.dumps(data))
+    return str(dst)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("action", "matrices", [[[1.0]]]),
+    ("action", "dim", "x"),
+    ("rep", "dim", "x"),
+    ("group", "subgroup_chain", 5),
+    ("group", "cayley", [["a", "b"], ["b", "a"]]),
+])
+def test_malformed_file_is_a_parse_error(exported, tmp_path, capsys, kind, key, value):
+    files = {"group": exported / "z2t_kramers.group-kramers.json",
+             "rep": exported / "z2t_kramers.rep-kramers.json",
+             "action": exported / "z2t_kramers.action-magnetic.json"}
+    args = {k: str(path) for k, path in files.items()}
+    args[kind] = _edited(files[kind], tmp_path / f"bad.{kind}.json", key, value)
+    assert main(["kp", args["group"], args["rep"], args["action"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_co_rep_with_a_malformed_inline_group_is_a_parse_error(exported, tmp_path):
+    # the CLI passes the group argument, so only a library caller reads it
+    bad = _edited(exported / "z2t_kramers.rep-kramers.json", tmp_path / "bad.rep.json",
+                  "group", 5)
+    with pytest.raises(ParseError, match="JSON object"):
+        io.load_corep(bad)
+
+
 def test_probe_cli(capsys):
     code, report = run_cli(
         capsys, "probe", "@z2t_kramers", "@z2t_kramers/kramers",
@@ -247,6 +282,22 @@ def test_probe_cli(capsys):
     assert report["protected"] is False
     assert report["probes"]["magnetic"]["splitting_multiplicity"] == 3
     assert report["probes"]["electric"]["splitting_multiplicity"] == 0
+
+
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_kp_field_report_is_the_probe_entry(name, capsys):
+    entry = mr.catalog_get(name)
+    fields = [a for a, act in entry.probe_actions.items() if act.dim_q != 3]
+    assert fields
+    for rep, field in itertools.product(entry.reps, fields):
+        code, kp = run_cli(capsys, "kp", f"@{name}", f"@{name}/{rep}", f"@{name}/{field}")
+        assert code == 0
+        code, probe = run_cli(capsys, "probe", f"@{name}", f"@{name}/{rep}",
+                              "--subgroup", "0", "--probe", f"f=@{name}/{field}")
+        assert code == 0
+        want = {**probe["probes"]["f"], "channel_dim": entry.probe_actions[field].dim_q,
+                "seed": 0}
+        assert kp == want
 
 
 def test_console_script_installed():

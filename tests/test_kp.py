@@ -12,7 +12,6 @@ from magrep.errors import (
     EmptyChannel,
     InvalidAction,
     NonIntegerMultiplicity,
-    NotASubgroupEmbedding,
     SingularAction,
 )
 from magrep.kp import (
@@ -161,7 +160,8 @@ def count_action_validations(monkeypatch):
 def test_counts_of_a_non_rep_raise_invalid_action():
     rep = mr.catalog_get("c4v_t").reps["e_half"]
     bad = scaled_quadratic_action()
-    assert magrep.kp._trivial_count(bad) == 3
+    counts = magrep.kp._coupling_counts(rep, magrep.kp._characters(bad)[None])
+    assert counts[0]["trivial_multiplicity"] == 3
     assert trivial_multiplicity_h_t0(bad) == 0
     with pytest.raises(InvalidAction, match="group law"):
         linear_multiplicity(rep, bad)
@@ -551,23 +551,43 @@ def test_probe_stability_kramers_zeeman():
     assert gammas.shape == (3, 1, 2, 2)
 
 
-def test_probe_stability_with_explicit_subgroup_object():
-    rep, _ = kramers_setup()
-    sub = mr.groups.build_group([[0]], [0])
-    report = probe_stability(rep, [0], g_sub=sub)
-    assert report["restricted_index"] == pytest.approx(4.0)
-    bad = mr.groups.build_group([[0, 1], [1, 0]], [0, 0])
-    with pytest.raises(NotASubgroupEmbedding):
-        probe_stability(rep, [0, 1], g_sub=bad)
+def probe_entry_alone(rep, act, tol):
+    """The report JSON of a ``probe_stability`` probe entry, built from the
+    single-probe entry points."""
+    mult, triv = linear_multiplicity(rep, act), trivial_multiplicity(act)
+    entry = {"multiplicity": mult, "trivial_multiplicity": triv,
+             "splitting_multiplicity": mult - triv, "kind": act.kind}
+    if mult > 0:
+        model = build_gamma_matrices(rep, act, tol)
+        entry.update(gammas=model.gammas, residuals=model.residuals)
+    return magrep.io.write_report(entry)
 
 
-def test_probe_stability_on_a_subgroup_object_matches_the_id_list():
-    entry = mr.catalog_get("c4v_t")
-    rep, g = entry.reps["e_half"], entry.group
-    probes = {"kz_odd": entry.probe_actions["kz_odd"]}
-    sub, emb = mr.groups.restricted_group(g, g.h_elements)
-    assert (magrep.io.write_report(probe_stability(rep, emb, g_sub=sub, probes=probes))
-            == magrep.io.write_report(probe_stability(rep, g.h_elements, probes=probes)))
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_probe_stability_counts_stacked_probes_as_each_alone(name):
+    # all of an entry's probes at once: 1- and 3-dim characters in one stack
+    entry = mr.catalog_get(name)
+    probes = entry.probe_actions
+    assert {a.dim_q for a in probes.values()} >= {1, 3}
+    for rep in entry.reps.values():
+        report = probe_stability(rep, entry.group.h_elements, probes=probes)
+        assert list(report["probes"]) == list(probes)
+        for probe, act in probes.items():
+            assert (magrep.io.write_report(report["probes"][probe])
+                    == probe_entry_alone(rep, act, report["tol"]))
+
+
+def test_probe_stability_counts_oht_field_probes_as_each_alone(oht):
+    fields = {k: a for k, a in oht["actions"].items() if a.kind != "momentum"}
+    assert {a.dim_q for a in fields.values()} == {1, 2, 3}
+    for mats in oht["coreps"].values():
+        rep = mr.corep_from_matrices(oht["group"], mats)
+        want = {probe: probe_entry_alone(rep, act, 1e-8) for probe, act in fields.items()}
+        assert any('"gammas"' in e for e in want.values())
+        for ids in oht["lowerings"].values():
+            report = probe_stability(rep, ids, probes=fields)
+            assert {probe: magrep.io.write_report(e)
+                    for probe, e in report["probes"].items()} == want
 
 
 def test_probe_stability_nodal_line_style_restriction():
