@@ -21,7 +21,7 @@ import numpy as np
 from .coreps import COREP_TOL, CoRep, corep_from_matrices, residuals_within
 from .errors import UnknownName
 from .groups import MagneticGroup, build_group, validate_cocycle
-from .kp import ProbeRepAction, validated_action
+from .kp import ProbeRepAction, validate_action
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _I_SIGMA_Y = 1j * _SIGMA_Y
@@ -105,8 +105,9 @@ def _make_corep(group: MagneticGroup, mats) -> CoRep:
 def _make_action(group: MagneticGroup, mats, kind: str) -> ProbeRepAction:
     mats = np.stack([np.asarray(m, dtype=float) for m in mats])
     d_t0 = mats[group.t0] if group.is_magnetic else None
-    return validated_action(ProbeRepAction(group=group, d_h=mats[group.h_elements],
-                                           d_t0=d_t0, kind=kind))
+    action = ProbeRepAction(group=group, d_h=mats[group.h_elements], d_t0=d_t0, kind=kind)
+    validate_action(action)
+    return action
 
 
 def _uniform_actions(group: MagneticGroup, o3_list=None) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 from .coreps import CoRep
 from .errors import ParseError
 from .groups import FactorSystem, MagneticGroup, build_group
-from .kp import ProbeRepAction, validated_action
+from .kp import ProbeRepAction, validate_action
 
 
 # -- primitive (de)serializers ----------------------------------------------------
@@ -59,6 +59,18 @@ def real_matrix(rows, what: str = "matrix") -> np.ndarray:
     return _finite(out, f"real {what}")
 
 
+def _integers(values, what: str, ndim=None) -> np.ndarray:
+    """``values`` as an int array of ``ndim`` dimensions (any when None); raises
+    ParseError on a fractional id or dim, which ``int`` would truncate."""
+    try:
+        arr = np.asarray(values)
+        if ndim in (None, arr.ndim) and (np.isfinite(arr) & (arr == np.round(arr))).all():
+            return arr.astype(int)
+    except (TypeError, ValueError):   # strings, nulls or ragged rows
+        pass
+    raise ParseError(f"{what} must be {'an integer' if ndim == 0 else 'integers'}")
+
+
 def _matrix_table(data: dict, what: str) -> tuple[dict, int]:
     """The ``matrices`` object (element label -> matrix) of a co-rep or
     action file and its declared ``dim``, 0 when none is given."""
@@ -66,10 +78,7 @@ def _matrix_table(data: dict, what: str) -> tuple[dict, int]:
         raise ParseError(f"{what} file misses 'matrices'")
     if not isinstance(data["matrices"], dict):
         raise ParseError("'matrices' must map element labels to matrices")
-    try:
-        return data["matrices"], int(data.get("dim") or 0)
-    except (TypeError, ValueError):
-        raise ParseError(f"'dim' must be an integer, got {data['dim']!r}") from None
+    return data["matrices"], int(_integers(data.get("dim") or 0, "'dim'", 0))
 
 
 def _load_json(path: str) -> dict:
@@ -93,11 +102,13 @@ def group_from_dict(data: dict) -> tuple[MagneticGroup, Optional[FactorSystem]]:
     for key in ("order", "cayley", "antiunitary"):
         if key not in data:
             raise ParseError(f"group file misses required key {key!r}")
-    n = data["order"]
+    n = int(_integers(data["order"], "order", 0))
     cayley = data["cayley"]
     if not isinstance(cayley, list) or len(cayley) != n:
         raise ParseError("cayley table size disagrees with the declared order")
     try:
+        for ids in [cayley, data["antiunitary"], *(data.get("subgroup_chain") or ())]:
+            _integers(ids, "Cayley entries, flags and subgroup ids")
         group = build_group(cayley, data["antiunitary"], labels=data.get("labels"),
                             subgroup_chain=data.get("subgroup_chain"))
     except (TypeError, ValueError) as err:   # ids that are no integers, for one
@@ -211,8 +222,10 @@ def action_from_dict(data: dict, group: MagneticGroup) -> ProbeRepAction:
         if "t0" not in data:
             raise ParseError("magnetic group action needs the 't0' matrix")
         d_t0 = real_matrix(data["t0"], what="t0 action")
-    return validated_action(ProbeRepAction(group=group, d_h=d_h, d_t0=d_t0,
-                                           kind=str(data.get("kind", "momentum"))))
+    action = ProbeRepAction(group=group, d_h=d_h, d_t0=d_t0,
+                            kind=str(data.get("kind", "momentum")))
+    validate_action(action)
+    return action
 
 
 def load_action(source: Union[str, dict], group: MagneticGroup) -> ProbeRepAction:

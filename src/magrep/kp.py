@@ -15,11 +15,9 @@ of the group-average projector onto the fixed vectors.  Both are linear in
 the probe character, so ``_coupling_counts`` takes both for a stack of
 characters in one call: the full induced action and every channel of one
 order in ``dispersion_order``, every probe in ``probe_stability``.
-Characters cannot tell a rep from a non-rep, so each entry point that
-counts validates an action that carries no residual from its construction.
-The channels of one polynomial order carry the residual of one group-law
-check of the block-diagonal rep they form, the largest of their own up to
-rounding.
+Characters cannot tell a rep from a non-rep, so each entry point that counts
+validates its action once per call; the channels of one polynomial order are
+checked together, as the block-diagonal rep they form.
 The matrices come from one real fixed space: in coordinates over the
 orthonormal, shared ``hermitian_basis(d)`` the covariance action
 of g is the real matrix D(g) x a(g), where a(g) is the adjoint action of M(g)
@@ -44,7 +42,7 @@ subgroup products in broadcast matmuls, one per block of rows of up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -96,16 +94,6 @@ class ProbeRepAction:
     d_h: np.ndarray          # (|H|, q, q) real
     d_t0: Optional[np.ndarray]
     kind: str = "momentum"
-    #: the ``validate_action`` residual measured when the action was built;
-    #: set only by ``validated_action``, None when nothing is known
-    residual: Optional[float] = field(default=None, init=False, repr=False,
-                                      compare=False)
-
-    def __setattr__(self, name, value):
-        # a residual measured on the old matrices says nothing about new ones
-        if name != "residual":
-            object.__setattr__(self, "residual", None)
-        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         self.d_h = np.asarray(self.d_h, dtype=float)
@@ -173,23 +161,6 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     if not resid <= tol:   # a NaN residual fails too
         raise InvalidAction(f"probe matrices violate the group law by {resid:.3e}")
     return resid
-
-
-def validated_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> ProbeRepAction:
-    """``action`` carrying the residual ``validate_action`` measures; raises
-    like it.  The matrices, which the caller must not share, become
-    read-only: writing to them would leave the residual stale."""
-    return _frozen(action, validate_action(action, tol))
-
-
-def _frozen(action: ProbeRepAction, residual: float) -> ProbeRepAction:
-    """``action`` carrying ``residual``, a group-law residual measured on its
-    matrices, which become read-only."""
-    action.residual = residual
-    action.d_h.flags.writeable = False
-    if action.d_t0 is not None:
-        action.d_t0.flags.writeable = False
-    return action
 
 
 def _dual_matrices(mats: np.ndarray) -> np.ndarray:
@@ -263,29 +234,17 @@ def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
         raise DimensionMismatch("the probe action belongs to another group")
 
 
-def _carries_rep_residual(action: ProbeRepAction) -> bool:
-    return action.residual is not None and action.residual <= ACTION_TOL
-
-
-def _require_rep(action: ProbeRepAction) -> None:
-    """Raise InvalidAction unless ``action`` is a rep: an action that
-    carries no residual at or below ``ACTION_TOL`` is validated."""
-    if not _carries_rep_residual(action):
-        validate_action(action)
-
-
 def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
                         tol: float = 1e-6) -> int:
     """Integer multiplicity of the probe channel; > 0 means a coupling exists.
 
     The count comes from characters, which mean nothing for matrices that
-    are not a rep.  So an action that carries no residual at or below
-    ``ACTION_TOL`` is validated before the count is returned: a non-rep
-    raises InvalidAction, or NonIntegerMultiplicity when its count is not
-    even an integer.
+    are not a rep, so the action is validated before the count is returned:
+    a non-rep raises InvalidAction, or NonIntegerMultiplicity first when its
+    count is not even an integer.
     """
     count = int(_integer_counts(multiplicity_value(rep, action), "criterion value", tol))
-    _require_rep(action)
+    validate_action(action)
     return count
 
 
@@ -301,7 +260,7 @@ def trivial_multiplicity(action: ProbeRepAction) -> int:
     for an action that is a rep.
     """
     count = int(_integer_counts(_characters(action).mean(), "mean character"))
-    _require_rep(action)
+    validate_action(action)
     return count
 
 
@@ -386,7 +345,9 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
     coordinates span the eigenvalue-1 space of the group-average projector
     (``_fixed_space``); they are Hermitian by construction and orthonormal
     under sum_m Re Tr(gamma^m_i^dag gamma^m_j).  Raises EmptyChannel when
-    the multiplicity is zero.
+    the multiplicity is zero.  The action is not validated: the caller
+    passes a rep, such as a counted action or a channel of
+    ``polynomial_channel``.
     """
     _check_same_group(rep, action)
     gammas, proj_resid = _fixed_space(rep, action, tol)
@@ -444,7 +405,8 @@ def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
     is a group action, so a tuple that ``group.generators`` (a generating set
     of H, plus t0) fix is fixed by every element: one ``_covariance_defects``
     call over them writes the whole system.  Independent of the projector
-    construction; the ground truth for multiplicities and spans.
+    construction; the ground truth for multiplicities and spans.  Neither
+    input is validated: the caller passes a co-rep and a rep.
     """
     d = rep.dim
     q = action.dim_q
@@ -569,18 +531,23 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     invariant channels; each eigenspace is returned as a ProbeRepAction with
     explicit polynomial bases.  n = 1 reproduces the input action.
 
-    The input is validated unless it carries a residual at or below
-    ``ACTION_TOL``.  The channels are checked together, in one group-law
-    check of the block-diagonal rep they form (tolerance 1e-7), and each
-    carries that residual: the largest of the channels' own residuals, up to
-    last-place rounding.
+    The input is validated once per call.  The channels are checked
+    together, in one group-law check of the block-diagonal rep they form
+    (tolerance 1e-7), whose residual is the largest of the channels' own,
+    up to last-place rounding.
     """
     if n < 1:
         raise ValueError("polynomial order must be >= 1")
+    if action.dim_q == 3:   # otherwise the builder raises the dimension error
+        validate_action(action)
+    return _channel_set(action, n, seed)
+
+
+def _channel_set(action: ProbeRepAction, n: int, seed: int) -> PolynomialChannelSet:
+    """``polynomial_channel`` of an action the caller has validated."""
     g = action.group
     if action.dim_q != 3:
         raise InvalidAction("polynomial channels are induced from a 3-dim momentum action")
-    _require_rep(action)
     exponents = monomial_exponents(n)
     n_mono = len(exponents)
     # substitution rep of every element: the monomials of the dual matrices
@@ -617,7 +584,7 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     for sl in slices:
         in_block[sl, sl] = True
     rotated = np.where(in_block, evecs.T @ ortho @ evecs, 0.0)
-    resid = validate_action(ProbeRepAction(
+    validate_action(ProbeRepAction(
         group=g, d_h=rotated[g.h_elements], d_t0=rotated[g.t0] if g.is_magnetic else None,
         kind=f"polynomial({n})"), tol=1e-7)
     diagonal = np.einsum("gii->gi", rotated)
@@ -625,24 +592,19 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     channels = []
     for sl in slices:
         chan = rotated[:, sl, sl]
-        chan_action = _frozen(
-            ProbeRepAction(group=g, d_h=chan[g.h_elements],
-                           d_t0=chan[g.t0] if g.is_magnetic else None,
-                           kind=f"polynomial({n})"), resid)
         channels.append(PolynomialChannel(
-            action=chan_action,
+            action=ProbeRepAction(group=g, d_h=chan[g.h_elements],
+                                  d_t0=chan[g.t0] if g.is_magnetic else None,
+                                  kind=f"polynomial({n})"),
             coefficients=evecs[:, sl].T @ s_half,
             exponents=exponents,
             order=n,
         ))
         characters.append(diagonal[:, sl].sum(axis=1))
 
-    if n == 1:
-        full = action
-    else:
-        full = ProbeRepAction(group=g, d_h=full_d[g.h_elements],
-                              d_t0=full_d[g.t0] if g.is_magnetic else None,
-                              kind=f"polynomial({n})")
+    full = action if n == 1 else ProbeRepAction(
+        group=g, d_h=full_d[g.h_elements], d_t0=full_d[g.t0] if g.is_magnetic else None,
+        kind=f"polynomial({n})")
     return PolynomialChannelSet(order=n, exponents=exponents, full_action=full,
                                 channels=channels, characters=np.stack(characters))
 
@@ -657,8 +619,8 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
     action has positive multiplicity; per-channel entries expose which
     direction couples (splitting counts exclude identity-tuple couplings).
     Each order is counted from the character stack of its
-    ``PolynomialChannelSet`` in one criterion call.  An action that carries
-    no residual is validated once per call, not once per order.
+    ``PolynomialChannelSet`` in one criterion call.  The action is
+    validated once per call, not once per order.
     """
     return _dispersion_table(rep, action, n_max, seed)[0]
 
@@ -670,17 +632,12 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_same_group(rep, action)
-    if not _carries_rep_residual(action):
-        # validated once here rather than once per order; on copies, which
-        # ``validated_action`` freezes, so the caller's arrays stay writable
-        action = validated_action(replace(
-            action, d_h=action.d_h.copy(),
-            d_t0=None if action.d_t0 is None else action.d_t0.copy()))
+    validate_action(action)
     orders = []
     sets = []
     leading = None
     for n in range(1, n_max + 1):
-        chans = polynomial_channel(action, n, seed=seed)
+        chans = _channel_set(action, n, seed)
         # row 0 is the full induced action, then one row per channel
         counts = _coupling_counts(rep, chans.characters)
         entry = {
@@ -703,15 +660,14 @@ def _linear_couplings(rep: CoRep, probes: dict, tol: float) -> dict:
     group): its ``_coupling_counts``, its kind and, where it couples, the
     ``build_gamma_matrices`` tuples and residuals.  All probes are counted
     in one criterion call on their stacked characters, whatever their
-    dimensions; like ``linear_multiplicity``, each is then validated, once,
-    unless it carries a residual at or below ``ACTION_TOL``."""
+    dimensions; like ``linear_multiplicity``, each is then validated, once."""
     for act in probes.values():
         _check_same_group(rep, act)
     chars = [_characters(act) for act in probes.values()]
     counts = _coupling_counts(rep, np.stack(chars)) if chars else []
     out = {}
     for (name, act), count in zip(probes.items(), counts):
-        _require_rep(act)
+        validate_action(act)
         entry = out[name] = {**count, "kind": act.kind}
         if count["multiplicity"] > 0:
             model = build_gamma_matrices(rep, act, tol)

@@ -252,6 +252,13 @@ def _edited(src, dst, key, value):
     ("rep", "dim", "x"),
     ("group", "subgroup_chain", 5),
     ("group", "cayley", [["a", "b"], ["b", "a"]]),
+    # fractional ids and dims, which int() would truncate to valid ones
+    ("group", "order", 2.5),
+    ("group", "cayley", [[0.4, 1.3], [1.2, 0.1]]),
+    ("group", "antiunitary", [0, 1.9]),
+    ("group", "subgroup_chain", [[0.3], [0, 1.2]]),
+    ("rep", "dim", 2.7),
+    ("action", "dim", 1.5),
 ])
 def test_malformed_file_is_a_parse_error(exported, tmp_path, capsys, kind, key, value):
     files = {"group": exported / "z2t_kramers.group-kramers.json",
@@ -262,6 +269,19 @@ def test_malformed_file_is_a_parse_error(exported, tmp_path, capsys, kind, key, 
     assert main(["kp", args["group"], args["rep"], args["action"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_group_file_with_fractional_ids_does_not_validate(tmp_path, capsys):
+    # int() truncates this table and these flags to z2t's
+    bad = tmp_path / "fractional.group.json"
+    bad.write_text(json.dumps({"order": 2, "cayley": [[0.4, 1.3], [1.2, 0.1]],
+                               "antiunitary": [0, 1.9]}))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "must be integers" in err and "Traceback" not in err
+    bad.write_text(json.dumps({"order": 2, "cayley": [[0, 1], [1, 0]],
+                               "antiunitary": [0, 1]}))
+    assert main(["validate", str(bad)]) == 0
 
 
 def test_co_rep_with_a_malformed_inline_group_is_a_parse_error(exported, tmp_path):

@@ -171,24 +171,57 @@ def test_counts_of_a_non_rep_raise_invalid_action():
         probe_stability(rep, range(8), probes={"quadratic": bad})
 
 
-def test_counts_validate_only_actions_without_a_residual(monkeypatch):
+def test_counts_validate_catalog_and_bare_actions_alike(monkeypatch):
     seen = count_action_validations(monkeypatch)
     entry = mr.catalog_get("c4v_t")
     rep, act = entry.reps["e_half"], entry.probe_actions["momentum"]
-    assert 0 <= act.residual <= magrep.kp.ACTION_TOL
-    linear_multiplicity(rep, act)
-    trivial_multiplicity(act)
-    probe_stability(rep, range(8), probes={"k": act})
-    assert seen == []
     bare = ProbeRepAction(group=act.group, d_h=act.d_h, d_t0=act.d_t0, kind=act.kind)
-    linear_multiplicity(rep, bare)
-    trivial_multiplicity(bare)
-    assert seen == [bare, bare]
+    for probe in (act, bare):
+        linear_multiplicity(rep, probe)
+        trivial_multiplicity(probe)
+    assert seen == [act, act, bare, bare]
     # once per probe, though the probe is counted twice and its gammas built
     seen.clear()
     report = probe_stability(rep, range(8), probes={"k": bare, "k2": act})
     assert report["probes"]["k"]["multiplicity"] > 0
-    assert seen == [bare]
+    assert seen == [bare, act]
+
+
+#: every counting entry point, called on the c4v_t e_half co-rep and a
+#: momentum action of its group
+COUNTS = {
+    "linear_multiplicity": linear_multiplicity,
+    "trivial_multiplicity": lambda rep, act: trivial_multiplicity(act),
+    "polynomial_channel": lambda rep, act: polynomial_channel(act, 2),
+    "dispersion_order": lambda rep, act: dispersion_order(rep, act, 3),
+    "probe_stability": lambda rep, act: probe_stability(rep, range(8), probes={"k": act}),
+}
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_each_count_validates_its_input_once_per_call(monkeypatch, count):
+    seen = count_action_validations(monkeypatch)
+    entry = mr.catalog_get("c4v_t")
+    rep, act = entry.reps["e_half"], entry.probe_actions["momentum"]
+    bare = ProbeRepAction(group=act.group, d_h=act.d_h.copy(), d_t0=act.d_t0.copy(),
+                          kind=act.kind)
+    for probe in (act, bare, act):
+        seen.clear()
+        COUNTS[count](rep, probe)
+        assert sum(a is probe for a in seen) == 1, (count, probe is act)
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_a_count_sees_a_corruption_made_after_the_last_call(count):
+    entry = mr.catalog_get("c4v_t")
+    rep, act = entry.reps["e_half"], entry.probe_actions["momentum"]
+    copy = ProbeRepAction(group=act.group, d_h=act.d_h.copy(), d_t0=act.d_t0.copy(),
+                          kind=act.kind)
+    COUNTS[count](rep, copy)
+    # an off-diagonal entry: every character, and so every count, stays put
+    copy.d_h[1, 0, 1] += 0.5
+    with pytest.raises(InvalidAction, match="group law"):
+        COUNTS[count](rep, copy)
 
 
 # -- multiplicity criterion -----------------------------------------------------------
@@ -310,40 +343,30 @@ def test_polynomial_channel_order_one_recovers_input():
 def test_dispersion_order_validates_a_bare_action_once(monkeypatch):
     entry = mr.catalog_get("c6v_t")
     rep, act = entry.reps["e_half"], entry.probe_actions["momentum"]
-    seen = []
-    real = magrep.kp.validate_action
-
-    def counting(action, tol=magrep.kp.ACTION_TOL):
-        seen.append(action)
-        return real(action, tol)
-
-    monkeypatch.setattr(magrep.kp, "validate_action", counting)
-    want = magrep.io.write_report(dispersion_order(rep, act, 3))
-    # the channels of each order are checked when they are built; the input
-    # is the action whose kind is not a polynomial channel's
-    assert not [a for a in seen if a.kind == act.kind]
-    seen.clear()
+    seen = count_action_validations(monkeypatch)
     bare = ProbeRepAction(group=act.group, d_h=act.d_h.copy(), d_t0=act.d_t0.copy(),
                           kind=act.kind)
-    assert magrep.io.write_report(dispersion_order(rep, bare, 3)) == want
-    assert len([a for a in seen if a.kind == act.kind]) == 1
-    # the caller's action is neither frozen nor given a residual
-    assert bare.residual is None
+    for n_max in (1, 2, 3, 4):
+        seen.clear()
+        want = magrep.io.write_report(dispersion_order(rep, act, n_max))
+        assert sum(a is act for a in seen) == 1
+        seen.clear()
+        assert magrep.io.write_report(dispersion_order(rep, bare, n_max)) == want
+        # the input once, whatever n_max; the channels of each order are
+        # checked when they are built, as one action of a polynomial kind
+        assert sum(a is bare for a in seen) == 1
+        assert [a.kind for a in seen if a is not bare] == \
+            [f"polynomial({n})" for n in range(1, n_max + 1)]
+    # the caller's arrays stay writable
     assert bare.d_h.flags.writeable and bare.d_t0.flags.writeable
 
 
-def test_polynomial_channel_validates_only_actions_without_a_residual(monkeypatch):
-    seen = []
+def test_polynomial_channel_checks_its_input_and_each_order_once(monkeypatch):
     real = magrep.kp.validate_action
-
-    def counting(action, tol=magrep.kp.ACTION_TOL):
-        seen.append(action)
-        return real(action, tol)
-
-    monkeypatch.setattr(magrep.kp, "validate_action", counting)
-    # catalog momentum actions x orders 1-4 x two seeds: one check per order,
-    # of the block-diagonal rep the channels form, and each channel carries
-    # its residual, the largest of the channels' own.  Products of the blocks
+    seen = count_action_validations(monkeypatch)
+    # catalog momentum actions x orders 1-4 x two seeds: the input, then one
+    # check per order, of the block-diagonal rep the channels form, whose
+    # residual is the largest of the channels' own.  Products of the blocks
     # are bit-equal to the channels' own, but LAPACK may round the inverse of
     # the larger D(t0) differently in the last place (c4v_c4 momentum at
     # order 1, seed 7: 2.73e-16 against 2.27e-16)
@@ -351,33 +374,26 @@ def test_polynomial_channel_validates_only_actions_without_a_residual(monkeypatc
         for act in mr.catalog_get(name).probe_actions.values():
             if act.dim_q != 3:
                 continue
-            assert act.residual is not None
             for n in (1, 2, 3, 4):
                 for seed in (0, 7):
                     seen.clear()
                     sets = polynomial_channel(act, n, seed=seed)
-                    assert [a.kind for a in seen] == [f"polynomial({n})"], (name, n)
-                    assert seen[0].dim_q == len(sets.exponents)
+                    assert seen[0] is act, (name, n)
+                    assert [a.kind for a in seen[1:]] == [f"polynomial({n})"], (name, n)
+                    assert seen[1].dim_q == len(sets.exponents)
                     own = max(real(c.action, 1e-7) for c in sets.channels)
-                    assert all(abs(c.action.residual - own) <= 1e-15
-                               for c in sets.channels), (name, n, seed)
-                    assert all(0 <= c.action.residual <= 1e-7 for c in sets.channels)
+                    assert abs(real(seen[1], 1e-7) - own) <= 1e-15, (name, n, seed)
+                    assert 0 <= own <= 1e-7
     act = mr.catalog_get("c6v_t").probe_actions["momentum"]
-    sets = polynomial_channel(act, 2)
-    with pytest.raises(ValueError, match="read-only"):
-        sets.channels[0].action.d_h[0, 0, 0] = 2.0
-    reassigned = polynomial_channel(act, 2).channels[0].action
-    reassigned.d_h = 2.0 * reassigned.d_h
-    assert reassigned.residual is None
     bare = ProbeRepAction(group=act.group, d_h=act.d_h, d_t0=act.d_t0, kind=act.kind)
     seen.clear()
     polynomial_channel(bare, 2)
     assert seen[0] is bare and len(seen) == 2
-    # the CLI asks for the same catalog action once per order
+    # the CLI checks the catalog action once, then each order's channels
     seen.clear()
     assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum",
                  "--max-order", "3", "--out", os.devnull]) == 0
-    assert seen and all(a is not act for a in seen)
+    assert sum(a is act for a in seen) == 1 and len(seen) == 4
 
 
 def _unitary_halving(name):
