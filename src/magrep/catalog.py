@@ -107,6 +107,10 @@ def _make_action(group: MagneticGroup, mats, kind: str) -> ProbeRepAction:
     d_t0 = mats[group.t0] if group.is_magnetic else None
     action = ProbeRepAction(group=group, d_h=mats[group.h_elements], d_t0=d_t0, kind=kind)
     validate_action(action)
+    # every lookup of the cached entry shares these arrays
+    action.d_h.flags.writeable = False
+    if d_t0 is not None:
+        action.d_t0.flags.writeable = False
     return action
 
 

@@ -14,12 +14,12 @@ changes onto a subspace, gauges, restrictions) and the validation.
 Validation and the factor-system fit share one pair kernel.  The n^2
 products M(a) conj^[s(a)](M(b)) come in blocks of consecutive first
 elements a, each of up to ``ROW_BLOCK_ENTRIES`` entries, as one matrix
-product per flag class against all n matrices laid side by side.  The
-largest residual norm (``_max_spectral_norm``) comes in three stages: the
-Frobenius norms, from one pass of squares, rule out most matrices; bounds
-from the traces of E^dag E rule out most of the rest; LAPACK runs on what
-is left, once per distinct matrix.  Each stage keeps every matrix that can
-hold the maximum, so the value is LAPACK's, bit for bit.
+product per flag class against all n matrices laid side by side.  Every
+residual is the largest Frobenius norm over its stack of matrices
+(``_max_frobenius_norm``), one pass of squares and no SVD.  It bounds the
+largest spectral norm from above, so a check against a tolerance is at
+least as strict, and the bounds that derived co-reps carry are Frobenius
+bounds too.
 
 Validation happens once, at the boundary.  ``validate_corep`` always checks
 from scratch.  ``corep_from_matrices`` measures the same two residuals while
@@ -36,6 +36,7 @@ cannot go stale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -50,12 +51,6 @@ COREP_TOL = 1e-9
 OMEGA_FIT_TOL = 1e-8
 #: product entries per block of first elements in ``_row_products``
 ROW_BLOCK_ENTRIES = 2 ** 14
-#: relative slack by which ``_max_spectral_norm``'s screens keep a matrix
-#: whose upper bound falls just short of a lower bound
-_NORM_SLACK = 1e-7
-#: smallest sum of squares the Frobenius screen trusts: below it, squares of
-#: entries may be subnormal and lose relative precision
-_FRO2_MIN = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass
@@ -119,16 +114,13 @@ class CoRepReport:
 def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
     """Residuals of unitarity and of the twisted multiplication rule.
 
-    The relation residual is the max spectral norm over all element pairs of
-    ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``.  Cheap bounds on each
-    pair's norm (``_max_spectral_norm``), from its Frobenius norm and then
-    from the traces of its Gram matrix, leave only the pairs that can hold
-    the maximum, and LAPACK runs once per distinct matrix among them, so
-    the value is the one every pair's SVD gives.  The products come a
+    The relation residual is the largest Frobenius norm over all element
+    pairs of ``M(a) conj^[s(a)](M(b)) - omega(a, b) M(ab)``, and the
+    unitarity residual the largest of ``M(a)^dag M(a) - 1``; each lies
+    between the largest spectral norm r and sqrt(d) r.  The products come a
     block of first elements at a time from ``_row_products``, a block
     holding up to ``ROW_BLOCK_ENTRIES`` product entries.  Non-finite
-    matrices or factor systems, whose norms do not converge, fail with
-    infinite residuals.
+    matrices or factor systems fail with infinite residuals.
     """
     g = rep.group
     mats = rep.matrices
@@ -136,7 +128,7 @@ def validate_corep(rep: CoRep, tol: float = COREP_TOL) -> CoRepReport:
         return CoRepReport(unitarity_residual=np.inf, relation_residual=np.inf, tol=tol)
     rel = 0.0
     for rows, prod, target in _row_products(g, mats):
-        rel = _max_spectral_norm(prod - rep.omega.values[rows, :, None, None] * target, rel)
+        rel = _max_frobenius_norm(prod - rep.omega.values[rows, :, None, None] * target, rel)
     return CoRepReport(unitarity_residual=_unitarity_residual(mats),
                        relation_residual=rel, tol=tol)
 
@@ -148,7 +140,7 @@ def residuals_within(rep: CoRep, tol: float) -> bool:
 
 def _unitarity_residual(mats: np.ndarray) -> float:
     eye = np.eye(mats.shape[-1])
-    return _max_spectral_norm(np.swapaxes(np.conj(mats), -1, -2) @ mats - eye)
+    return _max_frobenius_norm(np.swapaxes(np.conj(mats), -1, -2) @ mats - eye)
 
 
 def _row_products(group: MagneticGroup, mats: np.ndarray):
@@ -177,102 +169,26 @@ def _row_products(group: MagneticGroup, mats: np.ndarray):
         yield rows, prod, mats[group.cayley[rows]]
 
 
-def _max_spectral_norm(stack: np.ndarray, floor: float = 0.0) -> float:
-    """max(floor, max_k ||stack[k]||_2) over a complex stack ``(..., d, d)``,
-    equal to the batched LAPACK norm bit for bit while running the SVD on
-    few matrices.
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """||E||_F of every matrix of a complex stack ``(..., d, d)``, shaped
+    ``stack.shape[:-2]``: one pass of squares per matrix.
 
-    Two screens, each keeping every matrix that can hold the maximum, leave
-    few matrices for the SVD: the Frobenius norms (``_frobenius_screen``),
-    then bounds from the traces of E^dag E (``_trace_screen``).  The SVD
-    then runs once per distinct byte pattern (``_distinct``), since exact
-    ties, as in residuals of unrotated generator matrices, defeat every
-    bound.  Both screens keep a matrix unless its upper bound falls short of
-    a lower bound by a relative slack of ``_NORM_SLACK``, far above the
-    rounding of the bounds, so the largest SVD norm is never dropped.  A
-    lone matrix, as in the reduction's t0 commutation check, skips both.
+    Each matrix is scaled by the power of two of its largest real or
+    imaginary part before squaring, which is exact, so no square under- or
+    overflows.  A NaN entry gives NaN and an infinite one inf.
     """
-    d = stack.shape[-1]
-    stack = np.ascontiguousarray(stack).reshape(-1, d, d)
-    if len(stack) > 1:   # a lone matrix's bounds cost more than its SVD
-        stack = stack[_frobenius_screen(stack, floor)]
-        stack = stack[_trace_screen(stack, floor)]
-    if not len(stack):
-        return float(floor)
-    return float(max(floor, np.linalg.norm(_distinct(stack), ord=2, axis=(-2, -1)).max()))
+    lead, d2 = stack.shape[:-2], stack.shape[-2] * stack.shape[-1]
+    flat = np.ascontiguousarray(stack).reshape(-1, d2).view(float)
+    _, exp = np.frexp(np.abs(flat).max(axis=1, initial=0.0))
+    scaled = np.ldexp(flat, -exp[:, None])
+    return np.ldexp(np.sqrt(np.einsum("ki,ki->k", scaled, scaled)), exp).reshape(lead)
 
 
-def _frobenius_screen(stack: np.ndarray, floor: float) -> np.ndarray:
-    """Mask of the matrices of a contiguous ``(k, d, d)`` stack that the
-    bracket ||E||_F / sqrt(d) <= ||E||_2 <= ||E||_F (Golub & Van Loan,
-    Matrix Computations, 2.3) cannot rule out: those whose ||E||_F reaches
-    max(floor, largest ||E||_F / sqrt(d)).
-
-    A dropped matrix's norm is at most its ||E||_F, which lies below the
-    floor or below another matrix's norm, so it cannot be the maximum.
-    ||E||_F^2 takes one pass of squares over the stack's float view.  A
-    matrix whose sum of squares is non-finite (overflow, NaN) or below
-    tiny / eps, where the squares of its entries may have lost their
-    precision to underflow, gets no bound and is kept: NaN still reaches
-    the SVD and raises there.
-    """
-    d = stack.shape[-1]
-    flat = stack.reshape(len(stack), d * d).view(float)
-    fro2 = np.einsum("ki,ki->k", flat, flat)
-    bounded = (fro2 >= _FRO2_MIN) & (fro2 < np.inf)
-    fro = np.sqrt(fro2)
-    lower = max(floor, np.max(fro, where=bounded, initial=0.0) / np.sqrt(d))
-    return ~(bounded & (fro * (1 + _NORM_SLACK) < lower))
-
-
-def _trace_screen(stack: np.ndarray, floor: float) -> np.ndarray:
-    """Mask of the matrices of a ``(k, d, d)`` stack that bounds from the
-    traces of E^dag E cannot rule out.
-
-    ||E||_2 <= d max|E_ij| = d s drops every matrix that cannot pass
-    ``floor``.  For the others, G = F^dag F with F = E / s (scaled so that no
-    trace under- or overflows) has lambda_max(G) = ||E||_2^2 / s^2 between
-    max(tr G^2 / tr G, m + sqrt(v / (d-1))) and m + sqrt((d-1) v), where
-    m = tr G / d and v = ||G - m I||_F^2 / d (Wolkowicz & Styan, Linear
-    Algebra Appl. 29, 1980); v is summed from G - m I, because
-    tr G^2 / d - m^2 cancels when G is nearly isotropic and its rounding,
-    after the square root, can exceed the slack.  Only matrices whose upper
-    bound reaches max(floor, largest lower bound) are kept, and so are
-    non-finite ones.
-    """
-    d = stack.shape[-1]
-    scale = np.abs(stack).max(axis=(1, 2))
-    keep = ~(scale * (d * (1 + _NORM_SLACK)) <= floor)   # NaN is kept
-    if not keep.any():
-        return keep
-    near, scale = stack[keep], scale[keep]
-    # divide the float pairs: complex division by a subnormal overflows
-    f = (near.view(float) / scale[:, None, None]).view(complex)
-    gram = np.conj(np.swapaxes(f, 1, 2)) @ f
-    m = np.einsum("kii->k", gram).real / d
-    t2 = np.einsum("kij,kij->k", np.conj(gram), gram).real
-    gram -= m[:, None, None] * np.eye(d)
-    v = np.einsum("kij,kij->k", np.conj(gram), gram).real / d
-    upper = scale * np.sqrt((m + np.sqrt((d - 1) * v)) * (1 + _NORM_SLACK))
-    lower = scale * np.sqrt(np.maximum(t2 / (d * m), m + np.sqrt(v / max(d - 1, 1)))
-                            * (1 - _NORM_SLACK))
-    keep[keep] = ~(upper < max(floor, lower.max()))   # NaN bounds are kept too
-    return keep
-
-
-def _distinct(stack: np.ndarray) -> np.ndarray:
-    """One copy of each matrix of a ``(k, d, d)`` stack, compared byte for
-    byte: the rows, viewed as raw bytes, are sorted and kept where they
-    differ from the previous one.  Equal bytes give equal norms, so the
-    maximum norm is unchanged.  (``np.unique`` would do the same, but its
-    first call imports ``numpy.ma``.)"""
-    if len(stack) < 2:
-        return stack
-    rows = stack.reshape(len(stack), -1).view(np.dtype((np.void, stack[0].nbytes)))
-    raw = np.sort(rows[:, 0])
-    first = np.ones(len(raw), dtype=bool)
-    first[1:] = raw[1:] != raw[:-1]
-    return raw[first].view(complex).reshape((-1,) + stack.shape[1:])
+def _max_frobenius_norm(stack: np.ndarray, floor: float = 0.0) -> float:
+    """max(floor, max_k ||stack[k]||_F), an upper bound on the largest
+    spectral norm (||E||_2 <= ||E||_F, Golub & Van Loan, Matrix
+    Computations, 2.3).  A NaN norm or floor gives NaN."""
+    return float(np.max(_frobenius_norms(stack), initial=floor))
 
 
 def _carrying(rep: CoRep, residuals) -> CoRep:
@@ -321,18 +237,15 @@ def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
     for rows, prod, target in _row_products(group, mats):
         # omega = <target, prod> / d for unitary target
         w = np.einsum("abij,abij->ab", np.conj(target), prod) / d
-        diff = prod - w[..., None, None] * target
-        off_circle = np.abs(np.abs(w) - 1.0) > OMEGA_FIT_TOL
-        block = _max_spectral_norm(diff, rel)
-        if block > OMEGA_FIT_TOL or off_circle.any():
-            # name the first bad pair: every norm of this block is needed
-            misfit = np.linalg.norm(diff, ord=2, axis=(-2, -1))
-            a, b = np.unravel_index(np.argmax(off_circle | (misfit > OMEGA_FIT_TOL)), w.shape)
+        misfit = _frobenius_norms(prod - w[..., None, None] * target)
+        bad = ~((np.abs(np.abs(w) - 1.0) <= OMEGA_FIT_TOL) & (misfit <= OMEGA_FIT_TOL))
+        if bad.any():   # NaN is bad too
+            a, b = np.unravel_index(np.argmax(bad), w.shape)
             raise InvalidCoRep(
                 f"products are not scalar multiples of the table entry at "
                 f"({group.label(int(rows[a]))}, {group.label(int(b))})")
         omega[rows] = w
-        rel = block
+        rel = np.max(misfit, initial=rel)
     rep = CoRep(group=group, omega=FactorSystem(omega), matrices=mats)
     return _carrying(rep, (_unitarity_residual(mats), rel))
 
@@ -341,9 +254,10 @@ def direct_sum(reps: Sequence[CoRep]) -> CoRep:
     """Block-diagonal sum; all summands must share group and factor system.
 
     The factor systems must agree entry by entry within 1e-12, and the sum
-    takes the first one.  When every summand carries residuals the sum
-    carries the largest, the relation bound widened by each summand's
-    factor-system gap times the bound (1 + u) on its squared matrix norm.
+    takes the first one.  When every summand carries residuals, the sum's
+    Frobenius residuals are at most the root-sum-square of theirs, each
+    relation bound widened by the summand's factor-system gap times the
+    bound sqrt(d_i) (1 + u) on the Frobenius norm of its matrices.
     """
     if not reps:
         raise ValueError("empty direct sum")
@@ -367,8 +281,9 @@ def direct_sum(reps: Sequence[CoRep]) -> CoRep:
     if any(r.residuals is None for r in reps):
         return rep
     slack = _float_slack(d)
-    uni = max(r.residuals[0] for r in reps) + slack
-    rel = max(r.residuals[1] + gap * (1 + r.residuals[0]) for r, gap in zip(reps, gaps))
+    uni = math.hypot(*(r.residuals[0] for r in reps)) + slack
+    rel = math.hypot(*(r.residuals[1] + gap * math.sqrt(r.dim) * (1 + r.residuals[0])
+                       for r, gap in zip(reps, gaps)))
     return _carrying(rep, (uni, rel + slack))
 
 
@@ -378,7 +293,7 @@ def conjugate_corep(rep: CoRep, u: np.ndarray) -> CoRep:
     ``u`` may be a ``(d, k)`` isometry onto an invariant subspace, which gives
     the co-rep carried by that subspace; nothing checks that the subspace is
     invariant, so that result carries no residuals.  A square ``u`` with
-    eps = ||u^dag u - 1||_2 passes on the bounds u' = (1+eps) u + eps + s and
+    eps = ||u^dag u - 1||_F passes on the bounds u' = (1+eps) u + eps + s and
     r' = (1+eps) r + s, with the spill s = (1+eps)(1+u) eps plus the
     rounding allowance.
     """
@@ -388,7 +303,7 @@ def conjugate_corep(rep: CoRep, u: np.ndarray) -> CoRep:
     rotated = CoRep(group=rep.group, omega=rep.omega, matrices=out)
     if rep.residuals is None or u.shape[0] != u.shape[1]:
         return rotated
-    eps = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u)), ord=2))
+    eps = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
     uni, rel = rep.residuals
     spill = (1 + eps) * (1 + uni) * eps + _float_slack(rep.dim)
     return _carrying(rotated, ((1 + eps) * uni + eps + spill, (1 + eps) * rel + spill))
@@ -400,7 +315,7 @@ def gauge_transform(rep: CoRep, phases) -> CoRep:
     omega'(a, b) = omega(a, b) Omega(a) Omega^[s(a)](b) / Omega(ab).
 
     With delta = max ||Omega(g)| - 1|, residual bounds (u, r) become
-    ((1+delta)^2 u + 2 delta + delta^2, (1+delta)^2 r).
+    ((1+delta)^2 u + sqrt(d) (2 delta + delta^2), (1+delta)^2 r).
     """
     ph = np.asarray(phases, dtype=complex)
     g = rep.group
@@ -418,8 +333,8 @@ def gauge_transform(rep: CoRep, phases) -> CoRep:
         return gauged
     uni, rel = rep.residuals
     grow, slack = (1 + delta) ** 2, _float_slack(rep.dim)
-    return _carrying(gauged, (grow * uni + 2 * delta + delta ** 2 + slack,
-                              grow * rel + slack))
+    stretch = math.sqrt(rep.dim) * (2 * delta + delta ** 2)   # || (|Omega|^2 - 1) I ||_F
+    return _carrying(gauged, (grow * uni + stretch + slack, grow * rel + slack))
 
 
 def random_gauge(rep: CoRep, seed: int) -> CoRep:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coreps import (
     CoRep,
-    _max_spectral_norm,
+    _max_frobenius_norm,
     conjugate_corep,
     residuals_within,
     validate_corep,
@@ -348,7 +348,7 @@ def _decomposition_residuals(rep: CoRep, u: np.ndarray, rotated: np.ndarray,
     off = float(np.abs(rotated[:, mask]).max()) if mask.any() else 0.0
 
     def commutation(ids, x):
-        return _max_spectral_norm(rep.apply(ids, x) - x)
+        return _max_frobenius_norm(rep.apply(ids, x) - x)
 
     res = {
         "block_diagonality": off,

@@ -307,23 +307,25 @@ def reduce_once_two_pass(rep, seed, tol, seeds_used):
 
 # -- pair-by-pair loops, kept as oracles for the batched kernels ---------------
 
-def validate_corep_pairwise(rep):
-    """(unitarity, relation) residuals with one spectral norm per element pair."""
+def validate_corep_pairwise(rep, ord=None):
+    """(unitarity, relation) residuals with one matrix norm per element pair:
+    Frobenius, as ``validate_corep`` reports them, or ``ord=2`` spectral."""
     g = rep.group
     eye = np.eye(rep.dim)
-    uni = max(np.linalg.norm(rep.m(a).conj().T @ rep.m(a) - eye, ord=2)
+    uni = max(np.linalg.norm(rep.m(a).conj().T @ rep.m(a) - eye, ord=ord)
               for a in range(g.order))
     rel = 0.0
     for a in range(g.order):
         for b in range(g.order):
             mb = np.conj(rep.m(b)) if g.s(a) else rep.m(b)
             rhs = rep.omega(a, b) * rep.m(g.mul(a, b))
-            rel = max(rel, np.linalg.norm(rep.m(a) @ mb - rhs, ord=2))
+            rel = max(rel, np.linalg.norm(rep.m(a) @ mb - rhs, ord=ord))
     return float(uni), float(rel)
 
 
-def omega_pairwise(group, matrices, tol=1e-8):
-    """Factor system read off pair by pair; raises like corep_from_matrices."""
+def omega_pairwise(group, matrices, tol=1e-8, ord=None):
+    """Factor system read off pair by pair; raises like corep_from_matrices,
+    which measures each pair's misfit in the Frobenius norm (``ord=None``)."""
     mats = np.asarray(matrices, dtype=complex)
     n, d = group.order, mats.shape[1]
     omega = np.ones((n, n), dtype=complex)
@@ -332,7 +334,7 @@ def omega_pairwise(group, matrices, tol=1e-8):
             prod = mats[a] @ (np.conj(mats[b]) if group.s(a) else mats[b])
             target = mats[group.mul(a, b)]
             w = np.trace(target.conj().T @ prod) / d
-            if abs(abs(w) - 1.0) > tol or np.linalg.norm(prod - w * target, ord=2) > tol:
+            if abs(abs(w) - 1.0) > tol or np.linalg.norm(prod - w * target, ord=ord) > tol:
                 raise InvalidCoRep(
                     f"products are not scalar multiples of the table entry at "
                     f"({group.label(a)}, {group.label(b)})")

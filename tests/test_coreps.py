@@ -52,8 +52,9 @@ def test_kramers_with_wrong_sign_fails_with_residual_two():
                 matrices=[np.eye(2), ISY])
     report = validate_corep(rep)
     assert not report.passed
-    # the (T, T) relation misses by || -I - I || = 2
-    assert report.relation_residual == pytest.approx(2.0, abs=1e-12)
+    # the (T, T) relation misses by -I - I, spectral norm 2, and the residual
+    # is its Frobenius norm ||-2 I||_F = 2 sqrt(2)
+    assert report.relation_residual == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
 
 def test_characters_add_under_direct_sum():
@@ -96,6 +97,18 @@ def test_non_finite_matrices_fail_cleanly():
     omega[0, 0] = np.inf
     assert not validate_corep(CoRep(group=rep.group, omega=FactorSystem(omega),
                                     matrices=rep.matrices)).passed
+
+def test_overflowing_products_fail_cleanly():
+    # finite matrices whose products overflow: inf - inf makes the fitted
+    # omega and the residuals NaN, which must fail, not pass unnoticed
+    rep = kramers()
+    mats = 1e200 * np.array([[[1.0, 1.0], [1.0, -1.0]]] * 2, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate_corep(CoRep(group=rep.group, omega=rep.omega, matrices=mats))
+        assert np.isnan(report.relation_residual) and not report.passed
+        with pytest.raises(InvalidCoRep, match=r"at \(E, E\)"):
+            corep_from_matrices(rep.group, mats)
+
 
 def test_gauge_transform_keeps_validation():
     for seed in range(5):

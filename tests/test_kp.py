@@ -211,6 +211,22 @@ def test_each_count_validates_its_input_once_per_call(monkeypatch, count):
         assert sum(a is probe for a in seen) == 1, (count, probe is act)
 
 
+def test_catalog_actions_are_read_only():
+    # catalog_get is cached: a write would reach every later lookup
+    for name in mr.catalog_list():
+        for act in mr.catalog_get(name).probe_actions.values():
+            for arr in (act.d_h, act.d_t0):
+                if arr is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0, 0] += 0.5
+    act = mr.catalog_get("c4v_t").probe_actions["momentum"]
+    with pytest.raises(ValueError, match="read-only"):
+        act.d_h[1, 0, 1] += 0.5
+    assert validate_action(mr.catalog_get("c4v_t").probe_actions["momentum"]) <= 1e-12
+    # a copy is writable; the next test counts and corrupts one
+    assert act.d_h.copy().flags.writeable and act.d_t0.copy().flags.writeable
+
+
 @pytest.mark.parametrize("count", sorted(COUNTS))
 def test_a_count_sees_a_corruption_made_after_the_last_call(count):
     entry = mr.catalog_get("c4v_t")

@@ -16,27 +16,34 @@ form that took two more norms.  The null-space oracle built
 from the batched covariance defects against the one built a parameter column
 and an element at a time.  ``dispersion_order``, which counts each order from
 one stack of characters, must give the table of one criterion call and one
-null space per channel, on the catalog and at order 96.  The bounded
-spectral-norm maximum behind the co-rep residuals must equal LAPACK's norm of
-every matrix bit for bit, exact ties, under- and overflowing squares and
-non-contiguous stacks included, while LAPACK sees each distinct matrix once
-and, on rotated order-96 co-reps, the trace bounds see few pairs; the blocked products of ``_row_products`` must match
-the pair-by-pair products for d = 1-12.
+null space per channel, on the catalog and at order 96.  The co-rep
+residuals are largest Frobenius norms: each matrix's norm must match
+``math.hypot`` of its entries within a few ulps, under- and overflowing
+squares and non-contiguous stacks included, and a NaN must give NaN; every
+residual must lie between the spectral pairwise oracle's r and sqrt(d) r;
+validation and the factor-system fit run no SVD, and the fit refuses a
+misfit that only the Frobenius norm sees.  The carried bounds must also
+hold for 3-summand sums of unequal dimension and loose gauges.  The blocked
+products of ``_row_products`` must match the pair-by-pair products for
+d = 1-12.
 """
 
 import dataclasses
+import inspect
+import math
 
 import numpy as np
 import pytest
 
 import magrep as mr
-import magrep.coreps
 import magrep.kp
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
+    OMEGA_FIT_TOL,
     ROW_BLOCK_ENTRIES,
     CoRep,
-    _max_spectral_norm,
+    _frobenius_norms,
+    _max_frobenius_norm,
     _row_products,
     conjugate_corep,
     corep_from_matrices,
@@ -73,6 +80,7 @@ from conftest import (
     catalog_irreps,
     chain_member_closed_pairwise,
     cocycle_violation_full,
+    compatible_rep_groups,
     channel_actions,
     conjugacy_classes_pairwise,
     covariant_tuple_basis_columnwise,
@@ -286,8 +294,9 @@ def test_fit_names_the_first_bad_pair_of_a_mixed_block(source, oht):
 
 
 def _norm_stacks(d, mag, rng, k=40):
-    """Stacks that make the Frobenius and trace bounds tight, tied or
-    degenerate, scaled by ``mag``, and two non-contiguous views."""
+    """Stacks of spread, tied, near-isotropic and degenerate matrices scaled
+    by ``mag``, one whose magnitudes span 280 decades, and two
+    non-contiguous views."""
     def gauss(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     base = gauss(d, d)
@@ -297,13 +306,12 @@ def _norm_stacks(d, mag, rng, k=40):
     outlier = np.zeros((k, d, d), dtype=complex)
     outlier[:, range(d), range(d)] = 1 + 1e-8 * rng.standard_normal((k, d))
     outlier[:, 0, 0] += 1e-7 * rng.random(k)
-    # rank d-1 partial isometries: norm 1, far below m + sqrt(v) of their
-    # Gram matrix, among isotropic matrices of norm up to 1.05
+    # rank d-1 partial isometries among isotropic matrices of norm up to 1.05
     mixed = iso.copy()
     mixed[::2, :, -1] = 0
     mixed[1::2] *= 1 + 0.05 * rng.random((k // 2, 1, 1))
-    # exact ties the bounds cannot split: a few distinct matrices, each
-    # repeated byte for byte, and a twin that differs only in a signed zero
+    # a few distinct matrices, each repeated byte for byte, and a twin that
+    # differs only in a signed zero
     repeats = np.repeat(iso[:5], k // 5, axis=0)[rng.permutation(k // 5 * 5)]
     twins = np.repeat(base[None], k, axis=0)
     twins[:, 0, -1] = 0.0
@@ -326,101 +334,178 @@ def _norm_stacks(d, mag, rng, k=40):
         "mixed-magnitude": gauss(k, d, d) * 10.0 ** rng.uniform(-140, 140, (k, 1, 1)),
     }
     out = {tag: mag * st for tag, st in stacks.items()}
-    # the float view of the Frobenius screen needs a contiguous last axis
     out["transposed"] = np.swapaxes(out["mixed-magnitude"], 1, 2)
     out["strided"] = (mag * gauss(k, d, 2 * d))[:, :, ::2]
     return out
+
+
+def hypot_norm(m):
+    """||m||_F as ``math.hypot`` of the real and imaginary parts of the entries."""
+    return math.hypot(*m.real.ravel(), *m.imag.ravel())
+
+
+def assert_ulps(got, want, tag, ulps=4):
+    assert abs(got - want) <= ulps * math.ulp(want), (tag, got, want)
 
 
 # squares of entries go subnormal from 1e-160 down and overflow at 1e160
 @pytest.mark.parametrize("mag", [1e-300, 1e-170, 1e-160, 1.0, 1e150, 1e160])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
 def test_max_spectral_norm_is_bit_equal_to_lapack(d, mag):
+    # the residual kernel takes the largest Frobenius norm: every matrix's
+    # norm within a few ulps of math.hypot, and so between LAPACK's spectral
+    # norm and sqrt(d) times it
     rng = np.random.default_rng(d)
     for tag, stack in _norm_stacks(d, mag, rng).items():
-        norms = np.linalg.norm(stack, ord=2, axis=(-2, -1))
-        top = norms.max()
-        assert _max_spectral_norm(stack) == top, tag
+        norms = _frobenius_norms(stack)
+        for m, got in zip(stack, norms):
+            assert_ulps(got, hypot_norm(m), tag)
+        spectral = np.linalg.norm(stack, ord=2, axis=(-2, -1))
+        assert (spectral <= norms * (1 + 1e-14)).all(), tag
+        assert (norms <= np.sqrt(d) * spectral * (1 + 1e-14)).all(), tag
+        top = _max_frobenius_norm(stack)
+        assert top == norms.max(), tag
         for floor in (top, top * (1 - 1e-12), top * (1 + 1e-12), np.median(norms), 2 * top):
-            assert _max_spectral_norm(stack, floor) == max(floor, top), (tag, floor)
+            assert _max_frobenius_norm(stack, floor) == max(floor, top), (tag, floor)
 
 
-def test_max_spectral_norm_sends_non_finite_matrices_to_lapack():
-    # no bound can vouch for a NaN: the SVD sees it and fails as it would,
-    # also when the NaN matrix repeats byte for byte
+def test_max_frobenius_norm_propagates_nan():
+    # a NaN matrix, or a NaN floor, makes the maximum NaN, whatever the
+    # floor; an infinite entry makes it infinite
     for mag in (1e-300, 1e-170, 1.0, 1e150):
         stack = mag * np.stack([np.eye(2)] * 4).astype(complex)
+        assert not np.isnan(_max_frobenius_norm(stack, np.inf))
+        assert np.isnan(_max_frobenius_norm(stack, np.nan)), mag
         stack[1::2, 0, 1] = np.nan
-        want = raised(np.linalg.norm, stack, 2, (-2, -1))
-        assert want is not None and want[0] is np.linalg.LinAlgError, mag
-        assert raised(_max_spectral_norm, stack) == want, mag
+        for floor in (0.0, mag, 1e300, np.inf):
+            assert np.isnan(_max_frobenius_norm(stack, floor)), (mag, floor)
+        stack[1::2, 0, 1] = np.inf
+        assert _max_frobenius_norm(stack) == np.inf, mag
 
 
-def test_max_spectral_norm_keeps_finite_squares_beside_overflowing_ones():
-    # the isotropic matrix's sum of squares overflows, yet its norm is below
-    # that of the rank-one matrix, whose sum of squares stays finite
+def test_max_frobenius_norm_reads_overflowing_squares():
+    # the isotropic matrix's sum of squares, 4e308, overflows unscaled, yet
+    # its norm 2e154 is finite and above the rank-one matrix's 1.2e154
     iso = 1e154 * random_unitary(4, 0)
     rank1 = np.zeros((4, 4), dtype=complex)
     rank1[0, 0] = 1.2e154
     stack = np.stack([iso, rank1, iso])
-    assert _max_spectral_norm(stack) == np.linalg.norm(stack, ord=2, axis=(-2, -1)).max()
-    assert _max_spectral_norm(stack) == 1.2e154
+    assert_ulps(_max_frobenius_norm(stack), hypot_norm(iso), "iso")
+    assert _max_frobenius_norm(stack) == pytest.approx(2e154, rel=1e-14)
+    assert _max_frobenius_norm(stack[1:2]) == 1.2e154
 
 
-def count_lapack(monkeypatch):
-    """Matrices each later ``np.linalg.norm`` call is handed, call by call."""
-    seen = []
-    real = np.linalg.norm
+def test_validation_and_fit_run_no_svd(oht, monkeypatch):
+    # neither the residuals nor the fit's first-bad-pair search decompose a
+    # matrix: np.linalg.svd, and the svd behind np.linalg.norm(ord=2), raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD called")
 
-    def counting(x, *args, **kwargs):
-        seen.append(len(x))
-        return real(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting)
-    return seen
-
-
-def test_max_spectral_norm_runs_lapack_once_per_distinct_matrix(monkeypatch):
-    rng = np.random.default_rng(5)
-    # unitaries tie to within rounding, so the bounds keep every one
-    distinct = np.stack([random_unitary(3, seed) for seed in range(6)]
-                        + [np.diag(np.exp([0.1j, 0.2j, 0.3j]))] * 2)
-    distinct[-1, 0, 1] = -0.0    # a signed-zero twin of the phase matrix
-    stack = np.repeat(distinct, 9, axis=0)[rng.permutation(9 * len(distinct))]
-    top = np.linalg.norm(stack, ord=2, axis=(-2, -1)).max()
-    seen = count_lapack(monkeypatch)
-    assert _max_spectral_norm(stack) == top
-    assert seen == [len(distinct)]
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", refuse)
+    with pytest.raises(AssertionError, match="SVD called"):
+        np.linalg.norm(np.eye(2), ord=2)
+    reps = [rep for _, _, rep in IRREPS]
+    reps += [corep_from_matrices(oht["group"], m) for m in oht["coreps"].values()]
+    for rep in reps:
+        moved = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, 5)), 6)
+        assert validate_corep(moved).passed
+        corep_from_matrices(moved.group, moved.matrices)
+        mats = moved.matrices.copy()
+        mats[-1] = 1.5 * mats[-1]
+        assert not validate_corep(CoRep(group=rep.group, omega=moved.omega,
+                                        matrices=mats)).passed
+        with pytest.raises(InvalidCoRep):
+            corep_from_matrices(rep.group, mats)
 
 
-def test_unrotated_order_96_fit_sends_few_matrices_to_lapack(oht, monkeypatch):
-    # the quaternion co-rep's residuals repeat bit for bit: 6208 of them
-    # survive the bounds, and only a few hundred distinct ones reach LAPACK
-    seen = count_lapack(monkeypatch)
-    corep_from_matrices(oht["group"], oht["coreps"]["quaternion"])
-    assert 0 < sum(seen) <= 300
+def assert_brackets_spectral(rep, tag):
+    """Each residual of ``validate_corep`` lies in [r, sqrt(d) r] of the
+    spectral pairwise oracle's r, up to the rounding of the two routes."""
+    slack = 16 * rep.dim * np.finfo(float).eps
+    report = validate_corep(rep)
+    got = (report.unitarity_residual, report.relation_residual)
+    for fro, spec in zip(got, validate_corep_pairwise(rep, ord=2)):
+        assert spec - slack <= fro <= np.sqrt(rep.dim) * spec + slack, (tag, fro, spec)
 
 
-@pytest.mark.parametrize("rep_name", ["vector", "spinor", "gamma8", "quaternion"])
-def test_rotated_order_96_validation_sends_few_pairs_to_the_trace_bounds(
-        oht, rep_name, monkeypatch):
-    # rotated and gauged residuals spread in norm, so the largest one's
-    # ||E||_F / sqrt(d) rules out most of the 9216 pairs before any Gram
-    # matrix is formed (the n unitarity residuals are counted too)
+def broken_copy(rep):
+    """The co-rep with its last matrix scaled by 1.5 and rotated."""
+    mats = rep.matrices.copy()
+    mats[-1] = 1.5 * mats[-1] @ random_unitary(rep.dim, 3)
+    return CoRep(group=rep.group, omega=rep.omega, matrices=mats)
+
+
+@pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
+def test_residuals_bracket_the_spectral_oracle(name, rep_name, rep):
+    moved = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, 11)), 12)
+    for tag, var in {"plain": rep, "moved": moved, "broken": broken_copy(moved)}.items():
+        assert_brackets_spectral(var, tag)
+
+
+@pytest.mark.parametrize("rep_name", ["vector", "gamma8"])
+def test_residuals_bracket_the_spectral_oracle_at_order_96(oht, rep_name):
     rep = corep_from_matrices(oht["group"], oht["coreps"][rep_name])
-    real = magrep.coreps._trace_screen
-    seen = []
+    moved = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, 13)), 14)
+    for tag, var in {"plain": rep, "moved": moved, "broken": broken_copy(moved)}.items():
+        assert_brackets_spectral(var, tag)
 
-    def counting(stack, floor):
-        seen.append(len(stack))
-        return real(stack, floor)
 
-    monkeypatch.setattr(magrep.coreps, "_trace_screen", counting)
-    for seed in range(3):
-        moved = random_gauge(conjugate_corep(rep, random_unitary(rep.dim, seed)), seed)
-        seen.clear()
-        validate_corep(moved)
-        assert 0 < sum(seen) < 9216 / 3, seed
+def test_fit_refuses_a_misfit_only_the_frobenius_norm_sees():
+    # M(x) -> M(x)(1 + delta D) with D = diag(1, -1, 1, -1) on the 4-dim
+    # quartet: the worst pair misses by 2 delta in the spectral norm, under
+    # OMEGA_FIT_TOL, and by 4 delta in the Frobenius norm, over it
+    rep = mr.catalog_get("q8t").reps["quartet"]
+    g, x, delta = rep.group, rep.group.order - 1, 3e-9
+    mats = rep.matrices.copy()
+    mats[x] = mats[x] @ (np.eye(4) + delta * np.diag([1.0, -1.0, 1.0, -1.0]))
+    broken = CoRep(group=g, omega=rep.omega, matrices=mats)
+    _, spec = validate_corep_pairwise(broken, ord=2)
+    assert spec < OMEGA_FIT_TOL < validate_corep(broken).relation_residual
+    # a spectral fit would accept every pair
+    assert raised(omega_pairwise, g, mats, OMEGA_FIT_TOL, 2) is None
+    want = raised(omega_pairwise, g, mats)
+    assert want is not None and want[0] is InvalidCoRep
+    assert raised(corep_from_matrices, g, mats) == want
+
+
+def loose_sums(reps, seed):
+    """3-summand direct sums of unequal dimension from co-reps sharing a
+    factor system: the largest rotated 1e-9 off unitary, the smallest
+    rescaled by moduli up to 2e-13 off 1, the largest with a factor system
+    nudged by 4e-13 and rotated 1e-9 off unitary too; and the sum gauged by
+    phases up to 1e-12 off unit modulus."""
+    rng = np.random.default_rng(seed)
+    big, small = max(reps, key=lambda r: r.dim), min(reps, key=lambda r: r.dim)
+    assert big.dim > small.dim
+    n, d = big.group.order, big.dim
+
+    def skew():
+        return random_unitary(d, seed) * (1 + 1e-9) + 1e-9 * rng.standard_normal((d, d))
+
+    moduli = 1 + rng.uniform(-2e-13, 2e-13, n)
+    nudge = np.ones(n, dtype=complex)
+    nudge[-1] = np.exp(4e-13j)
+    plain = direct_sum([conjugate_corep(big, skew()), gauge_transform(small, moduli),
+                        conjugate_corep(gauge_transform(big, nudge), skew())])
+    phases = np.exp(2j * np.pi * rng.random(n)) * (1 + rng.uniform(-1e-12, 1e-12, n))
+    return {"sum3": plain, "sum3-stretched": gauge_transform(plain, phases)}
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_inherited_bounds_follow_loose_unequal_sums(name):
+    buckets = [[rep for _, rep in bucket] for bucket in compatible_rep_groups(mr.catalog_get(name))
+               if len({rep.dim for _, rep in bucket}) > 1]
+    for k, reps in enumerate(buckets):
+        for tag, var in loose_sums(reps, 30 + k).items():
+            assert_within_bounds(var, validate_corep(var), (k, tag))
+
+
+def test_inherited_bounds_follow_loose_unequal_sums_at_order_96(oht):
+    g = oht["group"]
+    reps = [corep_from_matrices(g, oht["coreps"][r]) for r in ("spinor", "gamma8")]
+    for tag, var in loose_sums(reps, 96).items():
+        assert_within_bounds(var, validate_corep(var), tag)
 
 
 @pytest.mark.parametrize("name,rep_name,rep", IRREPS, ids=IRREP_IDS)
