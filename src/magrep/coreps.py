@@ -51,6 +51,8 @@ COREP_TOL = 1e-9
 OMEGA_FIT_TOL = 1e-8
 #: product entries per block of first elements in ``_row_products``
 ROW_BLOCK_ENTRIES = 2 ** 14
+#: tiny/eps: a sum of squares below it may have lost underflowed squares
+_SQUARES_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass
@@ -173,15 +175,23 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """||E||_F of every matrix of a complex stack ``(..., d, d)``, shaped
     ``stack.shape[:-2]``: one pass of squares per matrix.
 
-    Each matrix is scaled by the power of two of its largest real or
-    imaginary part before squaring, which is exact, so no square under- or
-    overflows.  A NaN entry gives NaN and an infinite one inf.
+    A sum of squares that is non-finite, or below tiny/eps while its matrix
+    has a nonzero entry, may have over- or underflowed.  Only those matrices
+    are summed again, scaled by the power of two of their largest real or
+    imaginary part, which is exact; elsewhere the two sums are equal.  A NaN
+    entry gives NaN and an infinite one inf.
     """
     lead, d2 = stack.shape[:-2], stack.shape[-2] * stack.shape[-1]
     flat = np.ascontiguousarray(stack).reshape(-1, d2).view(float)
-    _, exp = np.frexp(np.abs(flat).max(axis=1, initial=0.0))
-    scaled = np.ldexp(flat, -exp[:, None])
-    return np.ldexp(np.sqrt(np.einsum("ki,ki->k", scaled, scaled)), exp).reshape(lead)
+    squares = np.einsum("ki,ki->k", flat, flat)
+    norms = np.sqrt(squares)
+    redo = np.flatnonzero(~np.isfinite(squares) | (squares < _SQUARES_FLOOR))
+    redo = redo[flat[redo].any(axis=1)]
+    if redo.size:
+        _, exp = np.frexp(np.abs(flat[redo]).max(axis=1))
+        scaled = np.ldexp(flat[redo], -exp[:, None])
+        norms[redo] = np.ldexp(np.sqrt(np.einsum("ki,ki->k", scaled, scaled)), exp)
+    return norms.reshape(lead)
 
 
 def _max_frobenius_norm(stack: np.ndarray, floor: float = 0.0) -> float:

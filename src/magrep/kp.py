@@ -686,7 +686,7 @@ def probe_stability(rep: CoRep, embedding, probes: Optional[dict] = None,
     channel (a ProbeRepAction of the *full* group) is additionally checked
     for a linear coupling (``_linear_couplings``); its splitting
     multiplicity excludes pure identity couplings, which shift but never
-    split.
+    split.  Nothing here is random: ``seed`` is only echoed in the report.
     """
     sub_rep = restrict_corep(rep, embedding)[0]
     index = irreducibility_index(sub_rep)

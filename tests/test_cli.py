@@ -188,6 +188,45 @@ def test_kp_cli_trim_second_order(exported, capsys):
     assert report["models"]
 
 
+KP_TEXT = ["kp", "@z2t_kramers", "@z2t_kramers/kramers", "@z2t_kramers/momentum",
+           "--max-order", "2", "--format", "text"]
+
+
+def test_kp_text_format_follows_the_json_report(capsys):
+    # the README's example: the JSON report, then one "# order" header per
+    # model and its gamma matrices, printed to 4 decimals
+    assert main(KP_TEXT) == 0
+    out = capsys.readouterr().out
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert report["models"]
+    lines = out[end:].strip().splitlines()
+    for model in report["models"]:
+        assert lines.pop(0) == (f"# order {model['order']} channel {model['channel']} "
+                                f"multiplicity {model['multiplicity']}")
+        for i, tup in enumerate(model["gammas"]):
+            for m, mat in enumerate(tup):
+                assert lines.pop(0) == f"gamma[{i}][{m}]:"
+                for row in mat:
+                    printed = [complex(z.replace("j", "") + "j") for z in lines.pop(0).split()]
+                    assert len(printed) == len(row)
+                    for z, (re, im) in zip(printed, row):
+                        assert abs(z.real - re) <= 5.0001e-5 and abs(z.imag - im) <= 5.0001e-5
+    assert lines == []
+
+
+def test_report_written_to_a_file_prints_only_a_notice(tmp_path, capsys):
+    assert main(KP_TEXT) == 0
+    report, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    out = tmp_path / "kp.json"
+    assert main(KP_TEXT + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"report written to {out}\n"
+    assert json.load(open(out)) == report
+    # the JSON format with --out prints nothing at all
+    assert main(KP_TEXT[:-2] + ["--out", str(tmp_path / "kp2.json")]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.load(open(tmp_path / "kp2.json")) == report
+
+
 def test_kp_cli_rejects_bad_order(exported, capsys):
     code = main(["kp",
                  str(exported / "z2t.group-trivial.json"),

@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 import magrep as mr
+import magrep.catalog
 import magrep.kp
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
@@ -809,6 +810,21 @@ def test_group_kernels_match_pairwise(name):
         assert (conjugacy_classes(sub, sub.h_elements)
                 == conjugacy_classes_pairwise(sub, sub.h_elements))
         assert np.array_equal(verify_embedding_pairwise(g, sub, emb), emb)
+
+
+@pytest.mark.parametrize("name", ["c8t", "c4v_t"])
+def test_realization_match_is_the_same_one_row_per_block(name, monkeypatch):
+    # blocks of one first element: the table and the first bad pair's labels
+    # come out as from a single block, whichever block the pair lies in
+    monkeypatch.setattr(magrep.catalog, "ROW_BLOCK_ENTRIES", 1)
+    for mats, flags, labels in entry_realizations(name):
+        built = _group_from_realization(mats, flags, labels)
+        assert np.array_equal(built.cayley, mr.catalog_get(name).group.cayley)
+        mats = np.array(mats)
+        mats[-1] = 2.0 * mats[-1]
+        want = raised(cayley_from_realization_pairwise, list(mats), flags, labels)
+        assert not want[1].startswith(f"realization is not closed at ({labels[0]},")
+        assert raised(_group_from_realization, mats, flags, labels) == want
 
 
 @pytest.mark.parametrize("name", ENTRIES)
