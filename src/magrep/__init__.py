@@ -22,11 +22,7 @@ from .coreps import (
     unitary_restriction,
     validate_corep,
 )
-from .linalg import (
-    eigenspace_of_one,
-    random_unitary,
-    symmetric_unitary_sqrt,
-)
+from .linalg import random_unitary, symmetric_unitary_sqrt
 from .reduction import (
     CommutantHamiltonian,
     IrrepDecomposition,

@@ -174,13 +174,14 @@ def cmd_kp(args) -> int:
     action = _resolve(args.action, "action", partial(io.load_action, group=rep.group))
     if args.max_order < 1:
         raise ParseError("--max-order must be at least 1")
+    tol = _tol(args, 1e-9)
     if action.dim_q != 3:
         # non-momentum channel: only the linear coupling is defined
-        field = _linear_couplings(rep, {"field": action}, _tol(args, 1e-9))["field"]
-        _emit({"channel_dim": action.dim_q, "seed": args.seed, **field}, args)
+        field = _linear_couplings(rep, {"field": action}, tol)["field"]
+        _emit({"channel_dim": action.dim_q, "seed": args.seed, "tol": tol, **field}, args)
         return EXIT_OK
     table, sets = _dispersion_table(rep, action, args.max_order, args.seed)
-    report = {"dispersion": table, "models": [], "seed": args.seed}
+    report = {"dispersion": table, "models": [], "seed": args.seed, "tol": tol}
     for entry, chans in zip(table["orders"], sets):
         n = entry["order"]
         if entry["full"]["multiplicity"] <= 0:
@@ -188,8 +189,7 @@ def cmd_kp(args) -> int:
         for k, ch in enumerate(chans.channels):
             if entry["channels"][k]["multiplicity"] <= 0:
                 continue
-            model = build_gamma_matrices(rep, ch.action,
-                                         tol=_tol(args, 1e-9))
+            model = build_gamma_matrices(rep, ch.action, tol=tol)
             report["models"].append({
                 "order": n,
                 "channel": k,

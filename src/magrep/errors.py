@@ -67,14 +67,6 @@ class NotSymmetricUnitary(MagrepError):
     """Input fails M @ conj(M) == I, so it has no symmetric unitary square root."""
 
 
-class NotIdempotent(MagrepError):
-    pass
-
-
-class TraceNotInteger(MagrepError):
-    pass
-
-
 # -- k.p construction --------------------------------------------------------
 
 class InvalidAction(MagrepError):

@@ -18,18 +18,18 @@ order in ``dispersion_order``, every probe in ``probe_stability``.
 Characters cannot tell a rep from a non-rep, so each entry point that counts
 validates its action once per call; the channels of one polynomial order are
 checked together, as the block-diagonal rep they form.
-The matrices come from one real fixed space: in coordinates over the
-orthonormal, shared ``hermitian_basis(d)`` the covariance action
-of g is the real matrix D(g) x a(g), where a(g) is the adjoint action of M(g)
-on Hermitian matrices, so the average of D(h) x a(h) over the unitary
-subgroup, times (1 + D(t0) x a(t0))/2 for magnetic groups, projects onto the
-coordinates of the coupling tuples.  A brute-force null space solver over
-the same parametrization ships alongside as the independent ground truth for
-both the count and the span.  Its constraints come from
-``group.generators`` only: the covariance map is a group action, so a
+The matrices come from one real null space: a Hermitian q-tuple has
+q d^2 real coordinates over the orthonormal, shared ``hermitian_basis(d)``,
+and ``_covariant_tuples`` writes the covariance equations on them over
+``group.generators`` only.  The covariance map is a group action, so a
 tuple fixed by a generating set of H and by t0 is fixed by every element.
-``_covariance_defects`` writes the covariance equation once, for any array
-of elements; the model residuals and the oracle's constraint rows read it.
+``build_gamma_matrices`` and the public ``covariant_tuple_basis`` both read
+that one solve.  Its independent checks are the character criterion, whose
+count the null space must match, and the covariance residuals over every
+element, which ``build_gamma_matrices`` judges at its ``tol``: input that is
+a rep only on the generators fails there.  ``_covariance_defects`` writes
+the covariance equation once, for any array of elements; the constraint
+rows and the model residuals read it.
 
 ``ProbeRepAction.d`` takes an element id or an array of ids and returns the
 matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
@@ -54,10 +54,11 @@ from .errors import (
     EmptyChannel,
     InvalidAction,
     NonIntegerMultiplicity,
+    NotCommuting,
     SingularAction,
 )
 from .groups import MagneticGroup, _same_group
-from .linalg import _cluster_slices, _fixed_basis
+from .linalg import _cluster_slices
 from .reduction import criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
@@ -305,15 +306,17 @@ def _covariance_defects(rep: CoRep, dual: ProbeRepAction, ids,
     return rep.apply(ids, tuples) - rhs
 
 
-def _covariance_residuals(rep: CoRep, action: ProbeRepAction,
+def _covariance_residuals(rep: CoRep, dual: ProbeRepAction,
                           gammas: np.ndarray) -> dict:
+    """Largest covariance defect of the tuples over the unitary elements and,
+    for magnetic groups, over the anti-unitary coset, and their largest
+    departure from Hermiticity; ``dual = dual_rep(action)``."""
     g = rep.group
-    dual = dual_rep(action)
-    out = {"subgroup_covariance": float(np.abs(
-        _covariance_defects(rep, dual, g.h_elements, gammas)).max())}
+    parts = {"subgroup_covariance": g.h_elements}
     if g.is_magnetic:
-        out["t0_covariance"] = float(np.abs(
-            _covariance_defects(rep, dual, g.t0, gammas)).max())
+        parts["coset_covariance"] = g.coset_elements
+    out = {name: float(np.abs(_covariance_defects(rep, dual, ids, gammas)).max())
+           for name, ids in parts.items()}
     out["hermiticity"] = float(np.abs(gammas - np.conj(np.swapaxes(gammas, -1, -2))).max())
     return out
 
@@ -341,85 +344,70 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
                          tol: float = 1e-9) -> KpModel:
     """Construct the Hermitian coupling tuples for one probe channel.
 
-    The tuples are the real combinations of ``hermitian_basis(d)`` whose
-    coordinates span the eigenvalue-1 space of the group-average projector
-    (``_fixed_space``); they are Hermitian by construction and orthonormal
-    under sum_m Re Tr(gamma^m_i^dag gamma^m_j).  Raises EmptyChannel when
-    the multiplicity is zero.  The action is not validated: the caller
-    passes a rep, such as a counted action or a channel of
-    ``polynomial_channel``.
+    The tuples are those of ``covariant_tuple_basis``: the real null space
+    of the covariance equations on ``group.generators``, in coordinates over
+    ``hermitian_basis(d)``, so they are Hermitian by construction and
+    orthonormal under sum_m Re Tr(gamma^m_i^dag gamma^m_j).  Two checks
+    stand apart from that solve.  The criterion is rounded first (a
+    non-integer count raises NonIntegerMultiplicity) and the null space
+    must have its dimension; only then does a zero count raise
+    EmptyChannel.  The covariance residuals over every element and the
+    Hermiticity residual are judged at ``tol``, with no floor: one above it
+    raises NotCommuting.  Neither input is validated, so a co-rep or an
+    action that is a rep on the generators only fails there, loudly.
     """
-    _check_same_group(rep, action)
-    gammas, proj_resid = _fixed_space(rep, action, tol)
-    p = len(gammas)
-    if p == 0:
-        raise EmptyChannel("channel multiplicity is zero at this order")
-
-    residuals = _covariance_residuals(rep, action, gammas)
-    residuals["projector_idempotency"] = proj_resid
     expected = _integer_counts(multiplicity_value(rep, action), "criterion value")
+    dual = dual_rep(action)
+    gammas = _covariant_tuples(rep, dual)
+    p = len(gammas)
     if p != expected:
         raise NonIntegerMultiplicity(
-            f"fixed space dimension {p} disagrees with the criterion {expected}")
+            f"null space dimension {p} disagrees with the criterion {expected}")
+    if p == 0:
+        raise EmptyChannel("channel multiplicity is zero at this order")
+    residuals = _covariance_residuals(rep, dual, gammas)
+    for name, value in residuals.items():
+        if not value <= tol:   # a NaN residual fails too
+            raise NotCommuting(f"{name} residual {value:.3e} exceeds tol {tol:.3e}")
     return KpModel(rep=rep, action=action, multiplicity=p, gammas=gammas,
                    residuals=residuals)
 
 
-def _fixed_space(rep: CoRep, action: ProbeRepAction, tol: float):
-    """Orthonormal coupling tuples ``(p, q, d, d)`` and the projector's
-    idempotency residual.
+def _covariant_tuples(rep: CoRep, dual: ProbeRepAction) -> np.ndarray:
+    """Orthonormal basis ``(p, q, d, d)`` of the Hermitian tuples that every
+    element of ``group.generators`` fixes, with ``dual = dual_rep(action)``.
 
-    The tuple sum_k c[m, k] hb_k, with hb = ``hermitian_basis(d)``, goes
-    under g to the one with coordinates D(g) x a(g) c, where
-    a(g)[k, l] is coordinate k of M(g) conj^[s(g)](hb_l) M(g)^dag; both
-    factors are real reps of the whole group, so the mean of D(h) x a(h)
-    over H, times (1 + D(t0) x a(t0))/2 for magnetic groups, is the group
-    average: a projector (oblique when D is) onto the tuples every element
-    fixes.
-    """
-    g = rep.group
-    d = rep.dim
-    q = action.dim_q
-    size = q * d * d
-    hb = hermitian_basis(d)
-    ids = np.append(g.h_elements, g.t0) if g.is_magnetic else g.h_elements
-    images = rep.apply(ids, hb).reshape(len(ids), d * d, d * d)
-    a = (np.conj(hb.reshape(d * d, d * d)) @ np.swapaxes(images, -1, -2)).real
-    n_h = len(g.h_elements)
-    proj = np.einsum("hmn,hkl->mknl", action.d_h, a[:n_h]).reshape(size, size) / n_h
-    if g.is_magnetic:
-        proj = 0.5 * (proj + proj @ np.kron(action.d_t0, a[n_h]))
-    coords, resid = _fixed_basis(proj, tol=max(tol, 1e-9))
-    tuples = coords.reshape(q, d * d, coords.shape[1])
-    return np.einsum("mki,kab->imab", tuples, hb), resid
-
-
-# -- brute-force oracle ----------------------------------------------------------
-
-def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
-    """Null-space oracle: all Hermitian tuples satisfying both covariances.
-
-    Stacks the real-linear constraint system over the q * d^2 real parameters
-    of a Hermitian q-tuple and returns an orthonormal basis of solutions with
-    shape (n_solutions, q, d, d).  For a co-rep and a rep the covariance map
-    is a group action, so a tuple that ``group.generators`` (a generating set
-    of H, plus t0) fix is fixed by every element: one ``_covariance_defects``
-    call over them writes the whole system.  Independent of the projector
-    construction; the ground truth for multiplicities and spans.  Neither
-    input is validated: the caller passes a co-rep and a rep.
+    Parameter (m, k) is the tuple with the k-th ``hermitian_basis(d)``
+    matrix in slot m.  One ``_covariance_defects`` call over the generators
+    writes the real constraint rows on these q d^2 parameters, and their
+    null space holds the coordinates of the tuples.
     """
     d = rep.dim
-    q = action.dim_q
+    q = dual.dim_q
     n_par = q * d * d
-    # parameter (m, k) is the tuple with the k-th Hermitian basis matrix in slot m
+    hb = hermitian_basis(d)
     tuples = np.zeros((q, d * d, q, d, d), dtype=complex)
-    tuples[np.arange(q), :, np.arange(q)] = hermitian_basis(d)
-    tuples = tuples.reshape(n_par, q, d, d)
-    defects = _covariance_defects(rep, dual_rep(action), rep.group.generators, tuples)
+    tuples[np.arange(q), :, np.arange(q)] = hb
+    defects = _covariance_defects(rep, dual, rep.group.generators,
+                                  tuples.reshape(n_par, q, d, d))
     # rows: (real part, imaginary part) x generator x defect entry
     system = np.moveaxis(defects, 1, -1).reshape(-1, n_par)
     sols = _null_space(np.concatenate([system.real, system.imag]))
-    return np.einsum("ps,pmab->smab", sols, tuples)
+    coords = sols.reshape(q, d * d, sols.shape[1])
+    return np.einsum("mks,kab->smab", coords, hb)
+
+
+def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
+    """All Hermitian tuples satisfying both covariances, as an orthonormal
+    basis of shape (n_solutions, q, d, d).
+
+    The solve ``build_gamma_matrices`` takes its tuples from, without its
+    checks.  For a co-rep and a rep the covariance map is a group action,
+    so a tuple that ``group.generators`` (a generating set of H, plus t0)
+    fix is fixed by every element; the equations cover the generators only.
+    Neither input is validated, so a non-rep goes undetected here.
+    """
+    return _covariant_tuples(rep, dual_rep(action))
 
 
 def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,5 +1,5 @@
-"""Numerical kernels: common eigenbases refined block by block,
-symmetric-unitary square roots and projector eigenspaces.
+"""Numerical kernels: common eigenbases refined block by block and
+symmetric-unitary square roots, plus random unitary fixtures.
 
 These wrap LAPACK via numpy but add the validation, determinism and
 branch-cut policies the representation engines rely on.
@@ -12,13 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EigenvalueAtBranchCutWarning,
-    NotCommuting,
-    NotIdempotent,
-    NotSymmetricUnitary,
-    TraceNotInteger,
-)
+from .errors import EigenvalueAtBranchCutWarning, NotCommuting, NotSymmetricUnitary
 
 LINALG_TOL = 1e-9
 
@@ -94,48 +88,6 @@ def symmetric_unitary_sqrt(m: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray
                       EigenvalueAtBranchCutWarning)
         theta = np.where(near_cut, np.pi, theta)
     return r @ np.diag(np.exp(0.5j * theta)) @ r.T
-
-
-def eigenspace_of_one(p: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray:
-    """Orthonormal basis of the eigenvalue-1 eigenspace of an idempotent.
-
-    Works for oblique projectors too: the fixed space equals the column
-    space, and an idempotent's nonzero singular values are all >= 1, so an
-    SVD split at 1/2 is unambiguous.  The rank must match round(trace).  A
-    real projector keeps real arithmetic and yields a real basis.  Raises
-    NotIdempotent for a matrix with non-finite entries.
-    """
-    return _fixed_basis(p, tol)[0]
-
-
-def _fixed_basis(p: np.ndarray, tol: float = LINALG_TOL):
-    """``eigenspace_of_one``'s basis and the idempotency residual
-    ||P^2 - P||_2 it was judged by, so that callers who report the residual
-    need not take that norm again."""
-    p = np.asarray(p)
-    p = p.astype(np.result_type(p, float), copy=False)
-    finite = np.isfinite(p)
-    if not finite.all():
-        bad = np.argwhere(~finite)
-        raise NotIdempotent(f"{len(bad)} non-finite entries, the first "
-                            f"{p[tuple(bad[0])]} at {tuple(int(x) for x in bad[0])}")
-    resid = float(np.linalg.norm(p @ p - p, ord=2))
-    # the SVD gives the basis, and its largest singular value the scale
-    u, s = np.linalg.svd(p)[:2]
-    scale = max(1.0, s[0])
-    if resid > tol * scale:
-        raise NotIdempotent("P^2 != P at tolerance")
-    tr = np.trace(p)
-    count = round(tr.real)
-    if abs(tr - count) > max(tol * scale * p.shape[0], 1e-6):
-        raise TraceNotInteger(f"trace {tr} is not close to an integer")
-    rank = int((s > 0.5).sum())
-    if rank != count:
-        raise TraceNotInteger(f"rank {rank} disagrees with trace {count}")
-    basis = u[:, :rank]
-    if rank and np.linalg.norm(p @ basis - basis, ord=2) > 10 * tol * scale:
-        raise NotIdempotent("recovered basis is not fixed by the projector")
-    return basis, resid
 
 
 # -- small random fixtures ----------------------------------------------------

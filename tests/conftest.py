@@ -17,16 +17,13 @@ from magrep.errors import (
     NotCommuting,
     NotHermitian,
     NoT0,
-    NotIdempotent,
     NotIrreducible,
-    TraceNotInteger,
 )
 from magrep.groups import build_group, conjugacy_classes
 from magrep.kp import (
     ACTION_TOL,
     _dual_matrices,
     _null_space,
-    covariant_tuple_basis,
     dual_rep,
     hermitian_basis,
     linear_multiplicity,
@@ -499,32 +496,6 @@ def substitution_matrices_per_call(lin, n):
     return r
 
 
-def fixed_basis_two_norms(p, tol=LINALG_TOL):
-    """``linalg._fixed_basis`` with the scale taken by its own spectral norm
-    and the idempotency residual by its own SVD before the basis SVD, an
-    empty basis returned without one."""
-    p = np.asarray(p)
-    p = p.astype(np.result_type(p, float), copy=False)
-    scale = max(1.0, np.linalg.norm(p, ord=2))
-    resid = float(np.linalg.norm(p @ p - p, ord=2))
-    if resid > tol * scale:
-        raise NotIdempotent("P^2 != P at tolerance")
-    tr = np.trace(p)
-    count = round(tr.real)
-    if abs(tr - count) > max(tol * scale * p.shape[0], 1e-6):
-        raise TraceNotInteger(f"trace {tr} is not close to an integer")
-    if count == 0:
-        return np.zeros((p.shape[0], 0), dtype=p.dtype), resid
-    u, s, _ = np.linalg.svd(p)
-    rank = int((s > 0.5).sum())
-    if rank != count:
-        raise TraceNotInteger(f"rank {rank} disagrees with trace {count}")
-    basis = u[:, :rank]
-    if np.linalg.norm(p @ basis - basis, ord=2) > 10 * tol * scale:
-        raise NotIdempotent("recovered basis is not fixed by the projector")
-    return basis, resid
-
-
 def validate_action_rowwise(action, tol=ACTION_TOL):
     """Group-law residual with the subgroup products taken one row of H at a
     time; raises like validate_action."""
@@ -648,7 +619,8 @@ def kp_sweep():
     """Every catalog rep x probe action; a 3-dim action enters at orders 1-3,
     each as its full induced action and as each of its channels.
 
-    Each record carries the criterion value, the brute-force oracle basis and
+    Each record carries the criterion value, the all-element oracle basis
+    (``covariant_tuple_basis_columnwise``, independent of the solver) and
     the constructed model (None when the channel is empty).  Built once; the
     acceptance tests and the kp unit tests both consume it.
     """
@@ -665,7 +637,7 @@ def kp_sweep():
                         "rep": rep,
                         "action": a,
                         "criterion": crit,
-                        "oracle": covariant_tuple_basis(rep, a),
+                        "oracle": covariant_tuple_basis_columnwise(rep, a),
                         "model": model,
                     })
     return records

@@ -355,7 +355,7 @@ def test_kp_field_report_is_the_probe_entry(name, capsys):
                               "--subgroup", "0", "--probe", f"f=@{name}/{field}")
         assert code == 0
         want = {**probe["probes"]["f"], "channel_dim": entry.probe_actions[field].dim_q,
-                "seed": 0}
+                "seed": 0, "tol": 1e-9}
         assert kp == want
 
 

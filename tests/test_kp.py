@@ -11,6 +11,7 @@ from magrep.errors import (
     DimensionMismatch,
     EmptyChannel,
     InvalidAction,
+    MagrepError,
     NonIntegerMultiplicity,
     SingularAction,
 )
@@ -33,6 +34,7 @@ from magrep.kp import (
 from conftest import (
     catalog_irreps,
     channel_actions,
+    covariant_tuple_basis_columnwise,
     tuple_span_residual_projectors,
     multiplicity_value_diagonal_t0,
     multiplicity_value_trace_form,
@@ -306,7 +308,7 @@ def test_weyl_gammas_span_pauli_triple():
                                      tol=1e-8) == 3
         assert np.linalg.matrix_rank(np.concatenate([aug.real, aug.imag], axis=1),
                                      tol=1e-8) == 3
-    oracle = covariant_tuple_basis(rep, actions["momentum"])
+    oracle = covariant_tuple_basis_columnwise(rep, actions["momentum"])
     assert tuple_span_residual(model.gammas, oracle) < 1e-10
 
 
@@ -315,10 +317,68 @@ def test_covariance_residuals_see_each_equation():
     # M(T) conj(gamma) M(T)^dag = -gamma, which the identity misses by 2
     rep, actions = kramers_setup()
     gammas = np.broadcast_to(np.eye(2), (1, 3, 2, 2)).astype(complex)
-    res = _covariance_residuals(rep, actions["momentum"], gammas)
+    res = _covariance_residuals(rep, dual_rep(actions["momentum"]), gammas)
     assert res["subgroup_covariance"] == 0.0
-    assert res["t0_covariance"] == pytest.approx(2.0)
+    assert res["coset_covariance"] == pytest.approx(2.0)
     assert res["hermiticity"] == 0.0
+
+
+def all_element_defect(rep, action, gammas):
+    """Largest covariance defect of the tuples over every element of the
+    group, one element at a time, from the matrices as given."""
+    worst = 0.0
+    for e in range(rep.group.order):
+        m = rep.matrices[e]
+        dual = np.linalg.inv(action.d(e)).T
+        img = np.conj(gammas) if rep.group.antiunitary[e] else gammas
+        rhs = np.einsum("nm,pnab->pmab", dual, gammas)
+        worst = max(worst, np.abs(m @ img @ np.conj(m.T) - rhs).max())
+    return worst
+
+
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_gamma_construction_fails_loudly_off_the_generators(name):
+    # inputs that are reps on the generators only: the solve reads the
+    # generators, the criterion the characters, and the residual judgement
+    # every element.  An action corrupted on a non-generator unitary element
+    # (negated, or rotated by a random orthogonal matrix) must raise unless
+    # validate_action still accepts it.  A co-rep with one non-generator matrix
+    # multiplied by a random unitary must raise, or return tuples that every
+    # element of it, as given, fixes: a 1-dim co-rep's phase, or a coset
+    # matrix under identity couplings, does not reach the answer.
+    entry = mr.catalog_get(name)
+    g = entry.group
+    rng = np.random.default_rng(11)
+    others = [e for e in range(g.order) if e not in set(g.generators.tolist())]
+    raised = quiet = 0
+    for rep in entry.reps.values():
+        for act in entry.probe_actions.values():
+            for h in [e for e in others if not g.antiunitary[e]]:
+                k = g.h_position[h]
+                for turn in (-np.eye(act.dim_q),
+                             np.linalg.qr(rng.standard_normal((act.dim_q,) * 2))[0]):
+                    d_h = act.d_h.copy()
+                    d_h[k] = turn @ d_h[k]
+                    bad = ProbeRepAction(group=g, d_h=d_h, d_t0=act.d_t0, kind=act.kind)
+                    try:
+                        validate_action(bad)   # a 1-dim turn of +1 leaves a rep
+                    except InvalidAction:
+                        with pytest.raises(MagrepError):
+                            build_gamma_matrices(rep, bad)
+                        raised += 1
+            for e in others:
+                mats = rep.matrices.copy()
+                mats[e] = mr.random_unitary(rep.dim, rng) @ mats[e]
+                bad = mr.CoRep(group=g, omega=rep.omega, matrices=mats)
+                assert not mr.validate_corep(bad).passed
+                try:
+                    model = build_gamma_matrices(bad, act)
+                except MagrepError:
+                    raised += 1
+                    continue
+                assert all_element_defect(bad, act, model.gammas) <= 1e-9, (e, act.kind)
+                quiet += 1
+    assert raised > quiet
 
 
 def test_empty_channel_raises():
@@ -669,7 +729,7 @@ def test_gamma_construction_gauge_robust(oht):
     for seed in range(6):
         gauged = mr.random_gauge(rep, seed)
         model = build_gamma_matrices(gauged, act)
-        oracle = covariant_tuple_basis(gauged, act)
+        oracle = covariant_tuple_basis_columnwise(gauged, act)
         assert model.multiplicity == oracle.shape[0] == 9
         assert tuple_span_residual(model.gammas, oracle) < 1e-10
         herm = np.abs(model.gammas
@@ -696,7 +756,7 @@ def test_gamma_construction_gauge_robust(oht):
     cases.append((entry.reps["e_half"], oblique))
     built = 0
     for rep, act in cases:
-        oracle = covariant_tuple_basis(rep, act)
+        oracle = covariant_tuple_basis_columnwise(rep, act)
         if oracle.shape[0] == 0:
             with pytest.raises(EmptyChannel):
                 build_gamma_matrices(rep, act)
@@ -756,18 +816,18 @@ def test_span_residual_matches_the_projector_form(kp_sweep):
 
 @pytest.mark.parametrize("copies", [2, 3])
 def test_oracle_matches_the_criterion_on_order_96_gamma8_sums(oht, copies):
-    # d = 8 and 12 against the magnetic channel, where the all-element
-    # system would have 49 * 2 * 3 d^2 rows: count and span, plain and
-    # rotated + gauged
+    # d = 8 and 12 against the magnetic channel, where the column-by-column
+    # all-element oracle would have 49 * 2 * 3 d^2 rows: the count against
+    # the criterion and the all-element residuals, plain and rotated + gauged
     gamma8 = mr.corep_from_matrices(oht["group"], oht["coreps"]["gamma8"])
     rep = mr.direct_sum([gamma8] * copies)
     act = oht["actions"]["magnetic"]
     moved = mr.random_gauge(mr.conjugate_corep(rep, mr.random_unitary(rep.dim, 80)), 81)
     for r in (rep, moved):
-        oracle = covariant_tuple_basis(r, act)
-        assert oracle.shape[0] == linear_multiplicity(r, act) > 0
+        # the model's tuples are the generator null space itself
         model = build_gamma_matrices(r, act)
-        assert tuple_span_residual(model.gammas, oracle) <= 1e-10
+        assert model.multiplicity == linear_multiplicity(r, act) > 0
+        assert max(model.residuals.values()) <= 1e-12
 
 
 def test_oracle_systems_are_far_from_the_cutoff(oht, monkeypatch):
@@ -808,7 +868,8 @@ def test_gamma_construction_unitary_group_branch():
     act = ProbeRepAction(group=h_rep.group, d_h=[np.eye(1)], d_t0=None)
     model = build_gamma_matrices(h_rep, act)
     assert model.multiplicity == 4
-    assert tuple_span_residual(model.gammas, covariant_tuple_basis(h_rep, act)) < 1e-10
+    assert tuple_span_residual(model.gammas,
+                               covariant_tuple_basis_columnwise(h_rep, act)) < 1e-10
 
     entry = mr.catalog_get("c4v_t")
     spinful, _ = mr.coreps.unitary_restriction(entry.reps["e_half"])
@@ -817,7 +878,7 @@ def test_gamma_construction_unitary_group_branch():
     validate_action(vec)
     assert linear_multiplicity(spinful, vec) == 2
     model = build_gamma_matrices(spinful, vec)
-    oracle = covariant_tuple_basis(spinful, vec)
+    oracle = covariant_tuple_basis_columnwise(spinful, vec)
     assert model.multiplicity == oracle.shape[0] == 2
     assert tuple_span_residual(model.gammas, oracle) < 1e-10
     assert np.abs(model.gammas - np.conj(np.swapaxes(model.gammas, 2, 3))).max() < 1e-12

@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
 
-from magrep.errors import (
-    EigenvalueAtBranchCutWarning,
-    NotCommuting,
-    NotIdempotent,
-    NotSymmetricUnitary,
-    TraceNotInteger,
-)
+from magrep.errors import EigenvalueAtBranchCutWarning, NotCommuting, NotSymmetricUnitary
 from magrep.linalg import (
-    _fixed_basis,
-    eigenspace_of_one,
     random_symmetric_unitary,
     random_unitary,
     refine_eigenbasis,
     symmetric_unitary_sqrt,
 )
 
-from conftest import fixed_basis_two_norms, simultaneous_diag
+from conftest import simultaneous_diag
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -163,63 +155,3 @@ def test_symmetric_sqrt_rejects_plain_unitary():
     if np.abs(u @ np.conj(u) - np.eye(3)).max() > 1e-6:
         with pytest.raises(NotSymmetricUnitary):
             symmetric_unitary_sqrt(u)
-
-
-def test_eigenspace_of_one_corners():
-    assert eigenspace_of_one(np.zeros((3, 3))).shape == (3, 0)
-    basis = eigenspace_of_one(np.eye(3))
-    assert basis.shape == (3, 3)
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    basis = eigenspace_of_one(np.outer(v, v.conj()))
-    assert basis.shape == (4, 1)
-    overlap = abs(v.conj() @ basis[:, 0])
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_eigenspace_of_one_oblique_projector():
-    # idempotent but not Hermitian: fixed space is still the column space
-    p = np.array([[1.0, 1.0], [0.0, 0.0]])
-    basis = eigenspace_of_one(p)
-    assert basis.shape == (2, 1)
-    assert basis.dtype == np.float64   # a real projector keeps real arithmetic
-    assert np.abs(p @ basis - basis).max() < 1e-12
-
-
-def test_eigenspace_of_one_rejections():
-    with pytest.raises(NotIdempotent):
-        eigenspace_of_one(np.diag([0.5, 0.0]))
-    with pytest.raises((TraceNotInteger, NotIdempotent)):
-        eigenspace_of_one(np.diag([1.0, 1e-3]))
-
-
-def test_eigenspace_of_one_rejects_non_finite_entries():
-    # a NaN or inf used to reach LAPACK, which raised "SVD did not converge"
-    for bad in (np.array([[np.nan]]), np.diag([1.0, np.inf]),
-                np.array([[1.0, 0.0], [np.nan, 0.0]], dtype=complex)):
-        with pytest.raises(NotIdempotent, match="non-finite"):
-            eigenspace_of_one(bad)
-    with pytest.raises(NotIdempotent, match=r"2 non-finite entries, the first nan at \(0, 1\)"):
-        eigenspace_of_one(np.array([[1.0, np.nan], [-np.inf, 0.0]]))
-
-
-def test_fixed_basis_matches_the_two_norm_form():
-    # the cases above: one SVD gives the basis and the scale, bit for bit
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v /= np.linalg.norm(v)
-    # the last, an oblique projector of norm 1e6 off by 1e-12, passes only
-    # because the idempotency tolerance scales with the norm
-    for p in (np.zeros((3, 3)), np.eye(3), np.outer(v, v.conj()),
-              np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1e6], [0.0, 1e-12]])):
-        basis, resid = _fixed_basis(p)
-        want_basis, want_resid = fixed_basis_two_norms(p)
-        assert basis.dtype == want_basis.dtype and np.array_equal(basis, want_basis)
-        assert resid == want_resid
-        assert np.array_equal(eigenspace_of_one(p), want_basis)
-    for p in (np.diag([0.5, 0.0]), np.diag([1.0, 1e-3])):
-        with pytest.raises((TraceNotInteger, NotIdempotent)) as got:
-            _fixed_basis(p)
-        with pytest.raises(got.type):
-            fixed_basis_two_norms(p)

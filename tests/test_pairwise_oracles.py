@@ -37,7 +37,6 @@ import pytest
 
 import magrep as mr
 import magrep.catalog
-import magrep.kp
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
     OMEGA_FIT_TOL,
@@ -64,7 +63,6 @@ from magrep.kp import (
     _substitution_matrices,
     dispersion_order,
     dual_rep,
-    linear_multiplicity,
     monomial_exponents,
     polynomial_channel,
     covariant_tuple_basis,
@@ -86,7 +84,6 @@ from conftest import (
     conjugacy_classes_pairwise,
     covariant_tuple_basis_columnwise,
     dispersion_table_per_channel,
-    fixed_basis_two_norms,
     omega_pairwise,
     relabelled,
     restricted_table_pairwise,
@@ -588,31 +585,6 @@ def test_substitution_matrices_match_dict_expansion(name):
             # the induced action is the dual of the substitution rep
             full = polynomial_channel(act, n).full_action
             assert np.abs(dual_rep(full).d(np.arange(len(lin))) - want).max() <= 1e-12
-
-
-@pytest.mark.parametrize("name", ENTRIES)
-def test_fixed_space_basis_matches_the_two_norm_form(name, monkeypatch):
-    # every projector the gamma construction of this entry diagonalizes:
-    # its co-reps x probe actions, and each polynomial channel of orders 1-3
-    seen = []
-    real = magrep.kp._fixed_basis
-
-    def both(p, tol):
-        got = real(p, tol)
-        seen.append((got, fixed_basis_two_norms(p, tol)))
-        return got
-
-    monkeypatch.setattr(magrep.kp, "_fixed_basis", both)
-    entry = mr.catalog_get(name)
-    for rep in entry.reps.values():
-        for act in entry.probe_actions.values():
-            for _, _, a in channel_actions(act, (1, 2, 3)):
-                if linear_multiplicity(rep, a) > 0:
-                    mr.build_gamma_matrices(rep, a)
-    assert seen
-    for (basis, resid), (want_basis, want_resid) in seen:
-        assert basis.dtype == want_basis.dtype and np.array_equal(basis, want_basis)
-        assert resid == want_resid
 
 
 @pytest.mark.parametrize("name", ENTRIES)
