@@ -28,7 +28,6 @@ from .reduction import (
     IrrepDecomposition,
     build_G_commutant,
     build_H_commutant,
-    class_operator,
     combined_class_operator,
     irreducibility_index,
     reduce_corep,

@@ -77,29 +77,39 @@ def _tol(args, default: float) -> float:
     return default if args.tol is None else args.tol
 
 
-def _rep_inputs(args):
-    group, omega = _resolve(args.group, "group", io.load_group)
+def _load_rep(args, group, omega):
+    """The co-rep argument, read with the group argument's ``group`` and
+    ``omega``.  A co-rep file under an ``@entry`` of several factor-system
+    classes is refused: the file names none, and the trivial one would be
+    taken without a word."""
+    if omega is None and args.group.startswith("@") and not args.rep.startswith("@"):
+        name = args.group[1:]
+        raise ParseError(
+            f"{args.group} has factor-system classes {sorted(catalog_get(name).omega_classes)} "
+            f"and the co-rep file {args.rep} names none; give the group file exported "
+            f"with it (magrep catalog {name} --export DIR writes {name}.group-<rep>.json)")
     return _resolve(args.rep, "rep", partial(io.load_corep, group=group, omega=omega))
+
+
+def _rep_inputs(args):
+    return _load_rep(args, *_resolve(args.group, "group", io.load_group))
 
 
 def cmd_validate(args) -> int:
     group, omega = _resolve(args.group, "group", io.load_group)
+    rep = _load_rep(args, group, omega) if args.rep else None
     report = {"group": {"order": group.order, "is_magnetic": group.is_magnetic,
                         "t0": None if group.t0 is None else group.label(group.t0),
-                        "passed": True}}
-    ok = True
+                        "passed": True},
+              "omega": {"defaulted": omega is None}}
     if omega is None:
         omega = FactorSystem.trivial(group.order)
-        report["omega"] = {"defaulted": True}
-    else:
-        report["omega"] = {"defaulted": False}
     cocycle = validate_cocycle(group, omega, tol=_tol(args, 1e-10))
     report["cocycle"] = {"max_violation": cocycle.max_violation,
                          "max_modulus_error": cocycle.max_modulus_error,
                          "tol": cocycle.tol, "passed": cocycle.passed}
-    ok = ok and cocycle.passed
-    if args.rep:
-        rep = _resolve(args.rep, "rep", partial(io.load_corep, group=group, omega=omega))
+    ok = cocycle.passed
+    if rep is not None:
         check = validate_corep(rep, tol=_tol(args, 1e-9))
         report["corep"] = {"dim": rep.dim,
                            "unitarity_residual": check.unitarity_residual,

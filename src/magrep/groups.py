@@ -4,8 +4,8 @@ A magnetic group of order n is stored as an n x n multiplication table of
 element ids together with one anti-unitary flag bit per element.  When any
 flag is set, the unitary elements must form a halving subgroup H and the
 group splits as G = H + T0*H for a distinguished anti-unitary element T0.
-Everything downstream (characters, class operators, coset sums) is a plain
-sum over element ids, so groups are kept small and fully tabulated.
+Everything downstream (characters, the class operators of H, coset sums) is
+a plain sum over element ids, so groups are kept small and fully tabulated.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class MagneticGroup:
         lowest id).  ``None`` for purely unitary groups.
     h_elements : ``(|H|,)`` int ndarray
         Ids of the unitary elements, ascending.
-    subgroup_chain : tuple of tuple of int
-        Ascending chain of subgroups of H used to resolve degenerate labels
-        during reduction.  Defaults to ``({identity}, H)``.
     """
 
     cayley: np.ndarray
@@ -61,7 +58,6 @@ class MagneticGroup:
     inverse: np.ndarray
     element_order: np.ndarray
     h_elements: np.ndarray
-    subgroup_chain: tuple
 
     @property
     def order(self) -> int:
@@ -178,7 +174,7 @@ def _checked_labels(labels, n: int) -> tuple:
     return labels
 
 
-def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGroup:
+def build_group(cayley, flags, labels=None) -> MagneticGroup:
     """Validate a Cayley table plus anti-unitary flags into a MagneticGroup.
 
     Parameters
@@ -189,8 +185,6 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
         Anti-unitary flag per element.
     labels : sequence of str, optional
         Element names; defaults to ``g0 .. g{n-1}``.
-    subgroup_chain : sequence of sequences of int, optional
-        Ascending chain of subgroups of H.  Defaults to ``[{identity}, H]``.
 
     Raises
     ------
@@ -249,24 +243,6 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
     t0 = _pick_t0(s, orders)
     labels = tuple(f"g{k}" for k in range(n)) if labels is None else _checked_labels(labels, n)
 
-    if subgroup_chain is None:
-        chain = ((identity,), tuple(int(h) for h in h_elements))
-    else:
-        chain = tuple(tuple(sorted(int(x) for x in sub)) for sub in subgroup_chain)
-
-    h_set = set(int(h) for h in h_elements)
-    prev = None
-    for sub in chain:
-        sub_set = set(sub)
-        if not sub_set <= h_set:
-            raise ElementNotInSubgroup("subgroup chain member leaves the unitary part")
-        members = np.asarray(sub, dtype=int)
-        if not np.isin(table[np.ix_(members, members)], members).all():
-            raise NotAGroup(f"chain member {sub} is not closed under multiplication")
-        if prev is not None and not prev <= sub_set:
-            raise NotAGroup("subgroup chain is not ascending")
-        prev = sub_set
-
     return MagneticGroup(
         cayley=table,
         antiunitary=s,
@@ -276,7 +252,6 @@ def build_group(cayley, flags, labels=None, subgroup_chain=None) -> MagneticGrou
         inverse=inverse,
         element_order=orders,
         h_elements=h_elements,
-        subgroup_chain=chain,
     )
 
 
@@ -397,17 +372,14 @@ def restricted_group(group: MagneticGroup, element_ids) -> tuple[MagneticGroup, 
             f"{group.label(int(emb[b]))} falls outside")
     flags = group.antiunitary[emb]
     orders = group.element_order[emb]
-    identity = int(pos[group.identity])
-    h_elements = np.flatnonzero(flags == 0)
     sub = MagneticGroup(
         cayley=table,
         antiunitary=flags,
         labels=tuple(group.labels[g] for g in emb),
-        identity=identity,
+        identity=int(pos[group.identity]),
         t0=_pick_t0(flags, orders),
         inverse=pos[group.inverse[emb]],
         element_order=orders,
-        h_elements=h_elements,
-        subgroup_chain=((identity,), tuple(int(h) for h in h_elements)),
+        h_elements=np.flatnonzero(flags == 0),
     )
     return sub, emb

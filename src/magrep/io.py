@@ -107,10 +107,9 @@ def group_from_dict(data: dict) -> tuple[MagneticGroup, Optional[FactorSystem]]:
     if not isinstance(cayley, list) or len(cayley) != n:
         raise ParseError("cayley table size disagrees with the declared order")
     try:
-        for ids in [cayley, data["antiunitary"], *(data.get("subgroup_chain") or ())]:
-            _integers(ids, "Cayley entries, flags and subgroup ids")
-        group = build_group(cayley, data["antiunitary"], labels=data.get("labels"),
-                            subgroup_chain=data.get("subgroup_chain"))
+        for ids in (cayley, data["antiunitary"]):
+            _integers(ids, "Cayley entries and flags")
+        group = build_group(cayley, data["antiunitary"], labels=data.get("labels"))
     except (TypeError, ValueError) as err:   # ids that are no integers, for one
         raise ParseError(f"malformed group: {err}") from None
     omega = None
@@ -134,7 +133,6 @@ def group_to_dict(group: MagneticGroup, omega: Optional[FactorSystem] = None) ->
         "labels": list(group.labels),
         "cayley": group.cayley.tolist(),
         "antiunitary": group.antiunitary.tolist(),
-        "subgroup_chain": [list(sub) for sub in group.subgroup_chain],
     }
     if omega is not None:
         data["omega"] = _pairs(omega.values)

@@ -59,7 +59,7 @@ from .errors import (
 )
 from .groups import MagneticGroup, _same_group
 from .linalg import _cluster_slices
-from .reduction import criterion_sums, irreducibility_index
+from .reduction import _real, criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
 #: singular values at or below this count as zero in ``_null_space``
@@ -204,10 +204,7 @@ def _criterion_values(rep: CoRep, chi_v: np.ndarray) -> np.ndarray:
     unitary, coset = criterion_sums(rep, chi_v)
     if not rep.group.is_magnetic:
         return unitary
-    value = (unitary + coset) / 2
-    if (np.abs(value.imag) > 1e-8 * np.maximum(1.0, np.abs(value))).any():
-        raise NonIntegerMultiplicity(f"criterion came out non-real: {value}")
-    return value.real
+    return _real((unitary + coset) / 2, "criterion", NonIntegerMultiplicity)
 
 
 def _integer_counts(values, what: str, tol: float = 1e-6) -> np.ndarray:

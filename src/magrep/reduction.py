@@ -4,14 +4,13 @@ co-representations into irreducible blocks.
 The reduction device is a random Hermitian matrix gamma commuting with the
 whole co-rep: its eigenspaces are exactly the irreducible subspaces.  One
 refinement inside each orders and labels its basis by class operators of the
-unitary subgroup (and of a user-supplied subgroup chain), then by a random
-matrix commuting with the unitary subgroup only.
+unitary subgroup H, then by a random matrix commuting with H only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .coreps import (
     validate_corep,
 )
 from .errors import (
-    ElementNotInSubgroup,
     IndicatorNotQuantized,
     InvalidCoRep,
     NoT0,
@@ -91,13 +89,17 @@ def _index_and_coset(rep: CoRep):
     unitary, coset = criterion_sums(rep, np.ones(rep.group.order))
     if not rep.group.is_magnetic:
         return float(unitary), None
-    return _real(0.5 * (unitary + coset), "criterion"), coset
+    return float(_real(0.5 * (unitary + coset), "criterion")), coset
 
 
-def _real(value: complex, what: str) -> float:
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value)):
-        raise InvalidCoRep(f"{what} came out non-real: {value}")
-    return float(value.real)
+def _real(value, what: str, error=InvalidCoRep):
+    """The real part of a complex scalar or array; raises ``error`` when an
+    entry's imaginary part exceeds 1e-8 of max(1, its modulus)."""
+    # im > 1e-8 max(1, |value|) as two comparisons: np.maximum, .any() are slow on scalars
+    im = abs(value.imag)
+    if np.count_nonzero((im > 1e-8) & (im > 1e-8 * abs(value))):
+        raise error(f"{what} came out non-real: {value}")
+    return value.real
 
 
 def torsion_indicator(rep: CoRep) -> float:
@@ -106,7 +108,7 @@ def torsion_indicator(rep: CoRep) -> float:
     irreducibles."""
     if not rep.group.is_magnetic:
         raise NoT0("coset sum needs anti-unitary elements")
-    return _real(criterion_sums(rep, np.ones(rep.group.order))[1], "indicator")
+    return float(_real(criterion_sums(rep, np.ones(rep.group.order))[1], "indicator"))
 
 
 def torsion_number(rep: CoRep, tol: float = TORSION_TOL) -> int:
@@ -172,34 +174,17 @@ def build_G_commutant(rep: CoRep, seed: int) -> CommutantHamiltonian:
     return CommutantHamiltonian(gamma=lam + rep.apply(g.t0, lam), lam=lam, seed=seed)
 
 
-def _unitary_members(rep: CoRep, subgroup: Sequence[int]) -> list:
-    members = sorted(set(int(x) for x in subgroup))
-    if not set(members) <= set(int(h) for h in rep.group.h_elements):
-        raise ElementNotInSubgroup("class operators live in the unitary subgroup")
-    return members
-
-
-def class_operator(rep: CoRep, class_rep: int, subgroup: Sequence[int]) -> np.ndarray:
-    """C_i = sum over the subgroup of M(h_a) M(h_i) M(h_a)^dag.
-
-    Commutes with every M(h_a) exactly, including for projective reps, since
-    the factor-system phases cancel between M(h_a) and its adjoint.
-    """
-    members = _unitary_members(rep, subgroup)
-    if int(class_rep) not in members:
-        raise ElementNotInSubgroup(f"element {class_rep} is outside the subgroup")
-    return rep.apply(members, rep.m(int(class_rep))).sum(axis=0)
-
-
-def combined_class_operator(rep: CoRep, subgroup: Sequence[int],
-                            rng: np.random.Generator) -> np.ndarray:
-    """Random real combination sum_i r_i C_i over the subgroup's classes, as
-    one subgroup average of sum_i r_i M(h_i): C_i is linear in M(h_i)."""
-    classes = conjugacy_classes(rep.group, subgroup)
+def combined_class_operator(rep: CoRep, rng: np.random.Generator) -> np.ndarray:
+    """Random real combination sum_i r_i C_i over the classes of H, where
+    C_i = sum_h M(h) M(h_i) M(h)^dag, as one average of sum_i r_i M(h_i) over
+    H: C_i is linear in M(h_i).  Commutes with every M(h) exactly, also for
+    projective reps, since the factor-system phases cancel between M(h) and
+    its adjoint."""
+    h = rep.group.h_elements
+    classes = conjugacy_classes(rep.group, h)
     coeff = rng.standard_normal(len(classes))
-    members = _unitary_members(rep, subgroup)
     mix = np.tensordot(coeff, rep.matrices[[cls[0] for cls in classes]], axes=1)
-    return rep.apply(members, mix).sum(axis=0)
+    return rep.apply(h, mix).sum(axis=0)
 
 
 # -- full reduction -------------------------------------------------------------
@@ -236,11 +221,11 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
 
     The blocks are the eigenspaces of the commutant Hamiltonian gamma.  One
     refinement inside each (``linalg.refine_eigenbasis``) orders and labels
-    its columns by the subgroup chain's class-operator combinations, in
-    chain order, then on magnetic groups by the subgroup-only lam, which
-    commutes with gamma on each of its eigenspaces.  Every block must pass
-    the irreducibility criterion; an accidental eigenvalue collision of the
-    random gamma triggers a reseeded retry.
+    its columns by a combination of H's class operators when |H| > 1, then
+    on magnetic groups by the H-only lam, which commutes with gamma on each
+    of its eigenspaces.  Every block must pass the irreducibility criterion;
+    an accidental eigenvalue collision of the random gamma triggers a
+    reseeded retry.
 
     The input is validated only when it carries no residual bounds
     (``CoRep.residuals``) at or below the validation tolerance.
@@ -284,15 +269,10 @@ def _reduce_once(rep: CoRep, seed: int, tol: float,
         raise NotHermitian("gamma is not Hermitian at tolerance")
     block_slices = _cluster_slices(energies, BLOCK_TOL * scale)
 
-    chain = list(g.subgroup_chain)
-    h_tuple = tuple(int(h) for h in g.h_elements)
-    if not chain or tuple(chain[-1]) != h_tuple:
-        chain.append(h_tuple)
-    chain = [sub for sub in chain if len(sub) > 1]   # singletons label nothing
-    names = [f"class_ops_subgroup_{len(sub)}" for sub in chain] + ["energy", "multiplet_split"]
-    parts = []
-    for c in (combined_class_operator(rep, sub, rng) for sub in chain):
-        parts += [c + c.conj().T, 1j * (c - c.conj().T)]
+    n_class = int(g.halving_order > 1)   # a one-element H labels nothing
+    names = [f"class_ops_subgroup_{g.halving_order}"] * n_class + ["energy", "multiplet_split"]
+    c = combined_class_operator(rep, rng) if n_class else None
+    parts = [c + c.conj().T, 1j * (c - c.conj().T)] if n_class else []
     # lam commutes with gamma only inside a block, so it refines only there
     ops = (parts + [lam]) if g.is_magnetic else parts
     scales = [max(1.0, np.linalg.norm(a, ord=2)) for a in ops]
@@ -307,9 +287,9 @@ def _reduce_once(rep: CoRep, seed: int, tol: float,
         resid = np.abs(rot - np.diag(diags[-1])).max()
         if resid > 10 * label_tol * s:
             raise NotCommuting(f"off-diagonal residual {resid:.3e} after refinement")
-    labels = np.full((rep.dim, len(chain) + 2), np.nan, dtype=complex)
-    for k in range(len(chain)):   # the (re, im) parts folded back together
-        labels[:, k] = (diags[2 * k] + 1j * diags[2 * k + 1]) / 2
+    labels = np.full((rep.dim, n_class + 2), np.nan, dtype=complex)
+    if n_class:   # the (re, im) parts folded back together
+        labels[:, 0] = (diags[0] + 1j * diags[1]) / 2
     if g.is_magnetic:
         labels[:, -1] = np.hstack([values[-1] for _, values in refined])
 
@@ -324,7 +304,7 @@ def _reduce_once(rep: CoRep, seed: int, tol: float,
             raise NotIrreducible(
                 f"block {sl} has criterion {index}; accidental degeneracy suspected")
         energy = float(energies[sl].mean())
-        labels[sl, len(chain)] = energy
+        labels[sl, n_class] = energy
         blocks.append(Block(
             start=sl.start, stop=sl.stop, energy=energy,
             torsion=_torsion(index, coset, TORSION_TOL) if g.is_magnetic else None,

@@ -37,7 +37,6 @@ from magrep.reduction import (
     IrrepDecomposition,
     build_G_commutant,
     build_H_commutant,
-    class_operator,
     irreducibility_index,
     torsion_number,
 )
@@ -230,6 +229,13 @@ def simultaneous_diag(family: Sequence[np.ndarray], seed: int = 0,
 
 
 
+def class_operator(rep, class_rep, subgroup):
+    """C_i = sum over the unitary ``subgroup`` of M(h) M(h_i) M(h)^dag, one
+    element at a time."""
+    m = rep.m(int(class_rep))
+    return sum(rep.m(int(h)) @ m @ rep.m(int(h)).conj().T for h in subgroup)
+
+
 def reduce_once_two_pass(rep, seed, tol, seeds_used):
     """One reduction attempt through a global simultaneous diagonalization of
     the class-operator parts together with gamma, a stable re-sort by energy
@@ -247,18 +253,13 @@ def reduce_once_two_pass(rep, seed, tol, seeds_used):
         gamma = lam
 
     family, names = [], []
-    chain = list(g.subgroup_chain)
-    h_tuple = tuple(int(h) for h in g.h_elements)
-    if not chain or tuple(chain[-1]) != h_tuple:
-        chain.append(h_tuple)
-    for sub in chain:
-        if len(sub) == 1:
-            continue
-        classes = conjugacy_classes(g, sub)
+    h = g.h_elements
+    if len(h) > 1:
+        classes = conjugacy_classes(g, h)
         coeff = rng.standard_normal(len(classes))
-        c = sum(r * class_operator(rep, cls[0], sub) for r, cls in zip(coeff, classes))
+        c = sum(r * class_operator(rep, cls[0], h) for r, cls in zip(coeff, classes))
         family += [c + c.conj().T, 1j * (c - c.conj().T)]
-        names.append(f"class_ops_subgroup_{len(sub)}")
+        names.append(f"class_ops_subgroup_{len(h)}")
     family.append(gamma)
     names.append("energy")
 
@@ -410,11 +411,6 @@ def verify_embedding_pairwise(group, sub, emb):
             if group.mul(int(emb[a]), int(emb[b])) != int(emb[sub.mul(a, b)]):
                 raise NotASubgroupEmbedding(f"product mismatch at pair ({a}, {b})")
     return emb
-
-
-def chain_member_closed_pairwise(table, sub):
-    sub_set = set(sub)
-    return all(int(table[a, b]) in sub_set for a in sub for b in sub)
 
 
 def conjugacy_classes_pairwise(group, members):

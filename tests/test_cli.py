@@ -90,6 +90,26 @@ def test_missing_omega_defaults_to_trivial(exported, tmp_path, capsys):
     assert report["omega"]["defaulted"] is True
 
 
+@pytest.mark.parametrize("command", ["validate", "reduce", "kp"])
+def test_co_rep_file_under_an_entry_of_several_factor_systems_is_refused(
+        exported, capsys, command):
+    # the file names no factor system, and c4v_t has two: taking the trivial
+    # one would misread the spinor co-rep
+    argv = [command, "@c4v_t", str(exported / "c4v_t.rep-e_half.json")]
+    assert main(argv + ["@c4v_t/momentum"] * (command == "kp")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: @c4v_t has factor-system classes ['spinful', 'trivial']")
+    assert "c4v_t.group-<rep>.json" in err
+    # no co-rep, a catalog co-rep, or an entry of one class: as before
+    code, report = run_cli(capsys, "validate", "@c4v_t")
+    assert code == 0 and report["omega"]["defaulted"] is True
+    assert main([command, "@c4v_t", "@c4v_t/e_half"]
+                + ["@c4v_t/momentum"] * (command == "kp")) == 0
+    assert main([command, "@z2t_kramers", str(exported / "z2t_kramers.rep-kramers.json")]
+                + ["@z2t_kramers/momentum"] * (command == "kp")) == 0
+    capsys.readouterr()
+
+
 def test_irreducible_and_torsion(capsys):
     code, report = run_cli(capsys, "irreducible", "@z2t_kramers", "@z2t_kramers/kramers")
     assert code == 0
@@ -289,13 +309,13 @@ def _edited(src, dst, key, value):
     ("action", "matrices", [[[1.0]]]),
     ("action", "dim", "x"),
     ("rep", "dim", "x"),
-    ("group", "subgroup_chain", 5),
+    ("group", "labels", 5),
     ("group", "cayley", [["a", "b"], ["b", "a"]]),
     # fractional ids and dims, which int() would truncate to valid ones
     ("group", "order", 2.5),
     ("group", "cayley", [[0.4, 1.3], [1.2, 0.1]]),
     ("group", "antiunitary", [0, 1.9]),
-    ("group", "subgroup_chain", [[0.3], [0, 1.2]]),
+    ("group", "omega", [[0.5]]),
     ("rep", "dim", 2.7),
     ("action", "dim", 1.5),
 ])

@@ -12,14 +12,13 @@ from magrep.coreps import (
     restrict_corep,
     unitary_restriction,
 )
-from magrep.errors import ElementNotInSubgroup, NotIrreducible
+from magrep.errors import InvalidCoRep, NonIntegerMultiplicity, NotIrreducible
 from magrep.groups import conjugacy_classes
 from magrep.kp import ProbeRepAction, linear_multiplicity, multiplicity_value
 from magrep.linalg import random_unitary
 from magrep.reduction import (
     build_G_commutant,
     build_H_commutant,
-    class_operator,
     combined_class_operator,
     criterion_sums,
     irreducibility_index,
@@ -29,6 +28,7 @@ from magrep.reduction import (
 )
 from conftest import (
     catalog_irreps,
+    class_operator,
     compatible_rep_groups,
     coset_trace_sum,
     irreducibility_index_trace_form,
@@ -268,15 +268,32 @@ def test_class_operator_commutes_with_subgroup():
             assert np.abs(mh @ c @ mh.conj().T - c).max() < 1e-10
 
 
-def test_class_operator_membership_errors():
-    rep = kramers()
-    with pytest.raises(ElementNotInSubgroup):
-        class_operator(rep, 1, [0])            # anti-unitary element
-    with pytest.raises(ElementNotInSubgroup):
-        class_operator(rep, 0, [0, 1])
-
-
 # -- reduction ------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, want", [
+    ("c4v_t", ["class_ops_subgroup_8", "energy", "multiplet_split"]),
+    ("z2t", ["energy", "multiplet_split"]),   # |H| = 1: no class operator labels
+])
+def test_blocks_are_labelled_by_the_class_operators_of_h(name, want):
+    for rep in mr.catalog_get(name).reps.values():
+        dec = reduce_corep(direct_sum([rep, rep]), seed=0)
+        assert dec.label_names == want
+        assert all(b.labels.shape == (b.dim, len(want)) for b in dec.blocks)
+
+
+def test_a_non_real_criterion_is_refused_on_both_paths():
+    # T^2 = -1 with omega(T, T) off by a phase: the coset sum leaves the real axis
+    entry = mr.catalog_get("z2t_kramers")
+    rep = entry.reps["kramers"]
+    t = rep.group.t0
+    values = rep.omega.values.copy()
+    values[t, t] *= np.exp(0.3j)
+    bad = mr.CoRep(group=rep.group, omega=mr.FactorSystem(values), matrices=rep.matrices)
+    with pytest.raises(InvalidCoRep, match="criterion came out non-real"):
+        irreducibility_index(bad)
+    with pytest.raises(NonIntegerMultiplicity, match="criterion came out non-real"):
+        multiplicity_value(bad, entry.probe_actions["momentum"])
+
 
 def test_reduce_already_irreducible():
     dec = reduce_corep(kramers(), seed=0)
@@ -333,23 +350,6 @@ def test_reduce_quaternion_block_has_doubled_restriction():
     chi_a = [np.trace(rot[h, b0.start:b0.stop, b0.start:b0.stop]) for h in range(2)]
     chi_b = [np.trace(rot[h, b1.start:b1.stop, b1.start:b1.stop]) for h in range(2)]
     assert np.allclose(chi_a, chi_b, atol=1e-9)
-
-
-def test_reduce_with_custom_subgroup_chain():
-    entry = mr.catalog_get("c4v_t")
-    g = entry.group
-    labels = {lab: k for k, lab in enumerate(g.labels)}
-    chain = [[labels["E"], labels["C2"]],
-             [labels["E"], labels["C4"], labels["C2"], labels["C4^3"]],
-             [int(h) for h in g.h_elements]]
-    refined = mr.build_group(g.cayley, g.antiunitary, labels=g.labels,
-                             subgroup_chain=chain)
-    rep = entry.reps["e_half"]
-    rep = mr.CoRep(group=refined, omega=rep.omega, matrices=rep.matrices)
-    mixed = conjugate_corep(direct_sum([rep, rep]), random_unitary(4, 17))
-    dec = reduce_corep(mixed, seed=5)
-    assert sorted(dec.block_dims) == [2, 2]
-    assert sum(n.startswith("class_ops") for n in dec.label_names) == 3
 
 
 def test_reduce_projective_regular_rep():
@@ -449,22 +449,17 @@ def test_combined_class_operator_is_the_sum_of_class_operators(source, oht):
     if source == "oht":
         g = oht["group"]
         reps = [corep_from_matrices(g, m) for m in oht["coreps"].values()]
-        subgroups = [[i for i in ids if not g.antiunitary[i]]
-                     for ids in oht["lowerings"].values()]
+        reps += [restrict_corep(rep, ids)[0]   # the H of each lowering
+                 for rep in reps for ids in oht["lowerings"].values()]
     else:
-        entry = mr.catalog_get(source)
-        g, reps = entry.group, list(entry.reps.values())
-        subgroups = []
-    subgroups += [list(sub) for sub in g.subgroup_chain] + [list(g.h_elements)]
+        reps = list(mr.catalog_get(source).reps.values())
     for rep in reps:
-        for sub in subgroups:
-            classes = conjugacy_classes(g, sub)
-            coeff = np.random.default_rng(5).standard_normal(len(classes))
-            want = sum(r * class_operator(rep, cls[0], sub)
-                       for r, cls in zip(coeff, classes))
-            got = combined_class_operator(rep, sub, np.random.default_rng(5))
-            scale = len(sub) * np.abs(coeff).sum()
-            assert np.abs(got - want).max() <= 1e-12 * scale
+        h = rep.group.h_elements
+        classes = conjugacy_classes(rep.group, h)
+        coeff = np.random.default_rng(5).standard_normal(len(classes))
+        want = sum(r * class_operator(rep, cls[0], h) for r, cls in zip(coeff, classes))
+        got = combined_class_operator(rep, np.random.default_rng(5))
+        assert np.abs(got - want).max() <= 1e-12 * len(h) * np.abs(coeff).sum()
 
 
 @pytest.mark.parametrize("source", ["c4v_t", "c6v_t", "oht"])
