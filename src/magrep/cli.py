@@ -22,7 +22,7 @@ from .catalog import catalog_get, catalog_list
 from .coreps import validate_corep
 from .errors import EmptyChannel, MagrepError, ParseError, UnknownName
 from .groups import FactorSystem, validate_cocycle
-from .kp import _dispersion_table, _linear_couplings, build_gamma_matrices, probe_stability
+from .kp import _dispersion_table, build_gamma_matrices, probe_stability
 from .reduction import (
     TORSION_TOL,
     _index_and_coset,
@@ -185,11 +185,6 @@ def cmd_kp(args) -> int:
     if args.max_order < 1:
         raise ParseError("--max-order must be at least 1")
     tol = _tol(args, 1e-9)
-    if action.dim_q != 3:
-        # non-momentum channel: only the linear coupling is defined
-        field = _linear_couplings(rep, {"field": action}, tol)["field"]
-        _emit({"channel_dim": action.dim_q, "seed": args.seed, "tol": tol, **field}, args)
-        return EXIT_OK
     table, sets = _dispersion_table(rep, action, args.max_order, args.seed)
     report = {"dispersion": table, "models": [], "seed": args.seed, "tol": tol}
     for entry, chans in zip(table["orders"], sets):

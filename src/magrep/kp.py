@@ -1,9 +1,9 @@
 """Symmetry-constrained effective Hamiltonians around high-symmetry points.
 
-Given an irreducible co-rep M and a real probe action D (momentum components,
-an electric or magnetic field, or a channel of homogeneous polynomials), this
-module counts and constructs the Hermitian coupling tuples (gamma^1..gamma^q)
-obeying
+Given an irreducible co-rep M and a real probe action D on q components
+(momentum, a field, a strain, or a channel of homogeneous polynomials in the
+components of any of them), this module counts and constructs the Hermitian
+coupling tuples (gamma^1..gamma^q) obeying
 
     M(h)  gamma^m M(h)^dag  = sum_n dual(D)(h)_{nm}  gamma^n        (h unitary)
     M(t0) conj(gamma^m) M(t0)^dag = sum_n gamma^n dual(D)(t0)_{nm}  (anti-unitary)
@@ -207,10 +207,10 @@ def _criterion_values(rep: CoRep, chi_v: np.ndarray) -> np.ndarray:
     return _real((unitary + coset) / 2, "criterion", NonIntegerMultiplicity)
 
 
-def _integer_counts(values, what: str, tol: float = 1e-6) -> np.ndarray:
-    """``values`` rounded to integers; raises unless each is within ``tol``."""
+def _integer_counts(values, what: str) -> np.ndarray:
+    """``values`` rounded to integers; raises unless each is within 1e-6."""
     nearest = np.rint(values)
-    if not (np.abs(values - nearest) <= tol).all():   # NaN fails too
+    if not (np.abs(values - nearest) <= 1e-6).all():   # NaN fails too
         raise NonIntegerMultiplicity(f"{what} {values} is not an integer")
     return nearest.astype(int)
 
@@ -232,8 +232,7 @@ def _check_same_group(rep: CoRep, action: ProbeRepAction) -> None:
         raise DimensionMismatch("the probe action belongs to another group")
 
 
-def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
-                        tol: float = 1e-6) -> int:
+def linear_multiplicity(rep: CoRep, action: ProbeRepAction) -> int:
     """Integer multiplicity of the probe channel; > 0 means a coupling exists.
 
     The count comes from characters, which mean nothing for matrices that
@@ -241,7 +240,7 @@ def linear_multiplicity(rep: CoRep, action: ProbeRepAction,
     a non-rep raises InvalidAction, or NonIntegerMultiplicity first when its
     count is not even an integer.
     """
-    count = int(_integer_counts(multiplicity_value(rep, action), "criterion value", tol))
+    count = int(_integer_counts(multiplicity_value(rep, action), "criterion value"))
     validate_action(action)
     return count
 
@@ -433,9 +432,11 @@ def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:
 
 # -- polynomial channels -----------------------------------------------------------
 
-def monomial_exponents(n: int) -> list:
-    """Degree-n exponent tuples in three variables, descending lex order."""
-    return [(a, b, n - a - b) for a in range(n, -1, -1) for b in range(n - a, -1, -1)]
+def monomial_exponents(n: int, q: int) -> list:
+    """Degree-n exponent tuples in q variables, descending lex order."""
+    if q == 1:
+        return [(n,)]
+    return [(a,) + rest for a in range(n, -1, -1) for rest in monomial_exponents(n - a, q - 1)]
 
 
 def evaluate_monomials(exponents, dk: np.ndarray) -> np.ndarray:
@@ -443,20 +444,20 @@ def evaluate_monomials(exponents, dk: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _degree_tables(j: int) -> tuple:
-    """Read-only tables that raise ``_substitution_matrices`` from degree
-    j - 1 to j, in the order of ``monomial_exponents``: ``first[c]``, the
+def _degree_tables(j: int, q: int) -> tuple:
+    """Read-only tables that raise ``_substitution_matrices`` in q variables
+    from degree j - 1 to j, in ``monomial_exponents`` order: ``first[c]``, the
     first variable of monomial c; ``parent[c]``, monomial c divided by it;
     and ``times[(b, w), c]`` = 1 when monomial b times k_w is monomial c."""
-    prev = {e: k for k, e in enumerate(monomial_exponents(j - 1))}
-    expos = monomial_exponents(j)
+    prev = {e: k for k, e in enumerate(monomial_exponents(j - 1, q))}
+    expos = monomial_exponents(j, q)
     index = {e: k for k, e in enumerate(expos)}
-    first = np.array([next(v for v in range(3) if e[v]) for e in expos])
+    first = np.array([next(v for v in range(q) if e[v]) for e in expos])
     parent = np.array([prev[tuple(x - (w == v) for w, x in enumerate(e))]
                        for e, v in zip(expos, first)])
-    times = np.zeros((len(prev), 3, len(expos)))
+    times = np.zeros((len(prev), q, len(expos)))
     for e, b in prev.items():
-        for w in range(3):
+        for w in range(q):
             times[b, w, index[tuple(x + (u == w) for u, x in enumerate(e))]] = 1.0
     times = times.reshape(-1, len(expos))
     for table in (first, parent, times):
@@ -467,14 +468,15 @@ def _degree_tables(j: int) -> tuple:
 def _substitution_matrices(lin: np.ndarray, n: int) -> np.ndarray:
     """Matrices R with mono_a(lin @ k) = sum_b R[a, b] mono_b(k), degree n.
 
-    ``lin`` is a stack ``(..., 3, 3)`` and the result ``(..., m, m)`` in the
-    order of ``monomial_exponents(n)``.  Built degree by degree: a monomial is
-    its first variable times a monomial one degree lower, so its row is that
-    parent row multiplied by the variable's linear form (``_degree_tables``).
+    ``lin`` is a stack ``(..., q, q)`` and the result ``(..., m, m)`` in the
+    order of ``monomial_exponents(n, q)``.  Built degree by degree: a
+    monomial is its first variable times a monomial one degree lower, so its
+    row is that parent row multiplied by the variable's linear form
+    (``_degree_tables``).
     """
     r = np.ones(lin.shape[:-2] + (1, 1))
     for j in range(1, n + 1):
-        first, parent, times = _degree_tables(j)
+        first, parent, times = _degree_tables(j, lin.shape[-1])
         terms = r[..., parent, :, None] * lin[..., first, None, :]
         r = terms.reshape(terms.shape[:-2] + (-1,)) @ times
     return r
@@ -508,32 +510,30 @@ def polynomial_channel(action: ProbeRepAction, n: int,
                        seed: int = 0) -> PolynomialChannelSet:
     """Induced action on degree-n polynomials, split into minimal real channels.
 
-    The momentum components transform with the dual matrices; substituting
-    them into the monomials induces a real linear rep of the full group on
-    the (n+1)(n+2)/2 monomial coefficients.  A random symmetric matrix
-    averaged over the whole group (the same commutant trick the reduction
-    engine uses, run in real arithmetic) splits that rep into minimal
-    invariant channels; each eigenspace is returned as a ProbeRepAction with
-    explicit polynomial bases.  n = 1 reproduces the input action.
+    The q components of the probe (momentum, a field, a strain) transform
+    with the dual matrices; substituting them into the monomials induces a
+    real linear rep of the full group on the C(n + q - 1, q - 1) monomial
+    coefficients.  A random symmetric matrix averaged over the whole group
+    (the same commutant trick the reduction engine uses, run in real
+    arithmetic) splits that rep into minimal invariant channels; each
+    eigenspace is returned as a ProbeRepAction with explicit polynomial
+    bases.  n = 1 reproduces the input action.
 
-    The input is validated once per call.  The channels are checked
+    Every input is validated once per call.  The channels are checked
     together, in one group-law check of the block-diagonal rep they form
     (tolerance 1e-7), whose residual is the largest of the channels' own,
     up to last-place rounding.
     """
     if n < 1:
         raise ValueError("polynomial order must be >= 1")
-    if action.dim_q == 3:   # otherwise the builder raises the dimension error
-        validate_action(action)
+    validate_action(action)
     return _channel_set(action, n, seed)
 
 
 def _channel_set(action: ProbeRepAction, n: int, seed: int) -> PolynomialChannelSet:
     """``polynomial_channel`` of an action the caller has validated."""
     g = action.group
-    if action.dim_q != 3:
-        raise InvalidAction("polynomial channels are induced from a 3-dim momentum action")
-    exponents = monomial_exponents(n)
+    exponents = monomial_exponents(n, action.dim_q)
     n_mono = len(exponents)
     # substitution rep of every element: the monomials of the dual matrices
     mats = action.d(np.arange(g.order))
@@ -598,7 +598,8 @@ def _channel_set(action: ProbeRepAction, n: int, seed: int) -> PolynomialChannel
 
 def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
                      seed: int = 0) -> dict:
-    """Channel-by-channel multiplicity table for orders 1..n_max.
+    """Channel-by-channel multiplicity table for orders 1..n_max of the
+    polynomials in the action's q components, whatever q is.
 
     The leading dispersion order is the smallest order whose full induced
     action has positive multiplicity; per-channel entries expose which
@@ -640,27 +641,6 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
     return {"orders": orders, "leading_order": leading, "seed": seed}, sets
 
 
-def _linear_couplings(rep: CoRep, probes: dict, tol: float) -> dict:
-    """Linear-coupling entry of each named probe action (of the co-rep's
-    group): its ``_coupling_counts``, its kind and, where it couples, the
-    ``build_gamma_matrices`` tuples and residuals.  All probes are counted
-    in one criterion call on their stacked characters, whatever their
-    dimensions; like ``linear_multiplicity``, each is then validated, once."""
-    for act in probes.values():
-        _check_same_group(rep, act)
-    chars = [_characters(act) for act in probes.values()]
-    counts = _coupling_counts(rep, np.stack(chars)) if chars else []
-    out = {}
-    for (name, act), count in zip(probes.items(), counts):
-        validate_action(act)
-        entry = out[name] = {**count, "kind": act.kind}
-        if count["multiplicity"] > 0:
-            model = build_gamma_matrices(rep, act, tol)
-            entry["gammas"] = model.gammas
-            entry["residuals"] = model.residuals
-    return out
-
-
 def probe_stability(rep: CoRep, embedding, probes: Optional[dict] = None,
                     seed: int = 0, tol: float = 1e-8) -> dict:
     """Robustness of a degeneracy against a symmetry-lowering perturbation.
@@ -668,13 +648,29 @@ def probe_stability(rep: CoRep, embedding, probes: Optional[dict] = None,
     ``embedding`` lists the parent-group element ids that remain symmetries.
     The restricted co-rep's irreducibility index decides protection; = 1
     keeps the degeneracy, > 1 allows splitting at some order.  Each probe
-    channel (a ProbeRepAction of the *full* group) is additionally checked
-    for a linear coupling (``_linear_couplings``); its splitting
-    multiplicity excludes pure identity couplings, which shift but never
-    split.  Nothing here is random: ``seed`` is only echoed in the report.
+    channel (a ProbeRepAction of the *full* group) gets its linear-coupling
+    ``_coupling_counts``, its kind and, where it couples, the
+    ``build_gamma_matrices`` tuples and residuals.  All probes are counted
+    in one criterion call on their stacked characters, whatever their
+    dimensions, then each is validated once.  Splitting counts exclude
+    identity couplings, which shift but never split.  Nothing here is
+    random: ``seed`` is only echoed in the report.
     """
     sub_rep = restrict_corep(rep, embedding)[0]
     index = irreducibility_index(sub_rep)
+    probes = probes or {}
+    for act in probes.values():
+        _check_same_group(rep, act)
+    chars = [_characters(act) for act in probes.values()]
+    counts = _coupling_counts(rep, np.stack(chars)) if chars else []
+    entries = {}
+    for (name, act), count in zip(probes.items(), counts):
+        validate_action(act)
+        entry = entries[name] = {**count, "kind": act.kind}
+        if count["multiplicity"] > 0:
+            model = build_gamma_matrices(rep, act, tol)
+            entry["gammas"] = model.gammas
+            entry["residuals"] = model.residuals
     return {
         "subgroup_order": sub_rep.group.order,
         "subgroup_is_magnetic": sub_rep.group.is_magnetic,
@@ -682,5 +678,5 @@ def probe_stability(rep: CoRep, embedding, probes: Optional[dict] = None,
         "protected": abs(index - 1.0) <= tol,
         "tol": tol,
         "seed": seed,
-        "probes": _linear_couplings(rep, probes or {}, tol),
+        "probes": entries,
     }

@@ -122,7 +122,7 @@ def torsion_number(rep: CoRep, tol: float = TORSION_TOL) -> int:
 
 
 def _torsion(index: float, coset, tol: float) -> int:
-    if abs(index - 1.0) > tol:
+    if not abs(index - 1.0) <= tol:   # a NaN criterion fails too
         raise NotIrreducible(f"criterion is {index}, not 1")
     if coset is None:
         raise NoT0("coset sum needs anti-unitary elements")
@@ -300,7 +300,7 @@ def _reduce_once(rep: CoRep, seed: int, tol: float,
     for sl in block_slices:
         index, coset = _index_and_coset(
             CoRep(group=g, omega=rep.omega, matrices=rotated[:, sl, sl]))
-        if abs(index - 1.0) > max(10 * tol, 1e-7):
+        if not abs(index - 1.0) <= max(10 * tol, 1e-7):   # NaN fails too
             raise NotIrreducible(
                 f"block {sl} has criterion {index}; accidental degeneracy suspected")
         energy = float(energies[sl].mean())

@@ -449,15 +449,16 @@ def associativity_failure_full(table):
 def substitution_matrix_dict(exponents, lin):
     """Matrix R with mono_a(lin @ k) = sum_b R[a, b] mono_b(k), expanded by
     multiplying out the linear forms monomial by monomial."""
+    q = len(lin)
     index = {e: k for k, e in enumerate(exponents)}
     r = np.zeros((len(exponents), len(exponents)))
     for row, expo in enumerate(exponents):
-        poly = {(0, 0, 0): 1.0}      # exponent -> coefficient, factor by factor
-        for var in range(3):
+        poly = {(0,) * q: 1.0}       # exponent -> coefficient, factor by factor
+        for var in range(q):
             for _ in range(expo[var]):
                 new = {}
                 for mono, c in poly.items():
-                    for var2 in range(3):
+                    for var2 in range(q):
                         if lin[var, var2] == 0.0:
                             continue
                         key = list(mono)
@@ -473,18 +474,19 @@ def substitution_matrix_dict(exponents, lin):
 def substitution_matrices_per_call(lin, n):
     """``_substitution_matrices`` with its degree tables built on every call
     from dicts of exponents."""
+    q = lin.shape[-1]
     r = np.ones(lin.shape[:-2] + (1, 1))
-    prev = {(0, 0, 0): 0}                  # exponents -> row, one degree lower
+    prev = {(0,) * q: 0}                   # exponents -> row, one degree lower
     for j in range(1, n + 1):
-        expos = monomial_exponents(j)
+        expos = monomial_exponents(j, q)
         index = {e: k for k, e in enumerate(expos)}
-        first = [next(v for v in range(3) if e[v]) for e in expos]
+        first = [next(v for v in range(q) if e[v]) for e in expos]
         parent = [prev[tuple(x - (w == v) for w, x in enumerate(e))]
                   for e, v in zip(expos, first)]
         # times[(b, w), c] = 1 when monomial b times k_w is monomial c
-        times = np.zeros((len(prev), 3, len(expos)))
+        times = np.zeros((len(prev), q, len(expos)))
         for e, b in prev.items():
-            for w in range(3):
+            for w in range(q):
                 times[b, w, index[tuple(x + (u == w) for u, x in enumerate(e))]] = 1.0
         terms = r[..., parent, :, None] * lin[..., first, None, :]
         r = terms.reshape(terms.shape[:-2] + (-1,)) @ times.reshape(-1, len(expos))
@@ -598,10 +600,8 @@ def dispersion_table_per_channel(rep, action, n_max, seed=0):
 
 
 def channel_actions(action, orders):
-    """(order, tag, action) for a field action itself, or for each order of a
-    3-dim action its full induced action ("full") and every channel."""
-    if action.dim_q != 3:
-        return [(1, "full", action)]
+    """(order, tag, action) for each order: the full induced action ("full")
+    and every channel."""
     out = []
     for n in orders:
         sets = polynomial_channel(action, n, seed=0)
@@ -612,8 +612,8 @@ def channel_actions(action, orders):
 
 @pytest.fixture(scope="session")
 def kp_sweep():
-    """Every catalog rep x probe action; a 3-dim action enters at orders 1-3,
-    each as its full induced action and as each of its channels.
+    """Every catalog rep x probe action at orders 1-3, each order as its full
+    induced action and as each of its channels.
 
     Each record carries the criterion value, the all-element oracle basis
     (``covariant_tuple_basis_columnwise``, independent of the solver) and

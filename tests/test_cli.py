@@ -364,7 +364,9 @@ def test_probe_cli(capsys):
 
 
 @pytest.mark.parametrize("name", mr.catalog_list())
-def test_kp_field_report_is_the_probe_entry(name, capsys):
+def test_kp_field_order_one_is_the_probe_entry(name, capsys):
+    # a field action takes the one polynomial path: its order-1 counts are
+    # the linear coupling counts magrep probe reports for it
     entry = mr.catalog_get(name)
     fields = [a for a, act in entry.probe_actions.items() if act.dim_q != 3]
     assert fields
@@ -374,9 +376,10 @@ def test_kp_field_report_is_the_probe_entry(name, capsys):
         code, probe = run_cli(capsys, "probe", f"@{name}", f"@{name}/{rep}",
                               "--subgroup", "0", "--probe", f"f=@{name}/{field}")
         assert code == 0
-        want = {**probe["probes"]["f"], "channel_dim": entry.probe_actions[field].dim_q,
-                "seed": 0, "tol": 1e-9}
-        assert kp == want
+        orders = kp["dispersion"]["orders"]
+        assert [o["order"] for o in orders] == [1, 2]
+        want = {k: probe["probes"]["f"][k] for k in orders[0]["full"]}
+        assert orders[0]["full"] == want, (rep, field)
 
 
 def test_console_script_installed():

@@ -1,4 +1,6 @@
+import itertools
 import os
+from math import comb
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from magrep.kp import (
     dispersion_order,
     dual_rep,
     linear_multiplicity,
+    monomial_exponents,
     multiplicity_value,
     polynomial_channel,
     probe_stability,
@@ -440,7 +443,7 @@ def test_dispersion_order_validates_a_bare_action_once(monkeypatch):
 def test_polynomial_channel_checks_its_input_and_each_order_once(monkeypatch):
     real = magrep.kp.validate_action
     seen = count_action_validations(monkeypatch)
-    # catalog momentum actions x orders 1-4 x two seeds: the input, then one
+    # catalog actions x orders 1-4 x two seeds: the input, then one
     # check per order, of the block-diagonal rep the channels form, whose
     # residual is the largest of the channels' own.  Products of the blocks
     # are bit-equal to the channels' own, but LAPACK may round the inverse of
@@ -448,8 +451,6 @@ def test_polynomial_channel_checks_its_input_and_each_order_once(monkeypatch):
     # order 1, seed 7: 2.73e-16 against 2.27e-16)
     for name in mr.catalog_list():
         for act in mr.catalog_get(name).probe_actions.values():
-            if act.dim_q != 3:
-                continue
             for n in (1, 2, 3, 4):
                 for seed in (0, 7):
                     seen.clear()
@@ -529,9 +530,9 @@ def test_constant_tables_are_built_once_and_read_only():
         assert magrep.kp.hermitian_basis(d) is basis
         with pytest.raises(ValueError, match="read-only"):
             basis[0, 0, 0] = 2.0
-    for j in (1, 2, 5):
-        tables = magrep.kp._degree_tables(j)
-        assert magrep.kp._degree_tables(j) is tables
+    for j, q in itertools.product((1, 2, 5), (1, 2, 3)):
+        tables = magrep.kp._degree_tables(j, q)
+        assert magrep.kp._degree_tables(j, q) is tables
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table.flat[0] = 1
@@ -542,6 +543,18 @@ def test_monomial_count():
     sets = polynomial_channel(act, 2)
     assert len(sets.exponents) == 6
     assert sets.full_action.dim_q == 6
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_monomial_exponents_in_q_variables(q):
+    for n in range(6):
+        expos = monomial_exponents(n, q)
+        assert len(expos) == len(set(expos)) == comb(n + q - 1, q - 1)
+        assert all(len(e) == q and sum(e) == n and min(e) >= 0 for e in expos)
+        assert expos == sorted(expos, reverse=True)   # descending lex order
+    # three variables keep the order every q = 3 table was written in
+    assert monomial_exponents(4, 3) == [(a, b, 4 - a - b) for a in range(4, -1, -1)
+                                        for b in range(4 - a, -1, -1)]
 
 
 def test_c6v_quadratic_pair_channel():
@@ -680,6 +693,30 @@ def test_probe_stability_counts_oht_field_probes_as_each_alone(oht):
             report = probe_stability(rep, ids, probes=fields)
             assert {probe: magrep.io.write_report(e)
                     for probe, e in report["probes"].items()} == want
+
+
+@pytest.mark.parametrize("strain", ["strain_eg", "strain_t2g"])
+def test_oht_strain_couplings_are_the_textbook_ones(oht, strain):
+    # time-reversal-even strain never splits the Kramers doublet Gamma6, at
+    # any order; it splits Gamma8 at linear order through one deformation
+    # potential per strain channel (Bir and Pikus)
+    act = oht["actions"][strain]
+    spinor = mr.corep_from_matrices(oht["group"], oht["coreps"]["spinor"])
+    gamma8 = mr.corep_from_matrices(oht["group"], oht["coreps"]["gamma8"])
+    for entry in dispersion_order(spinor, act, 3)["orders"]:
+        counts = [entry["full"]] + entry["channels"]
+        assert [c["splitting_multiplicity"] for c in counts] == [0] * len(counts)
+    first = dispersion_order(gamma8, act, 1)["orders"][0]
+    assert first["full"]["splitting_multiplicity"] == 1
+    assert first["full"]["multiplicity"] == linear_multiplicity(gamma8, act)
+
+
+def test_oht_quaternion_couples_to_the_magnetic_field_at_second_order(oht):
+    rep = mr.corep_from_matrices(oht["group"], oht["coreps"]["quaternion"])
+    table = dispersion_order(rep, oht["actions"]["magnetic"], 2)
+    assert table["orders"][0]["full"]["multiplicity"] == 0
+    assert table["orders"][1]["full"]["splitting_multiplicity"] == 1
+    assert table["leading_order"] == 2
 
 
 def test_probe_stability_nodal_line_style_restriction():

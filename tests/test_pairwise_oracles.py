@@ -569,21 +569,34 @@ def test_action_d_batches_over_element_ids(name):
         assert np.abs(law).max() <= 1e-12, act_name
 
 
+def assert_substitution_matches_dict_expansion(act, orders, tag):
+    lin = _dual_matrices(act.d(np.arange(act.group.order)))
+    q = act.dim_q
+    for n in orders:
+        got = _substitution_matrices(lin, n)
+        # the cached degree tables do the arithmetic of tables built per call
+        assert np.array_equal(got, substitution_matrices_per_call(lin, n)), (tag, n)
+        want = np.stack([substitution_matrix_dict(monomial_exponents(n, q), m) for m in lin])
+        assert np.abs(got - want).max() <= 1e-12, (tag, n)
+        # the induced action is the dual of the substitution rep
+        full = polynomial_channel(act, n).full_action
+        assert np.abs(dual_rep(full).d(np.arange(len(lin))) - want).max() <= 1e-12, (tag, n)
+
+
 @pytest.mark.parametrize("name", ENTRIES)
 def test_substitution_matrices_match_dict_expansion(name):
-    momenta = [a for a in mr.catalog_get(name).probe_actions.values() if a.dim_q == 3]
-    assert momenta
-    for act in momenta:
-        lin = _dual_matrices(act.d(np.arange(act.group.order)))
-        for n in (1, 2, 3, 4, 5):
-            got = _substitution_matrices(lin, n)
-            # the cached degree tables do the arithmetic of tables built per call
-            assert np.array_equal(got, substitution_matrices_per_call(lin, n)), (act.kind, n)
-            want = np.stack([substitution_matrix_dict(monomial_exponents(n), m) for m in lin])
-            assert np.abs(got - want).max() <= 1e-12, (act.kind, n)
-            # the induced action is the dual of the substitution rep
-            full = polynomial_channel(act, n).full_action
-            assert np.abs(dual_rep(full).d(np.arange(len(lin))) - want).max() <= 1e-12
+    # the momenta and the one-component fields of every entry
+    acts = mr.catalog_get(name).probe_actions
+    assert {a.dim_q for a in acts.values()} == {1, 3}
+    for act_name, act in acts.items():
+        assert_substitution_matches_dict_expansion(act, (1, 2, 3, 4, 5), act_name)
+
+
+def test_substitution_matrices_match_dict_expansion_in_two_variables(oht):
+    # the E_g strain of O_h x T: the polynomials of a 2-dim channel
+    act = oht["actions"]["strain_eg"]
+    assert act.dim_q == 2
+    assert_substitution_matches_dict_expansion(act, (1, 2, 3, 4), "strain_eg")
 
 
 @pytest.mark.parametrize("name", ENTRIES)
@@ -633,8 +646,8 @@ def assert_action_matches_rowwise(act, tag):
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_action_validation_matches_rowwise(name):
-    # every catalog action, and for each 3-dim one the full induced action
-    # and every channel of orders 1-3
+    # every catalog action's full induced action and every channel of orders
+    # 1-3
     for act_name, act in mr.catalog_get(name).probe_actions.items():
         for order, tag, a in channel_actions(act, (1, 2, 3)):
             assert_action_matches_rowwise(a, (act_name, order, tag))

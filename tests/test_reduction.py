@@ -164,6 +164,17 @@ def test_torsion_rejects_reducible():
         torsion_number(direct_sum([kramers(), kramers()]))
 
 
+def test_torsion_rejects_a_nan_criterion():
+    # a NaN entry makes the criterion NaN, which must not pass as 1
+    rep = kramers()
+    matrices = rep.matrices.copy()
+    matrices[rep.group.identity, 0, 0] = np.nan
+    bad = mr.CoRep(group=rep.group, omega=rep.omega, matrices=matrices)
+    assert np.isnan(irreducibility_index(bad))
+    with pytest.raises(NotIrreducible, match="criterion is nan"):
+        torsion_number(bad)
+
+
 def test_torsion_matches_restricted_character_norm():
     # R also equals the character norm of the restriction to H
     for name, rep_name, rep in catalog_irreps():
