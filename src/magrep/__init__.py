@@ -19,7 +19,6 @@ from .coreps import (
     random_gauge,
     regular_corep,
     restrict_corep,
-    unitary_restriction,
     validate_corep,
 )
 from .linalg import random_unitary, symmetric_unitary_sqrt
@@ -31,7 +30,6 @@ from .reduction import (
     combined_class_operator,
     irreducibility_index,
     reduce_corep,
-    torsion_indicator,
     torsion_number,
 )
 from .kp import (
@@ -45,7 +43,6 @@ from .kp import (
     multiplicity_value,
     polynomial_channel,
     probe_stability,
-    trivial_multiplicity,
     tuple_span_residual,
     validate_action,
 )

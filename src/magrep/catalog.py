@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coreps import COREP_TOL, ROW_BLOCK_ENTRIES, corep_from_matrices, residuals_within
+from .coreps import COREP_TOL, _row_blocks, corep_from_matrices, residuals_within
 from .errors import UnknownName
 from .groups import MagneticGroup, build_group, validate_cocycle
 from .kp import ProbeRepAction, validate_action
@@ -73,16 +73,13 @@ def _spin_mirror(alpha: float) -> np.ndarray:
 def _group_from_realization(realization, flags, labels) -> MagneticGroup:
     """Cayley table by matching the products of a faithful matrix realization;
     the flags form a homomorphism onto Z2, so the flag of a product is the
-    xor.  The (rows, n, n, k, k) comparison takes blocks of first elements
-    of up to ``ROW_BLOCK_ENTRIES`` entries (at least one row), so temporaries
-    stay O(max(ROW_BLOCK_ENTRIES, n^2 k^2)) as in the co-rep pair kernel."""
+    xor.  The (rows, n, n, k, k) comparison runs over the ``_row_blocks``
+    of first elements, as the co-rep pair kernel does."""
     mats = np.asarray(realization)
     flags = np.asarray(flags, dtype=int)
     n = len(mats)
-    step = max(1, ROW_BLOCK_ENTRIES // (n * mats[0].size * n))
     cayley = np.empty((n, n), dtype=int)
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
+    for rows in _row_blocks(n, n * mats[0].size * n):
         # hits[i, b, c]: element c matches the product a b (a = rows[i]) in
         # matrix and flag
         hits = np.isclose(mats, (mats[rows, None] @ mats)[:, :, None],

@@ -255,7 +255,7 @@ def cmd_catalog(args) -> int:
         files = []
         for rep_name, rep in entry.reps.items():
             files += [(f"group-{rep_name}", io.group_to_dict(entry.group, rep.omega)),
-                      (f"rep-{rep_name}", io.corep_to_dict(rep, inline_group=False))]
+                      (f"rep-{rep_name}", io.corep_to_dict(rep))]
         files += [(f"action-{name}", io.action_to_dict(act))
                   for name, act in entry.probe_actions.items()]
         written = []

@@ -145,23 +145,29 @@ def _unitarity_residual(mats: np.ndarray) -> float:
     return _max_frobenius_norm(np.swapaxes(np.conj(mats), -1, -2) @ mats - eye)
 
 
+def _row_blocks(n: int, entries_per_row: int):
+    """The ids 0..n-1 in consecutive blocks, each an int array of as many
+    rows as fit ``ROW_BLOCK_ENTRIES`` entries at ``entries_per_row`` each
+    (at least one row): the block policy of every per-row product kernel."""
+    step = max(1, ROW_BLOCK_ENTRIES // max(1, entries_per_row))
+    for start in range(0, n, step):
+        yield np.arange(start, min(start + step, n))
+
+
 def _row_products(group: MagneticGroup, mats: np.ndarray):
     """Yield ``(rows, prod, target)`` over blocks of first elements a:
     prod[i, b] = M(a) conj^[s(a)](M(b)) and target[i, b] = M(ab) for
-    a = rows[i].  The blocks run through the element ids in order, each
-    with as many rows as fit ``ROW_BLOCK_ENTRIES`` product entries (at
-    least one), so temporaries stay O(max(ROW_BLOCK_ENTRIES, n d^2)).
+    a = rows[i], over the ``_row_blocks`` of n d^2 product entries a row,
+    so temporaries stay O(max(ROW_BLOCK_ENTRIES, n d^2)).
 
     Every M(b) sits side by side in one ``(d, n d)`` matrix W, so a block's
     unitary rows take all their products in one matrix product
     ``M(rows) W`` with the rows' matrices stacked, and its anti-unitary
     rows in one with conj(W)."""
     n, d = mats.shape[:2]
-    step = max(1, ROW_BLOCK_ENTRIES // (n * d * d))
     wide = mats.transpose(1, 0, 2).reshape(d, n * d)
     wides = (wide, np.conj(wide))
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
+    for rows in _row_blocks(n, n * d * d):
         prod = np.empty((len(rows), n, d, d), dtype=complex)
         for flag, w in enumerate(wides):
             sel = group.antiunitary[rows] == flag
@@ -332,7 +338,7 @@ def gauge_transform(rep: CoRep, phases) -> CoRep:
     if ph.shape != (g.order,):
         raise DimensionMismatch("need one phase per group element")
     delta = float(np.abs(np.abs(ph) - 1.0).max())
-    if delta > 1e-12:
+    if not delta <= 1e-12:   # a NaN phase fails too
         raise InvalidCoRep("gauge phases must have unit modulus")
     mats = ph[:, None, None] * rep.matrices
     s = g.antiunitary
@@ -361,11 +367,6 @@ def restrict_corep(rep: CoRep, element_ids) -> tuple[CoRep, np.ndarray]:
     omega = FactorSystem(rep.omega.values[np.ix_(emb, emb)])
     return _carrying(CoRep(group=sub, omega=omega, matrices=rep.matrices[emb]),
                      rep.residuals), emb
-
-
-def unitary_restriction(rep: CoRep) -> tuple[CoRep, np.ndarray]:
-    """Restriction to the halving subgroup H as a standalone unitary group."""
-    return restrict_corep(rep, rep.group.h_elements)
 
 
 def regular_corep(group: MagneticGroup, omega: Optional[FactorSystem] = None) -> CoRep:

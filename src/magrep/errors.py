@@ -27,10 +27,6 @@ class DimensionMismatch(MagrepError):
     """Array shapes do not match the group order or representation dimension."""
 
 
-class ElementNotInSubgroup(MagrepError):
-    pass
-
-
 class NotASubgroupEmbedding(MagrepError):
     """Element map does not embed a magnetic group (products, flags or cocycle)."""
 

@@ -18,10 +18,8 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    ElementNotInSubgroup,
     FlagInconsistent,
     NoHalvingSubgroup,
-    NoT0,
     NotAGroup,
     NotASubgroupEmbedding,
 )
@@ -91,15 +89,6 @@ class MagneticGroup:
     def coset_elements(self) -> np.ndarray:
         """Ids of the anti-unitary elements, ascending."""
         return np.nonzero(self.antiunitary == 1)[0]
-
-    def conjugate_by_t0(self, h: int) -> int:
-        """Return the id of ``t0^-1 * h * t0`` for a unitary element h."""
-        if self.t0 is None:
-            raise NoT0("group has no anti-unitary elements")
-        if self.s(h) != 0:
-            raise ElementNotInSubgroup(f"element {h} is not in the unitary subgroup")
-        t0i = self.inv(self.t0)
-        return self.mul(self.mul(t0i, h), self.t0)
 
     def label(self, g: int) -> str:
         return self.labels[g]

@@ -1,5 +1,8 @@
 """JSON file formats for groups, co-reps, probe actions and reports.
 
+Each ``load_*`` reader takes a file path or the object parsed from one.  A
+co-rep file holds its ``dim`` and one matrix per element label, nothing
+else: its group and factor system come from the group file read with it.
 Complex numbers serialize as [re, im] pairs, matrices row-major, so every
 file diffs cleanly and parses without a schema library.  Reports carry the
 tolerance next to each judged value.  ``json`` renders them; ``_jsonable``
@@ -15,7 +18,6 @@ any: JSON parses NaN and Infinity, which no linear algebra downstream survives.
 from __future__ import annotations
 
 import json
-import os
 from functools import reduce
 from typing import Optional, Union
 
@@ -96,9 +98,9 @@ def _load_json(path: str) -> dict:
 
 # -- groups -------------------------------------------------------------------------
 
-def group_from_dict(data: dict) -> tuple[MagneticGroup, Optional[FactorSystem]]:
-    if not isinstance(data, dict):
-        raise ParseError(f"a group must be a JSON object, got {type(data).__name__}")
+def load_group(source: Union[str, dict]) -> tuple[MagneticGroup, Optional[FactorSystem]]:
+    """The group and its factor system, None when the file gives none."""
+    data = _load_json(source) if isinstance(source, str) else source
     for key in ("order", "cayley", "antiunitary"):
         if key not in data:
             raise ParseError(f"group file misses required key {key!r}")
@@ -121,12 +123,6 @@ def group_from_dict(data: dict) -> tuple[MagneticGroup, Optional[FactorSystem]]:
     return group, omega
 
 
-def load_group(source: Union[str, dict]) -> tuple[MagneticGroup, Optional[FactorSystem]]:
-    if isinstance(source, str):
-        source = _load_json(source)
-    return group_from_dict(source)
-
-
 def group_to_dict(group: MagneticGroup, omega: Optional[FactorSystem] = None) -> dict:
     data = {
         "order": group.order,
@@ -141,17 +137,11 @@ def group_to_dict(group: MagneticGroup, omega: Optional[FactorSystem] = None) ->
 
 # -- co-reps ------------------------------------------------------------------------
 
-def corep_from_dict(data: dict, group: Optional[MagneticGroup] = None,
-                    omega: Optional[FactorSystem] = None,
-                    base_dir: str = ".") -> CoRep:
-    if group is None:
-        if "group" not in data:
-            raise ParseError("co-rep file needs an inline group or a group path")
-        ref = data["group"]
-        if isinstance(ref, str):
-            group, omega = load_group(os.path.join(base_dir, ref))
-        else:
-            group, omega = group_from_dict(ref)
+def load_corep(source: Union[str, dict], group: MagneticGroup,
+               omega: Optional[FactorSystem] = None) -> CoRep:
+    """The co-rep of ``group`` under ``omega``, the trivial factor system
+    when None.  A ``"group"`` key, which older files carry, is ignored."""
+    data = _load_json(source) if isinstance(source, str) else source
     if omega is None:
         omega = FactorSystem.trivial(group.order)
     raw, d = _matrix_table(data, "co-rep")
@@ -173,29 +163,17 @@ def corep_from_dict(data: dict, group: Optional[MagneticGroup] = None,
     return CoRep(group=group, omega=omega, matrices=mats)
 
 
-def load_corep(source: Union[str, dict], group: Optional[MagneticGroup] = None,
-               omega: Optional[FactorSystem] = None) -> CoRep:
-    base_dir = "."
-    if isinstance(source, str):
-        base_dir = os.path.dirname(os.path.abspath(source))
-        source = _load_json(source)
-    return corep_from_dict(source, group=group, omega=omega, base_dir=base_dir)
-
-
-def corep_to_dict(rep: CoRep, inline_group: bool = True) -> dict:
+def corep_to_dict(rep: CoRep) -> dict:
     pairs = _pairs(rep.matrices)
-    data = {
-        "dim": rep.dim,
-        "matrices": {rep.group.label(g): pairs[g] for g in range(rep.group.order)},
-    }
-    if inline_group:
-        data["group"] = group_to_dict(rep.group, rep.omega)
-    return data
+    return {"dim": rep.dim,
+            "matrices": {rep.group.label(g): pairs[g] for g in range(rep.group.order)}}
 
 
 # -- probe actions --------------------------------------------------------------------
 
-def action_from_dict(data: dict, group: MagneticGroup) -> ProbeRepAction:
+def load_action(source: Union[str, dict], group: MagneticGroup) -> ProbeRepAction:
+    """The probe action on ``group``, validated as a rep."""
+    data = _load_json(source) if isinstance(source, str) else source
     raw, q = _matrix_table(data, "action")
     index = {lab: k for k, lab in enumerate(group.labels)}
     d_h = None
@@ -224,12 +202,6 @@ def action_from_dict(data: dict, group: MagneticGroup) -> ProbeRepAction:
                             kind=str(data.get("kind", "momentum")))
     validate_action(action)
     return action
-
-
-def load_action(source: Union[str, dict], group: MagneticGroup) -> ProbeRepAction:
-    if isinstance(source, str):
-        source = _load_json(source)
-    return action_from_dict(source, group)
 
 
 def action_to_dict(action: ProbeRepAction) -> dict:

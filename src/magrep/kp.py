@@ -14,7 +14,9 @@ and the number of identity couplings is the mean probe character, the trace
 of the group-average projector onto the fixed vectors.  Both are linear in
 the probe character, so ``_coupling_counts`` takes both for a stack of
 characters in one call: the full induced action and every channel of one
-order in ``dispersion_order``, every probe in ``probe_stability``.
+order in ``dispersion_order``, every probe in ``probe_stability``.  Those
+two report the identity couplings; ``linear_multiplicity`` counts the
+couplings of one probe alone.
 Characters cannot tell a rep from a non-rep, so each entry point that counts
 validates its action once per call; the channels of one polynomial order are
 checked together, as the block-diagonal rep they form.
@@ -36,8 +38,8 @@ matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
 is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
 co-reps: the probe characters and the substitution rep of the polynomial
 channels read every element at once.  ``validate_action`` checks all |H|^2
-subgroup products in broadcast matmuls, one per block of rows of up to
-``ROW_BLOCK_ENTRIES`` product entries.
+subgroup products in broadcast matmuls, one per block of rows from
+``coreps._row_blocks``, the block rule of the co-rep pair kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coreps import ROW_BLOCK_ENTRIES, CoRep, restrict_corep
+from .coreps import CoRep, _row_blocks, restrict_corep
 from .errors import (
     DimensionMismatch,
     EmptyChannel,
@@ -149,9 +151,8 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     # temporaries, each slower to fill than the products are to take.
     # np.max, unlike the builtin max, lets a NaN residual through to the test
     table = pos[g.cayley[np.ix_(h, h)]]
-    step = max(1, ROW_BLOCK_ENTRIES // max(1, d_h[:1].size * len(h)))
-    resids = [np.abs(d_h[a:a + step, None] @ d_h[None, :] - d_h[table[a:a + step]]).max()
-              for a in range(0, len(h), step)]
+    resids = [np.abs(d_h[rows, None] @ d_h[None, :] - d_h[table[rows]]).max()
+              for rows in _row_blocks(len(h), d_h[:1].size * len(h))]
     if g.is_magnetic:
         t0 = g.t0
         resids.append(np.abs(action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max())
@@ -241,22 +242,6 @@ def linear_multiplicity(rep: CoRep, action: ProbeRepAction) -> int:
     count is not even an integer.
     """
     count = int(_integer_counts(multiplicity_value(rep, action), "criterion value"))
-    validate_action(action)
-    return count
-
-
-def trivial_multiplicity(action: ProbeRepAction) -> int:
-    """Number of identity-matrix coupling tuples: the dimension of the real
-    vectors fixed by D(g) for every group element.  These shift all levels
-    together and never split a degeneracy.
-
-    Counted from characters: the mean character (1/|G|) sum_g Tr D(g) is the
-    trace of the group-average projector, so it equals that dimension for
-    every rep, oblique ones too.  As in ``linear_multiplicity``, a non-integer
-    mean raises NonIntegerMultiplicity and an integer one is returned only
-    for an action that is a rep.
-    """
-    count = int(_integer_counts(_characters(action).mean(), "mean character"))
     validate_action(action)
     return count
 

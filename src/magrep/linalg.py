@@ -1,5 +1,5 @@
 """Numerical kernels: common eigenbases refined block by block and
-symmetric-unitary square roots, plus random unitary fixtures.
+symmetric-unitary square roots, plus a random unitary fixture.
 
 These wrap LAPACK via numpy but add the validation, determinism and
 branch-cut policies the representation engines rely on.
@@ -69,8 +69,9 @@ def symmetric_unitary_sqrt(m: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray
     m = np.asarray(m, dtype=complex)
     d = m.shape[0]
     eye = np.eye(d)
-    if np.linalg.norm(m.conj().T @ m - eye, ord=2) > tol:
-        raise NotSymmetricUnitary("matrix is not unitary at tolerance")
+    # a non-finite entry is refused before LAPACK sees it
+    if not np.isfinite(m).all() or np.linalg.norm(m.conj().T @ m - eye, ord=2) > tol:
+        raise NotSymmetricUnitary("matrix is not a finite unitary at tolerance")
     if np.linalg.norm(m @ np.conj(m) - eye, ord=2) > tol:
         raise NotSymmetricUnitary("M @ conj(M) != I")
 
@@ -90,7 +91,7 @@ def symmetric_unitary_sqrt(m: np.ndarray, tol: float = LINALG_TOL) -> np.ndarray
     return r @ np.diag(np.exp(0.5j * theta)) @ r.T
 
 
-# -- small random fixtures ----------------------------------------------------
+# -- small random fixture -----------------------------------------------------
 
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-ish random unitary from the QR of a complex Ginibre matrix."""
@@ -98,12 +99,4 @@ def random_unitary(d: int, seed) -> np.ndarray:
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_symmetric_unitary(d: int, seed) -> np.ndarray:
-    """Q^T D Q fixture with unit-modulus diagonal D and real orthogonal Q."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    phases = np.exp(2j * np.pi * rng.random(d))
-    return q.T @ np.diag(phases) @ q
 

@@ -102,15 +102,6 @@ def _real(value, what: str, error=InvalidCoRep):
     return value.real
 
 
-def torsion_indicator(rep: CoRep) -> float:
-    """Real value of the coset sum (1/|H|) sum_u omega(u, u) chi(u^2), which
-    equals (1/|H|) sum_u Tr[M(u) conj(M(u))]; quantized to {1, 0, -2} on
-    irreducibles."""
-    if not rep.group.is_magnetic:
-        raise NoT0("coset sum needs anti-unitary elements")
-    return float(_real(criterion_sums(rep, np.ones(rep.group.order))[1], "indicator"))
-
-
 def torsion_number(rep: CoRep, tol: float = TORSION_TOL) -> int:
     """Torsion class R in {1, 2, 4} of an irreducible co-rep.
 

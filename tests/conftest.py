@@ -100,6 +100,15 @@ def compatible_rep_groups(entry):
     return groups
 
 
+def random_symmetric_unitary(d: int, seed) -> np.ndarray:
+    """Q^T D Q with unit-modulus diagonal D and real orthogonal Q: the inputs
+    of ``linalg.symmetric_unitary_sqrt`` in acceptance criterion 06."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    phases = np.exp(2j * np.pi * rng.random(d))
+    return q.T @ np.diag(phases) @ q
+
+
 # -- alternate criterion forms, kept as oracles for reduction.criterion_sums --
 
 def coset_trace_sum(rep):

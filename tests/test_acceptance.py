@@ -11,7 +11,7 @@ from magrep.coreps import (
     conjugate_corep,
     direct_sum,
     random_gauge,
-    unitary_restriction,
+    restrict_corep,
 )
 from magrep.errors import EigenvalueAtBranchCutWarning
 from magrep.kp import (
@@ -20,19 +20,20 @@ from magrep.kp import (
     probe_stability,
     tuple_span_residual,
 )
-from magrep.linalg import random_symmetric_unitary, symmetric_unitary_sqrt
+from magrep.linalg import symmetric_unitary_sqrt
 from magrep.reduction import (
     TORSION_INDICATOR,
     build_G_commutant,
+    criterion_sums,
     irreducibility_index,
     reduce_corep,
-    torsion_indicator,
     torsion_number,
 )
 from conftest import (
     catalog_irreps,
     compatible_rep_groups,
     irreducibility_index_trace_form,
+    random_symmetric_unitary,
 )
 
 
@@ -62,12 +63,13 @@ def test_criterion_02_dual_path_identity():
 def test_criterion_03_torsion_trichotomy_and_restriction():
     seen = set()
     for name, rep_name, rep in magnetic_irreps():
-        value = torsion_indicator(rep)
+        # the indicator is the coset sum of the criterion
+        value = criterion_sums(rep, np.ones(rep.group.order))[1]
         r = torsion_number(rep)
         assert abs(value - TORSION_INDICATOR[r]) <= 1e-8, (name, rep_name)
         seen.add(r)
         if r == 4:
-            h_rep, _ = unitary_restriction(rep)
+            h_rep, _ = restrict_corep(rep, rep.group.h_elements)
             dec = reduce_corep(h_rep, seed=11)
             dims = dec.block_dims
             assert len(dims) == 2 and dims[0] == dims[1], (name, rep_name)

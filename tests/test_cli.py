@@ -9,7 +9,6 @@ import pytest
 import magrep as mr
 from magrep import io
 from magrep.cli import main
-from magrep.errors import ParseError
 
 
 def run_cli(capsys, *argv):
@@ -129,7 +128,7 @@ def test_reduce_cli_two_kramers(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
     gpath.write_text(io.write_report(io.group_to_dict(rep.group, rep.omega)))
-    rpath.write_text(io.write_report(io.corep_to_dict(rep, inline_group=False)))
+    rpath.write_text(io.write_report(io.corep_to_dict(rep)))
     code, report = run_cli(capsys, "reduce", str(gpath), str(rpath), "--seed", "3")
     assert code == 0
     assert sorted(b["dim"] for b in report["blocks"]) == [2, 2]
@@ -151,7 +150,7 @@ def test_reduce_judges_irreducible_at_the_tolerance_it_echoes(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     rpath = tmp_path / "r.json"
     gpath.write_text(io.write_report(io.group_to_dict(rep.group, rep.omega)))
-    rpath.write_text(io.write_report(io.corep_to_dict(scaled, inline_group=False)))
+    rpath.write_text(io.write_report(io.corep_to_dict(scaled)))
     code, report = run_cli(capsys, "reduce", str(gpath), str(rpath), "--tol", "1e-10")
     assert code == 0
     assert report["tol"] == 1e-10
@@ -343,12 +342,17 @@ def test_group_file_with_fractional_ids_does_not_validate(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 0
 
 
-def test_co_rep_with_a_malformed_inline_group_is_a_parse_error(exported, tmp_path):
-    # the CLI passes the group argument, so only a library caller reads it
-    bad = _edited(exported / "z2t_kramers.rep-kramers.json", tmp_path / "bad.rep.json",
-                  "group", 5)
-    with pytest.raises(ParseError, match="JSON object"):
-        io.load_corep(bad)
+def test_co_rep_file_with_an_inline_group_validates_as_without_it(exported, tmp_path, capsys):
+    # co-rep files written before the format held only dim and matrices
+    # carry their group inline; the group argument decides, the key is ignored
+    entry = mr.catalog_get("c4v_t")
+    group_file = str(exported / "c4v_t.group-e_half.json")
+    plain = str(exported / "c4v_t.rep-e_half.json")
+    legacy = _edited(plain, tmp_path / "legacy.rep.json", "group",
+                     io.group_to_dict(entry.group, entry.reps["e_half"].omega))
+    code, report = run_cli(capsys, "validate", group_file, legacy)
+    assert code == 0
+    assert report == run_cli(capsys, "validate", group_file, plain)[1]
 
 
 def test_probe_cli(capsys):

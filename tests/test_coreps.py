@@ -15,7 +15,6 @@ from magrep.coreps import (
     random_gauge,
     regular_corep,
     restrict_corep,
-    unitary_restriction,
     validate_corep,
 )
 from magrep.errors import DimensionMismatch, InvalidCoRep
@@ -119,6 +118,16 @@ def test_gauge_transform_keeps_validation():
         assert cocycle.passed
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1.5], ids=["nan", "modulus"])
+def test_gauge_transform_refuses_a_phase_off_the_unit_circle(bad):
+    # a NaN phase would give NaN matrices and NaN residual bounds
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    phases = np.ones(rep.group.order, dtype=complex)
+    phases[3] = bad
+    with pytest.raises(InvalidCoRep, match="unit modulus"):
+        gauge_transform(rep, phases)
+
+
 def test_conjugate_corep_preserves_relation():
     rep = kramers()
     u = random_unitary(2, 3)
@@ -192,7 +201,7 @@ def test_conjugate_corep_onto_invariant_subspace():
 
 def test_regular_corep_of_unitary_group():
     entry = mr.catalog_get("c4v_t")
-    h_rep, _ = unitary_restriction(entry.reps["a1"])
+    h_rep, _ = restrict_corep(entry.reps["a1"], entry.group.h_elements)
     reg = regular_corep(h_rep.group)
     assert validate_corep(reg).passed
     chi = np.einsum("gii->g", reg.matrices)
@@ -224,7 +233,7 @@ def test_reduce_validates_only_inputs_without_bounds(monkeypatch):
     entry = mr.catalog_get("c4v_t")
     pair = direct_sum([entry.reps["e_half"], entry.reps["e_half"]])
     mixed = random_gauge(conjugate_corep(pair, random_unitary(4, 3)), 4)
-    halving, _ = unitary_restriction(mixed)
+    halving, _ = restrict_corep(mixed, mixed.group.h_elements)
     derived = [entry.reps["e"], mixed, halving]
     decs = [mr.reduce_corep(rep, seed=2) for rep in derived]
     assert calls == []
@@ -270,8 +279,9 @@ def test_only_magrep_constructors_set_residuals():
     assert dataclasses.replace(kram, matrices=kram.matrices * 2).residuals is None
     assert bare(kram).residuals is None
     assert direct_sum([kram, bare(kram)]).residuals is None
-    assert io.corep_from_dict(io.corep_to_dict(kram)).residuals is None
-    h_rep, _ = unitary_restriction(mr.catalog_get("c4v_t").reps["a1"])
+    assert io.load_corep(io.corep_to_dict(kram), kram.group, kram.omega).residuals is None
+    c4v_t = mr.catalog_get("c4v_t")
+    h_rep, _ = restrict_corep(c4v_t.reps["a1"], c4v_t.group.h_elements)
     assert regular_corep(h_rep.group).residuals is None
     assert "residuals" not in repr(kram)
 

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 import magrep as mr
 from magrep.coreps import CoRep
 from magrep.errors import (
-    ElementNotInSubgroup,
     FlagInconsistent,
     NoHalvingSubgroup,
-    NoT0,
     NotAGroup,
     NotASubgroupEmbedding,
 )
@@ -97,45 +95,6 @@ def test_no_halving_subgroup():
     c3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     with pytest.raises((NoHalvingSubgroup, FlagInconsistent)):
         build_group(c3, [0, 1, 1])
-
-
-def test_conjugate_by_t0_trivial_cases():
-    g = build_group(Z2T_CAYLEY, [0, 1])
-    assert g.conjugate_by_t0(0) == 0
-    z4 = mr.catalog_get("z4t").group
-    for h in z4.h_elements:                          # abelian: conjugation fixes H
-        assert z4.conjugate_by_t0(int(h)) == int(h)
-
-
-def test_conjugate_by_t0_inverts_rotation():
-    # anti-unitary mirror times rotation: t0^-1 C4 t0 = C4^-1
-    g = mr.catalog_get("c4v_c4").group
-    labels = {lab: k for k, lab in enumerate(g.labels)}
-    assert g.label(g.t0) == "m0T"
-    assert g.conjugate_by_t0(labels["C4"]) == labels["C4^3"]
-
-
-def test_conjugate_by_t0_is_class_permutation():
-    g = mr.catalog_get("c4v_t").group
-    images = [g.conjugate_by_t0(int(h)) for h in g.h_elements]
-    assert sorted(images) == sorted(int(h) for h in g.h_elements)
-    class_of = {}
-    for k, cls in enumerate(conjugacy_classes(g, g.h_elements)):
-        for h in cls:
-            class_of[h] = k
-    mapped = {}
-    for h in g.h_elements:
-        src, dst = class_of[int(h)], class_of[g.conjugate_by_t0(int(h))]
-        assert mapped.setdefault(src, dst) == dst    # classes map to whole classes
-
-
-def test_conjugate_by_t0_requires_t0_and_unitary_argument():
-    g = build_group([[0]], [0])
-    with pytest.raises(NoT0):
-        g.conjugate_by_t0(0)
-    z2t = build_group(Z2T_CAYLEY, [0, 1])
-    with pytest.raises(ElementNotInSubgroup):
-        z2t.conjugate_by_t0(1)
 
 
 def test_cocycle_trivial_passes_everywhere():

@@ -36,13 +36,11 @@ def test_catalog_entry_round_trips_bitwise(name):
         # a rotated copy puts full-precision floats of both signs in every entry
         rotated = conjugate_corep(rep, random_unitary(rep.dim, 5))
         for original in (rep, rotated):
-            back = io.load_corep(through_report(io.corep_to_dict(original)))
-            same_group(back.group, g)
-            assert same_bits(back.omega.values, original.omega.values)
+            data = through_report(io.corep_to_dict(original))
+            assert sorted(data) == ["dim", "matrices"]
+            back = io.load_corep(data, group, omega)
+            assert back.group is group and back.omega is omega
             assert same_bits(back.matrices, original.matrices)
-            flat = io.load_corep(through_report(io.corep_to_dict(original, inline_group=False)),
-                                 group=group, omega=omega)
-            assert same_bits(flat.matrices, original.matrices)
     for a, act in entry.probe_actions.items():
         back = io.load_action(through_report(io.action_to_dict(act)), g)
         assert same_bits(back.d_h, act.d_h)
@@ -50,6 +48,22 @@ def test_catalog_entry_round_trips_bitwise(name):
         if act.d_t0 is not None:
             assert same_bits(back.d_t0, act.d_t0)
         assert back.kind == act.kind
+
+
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_co_rep_file_with_a_group_key_loads_under_the_given_group(name, tmp_path):
+    # co-rep files written before the format held only dim and matrices
+    # carry their group inline; the key is ignored, whatever it holds
+    entry = mr.catalog_get(name)
+    for r, rep in entry.reps.items():
+        group, omega = io.load_group(through_report(io.group_to_dict(entry.group, rep.omega)))
+        plain = io.corep_to_dict(rep)
+        for ref in (io.group_to_dict(entry.group, rep.omega), "elsewhere.json", 5):
+            path = tmp_path / f"{r}.rep.json"
+            path.write_text(io.write_report({**plain, "group": ref}))
+            back = io.load_corep(str(path), group, omega)
+            assert back.group is group and back.omega is omega
+            assert same_bits(back.matrices, rep.matrices), (r, ref)
 
 
 @pytest.mark.parametrize("chain", ["default", "custom"])

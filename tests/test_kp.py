@@ -30,7 +30,6 @@ from magrep.kp import (
     multiplicity_value,
     polynomial_channel,
     probe_stability,
-    trivial_multiplicity,
     tuple_span_residual,
     validate_action,
 )
@@ -131,12 +130,15 @@ def test_dispersion_order_rejects_an_action_of_another_group():
 
 
 def test_trivial_multiplicity_of_a_non_rep_fails_loudly():
-    electric = mr.catalog_get("z2t").probe_actions["electric"]
+    rep, actions = kramers_setup()
+    electric = actions["electric"]
     scaled = ProbeRepAction(group=electric.group, d_h=1.5 * electric.d_h,
-                            d_t0=electric.d_t0, kind=electric.kind)
-    # the mean character is 1.5; a null space of D(g) - 1 quietly finds none
+                            d_t0=4 / 3 * electric.d_t0, kind=electric.kind)
+    # characters 1.5 on E and 2 on T: the criterion 2 * 1.5 - 2 = 1 is an
+    # integer, the mean character 1.75 is not; a null space of D(g) - 1
+    # quietly finds none
     with pytest.raises(NonIntegerMultiplicity, match="mean character"):
-        trivial_multiplicity(scaled)
+        probe_stability(rep, [0], probes={"e": scaled})
     assert trivial_multiplicity_h_t0(scaled) == 0
 
 
@@ -171,8 +173,6 @@ def test_counts_of_a_non_rep_raise_invalid_action():
     with pytest.raises(InvalidAction, match="group law"):
         linear_multiplicity(rep, bad)
     with pytest.raises(InvalidAction, match="group law"):
-        trivial_multiplicity(bad)
-    with pytest.raises(InvalidAction, match="group law"):
         probe_stability(rep, range(8), probes={"quadratic": bad})
 
 
@@ -183,8 +183,7 @@ def test_counts_validate_catalog_and_bare_actions_alike(monkeypatch):
     bare = ProbeRepAction(group=act.group, d_h=act.d_h, d_t0=act.d_t0, kind=act.kind)
     for probe in (act, bare):
         linear_multiplicity(rep, probe)
-        trivial_multiplicity(probe)
-    assert seen == [act, act, bare, bare]
+    assert seen == [act, bare]
     # once per probe, though the probe is counted twice and its gammas built
     seen.clear()
     report = probe_stability(rep, range(8), probes={"k": bare, "k2": act})
@@ -196,7 +195,6 @@ def test_counts_validate_catalog_and_bare_actions_alike(monkeypatch):
 #: momentum action of its group
 COUNTS = {
     "linear_multiplicity": linear_multiplicity,
-    "trivial_multiplicity": lambda rep, act: trivial_multiplicity(act),
     "polynomial_channel": lambda rep, act: polynomial_channel(act, 2),
     "dispersion_order": lambda rep, act: dispersion_order(rep, act, 3),
     "probe_stability": lambda rep, act: probe_stability(rep, range(8), probes={"k": act}),
@@ -263,13 +261,15 @@ def test_zeeman_multiplicity_three():
     rep, actions = kramers_setup()
     # (1/2)[4*1 + (-1)(-1)(2)] = 3
     assert linear_multiplicity(rep, actions["magnetic"]) == 3
-    assert trivial_multiplicity(actions["magnetic"]) == 0
+    report = probe_stability(rep, [0], probes={"m": actions["magnetic"]})
+    assert report["probes"]["m"]["trivial_multiplicity"] == 0
 
 
 def test_electric_channel_only_trivial_coupling():
     rep, actions = kramers_setup()
     assert linear_multiplicity(rep, actions["electric"]) == 1
-    assert trivial_multiplicity(actions["electric"]) == 1
+    report = probe_stability(rep, [0], probes={"e": actions["electric"]})
+    assert report["probes"]["e"]["trivial_multiplicity"] == 1
 
 
 def test_criterion_forms_agree_and_specialize():
@@ -289,7 +289,8 @@ def test_criterion_forms_agree_and_specialize():
 
 
 def test_unitary_group_multiplicity():
-    rep, _ = mr.coreps.unitary_restriction(mr.catalog_get("z2t_kramers").reps["kramers"])
+    kram = mr.catalog_get("z2t_kramers").reps["kramers"]
+    rep, _ = mr.restrict_corep(kram, kram.group.h_elements)
     act = ProbeRepAction(group=rep.group, d_h=[np.eye(1)], d_t0=None)
     # trivial group: 4 independent Hermitian 2x2 couplings
     assert linear_multiplicity(rep, act) == 4
@@ -658,8 +659,8 @@ def test_probe_stability_kramers_zeeman():
 
 def probe_entry_alone(rep, act, tol):
     """The report JSON of a ``probe_stability`` probe entry, built from the
-    single-probe entry points."""
-    mult, triv = linear_multiplicity(rep, act), trivial_multiplicity(act)
+    single-probe entry points and the null-space count of identity couplings."""
+    mult, triv = linear_multiplicity(rep, act), trivial_multiplicity_h_t0(act)
     entry = {"multiplicity": mult, "trivial_multiplicity": triv,
              "splitting_multiplicity": mult - triv, "kind": act.kind}
     if mult > 0:
@@ -900,8 +901,8 @@ def test_gamma_construction_unitary_group_branch():
     # purely unitary groups take the subgroup average alone, with no (1 + L)/2
     # factor; check both a trivial group and a projective nonabelian one
     # against the oracle
-    h_rep, _ = mr.coreps.unitary_restriction(
-        mr.catalog_get("z2t_kramers").reps["kramers"])
+    kram = mr.catalog_get("z2t_kramers").reps["kramers"]
+    h_rep, _ = mr.restrict_corep(kram, kram.group.h_elements)
     act = ProbeRepAction(group=h_rep.group, d_h=[np.eye(1)], d_t0=None)
     model = build_gamma_matrices(h_rep, act)
     assert model.multiplicity == 4
@@ -909,7 +910,7 @@ def test_gamma_construction_unitary_group_branch():
                                covariant_tuple_basis_columnwise(h_rep, act)) < 1e-10
 
     entry = mr.catalog_get("c4v_t")
-    spinful, _ = mr.coreps.unitary_restriction(entry.reps["e_half"])
+    spinful, _ = mr.restrict_corep(entry.reps["e_half"], entry.group.h_elements)
     mom = entry.probe_actions["momentum"]
     vec = ProbeRepAction(group=spinful.group, d_h=mom.d_h, d_t0=None, kind="momentum")
     validate_action(vec)

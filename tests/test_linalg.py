@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from magrep.errors import EigenvalueAtBranchCutWarning, NotCommuting, NotSymmetricUnitary
-from magrep.linalg import (
-    random_symmetric_unitary,
-    random_unitary,
-    refine_eigenbasis,
-    symmetric_unitary_sqrt,
-)
+from magrep.linalg import random_unitary, refine_eigenbasis, symmetric_unitary_sqrt
 
-from conftest import simultaneous_diag
+from conftest import random_symmetric_unitary, simultaneous_diag
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -148,6 +143,15 @@ def test_symmetric_sqrt_branch_cut_warns():
     with pytest.warns(EigenvalueAtBranchCutWarning):
         u = symmetric_unitary_sqrt(m)
     assert np.allclose(u, np.diag([1j, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symmetric_sqrt_rejects_non_finite_entries(bad):
+    # LAPACK would fail to converge on them, outside the library's errors
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = bad
+    with pytest.raises(NotSymmetricUnitary, match="finite"):
+        symmetric_unitary_sqrt(m)
 
 
 def test_symmetric_sqrt_rejects_plain_unitary():

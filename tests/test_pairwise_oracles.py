@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 import magrep as mr
-import magrep.catalog
+import magrep.coreps
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
     OMEGA_FIT_TOL,
@@ -51,13 +51,14 @@ from magrep.coreps import (
     gauge_transform,
     random_gauge,
     restrict_corep,
-    unitary_restriction,
     validate_corep,
 )
 from magrep.errors import InvalidAction, InvalidCoRep, NotAGroup
 from magrep.groups import build_group, conjugacy_classes, restricted_group, validate_cocycle
 from magrep.kp import (
     ProbeRepAction,
+    _characters,
+    _coupling_counts,
     _covariance_defects,
     _dual_matrices,
     _substitution_matrices,
@@ -66,7 +67,6 @@ from magrep.kp import (
     monomial_exponents,
     polynomial_channel,
     covariant_tuple_basis,
-    trivial_multiplicity,
     tuple_span_residual,
     validate_action,
 )
@@ -112,7 +112,7 @@ def rep_variants(rep, seed):
     }
     if rep.group.is_magnetic:
         mixed = conjugate_corep(out["sum3"], random_unitary(3 * rep.dim, seed + 3))
-        out["halving"] = unitary_restriction(mixed)[0]
+        out["halving"] = restrict_corep(mixed, mixed.group.h_elements)[0]
     return out
 
 
@@ -609,8 +609,12 @@ def test_trivial_multiplicity_matches_h_plus_t0_oracle(name):
                 acts[f"{act_name}-full{n}"] = sets.full_action
                 acts.update({f"{act_name}-ord{n}-{k}": c.action
                              for k, c in enumerate(sets.channels)})
-    for act_name, act in acts.items():
-        assert trivial_multiplicity(act) == trivial_multiplicity_h_t0(act), act_name
+    # the count of every entry of ``_coupling_counts``, here under the
+    # entry's first co-rep, whose criterion is an integer for every rep
+    rep = next(iter(mr.catalog_get(name).reps.values()))
+    counts = _coupling_counts(rep, np.stack([_characters(act) for act in acts.values()]))
+    for (act_name, act), count in zip(acts.items(), counts, strict=True):
+        assert count["trivial_multiplicity"] == trivial_multiplicity_h_t0(act), act_name
 
 
 def corrupted_actions(act):
@@ -798,7 +802,7 @@ def test_group_kernels_match_pairwise(name):
 def test_realization_match_is_the_same_one_row_per_block(name, monkeypatch):
     # blocks of one first element: the table and the first bad pair's labels
     # come out as from a single block, whichever block the pair lies in
-    monkeypatch.setattr(magrep.catalog, "ROW_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(magrep.coreps, "ROW_BLOCK_ENTRIES", 1)
     for mats, flags, labels in entry_realizations(name):
         built = _group_from_realization(mats, flags, labels)
         assert np.array_equal(built.cayley, mr.catalog_get(name).group.cayley)

@@ -10,7 +10,6 @@ from magrep.coreps import (
     random_gauge,
     regular_corep,
     restrict_corep,
-    unitary_restriction,
 )
 from magrep.errors import InvalidCoRep, NonIntegerMultiplicity, NotIrreducible
 from magrep.groups import conjugacy_classes
@@ -23,7 +22,6 @@ from magrep.reduction import (
     criterion_sums,
     irreducibility_index,
     reduce_corep,
-    torsion_indicator,
     torsion_number,
 )
 from conftest import (
@@ -53,7 +51,8 @@ def test_double_kramers_criterion_is_six():
 
 
 def test_identity_rep_of_unitary_group():
-    h_rep, _ = unitary_restriction(mr.catalog_get("c4v_t").reps["a1"])
+    entry = mr.catalog_get("c4v_t")
+    h_rep, _ = restrict_corep(entry.reps["a1"], entry.group.h_elements)
     assert irreducibility_index(h_rep) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -64,8 +63,8 @@ def test_character_and_trace_forms_agree():
         a = irreducibility_index(rep)
         b = irreducibility_index_trace_form(rep)
         assert a == pytest.approx(b, abs=1e-9), (name, rep_name)
-        assert torsion_indicator(rep) == pytest.approx(
-            coset_trace_sum(rep).real, abs=1e-9), (name, rep_name)
+        coset = criterion_sums(rep, np.ones(rep.group.order))[1]
+        assert coset == pytest.approx(coset_trace_sum(rep), abs=1e-9), (name, rep_name)
 
 
 def test_criterion_at_least_one_on_random_sums():
@@ -98,7 +97,7 @@ def test_index_is_the_trivial_channel_multiplicity():
     for name in mr.catalog_list():
         entry = mr.catalog_get(name)
         cases += list(entry.reps.values())
-        cases += [unitary_restriction(rep)[0] for rep in entry.reps.values()]
+        cases += [restrict_corep(rep, rep.group.h_elements)[0] for rep in entry.reps.values()]
         for bucket in compatible_rep_groups(entry):
             reps = [rep for _, rep in bucket]
             for k in (2, 3):
@@ -141,11 +140,14 @@ def test_torsion_examples():
 
 
 def test_torsion_indicator_values():
-    # indicator = 2 - R: real 1, complex 0, quaternion -2
-    assert torsion_indicator(mr.catalog_get("z2t").reps["trivial"]) == pytest.approx(1.0)
-    assert torsion_indicator(kramers()) == pytest.approx(-2.0)
-    assert torsion_indicator(
-        mr.catalog_get("c8t").reps["complex_pair"]) == pytest.approx(0.0, abs=1e-12)
+    # indicator = 2 - R: real 1, complex 0, quaternion -2; it is the coset
+    # sum of the criterion
+    def indicator(rep):
+        return criterion_sums(rep, np.ones(rep.group.order))[1]
+
+    assert indicator(mr.catalog_get("z2t").reps["trivial"]) == pytest.approx(1.0)
+    assert indicator(kramers()) == pytest.approx(-2.0)
+    assert indicator(mr.catalog_get("c8t").reps["complex_pair"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_torsion_judges_at_the_tolerance_it_is_given():
@@ -181,7 +183,7 @@ def test_torsion_matches_restricted_character_norm():
         if not rep.group.is_magnetic:
             continue
         r = torsion_number(rep)
-        h_rep, _ = unitary_restriction(rep)
+        h_rep, _ = restrict_corep(rep, rep.group.h_elements)
         norm = irreducibility_index(h_rep)
         assert norm == pytest.approx(float(r), abs=1e-9), (name, rep_name)
 
@@ -206,14 +208,16 @@ def test_h_commutant_commutes_and_is_hermitian():
 
 
 def test_h_commutant_schur_on_unitary_irreps():
-    h_rep, _ = unitary_restriction(mr.catalog_get("c4v_t").reps["e_half"])
+    entry = mr.catalog_get("c4v_t")
+    h_rep, _ = restrict_corep(entry.reps["e_half"], entry.group.h_elements)
     lam = build_H_commutant(h_rep, seed=1)
     scale = np.trace(lam) / h_rep.dim
     assert np.abs(lam - scale * np.eye(h_rep.dim)).max() < 1e-10
 
 
 def test_h_commutant_splits_reducible():
-    h_rep, _ = unitary_restriction(mr.catalog_get("c4v_t").reps["a1"])
+    entry = mr.catalog_get("c4v_t")
+    h_rep, _ = restrict_corep(entry.reps["a1"], entry.group.h_elements)
     two = direct_sum([h_rep, conjugate_corep(h_rep, np.eye(1) * 1.0)])
     lam = build_H_commutant(two, seed=2)
     vals = np.linalg.eigvalsh(lam)
@@ -326,7 +330,7 @@ def test_reduce_regular_rep_unitary_pipeline():
     # multiplicities in the regular rep equal the irrep dimensions, and the
     # square dims of the planar 4-fold group are 1,1,1,1,2
     entry = mr.catalog_get("c4v_t")
-    h_rep, _ = unitary_restriction(entry.reps["a1"])
+    h_rep, _ = restrict_corep(entry.reps["a1"], entry.group.h_elements)
     reg = regular_corep(h_rep.group)
     dec = reduce_corep(reg, seed=4)
     assert sorted(dec.block_dims) == [1, 1, 1, 1, 2, 2]
@@ -352,7 +356,7 @@ def test_reduce_seed_independent_multiset():
 
 def test_reduce_quaternion_block_has_doubled_restriction():
     rep = mr.catalog_get("z4t").reps["quaternion"]
-    h_rep, _ = unitary_restriction(rep)
+    h_rep, _ = restrict_corep(rep, rep.group.h_elements)
     dec = reduce_corep(h_rep, seed=2)
     assert sorted(dec.block_dims) == [1, 1]
     b0, b1 = dec.blocks
@@ -367,7 +371,8 @@ def test_reduce_projective_regular_rep():
     # with the spinful cocycle the fourfold planar group has two 2-dim
     # projective irreps (sum of squared dims = |H| = 8), each appearing with
     # multiplicity equal to its dimension in the regular rep
-    h_rep, _ = unitary_restriction(mr.catalog_get("c4v_t").reps["e_half"])
+    entry = mr.catalog_get("c4v_t")
+    h_rep, _ = restrict_corep(entry.reps["e_half"], entry.group.h_elements)
     reg = regular_corep(h_rep.group, h_rep.omega)
     dec = reduce_corep(reg, seed=0)
     assert sorted(dec.block_dims) == [2, 2, 2, 2]
