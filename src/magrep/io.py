@@ -3,10 +3,14 @@
 Each ``load_*`` reader takes a file path or the object parsed from one.  A
 co-rep file holds its ``dim`` and one matrix per element label, nothing
 else: its group and factor system come from the group file read with it.
-Complex numbers serialize as [re, im] pairs, matrices row-major, so every
-file diffs cleanly and parses without a schema library.  Reports carry the
-tolerance next to each judged value.  ``json`` renders them; ``_jsonable``
-converts what it cannot, numpy values and complex numbers.
+Complex numbers serialize as [re, im] pairs and matrices row-major, so every
+file parses without a schema library.  Reports carry the tolerance next to
+each judged value.  ``write_report`` writes every file and report in one
+layout: a dict, and a list that holds a dict, open with one entry per line;
+every other value, a whole matrix or array included, is one line.  So files
+and reports still diff line by line: one line per element matrix in co-rep
+and action files, and one line per dict entry in reports.  ``_jsonable``
+converts what ``json`` cannot, numpy values and complex numbers.
 
 Non-finite numbers: a complex one in a report becomes ``null``, because
 ``Block.labels`` marks "no label" with a complex NaN (the ``multiplet_split``
@@ -237,9 +241,39 @@ def _jsonable(obj):
     return str(obj)
 
 
+# one encoder for every leaf: ``json.dumps(default=...)`` builds a new one per
+# call, and only an encoder without ``indent`` takes ``json``'s C path
+_LEAF = json.JSONEncoder(default=_jsonable, allow_nan=False, sort_keys=True)
+
+
+def _key(key) -> str:
+    """``key`` quoted as ``json`` writes a dict key: a float, int, bool or None
+    as its JSON literal."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _LEAF.encode(key)
+    return _LEAF.encode(key)
+
+
+def _render(value, pad: str) -> str:
+    """``value`` as JSON: a non-empty dict, and a list or tuple holding a
+    dict, one entry per line at ``pad`` plus two spaces; any other value on
+    one line."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        body = ",\n".join(f"{inner}{_key(k)}: {_render(v, inner)}"
+                          for k, v in sorted(value.items()))
+        return f"{{\n{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
+        body = ",\n".join(inner + _render(v, inner) for v in value)
+        return f"[\n{body}\n{pad}]"
+    return _LEAF.encode(value)
+
+
 def write_report(report: dict, out: Optional[str] = None) -> str:
-    text = json.dumps(report, default=_jsonable, allow_nan=False, indent=2,
-                      sort_keys=True)
+    text = _render(report, "")
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

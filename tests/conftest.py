@@ -1,6 +1,7 @@
 """Shared fixtures: catalog sweeps are expensive enough to build once."""
 
 import importlib.util
+import json
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from magrep.errors import (
     NotIrreducible,
 )
 from magrep.groups import build_group, conjugacy_classes
+from magrep.io import _jsonable
 from magrep.kp import (
     ACTION_TOL,
     _dual_matrices,
@@ -98,6 +100,22 @@ def compatible_rep_groups(entry):
         else:
             groups.append([(name, rep)])
     return groups
+
+
+def indented_report(report) -> str:
+    """The report in ``json``'s own indented layout, every number on its own
+    line, with ``io.write_report``'s conversions: the oracle its one-line
+    leaves must parse equal to."""
+    return json.dumps(report, default=_jsonable, allow_nan=False, indent=2, sort_keys=True)
+
+
+def assert_renders_as_indented(report, text):
+    """``text`` parses as the indented rendering of ``report`` does, and
+    differs from it in whitespace alone, so key order, ``-0.0`` and the
+    spelling of every float are the oracle's."""
+    want = indented_report(report)
+    assert json.loads(text) == json.loads(want)
+    assert "".join(text.split()) == "".join(want.split())
 
 
 def random_symmetric_unitary(d: int, seed) -> np.ndarray:

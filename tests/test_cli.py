@@ -10,6 +10,8 @@ import magrep as mr
 from magrep import io
 from magrep.cli import main
 
+from conftest import assert_renders_as_indented, indented_report
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -487,3 +489,170 @@ def test_export_writes_group_rep_and_action_files_that_read_back(tmp_path, capsy
     for a, act in entry.probe_actions.items():
         back = io.load_action(str(tmp_path / f"c4v_t.action-{a}.json"), entry.group)
         assert np.array_equal(back.d_h, act.d_h)
+
+
+# -- report layout: one-line leaves, parsing as json's indented layout --------------
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """(report, text) for every report ``io.write_report`` renders."""
+    calls = []
+    write = io.write_report
+
+    def spy(report, out=None):
+        calls.append((report, write(report, out)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(io, "write_report", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def console_files(tmp_path_factory):
+    """The files CI's console-script step writes: a Kramers pair with the
+    wrong sign, the c6v_t export and its e_half co-rep with the group inlined."""
+    root = tmp_path_factory.mktemp("console")
+    (root / "wrongsign.group.json").write_text(json.dumps(
+        {"order": 2, "cayley": [[0, 1], [1, 0]], "antiunitary": [0, 1], "labels": ["E", "T"]}))
+    (root / "wrongsign.rep.json").write_text(json.dumps(
+        {"matrices": {"E": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                      "T": [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]}}))
+    assert main(["catalog", "c6v_t", "--export", str(root / "cat"),
+                 "--out", str(root / "manifest.json")]) == 0
+    legacy = json.loads((root / "cat" / "c6v_t.rep-e_half.json").read_text())
+    legacy["group"] = json.loads((root / "cat" / "c6v_t.group-e_half.json").read_text())
+    (root / "legacy.rep.json").write_text(json.dumps(legacy))
+    return root
+
+
+# every command of CI's console-script step that writes a report
+CONSOLE_SCRIPT = [pytest.param(argv, id=tag) for tag, argv in [
+    ("catalog", ["catalog"]),
+    ("validate-c6v", ["validate", "@c6v_t", "@c6v_t/e_half"]),
+    ("validate-q8t", ["validate", "@q8t", "@q8t/quartet"]),
+    ("validate-wrongsign", ["validate", "{tmp}/wrongsign.group.json",
+                            "{tmp}/wrongsign.rep.json"]),
+    ("kp-c6v", ["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum", "--max-order", "3"]),
+    ("kp-c4v_c4", ["kp", "@c4v_c4", "@c4v_c4/e_half_up", "@c4v_c4/momentum",
+                   "--max-order", "3"]),
+    ("kp-q8t", ["kp", "@q8t", "@q8t/quartet", "@q8t/magnetic", "--max-order", "3"]),
+    ("reduce-c6v", ["reduce", "@c6v_t", "@c6v_t/e_half"]),
+    ("reduce-q8t", ["reduce", "@q8t", "@q8t/quartet"]),
+    ("reduce-c8t", ["reduce", "@c8t", "@c8t/complex_pair"]),
+    ("probe-kramers", ["probe", "@z2t_kramers", "@z2t_kramers/kramers", "--subgroup", "0",
+                       "--probe", "zeeman=@z2t_kramers/magnetic"]),
+    ("kp-c6v-kz", ["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/kz_odd", "--max-order", "3"]),
+    ("probe-c4v", ["probe", "@c4v_t", "@c4v_t/e_half", "--subgroup", "0,1,2,3,4,5,6,7",
+                   "--probe", "kz=@c4v_t/kz_odd", "--probe", "e=@c4v_t/vector_t_even"]),
+    ("irreducible-q8t", ["irreducible", "@q8t", "@q8t/quartet"]),
+    ("torsion-q8t", ["torsion", "@q8t", "@q8t/quartet"]),
+    ("export-c6v", ["catalog", "c6v_t", "--export", "{tmp}/cat"]),
+    ("validate-export", ["validate", "{tmp}/cat/c6v_t.group-e_half.json",
+                         "{tmp}/cat/c6v_t.rep-e_half.json"]),
+    ("kp-export", ["kp", "@c6v_t", "@c6v_t/e_half", "{tmp}/cat/c6v_t.action-momentum.json",
+                   "--max-order", "3"]),
+    ("validate-legacy", ["validate", "{tmp}/cat/c6v_t.group-e_half.json",
+                         "{tmp}/legacy.rep.json"]),
+    ("reduce-q8t-seed0", ["reduce", "@q8t", "@q8t/quartet", "--seed", "0"]),
+]]
+
+
+@pytest.mark.parametrize("argv", CONSOLE_SCRIPT)
+def test_console_script_report_layout(argv, console_files, rendered, tmp_path, capsys):
+    argv = [a.format(tmp=console_files) for a in argv]
+    code = 1 if "wrongsign" in argv[-1] else 0
+    assert main(argv) == code
+    stdout = capsys.readouterr().out
+    assert stdout == rendered[-1][1] + "\n"
+    for report, text in rendered:
+        assert_renders_as_indented(report, text)
+    # the report written with --out is the text printed without it
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_kp_report_layout(name, rendered, capsys):
+    entry = mr.catalog_get(name)
+    for rep, act in itertools.product(entry.reps, entry.probe_actions):
+        assert main(["kp", f"@{name}", f"@{name}/{rep}", f"@{name}/{act}",
+                     "--max-order", "3"]) == 0
+    capsys.readouterr()
+    assert len(rendered) == len(entry.reps) * len(entry.probe_actions)
+    for report, text in rendered:
+        assert_renders_as_indented(report, text)
+
+
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_reduce_and_probe_report_layout(name, rendered, capsys):
+    entry = mr.catalog_get(name)
+    probes = [f"{a}=@{name}/{a}" for a in entry.probe_actions]
+    for rep in entry.reps:
+        assert main(["reduce", f"@{name}", f"@{name}/{rep}"]) == 0
+        for subgroup in ("0", ",".join(map(str, entry.group.h_elements))):
+            assert main(["probe", f"@{name}", f"@{name}/{rep}", "--subgroup", subgroup,
+                         *itertools.chain.from_iterable(("--probe", p) for p in probes)]) == 0
+    capsys.readouterr()
+    assert len(rendered) == 3 * len(entry.reps)
+    for report, text in rendered:
+        assert_renders_as_indented(report, text)
+
+
+def _loaded_bits(kind, data, group, omega):
+    """The arrays the loader of a ``kind`` file reads from ``data``."""
+    if kind == "group":
+        loaded, w = io.load_group(data)
+        return [loaded.cayley, loaded.antiunitary, np.array(loaded.labels), w.values]
+    if kind == "rep":
+        return [io.load_corep(data, group, omega).matrices]
+    action = io.load_action(data, group)
+    return [action.d_h, action.d_t0]
+
+
+@pytest.mark.parametrize("name", mr.catalog_list())
+def test_export_layout_reads_back_the_same_bits(name, tmp_path, rendered, capsys):
+    entry = mr.catalog_get(name)
+    assert main(["catalog", name, "--export", str(tmp_path)]) == 0
+    *files, (manifest, _) = rendered
+    assert len(files) == len(manifest["exported"]) == 2 * len(entry.reps) + len(entry.probe_actions)
+    for path, (data, text) in zip(manifest["exported"], files):
+        assert open(path).read() == text
+        assert_renders_as_indented(data, text)
+        # the loaders read the file to the bits they read from the indented one
+        kind = path.split(".")[-2].split("-")[0]
+        if kind == "group":
+            group, omega = io.load_group(path)
+        new, old = (_loaded_bits(kind, json.loads(t), group, omega)
+                    for t in (text, indented_report(data)))
+        for a, b in zip(new, old, strict=True):
+            assert (a is None and b is None) or (
+                a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), path
+    # the 19 co-reps CI validates from the exported files
+    rendered.clear()
+    for rep in entry.reps:
+        assert main(["validate", str(tmp_path / f"{name}.group-{rep}.json"),
+                     str(tmp_path / f"{name}.rep-{rep}.json")]) == 0
+    capsys.readouterr()
+    assert len(rendered) == len(entry.reps)
+    for report, text in rendered:
+        assert_renders_as_indented(report, text)
+
+
+def test_kp_report_has_no_line_that_is_a_bare_number(capsys):
+    assert main(["kp", "@c6v_t", "@c6v_t/e_half", "@c6v_t/momentum", "--max-order", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) > 20
+    for line in lines:
+        with pytest.raises(ValueError):
+            float(line.strip().rstrip(","))
+
+
+def test_exported_co_rep_file_has_one_line_per_element_matrix(tmp_path, capsys):
+    assert main(["catalog", "c6v_t", "--export", str(tmp_path)]) == 0
+    capsys.readouterr()
+    group = mr.catalog_get("c6v_t").group
+    lines = (tmp_path / "c6v_t.rep-e_half.json").read_text().splitlines()
+    assert lines[:3] == ["{", '  "dim": 2,', '  "matrices": {'] and lines[-2:] == ["  }", "}"]
+    assert [line.split(": ", 1)[0] for line in lines[3:-2]] == [
+        "    " + json.dumps(lab) for lab in sorted(group.labels)]

@@ -9,6 +9,8 @@ from magrep.coreps import CoRep, conjugate_corep
 from magrep.errors import ParseError
 from magrep.linalg import random_unitary
 
+from conftest import assert_renders_as_indented, indented_report
+
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -153,6 +155,72 @@ def test_report_keeps_the_no_label_nan_of_block_labels_as_null():
     dec = mr.reduce_corep(mr.catalog_get("c4v_t").reps["a1"], seed=0)
     labels = through_report({"labels": dec.blocks[0].labels})["labels"]
     assert any(entry is None for row in labels for entry in row)
+
+
+def test_report_puts_each_leaf_value_on_one_line():
+    # dicts and lists of dicts open, one entry per line; every other value,
+    # arrays and empty containers too, is one line
+    report = {
+        "nested": {"b": 1, "a": {"x": None}},
+        "models": [{"k": 2}, {"j": True}],
+        "real": np.array([[1.0, -0.5], [0.0, 2.0]]),
+        "complex": np.array([1 - 1j, complex(np.nan, 0.0)]),
+        "tuple": (1, "two"),
+        "empty_dict": {},
+        "empty_list": [],
+        "count": np.int64(7),
+        "flag": False,
+        "none": None,
+    }
+    text = io.write_report(report)
+    assert text == """{
+  "complex": [[1.0, -1.0], null],
+  "count": 7,
+  "empty_dict": {},
+  "empty_list": [],
+  "flag": false,
+  "models": [
+    {
+      "k": 2
+    },
+    {
+      "j": true
+    }
+  ],
+  "nested": {
+    "a": {
+      "x": null
+    },
+    "b": 1
+  },
+  "none": null,
+  "real": [[1.0, -0.5], [0.0, 2.0]],
+  "tuple": [1, "two"]
+}"""
+    assert_renders_as_indented(report, text)
+
+
+@pytest.mark.parametrize("report", [
+    {2: "int", 1.5: "float", False: "bool"},
+    {None: [{}]},
+    {"": [[{"z": 1, "a": -0.0}]]},
+    {"\u00e9\n\"": (np.float32(0.1), np.uint8(3), 1e-300)},
+], ids=["number-keys", "none-key", "dict-in-leaf", "escapes"])
+def test_report_keys_and_leaves_follow_json(report):
+    # keys converted and sorted as json sorts them; a dict inside a leaf
+    # sorted too
+    assert_renders_as_indented(report, io.write_report(report))
+
+
+@pytest.mark.parametrize("report, error", [
+    ({np.int64(1): 0}, TypeError),
+    ({1: 0, "a": 1}, TypeError),
+    ({float("nan"): 0}, ValueError),
+], ids=["numpy-key", "mixed-keys", "nan-key"])
+def test_report_refuses_keys_json_refuses(report, error):
+    for render in (io.write_report, indented_report):
+        with pytest.raises(error):
+            render(report)
 
 
 @pytest.mark.parametrize("value", [
