@@ -23,15 +23,17 @@ checked together, as the block-diagonal rep they form.
 The matrices come from one real null space: a Hermitian q-tuple has
 q d^2 real coordinates over the orthonormal, shared ``hermitian_basis(d)``,
 and ``_covariant_tuples`` writes the covariance equations on them over
-``group.generators`` only.  The covariance map is a group action, so a
-tuple fixed by a generating set of H and by t0 is fixed by every element.
+``group.generators`` only, one real Kronecker system of q d^2 rows each,
+whose null space the ``eigh`` of its Gram matrix gives.  The covariance
+map is a group action, so a tuple fixed by a generating set of H and by t0
+is fixed by every element.
 ``build_gamma_matrices`` and the public ``covariant_tuple_basis`` both read
 that one solve.  Its independent checks are the character criterion, whose
 count the null space must match, and the covariance residuals over every
 element, which ``build_gamma_matrices`` judges at its ``tol``: input that is
 a rep only on the generators fails there.  ``_covariance_defects`` writes
-the covariance equation once, for any array of elements; the constraint
-rows and the model residuals read it.
+the covariance equation once, for any array of elements; the model
+residuals read it.
 
 ``ProbeRepAction.d`` takes an element id or an array of ids and returns the
 matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
@@ -64,22 +66,10 @@ from .linalg import _cluster_slices
 from .reduction import _real, criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
-#: singular values at or below this count as zero in ``_null_space``
+#: relative cut on the Gram eigenvalues of ``_covariant_tuples``, at or below
+#: it times max(1, lambda_max) null: on that scale 3640 catalog and order-96
+#: systems measure <= 9e-16 and >= 0.039, and 1e-8 is the gap's log-middle
 NULL_SPACE_ATOL = 1e-8
-
-
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Null space with an absolute singular-value cutoff.
-
-    The constraint systems here have nonzero singular values of order one,
-    while float noise sits at 1e-15; a relative cutoff would misread an
-    almost-zero system as full rank.
-    """
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = int((s > NULL_SPACE_ATOL).sum())
-    return vh[rank:].conj().T
 
 
 # -- probe actions --------------------------------------------------------------
@@ -329,17 +319,19 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
     of the covariance equations on ``group.generators``, in coordinates over
     ``hermitian_basis(d)``, so they are Hermitian by construction and
     orthonormal under sum_m Re Tr(gamma^m_i^dag gamma^m_j).  Two checks
-    stand apart from that solve.  The criterion is rounded first (a
-    non-integer count raises NonIntegerMultiplicity) and the null space
-    must have its dimension; only then does a zero count raise
-    EmptyChannel.  The covariance residuals over every element and the
-    Hermiticity residual are judged at ``tol``, with no floor: one above it
-    raises NotCommuting.  Neither input is validated, so a co-rep or an
-    action that is a rep on the generators only fails there, loudly.
+    stand apart from that solve, which counts its null space by a cut on
+    Gram eigenvalues alone.  The criterion is rounded first (a non-integer
+    count raises NonIntegerMultiplicity) and the null space must have its
+    dimension, the guard should the Gram gap ever close; only then does a
+    zero count raise EmptyChannel.  The covariance residuals over every
+    element and the Hermiticity residual are judged at ``tol``, with no
+    floor: one above it raises NotCommuting.  Neither input is validated,
+    so a co-rep or an action that is a rep on the generators only fails
+    there, loudly.
     """
     expected = _integer_counts(multiplicity_value(rep, action), "criterion value")
     dual = dual_rep(action)
-    gammas = _covariant_tuples(rep, dual)
+    gammas = _covariant_tuples(rep, dual.d(rep.group.generators))
     p = len(gammas)
     if p != expected:
         raise NonIntegerMultiplicity(
@@ -354,28 +346,34 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
                    residuals=residuals)
 
 
-def _covariant_tuples(rep: CoRep, dual: ProbeRepAction) -> np.ndarray:
+def _covariant_tuples(rep: CoRep, duals: np.ndarray) -> np.ndarray:
     """Orthonormal basis ``(p, q, d, d)`` of the Hermitian tuples that every
-    element of ``group.generators`` fixes, with ``dual = dual_rep(action)``.
+    element s of ``group.generators`` fixes; ``duals`` stacks dual(D)(s).
 
-    Parameter (m, k) is the tuple with the k-th ``hermitian_basis(d)``
-    matrix in slot m.  One ``_covariance_defects`` call over the generators
-    writes the real constraint rows on these q d^2 parameters, and their
-    null space holds the coordinates of the tuples.
+    Row k of ``flat`` is the row-major vec of the k-th ``hermitian_basis(d)``
+    matrix, so B = flat^T.  On the coordinates of one slot, s acts by the
+    real Ad(s) = Re B^dag (M(s) (x) conj M(s)) B, with conj B = B diag(+-1)
+    in place of B when s is anti-unitary; a tuple's coordinates c, indexed
+    (slot, k), obey (I_q (x) Ad(s) - dual(D)(s)^T (x) I_{d^2}) c = 0 for
+    every s.  The null space of that stack is the eigenspace of its Gram
+    matrix with eigenvalues at most ``NULL_SPACE_ATOL`` max(1, lambda_max).
     """
     d = rep.dim
-    q = dual.dim_q
-    n_par = q * d * d
+    q = duals.shape[-1]
+    gens = rep.group.generators
     hb = hermitian_basis(d)
-    tuples = np.zeros((q, d * d, q, d, d), dtype=complex)
-    tuples[np.arange(q), :, np.arange(q)] = hb
-    defects = _covariance_defects(rep, dual, rep.group.generators,
-                                  tuples.reshape(n_par, q, d, d))
-    # rows: (real part, imaginary part) x generator x defect entry
-    system = np.moveaxis(defects, 1, -1).reshape(-1, n_par)
-    sols = _null_space(np.concatenate([system.real, system.imag]))
-    coords = sols.reshape(q, d * d, sols.shape[1])
-    return np.einsum("mks,kab->smab", coords, hb)
+    flat = hb.reshape(d * d, d * d)
+    mats = rep.matrices[gens]
+    kron = np.einsum("sac,sbd->sabcd", mats, np.conj(mats)).reshape(-1, d * d, d * d)
+    flip = rep.group.antiunitary[gens][:, None, None] == 1
+    ad = (flat.conj() @ kron @ np.where(flip, flat.conj(), flat).swapaxes(1, 2)).real
+    # rows (s, slot, j), columns (slot, k)
+    system = (np.eye(q)[:, None, :, None] * ad[:, None, :, None, :]
+              - np.swapaxes(duals, 1, 2)[:, :, None, :, None] * np.eye(d * d)[:, None, :])
+    system = system.reshape(-1, q * d * d)
+    values, vectors = np.linalg.eigh(system.T @ system)
+    p = int((values <= NULL_SPACE_ATOL * values.max(initial=1.0)).sum())
+    return np.einsum("mks,kab->smab", vectors[:, :p].reshape(q, d * d, p), hb)
 
 
 def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
@@ -383,12 +381,14 @@ def covariant_tuple_basis(rep: CoRep, action: ProbeRepAction) -> np.ndarray:
     basis of shape (n_solutions, q, d, d).
 
     The solve ``build_gamma_matrices`` takes its tuples from, without its
-    checks.  For a co-rep and a rep the covariance map is a group action,
-    so a tuple that ``group.generators`` (a generating set of H, plus t0)
-    fix is fixed by every element; the equations cover the generators only.
-    Neither input is validated, so a non-rep goes undetected here.
+    checks; its count comes from the Gram spectrum, never from the criterion
+    it is compared with.  For a co-rep and a rep the covariance map is a
+    group action, so a tuple that ``group.generators`` (a generating set of
+    H, plus t0) fix is fixed by every element; the equations, and the
+    matrices and dual(D) read, cover the generators only.  Neither input is
+    validated, so a non-rep goes undetected here.
     """
-    return _covariant_tuples(rep, dual_rep(action))
+    return _covariant_tuples(rep, _dual_matrices(action.d(rep.group.generators)))
 
 
 def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -25,7 +25,6 @@ from magrep.io import _jsonable
 from magrep.kp import (
     ACTION_TOL,
     _dual_matrices,
-    _null_space,
     dual_rep,
     hermitian_basis,
     linear_multiplicity,
@@ -541,6 +540,17 @@ def validate_action_rowwise(action, tol=ACTION_TOL):
     return resid
 
 
+def null_space(a: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+    """Null space of ``a`` from its SVD, with an absolute singular-value
+    cutoff: the oracle systems have nonzero singular values of order one and
+    float noise at 1e-15, so a relative cutoff would misread an almost-zero
+    system as full rank."""
+    if a.size == 0:
+        return np.eye(a.shape[1])
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vh[int((s > atol).sum()):].conj().T
+
+
 def trivial_multiplicity_h_t0(action):
     """Dimension of the vectors fixed by every D(h) and by D(t0)."""
     g = action.group
@@ -548,7 +558,7 @@ def trivial_multiplicity_h_t0(action):
     rows = [action.d(int(h)) - np.eye(q) for h in g.h_elements]
     if g.is_magnetic:
         rows.append(action.d_t0 - np.eye(q))
-    return _null_space(np.vstack(rows)).shape[1]
+    return null_space(np.vstack(rows)).shape[1]
 
 
 def covariant_tuple_basis_columnwise(rep, action):
@@ -580,7 +590,7 @@ def covariant_tuple_basis_columnwise(rep, action):
             tup = np.zeros((q, d, d), dtype=complex)
             tup[m] = b
             columns.append(constraint_images(tup))
-    sols = _null_space(np.stack(columns, axis=1))
+    sols = null_space(np.stack(columns, axis=1))
     tuples = np.zeros((sols.shape[1], q, d, d), dtype=complex)
     for s in range(sols.shape[1]):
         coeff = sols[:, s].reshape(q, d * d)

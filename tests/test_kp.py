@@ -15,6 +15,7 @@ from magrep.errors import (
     InvalidAction,
     MagrepError,
     NonIntegerMultiplicity,
+    NotCommuting,
     SingularAction,
 )
 from magrep.kp import (
@@ -808,22 +809,31 @@ def test_gamma_construction_gauge_robust(oht):
     assert model.action is oblique and built > len(cases) // 3
 
 
-def test_oracle_writes_one_defect_call_over_the_generators(monkeypatch):
-    # the whole constraint system comes from one batched call over
-    # group.generators, never from an element-by-element loop
-    calls = []
-    defects = mr.kp._covariance_defects
-
-    def counted(rep, dual, ids, tuples):
-        calls.append(np.asarray(ids).tolist())
-        return defects(rep, dual, ids, tuples)
-
-    monkeypatch.setattr(mr.kp, "_covariance_defects", counted)
-    for name, _, rep in catalog_irreps():
-        for act in mr.catalog_get(name).probe_actions.values():
-            calls.clear()
-            covariant_tuple_basis(rep, act)
-            assert calls == [rep.group.generators.tolist()], name
+def test_oracle_reads_the_generator_matrices_alone():
+    # the solve reads the co-rep at group.generators only: NaN on every
+    # other element leaves its tuples bit for bit, while build_gamma_matrices,
+    # which reads every element, refuses the co-rep; the criterion meets the
+    # NaN first, and a finite non-rep it cannot see (C2T given the matrix of
+    # ET, as in CI's console-script step) fails the all-element residuals
+    entry = mr.catalog_get("c4v_t")
+    rep, g = entry.reps["e_half"], entry.group
+    off = np.ones(g.order, dtype=bool)
+    off[g.generators] = False
+    nan_mats = rep.matrices.copy()
+    nan_mats[off] = np.nan
+    swapped = rep.matrices.copy()
+    swapped[g.labels.index("C2T")] = swapped[g.labels.index("ET")]
+    assert off[g.labels.index("C2T")]
+    broken = [mr.CoRep(group=g, omega=rep.omega, matrices=m) for m in (nan_mats, swapped)]
+    for act in entry.probe_actions.values():
+        want = covariant_tuple_basis(rep, act)
+        for bad in broken:
+            assert np.array_equal(covariant_tuple_basis(bad, act), want)
+    momentum = entry.probe_actions["momentum"]
+    with pytest.raises(NonIntegerMultiplicity):
+        build_gamma_matrices(broken[0], momentum)
+    with pytest.raises(NotCommuting):
+        build_gamma_matrices(broken[1], momentum)
 
 
 def test_span_residual_matches_the_projector_form(kp_sweep):
@@ -868,33 +878,69 @@ def test_oracle_matches_the_criterion_on_order_96_gamma8_sums(oht, copies):
         assert max(model.residuals.values()) <= 1e-12
 
 
+def relative_gram_spectra(monkeypatch, cases) -> tuple:
+    """``covariant_tuple_basis`` of every (rep, action) case, and the Gram
+    eigenvalues of each solve relative to max(1, lambda_max), as one array."""
+    spectra = []
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        out = eigh(a)
+        spectra.append(out[0] / max(1.0, out[0].max(initial=0.0)))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    bases = [covariant_tuple_basis(rep, a) for rep, a in cases]
+    monkeypatch.undo()
+    assert len(spectra) == len(cases)
+    return bases, np.concatenate(spectra)
+
+
+def assert_far_from_the_cutoff(values) -> None:
+    assert values[values > NULL_SPACE_ATOL].min() > 1e-2
+    assert values[values <= NULL_SPACE_ATOL].max() < 1e-13
+
+
 def test_oracle_systems_are_far_from_the_cutoff(oht, monkeypatch):
     # every generator system of the catalog sweep and of the order-96 co-reps
     # (d <= 4 against each probe and its channels of orders 1-2, Gamma8 + Gamma8
-    # against the magnetic one): its singular values are rounding noise or of
-    # order one, far on either side of NULL_SPACE_ATOL
-    spectra = []
-    null_space = mr.kp._null_space
-
-    def recorded(a):
-        spectra.append(np.linalg.svd(a, compute_uv=False))
-        return null_space(a)
-
-    monkeypatch.setattr(mr.kp, "_null_space", recorded)
+    # against the magnetic one): its Gram eigenvalues, relative to
+    # max(1, lambda_max), are rounding noise or of order one, far on either
+    # side of NULL_SPACE_ATOL
+    cases = []
     for name, _, rep in catalog_irreps():
         for act in mr.catalog_get(name).probe_actions.values():
-            for _, _, a in channel_actions(act, (1, 2, 3)):
-                covariant_tuple_basis(rep, a)
+            cases += [(rep, a) for _, _, a in channel_actions(act, (1, 2, 3))]
     reps = {r: mr.corep_from_matrices(oht["group"], m) for r, m in oht["coreps"].items()}
     for rep in reps.values():
         for probe in ("momentum", "electric", "magnetic"):
-            for _, _, a in channel_actions(oht["actions"][probe], (1, 2)):
-                covariant_tuple_basis(rep, a)
-    covariant_tuple_basis(mr.direct_sum([reps["gamma8"]] * 2), oht["actions"]["magnetic"])
-    values = np.concatenate(spectra)
-    assert len(spectra) > 800
-    assert values[values > NULL_SPACE_ATOL].min() > 1e-1
-    assert values[values <= NULL_SPACE_ATOL].max() < 1e-13
+            cases += [(rep, a) for _, _, a in channel_actions(oht["actions"][probe], (1, 2))]
+    cases.append((mr.direct_sum([reps["gamma8"]] * 2), oht["actions"]["magnetic"]))
+    assert len(cases) > 800
+    assert_far_from_the_cutoff(relative_gram_spectra(monkeypatch, cases)[1])
+
+
+@pytest.mark.parametrize("summands", [("spinor", "gamma8"), ("gamma8",) * 3])
+def test_oracle_at_d_6_and_12_matches_the_criterion_far_from_the_cutoff(
+        oht, monkeypatch, summands):
+    # Gamma6 + Gamma8 (d = 6) and 3 Gamma8 (d = 12) against momentum and the
+    # magnetic field, plain and rotated + gauged: the null space has the
+    # criterion's dimension, its tuples are covariant under every element,
+    # and the Gram spectrum keeps the gap of the small systems
+    rep = mr.direct_sum([mr.corep_from_matrices(oht["group"], oht["coreps"][r])
+                         for r in summands])
+    moved = mr.random_gauge(mr.conjugate_corep(rep, mr.random_unitary(rep.dim, 82)), 83)
+    cases = [(r, oht["actions"][probe]) for r in (rep, moved)
+             for probe in ("momentum", "magnetic")]
+    bases, values = relative_gram_spectra(monkeypatch, cases)
+    coupled = 0
+    for (r, a), basis in zip(cases, bases):
+        assert basis.shape[0] == linear_multiplicity(r, a)
+        if basis.shape[0]:
+            coupled += 1
+            assert max(_covariance_residuals(r, dual_rep(a), basis).values()) <= 1e-12
+    assert coupled == 2
+    assert_far_from_the_cutoff(values)
 
 
 def test_gamma_construction_unitary_group_branch():
