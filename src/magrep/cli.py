@@ -188,7 +188,6 @@ def cmd_kp(args) -> int:
     table, sets = _dispersion_table(rep, action, args.max_order, args.seed)
     report = {"dispersion": table, "models": [], "seed": args.seed, "tol": tol}
     for entry, chans in zip(table["orders"], sets):
-        n = entry["order"]
         if entry["full"]["multiplicity"] <= 0:
             continue
         for k, ch in enumerate(chans.channels):
@@ -196,7 +195,7 @@ def cmd_kp(args) -> int:
                 continue
             model = build_gamma_matrices(rep, ch.action, tol=tol)
             report["models"].append({
-                "order": n,
+                "order": entry["order"],
                 "channel": k,
                 "channel_dim": ch.action.dim_q,
                 "multiplicity": model.multiplicity,

@@ -103,6 +103,24 @@ class MagneticGroup:
         return pos
 
     @cached_property
+    def h_products(self) -> np.ndarray:
+        """Read-only ``(|H|, |H|)`` table: the position in ``h_elements`` of
+        each product h1 h2.  Built on first use."""
+        out = self.h_position[self.cayley[np.ix_(self.h_elements, self.h_elements)]]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def t0_positions(self) -> Optional[tuple]:
+        """Positions in ``h_elements`` of sigma and, read-only, of t0 h t0^-1
+        for each unitary h; None for unitary groups.  Built on first use."""
+        if self.is_magnetic:
+            t0_h = self.cayley[self.t0, self.h_elements]
+            conj = self.h_position[self.cayley[t0_h, self.inverse[self.t0]]]
+            conj.flags.writeable = False
+            return int(self.h_position[self.sigma]), conj
+
+    @cached_property
     def generators(self) -> np.ndarray:
         """Ids of a generating set of H, then t0 on magnetic groups.
 

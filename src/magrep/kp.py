@@ -38,16 +38,21 @@ residuals read it.
 ``ProbeRepAction.d`` takes an element id or an array of ids and returns the
 matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
 is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
-co-reps: the probe characters and the substitution rep of the polynomial
-channels read every element at once.  ``validate_action`` checks all |H|^2
-subgroup products in broadcast matmuls, one per block of rows from
-``coreps._row_blocks``, the block rule of the co-rep pair kernel.
+co-reps: the probe characters read every element at once, and the channel
+sets of every order of one call read D(g) and its dual once.  They count
+from traces, the full row from the substitution rep's, and build a channel's
+ProbeRepAction, or the full induced action, on first use.
+``validate_action`` checks all |H|^2 subgroup products in broadcast matmuls,
+one per block of rows from ``coreps._row_blocks``, the block rule of the
+co-rep pair kernel, on the product tables ``MagneticGroup`` caches.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -131,24 +136,20 @@ def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
     D(t0) D(h) D(t0)^-1 = D(t0 h t0^-1); the probe channel carries a linear
     rep, so no factor system appears.
     """
-    g = action.group
     d_h = action.d_h
-    pos = g.h_position
-    h = g.h_elements
+    table = action.group.h_products
     # every product D(h1) D(h2) against the table's D(h1 h2), one broadcast
     # matmul per block of rows h1 of up to ROW_BLOCK_ENTRIES entries: at
     # order 96 one block of all |H|^2 products would be megabytes of
     # temporaries, each slower to fill than the products are to take.
     # np.max, unlike the builtin max, lets a NaN residual through to the test
-    table = pos[g.cayley[np.ix_(h, h)]]
     resids = [np.abs(d_h[rows, None] @ d_h[None, :] - d_h[table[rows]]).max()
-              for rows in _row_blocks(len(h), d_h[:1].size * len(h))]
-    if g.is_magnetic:
-        t0 = g.t0
-        resids.append(np.abs(action.d_t0 @ action.d_t0 - d_h[pos[g.sigma]]).max())
-        conj_h = g.cayley[g.cayley[t0, g.h_elements], g.inv(t0)]
+              for rows in _row_blocks(len(table), d_h[:1].size * len(table))]
+    if action.group.is_magnetic:
+        sigma, conj = action.group.t0_positions
+        resids.append(np.abs(action.d_t0 @ action.d_t0 - d_h[sigma]).max())
         lhs = action.d_t0 @ d_h @ _dual_matrices(action.d_t0).T
-        resids.append(np.abs(lhs - d_h[pos[conj_h]]).max())
+        resids.append(np.abs(lhs - d_h[conj]).max())
     resid = float(np.max(resids))
     if not resid <= tol:   # a NaN residual fails too
         raise InvalidAction(f"probe matrices violate the group law by {resid:.3e}")
@@ -469,12 +470,18 @@ def _substitution_matrices(lin: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class PolynomialChannel:
-    """One G-closed real channel of order-N polynomials."""
+    """One G-closed real channel of order-N polynomials; ``action`` is built
+    on first access from ``block``, its matrices of every element by id."""
 
-    action: ProbeRepAction
+    group: MagneticGroup
+    block: np.ndarray            # (|G|, q_c, q_c) real
     coefficients: np.ndarray     # (q_c, n_monomials) rows are the polynomials
     exponents: list
     order: int
+
+    @cached_property
+    def action(self) -> ProbeRepAction:
+        return _stack_action(self.group, self.block, self.order)
 
     def evaluate(self, dk: np.ndarray) -> np.ndarray:
         return self.coefficients @ evaluate_monomials(self.exponents, np.asarray(dk))
@@ -482,13 +489,29 @@ class PolynomialChannel:
 
 @dataclass
 class PolynomialChannelSet:
+    """The channels of one order.  ``full_action`` is built on first access:
+    ``action`` at order 1, else the dual of ``subs``, the substitution rep by
+    id, whose traces are its characters (chi(g^-1) = chi(g) for real reps)."""
+
     order: int
     exponents: list
-    full_action: ProbeRepAction
     channels: list
-    #: probe characters ``(1 + len(channels), |G|)``: the full action's row,
-    #: then one row per channel
+    #: ``(1 + len(channels), |G|)``: the full action's row, then the channels'
     characters: np.ndarray
+    action: ProbeRepAction
+    subs: np.ndarray
+
+    @cached_property
+    def full_action(self) -> ProbeRepAction:
+        if self.order == 1:
+            return self.action
+        return _stack_action(self.action.group, _dual_matrices(self.subs), self.order)
+
+
+def _stack_action(g: MagneticGroup, stack: np.ndarray, n: int) -> ProbeRepAction:
+    """The order-n polynomial action with the matrices ``stack``, by id."""
+    return ProbeRepAction(group=g, d_h=stack[g.h_elements], kind=f"polynomial({n})",
+                          d_t0=stack[g.t0] if g.is_magnetic else None)
 
 
 def polynomial_channel(action: ProbeRepAction, n: int,
@@ -501,8 +524,9 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     coefficients.  A random symmetric matrix averaged over the whole group
     (the same commutant trick the reduction engine uses, run in real
     arithmetic) splits that rep into minimal invariant channels; each
-    eigenspace is returned as a ProbeRepAction with explicit polynomial
-    bases.  n = 1 reproduces the input action.
+    eigenspace is returned with explicit polynomial bases.  Its
+    ProbeRepAction and the full induced action are built on first access.
+    n = 1 reproduces the input action.  ``seed`` must be an integer.
 
     Every input is validated once per call.  The channels are checked
     together, in one group-law check of the block-diagonal rep they form
@@ -511,72 +535,58 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     """
     if n < 1:
         raise ValueError("polynomial order must be >= 1")
+    seed = operator.index(seed)
     validate_action(action)
-    return _channel_set(action, n, seed)
+    return _channel_sets(action, [n], seed)[0]
 
 
-def _channel_set(action: ProbeRepAction, n: int, seed: int) -> PolynomialChannelSet:
-    """``polynomial_channel`` of an action the caller has validated."""
+def _channel_sets(action: ProbeRepAction, orders, seed: int) -> list:
+    """``polynomial_channel`` of each order, for an action the caller has
+    validated, with D(g) and its dual read once and one draw of normals:
+    the C-order prefix of the draw is each order's ``standard_normal((m, m))``."""
     g = action.group
-    exponents = monomial_exponents(n, action.dim_q)
-    n_mono = len(exponents)
-    # substitution rep of every element: the monomials of the dual matrices
+    q = action.dim_q
     mats = action.d(np.arange(g.order))
-    subs = _substitution_matrices(_dual_matrices(mats), n)
-    full_d = mats if n == 1 else _dual_matrices(subs)
-
-    # orthogonalize the substitution rep, then average a random symmetric seed
-    flat = subs.reshape(-1, n_mono)
-    s_metric = flat.T @ flat / g.order
-    vals, vecs = np.linalg.eigh(s_metric)
-    if vals.min() <= 1e-12:
-        raise SingularAction("substitution metric is singular")
-    s_half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-    s_half_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
-    ortho = s_half @ subs @ s_half_inv
-
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n_mono, n_mono))
-    a = (a + a.T) / 2
-    lam = (ortho @ a @ np.swapaxes(ortho, 1, 2)).sum(axis=0) / g.order
-    lam = (lam + lam.T) / 2
-    evals, evecs = np.linalg.eigh(lam)
-    # lam is symmetric, so its spectral norm is its largest |eigenvalue|
-    gap = 1e-7 * max(1.0, np.abs(evals).max())
-    slices = _cluster_slices(evals, gap)
-
-    # the rep in the eigenbasis: each channel is one diagonal block.  Off the
-    # blocks it is zeroed, so one group-law check of the block-diagonal stack
-    # checks every channel: its off-block products are exact zeros, and its
-    # residual is the largest of the channels' own, up to the last-place
-    # rounding of the larger inverse of D(t0).  A bad split fails it.
-    in_block = np.zeros((n_mono, n_mono), dtype=bool)
-    for sl in slices:
-        in_block[sl, sl] = True
-    rotated = np.where(in_block, evecs.T @ ortho @ evecs, 0.0)
-    validate_action(ProbeRepAction(
-        group=g, d_h=rotated[g.h_elements], d_t0=rotated[g.t0] if g.is_magnetic else None,
-        kind=f"polynomial({n})"), tol=1e-7)
-    diagonal = np.einsum("gii->gi", rotated)
-    characters = [np.einsum("gii->g", full_d)]
-    channels = []
-    for sl in slices:
-        chan = rotated[:, sl, sl]
-        channels.append(PolynomialChannel(
-            action=ProbeRepAction(group=g, d_h=chan[g.h_elements],
-                                  d_t0=chan[g.t0] if g.is_magnetic else None,
-                                  kind=f"polynomial({n})"),
-            coefficients=evecs[:, sl].T @ s_half,
-            exponents=exponents,
-            order=n,
-        ))
-        characters.append(diagonal[:, sl].sum(axis=1))
-
-    full = action if n == 1 else ProbeRepAction(
-        group=g, d_h=full_d[g.h_elements], d_t0=full_d[g.t0] if g.is_magnetic else None,
-        kind=f"polynomial({n})")
-    return PolynomialChannelSet(order=n, exponents=exponents, full_action=full,
-                                channels=channels, characters=np.stack(characters))
+    lin = _dual_matrices(mats)
+    draw = np.random.default_rng(seed).standard_normal(comb(max(orders) + q - 1, q - 1) ** 2)
+    sets = []
+    for n in orders:
+        exponents = monomial_exponents(n, q)
+        n_mono = len(exponents)
+        # substitution rep of every element: the monomials of the dual matrices
+        subs = _substitution_matrices(lin, n)
+        # orthogonalize the substitution rep, then average a random symmetric seed
+        flat = subs.reshape(-1, n_mono)
+        vals, vecs = np.linalg.eigh(flat.T @ flat / g.order)
+        if vals.min() <= 1e-12:
+            raise SingularAction("substitution metric is singular")
+        s_half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+        s_half_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+        ortho = s_half @ subs @ s_half_inv
+        a = draw[:n_mono * n_mono].reshape(n_mono, n_mono)
+        lam = (ortho @ ((a + a.T) / 2) @ np.swapaxes(ortho, 1, 2)).sum(axis=0) / g.order
+        lam = (lam + lam.T) / 2
+        evals, evecs = np.linalg.eigh(lam)
+        # lam is symmetric, so its spectral norm is its largest |eigenvalue|
+        slices = _cluster_slices(evals, 1e-7 * max(1.0, np.abs(evals).max()))
+        # the rep in the eigenbasis: each channel is one diagonal block.  Off the
+        # blocks it is zeroed, so one group-law check of the block-diagonal stack
+        # checks every channel: its off-block products are exact zeros, and its
+        # residual is the largest of the channels' own, up to the last-place
+        # rounding of the larger inverse of D(t0).  A bad split fails it.
+        owner = np.repeat(np.arange(len(slices)), [sl.stop - sl.start for sl in slices])
+        rotated = np.where(owner[:, None] == owner, evecs.T @ ortho @ evecs, 0.0)
+        validate_action(_stack_action(g, rotated, n), tol=1e-7)
+        diagonal = np.einsum("gii->gi", rotated)
+        characters = [np.einsum("gii->g", mats if n == 1 else subs)]
+        characters += [diagonal[:, sl].sum(axis=1) for sl in slices]
+        channels = [PolynomialChannel(group=g, block=rotated[:, sl, sl], exponents=exponents,
+                                      coefficients=evecs[:, sl].T @ s_half, order=n)
+                    for sl in slices]
+        sets.append(PolynomialChannelSet(order=n, exponents=exponents, channels=channels,
+                                         characters=np.stack(characters), action=action,
+                                         subs=subs))
+    return sets
 
 
 # -- dispersion order and probe stability -----------------------------------------
@@ -590,8 +600,8 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
     action has positive multiplicity; per-channel entries expose which
     direction couples (splitting counts exclude identity-tuple couplings).
     Each order is counted from the character stack of its
-    ``PolynomialChannelSet`` in one criterion call.  The action is
-    validated once per call, not once per order.
+    ``PolynomialChannelSet`` in one criterion call and builds no action but
+    its split check; the action is validated and read once per call.
     """
     return _dispersion_table(rep, action, n_max, seed)[0]
 
@@ -602,27 +612,18 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
     built, so that callers who also need the channels build them once."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    seed = operator.index(seed)
     _check_same_group(rep, action)
     validate_action(action)
+    sets = _channel_sets(action, range(1, n_max + 1), seed)
     orders = []
-    sets = []
-    leading = None
-    for n in range(1, n_max + 1):
-        chans = _channel_set(action, n, seed)
+    for chans in sets:
         # row 0 is the full induced action, then one row per channel
         counts = _coupling_counts(rep, chans.characters)
-        entry = {
-            "order": n,
-            "full": counts[0],
-            "channels": [{"dim": ch.action.dim_q, **count,
-                          "polynomials": ch.coefficients,
-                          "exponents": ch.exponents}
-                         for ch, count in zip(chans.channels, counts[1:])],
-        }
-        if leading is None and counts[0]["multiplicity"] > 0:
-            leading = n
-        orders.append(entry)
-        sets.append(chans)
+        orders.append({"order": chans.order, "full": counts[0], "channels": [
+            {"dim": len(ch.coefficients), **count, "polynomials": ch.coefficients,
+             "exponents": ch.exponents} for ch, count in zip(chans.channels, counts[1:])]})
+    leading = next((o["order"] for o in orders if o["full"]["multiplicity"] > 0), None)
     return {"orders": orders, "leading_order": leading, "seed": seed}, sets
 
 

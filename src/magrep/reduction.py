@@ -9,6 +9,7 @@ unitary subgroup H, then by a random matrix commuting with H only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -216,11 +217,12 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
     on magnetic groups by the H-only lam, which commutes with gamma on each
     of its eigenspaces.  Every block must pass the irreducibility criterion;
     an accidental eigenvalue collision of the random gamma triggers a
-    reseeded retry.
+    reseeded retry.  ``seed`` must be an integer, so the result is reproducible.
 
     The input is validated only when it carries no residual bounds
     (``CoRep.residuals``) at or below the validation tolerance.
     """
+    seed = operator.index(seed)
     check_tol = max(tol, 1e-9)
     if not residuals_within(rep, check_tol):
         report = validate_corep(rep, tol=check_tol)

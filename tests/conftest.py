@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -19,17 +20,22 @@ from magrep.errors import (
     NotHermitian,
     NoT0,
     NotIrreducible,
+    SingularAction,
 )
 from magrep.groups import build_group, conjugacy_classes
 from magrep.io import _jsonable
 from magrep.kp import (
     ACTION_TOL,
+    ProbeRepAction,
+    _coupling_counts,
     _dual_matrices,
+    _substitution_matrices,
     dual_rep,
     hermitian_basis,
     linear_multiplicity,
     monomial_exponents,
     polynomial_channel,
+    validate_action,
 )
 from magrep.linalg import LINALG_TOL, _cluster_slices, refine_eigenbasis
 from magrep.reduction import (
@@ -632,6 +638,73 @@ def dispersion_table_per_channel(rep, action, n_max, seed=0):
              "polynomials": ch.coefficients, "exponents": ch.exponents}
             for ch in chans.channels]})
         if leading is None and full["multiplicity"] > 0:
+            leading = n
+    return {"orders": orders, "leading_order": leading, "seed": seed}
+
+
+def channel_set_eager(action, n, seed=0):
+    """``polynomial_channel`` of an action the caller has validated, built
+    eagerly, one order at a time: D(g) and its dual read per order, the seed
+    drawn as ``standard_normal((m, m))``, every channel's ProbeRepAction and
+    the full induced action built at once, and the full character row taken
+    from the traces of the inverted substitution stack."""
+    g = action.group
+    exponents = monomial_exponents(n, action.dim_q)
+    n_mono = len(exponents)
+    mats = action.d(np.arange(g.order))
+    subs = _substitution_matrices(_dual_matrices(mats), n)
+    full_d = mats if n == 1 else _dual_matrices(subs)
+
+    flat = subs.reshape(-1, n_mono)
+    vals, vecs = np.linalg.eigh(flat.T @ flat / g.order)
+    if vals.min() <= 1e-12:
+        raise SingularAction("substitution metric is singular")
+    s_half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+    s_half_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+    ortho = s_half @ subs @ s_half_inv
+
+    a = np.random.default_rng(seed).standard_normal((n_mono, n_mono))
+    a = (a + a.T) / 2
+    lam = (ortho @ a @ np.swapaxes(ortho, 1, 2)).sum(axis=0) / g.order
+    lam = (lam + lam.T) / 2
+    evals, evecs = np.linalg.eigh(lam)
+    slices = _cluster_slices(evals, 1e-7 * max(1.0, np.abs(evals).max()))
+
+    def stack_action(stack):
+        return ProbeRepAction(group=g, d_h=stack[g.h_elements],
+                              d_t0=stack[g.t0] if g.is_magnetic else None,
+                              kind=f"polynomial({n})")
+
+    in_block = np.zeros((n_mono, n_mono), dtype=bool)
+    for sl in slices:
+        in_block[sl, sl] = True
+    rotated = np.where(in_block, evecs.T @ ortho @ evecs, 0.0)
+    validate_action(stack_action(rotated), tol=1e-7)
+    diagonal = np.einsum("gii->gi", rotated)
+    characters = [np.einsum("gii->g", full_d)]
+    channels = []
+    for sl in slices:
+        channels.append(SimpleNamespace(action=stack_action(rotated[:, sl, sl]),
+                                        coefficients=evecs[:, sl].T @ s_half,
+                                        exponents=exponents, order=n))
+        characters.append(diagonal[:, sl].sum(axis=1))
+    return SimpleNamespace(order=n, exponents=exponents, channels=channels,
+                           full_action=action if n == 1 else stack_action(full_d),
+                           characters=np.stack(characters))
+
+
+def dispersion_table_eager(rep, action, n_max, seed=0):
+    """dispersion_order's table from ``channel_set_eager``, order by order,
+    each order counted in one criterion call."""
+    validate_action(action)
+    orders, leading = [], None
+    for n in range(1, n_max + 1):
+        chans = channel_set_eager(action, n, seed)
+        counts = _coupling_counts(rep, chans.characters)
+        orders.append({"order": n, "full": counts[0], "channels": [
+            {"dim": ch.action.dim_q, **count, "polynomials": ch.coefficients,
+             "exponents": ch.exponents} for ch, count in zip(chans.channels, counts[1:])]})
+        if leading is None and counts[0]["multiplicity"] > 0:
             leading = n
     return {"orders": orders, "leading_order": leading, "seed": seed}
 

@@ -526,6 +526,72 @@ def test_cli_kp_builds_each_order_once(monkeypatch):
     assert orders == [1, 2, 3]
 
 
+def test_dispersion_order_builds_only_its_split_checks(monkeypatch):
+    # one table reads D(g) and its dual once and inverts no substitution
+    # stack: the full row comes from traces, and no channel action nor full
+    # induced action is built until it is read
+    built, inverted = [], []
+    post_init, dual = ProbeRepAction.__post_init__, magrep.kp._dual_matrices
+
+    def spy_post_init(self):
+        built.append(self.kind)
+        post_init(self)
+
+    def spy_dual(mats):
+        inverted.append(np.shape(mats))
+        return dual(mats)
+
+    monkeypatch.setattr(ProbeRepAction, "__post_init__", spy_post_init)
+    monkeypatch.setattr(magrep.kp, "_dual_matrices", spy_dual)
+    for name in ("c6v_t", "c4v_c4", "z4t"):
+        entry = mr.catalog_get(name)
+        rep, act = next(iter(entry.reps.values())), entry.probe_actions["momentum"]
+        for n_max in (1, 3, 4):
+            built.clear()
+            inverted.clear()
+            table = dispersion_order(rep, act, n_max)
+            assert built == [f"polynomial({n})" for n in range(1, n_max + 1)], (name, n_max)
+            assert [s for s in inverted if len(s) == 3] == [(act.group.order, 3, 3)], name
+            sets = magrep.kp._dispersion_table(rep, act, n_max, 0)[1]
+            built.clear()
+            for chans, entry_n in zip(sets, table["orders"]):
+                assert [ch.action.dim_q for ch in chans.channels] == \
+                    [c["dim"] for c in entry_n["channels"]]
+                assert chans.full_action.dim_q == len(chans.exponents)
+            # each action once, on first access
+            assert len(built) == sum(len(c.channels) + (c.order > 1) for c in sets)
+            assert all(ch.action is ch.action for c in sets for ch in c.channels)
+
+
+@pytest.mark.parametrize("seed", [0, 13, 17, 2**40])
+def test_normals_draw_fills_in_c_order(seed):
+    # every order's seed matrix is the C-order prefix of one draw sized for
+    # the largest order: a change of numpy's fill order must fail here
+    for big in (10, 15):
+        draw = np.random.default_rng(seed).standard_normal(big * big)
+        for m in (1, 2, 3, 4, 6, 10):
+            own = np.random.default_rng(seed).standard_normal((m, m))
+            assert np.array_equal(draw[:m * m].reshape(m, m), own), (seed, big, m)
+
+
+def test_randomized_entry_points_need_an_integer_seed():
+    entry = mr.catalog_get("c6v_t")
+    rep, act = entry.reps["e_half"], entry.probe_actions["momentum"]
+    calls = {"dispersion_order": lambda seed: dispersion_order(rep, act, 2, seed=seed),
+             "polynomial_channel": lambda seed: polynomial_channel(act, 2, seed=seed),
+             "reduce_corep": lambda seed: mr.reduce_corep(rep, seed=seed)}
+    for call in calls.values():
+        # None would draw OS entropy: two calls could disagree
+        for bad in (None, 1.0, "3"):
+            with pytest.raises(TypeError):
+                call(bad)
+        call(np.int64(3))
+    table = dispersion_order(rep, act, 2, seed=np.int64(3))
+    assert type(table["seed"]) is int and magrep.io.write_report(table) == \
+        magrep.io.write_report(dispersion_order(rep, act, 2, seed=3))
+    assert mr.reduce_corep(rep, seed=np.uint8(4)).seeds_used == [4]
+
+
 def test_constant_tables_are_built_once_and_read_only():
     for d in (1, 2, 4):
         basis = magrep.kp.hermitian_basis(d)

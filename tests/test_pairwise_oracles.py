@@ -16,7 +16,10 @@ form that took two more norms.  The null-space oracle built
 from the batched covariance defects against the one built a parameter column
 and an element at a time.  ``dispersion_order``, which counts each order from
 one stack of characters, must give the table of one criterion call and one
-null space per channel, on the catalog and at order 96.  The co-rep
+null space per channel, on the catalog and at order 96.  Its channel sets,
+which read every element once per call and build their actions on first
+use, must match the eager order-by-order oracle bit for bit, and its tables
+byte for byte.  The co-rep
 residuals are largest Frobenius norms: each matrix's norm must match
 ``math.hypot`` of its entries within a few ulps, under- and overflowing
 squares and non-contiguous stacks included, and a NaN must give NaN; every
@@ -55,6 +58,7 @@ from magrep.coreps import (
 )
 from magrep.errors import InvalidAction, InvalidCoRep, NotAGroup
 from magrep.groups import build_group, conjugacy_classes, restricted_group, validate_cocycle
+from magrep.io import write_report
 from magrep.kp import (
     ProbeRepAction,
     _characters,
@@ -77,11 +81,13 @@ from conftest import (
     associativity_failure_full,
     cayley_from_realization_pairwise,
     catalog_irreps,
+    channel_set_eager,
     cocycle_violation_full,
     compatible_rep_groups,
     channel_actions,
     conjugacy_classes_pairwise,
     covariant_tuple_basis_columnwise,
+    dispersion_table_eager,
     dispersion_table_per_channel,
     omega_pairwise,
     relabelled,
@@ -346,9 +352,19 @@ def assert_ulps(got, want, tag, ulps=4):
 
 
 # squares of entries go subnormal from 1e-160 down and overflow at 1e160
-@pytest.mark.parametrize("mag", [1e-300, 1e-170, 1e-160, 1.0, 1e150, 1e160])
+@pytest.mark.parametrize("mag", [1e-300, 1e-170, 1e-160])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
+def test_frobenius_norms_are_within_ulps_of_hypot(d, mag):
+    assert_frobenius_norms_within_ulps_of_hypot(d, mag)
+
+
+@pytest.mark.parametrize("mag", [1.0, 1e150, 1e160])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
 def test_max_spectral_norm_is_bit_equal_to_lapack(d, mag):
+    assert_frobenius_norms_within_ulps_of_hypot(d, mag)
+
+
+def assert_frobenius_norms_within_ulps_of_hypot(d, mag):
     # the residual kernel takes the largest Frobenius norm: every matrix's
     # norm within a few ulps of math.hypot, and so between LAPACK's spectral
     # norm and sqrt(d) times it
@@ -707,6 +723,75 @@ def test_dispersion_table_matches_per_channel(name, rep_name, rep):
 def test_dispersion_table_matches_per_channel_at_order_96(oht, rep_name):
     rep = corep_from_matrices(oht["group"], oht["coreps"][rep_name])
     assert_table_matches_per_channel(rep, oht["actions"]["momentum"], 23, rep_name)
+
+
+def assert_channel_sets_match_eager(reps, actions, tag):
+    """Every action's channel sets at orders 1-3 and seeds 0 and 17 against
+    ``channel_set_eager``, and every (co-rep, action) table against the
+    eager one, byte for byte."""
+    for seed in (0, 17):
+        for act_name, act in actions.items():
+            for n in (1, 2, 3):
+                where = (tag, act_name, n, seed)
+                got, want = polynomial_channel(act, n, seed=seed), channel_set_eager(act, n, seed)
+                assert got.exponents == want.exponents and len(got.channels) == len(want.channels)
+                # row 0 from the traces of the substitution rep, not of its inverse
+                assert np.abs(got.characters - want.characters).max() <= 1e-12, where
+                assert np.array_equal(got.characters[1:], want.characters[1:]), where
+                pairs = [(got.full_action, want.full_action)]
+                pairs += [(a.action, b.action) for a, b in zip(got.channels, want.channels)]
+                for a, b in pairs:
+                    assert (a.kind, a.dim_q) == (b.kind, b.dim_q), where
+                    assert np.array_equal(a.d_h, b.d_h), where
+                    assert (a.d_t0 is None) == (b.d_t0 is None), where
+                    assert a.d_t0 is None or np.array_equal(a.d_t0, b.d_t0), where
+                for a, b in zip(got.channels, want.channels):
+                    assert np.array_equal(a.coefficients, b.coefficients), where
+            for rep_name, rep in reps.items():
+                table = dispersion_order(rep, act, 3, seed=seed)
+                want = dispersion_table_eager(rep, act, 3, seed)
+                assert write_report(table) == write_report(want), (tag, rep_name, act_name)
+                assert_same_table(table, want, (tag, rep_name, act_name, seed))
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_channel_sets_match_the_eager_oracle(name):
+    entry = mr.catalog_get(name)
+    assert_channel_sets_match_eager(entry.reps, entry.probe_actions, name)
+
+
+def test_channel_sets_match_the_eager_oracle_at_order_96(oht):
+    reps = {r: corep_from_matrices(oht["group"], mats) for r, mats in oht["coreps"].items()}
+    assert_channel_sets_match_eager(reps, oht["actions"], "oht")
+
+
+COUNT_KEYS = ("multiplicity", "trivial_multiplicity", "splitting_multiplicity")
+
+
+def assert_full_row_is_the_channel_sum(table, tag):
+    """Each count of the full induced action, taken from the traces, is the
+    sum of the channels' counts, taken from the split."""
+    for entry in table["orders"]:
+        for key in COUNT_KEYS:
+            want = sum(ch[key] for ch in entry["channels"])
+            assert entry["full"][key] == want, (tag, entry["order"], key)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_full_row_is_the_channel_sum(name):
+    entry = mr.catalog_get(name)
+    for rep_name, rep in entry.reps.items():
+        for act_name, act in entry.probe_actions.items():
+            assert_full_row_is_the_channel_sum(dispersion_order(rep, act, 3),
+                                               (name, rep_name, act_name))
+
+
+@pytest.mark.parametrize("act_name", ["momentum", "magnetic", "strain_eg", "strain_t2g"])
+def test_full_row_is_the_channel_sum_at_order_96(oht, act_name):
+    for rep_name, mats in oht["coreps"].items():
+        rep = corep_from_matrices(oht["group"], mats)
+        table = dispersion_order(rep, oht["actions"][act_name], 3, seed=5)
+        assert_full_row_is_the_channel_sum(table, (rep_name, act_name))
 
 
 # -- groups ------------------------------------------------------------------------
