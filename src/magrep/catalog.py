@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coreps import COREP_TOL, _row_blocks, corep_from_matrices, residuals_within
+from .coreps import COREP_TOL, corep_from_matrices, residuals_within
 from .errors import UnknownName
-from .groups import MagneticGroup, build_group, validate_cocycle
+from .groups import MagneticGroup, _row_blocks, build_group, validate_cocycle
 from .kp import ProbeRepAction, validate_action
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -74,7 +74,10 @@ def _group_from_realization(realization, flags, labels) -> MagneticGroup:
     """Cayley table by matching the products of a faithful matrix realization;
     the flags form a homomorphism onto Z2, so the flag of a product is the
     xor.  The (rows, n, n, k, k) comparison runs over the ``_row_blocks``
-    of first elements, as the co-rep pair kernel does."""
+    of first elements, as the co-rep pair kernel does.  Entries match by
+    ``np.isclose``'s rule at atol 1e-10 and its default rtol 1e-5,
+    |x - y| <= atol + rtol |y|, written out: on the finite entries of a
+    realization it is all that ``np.isclose`` computes."""
     mats = np.asarray(realization)
     flags = np.asarray(flags, dtype=int)
     n = len(mats)
@@ -82,14 +85,14 @@ def _group_from_realization(realization, flags, labels) -> MagneticGroup:
     for rows in _row_blocks(n, n * mats[0].size * n):
         # hits[i, b, c]: element c matches the product a b (a = rows[i]) in
         # matrix and flag
-        hits = np.isclose(mats, (mats[rows, None] @ mats)[:, :, None],
-                          atol=1e-10).all(axis=(-2, -1))
+        prods = (mats[rows, None] @ mats)[:, :, None]
+        hits = (np.abs(mats - prods) <= 1e-10 + 1e-5 * np.abs(prods)).all(axis=(-2, -1))
         hits &= flags == (flags[rows, None] ^ flags)[:, :, None]
         bad = hits.sum(axis=2) != 1
         if bad.any():
             i, b = np.argwhere(bad)[0]
             raise ValueError(f"realization is not closed at "
-                             f"({labels[rows[i]]}, {labels[b]})")
+                             f"({labels[rows.start + i]}, {labels[b]})")
         cayley[rows] = np.argmax(hits, axis=2)
     return build_group(cayley, flags, labels=labels)
 

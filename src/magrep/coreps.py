@@ -43,14 +43,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCoRep
-from .groups import FactorSystem, MagneticGroup, _same_group, restricted_group
+from .groups import FactorSystem, MagneticGroup, _row_blocks, _same_group, restricted_group
 
 #: Default tolerance for unitarity / multiplication-rule residuals.
 COREP_TOL = 1e-9
 #: residual above which a product is not a scalar multiple of its table entry
 OMEGA_FIT_TOL = 1e-8
-#: product entries per block of first elements in ``_row_products``
-ROW_BLOCK_ENTRIES = 2 ** 14
 #: tiny/eps: a sum of squares below it may have lost underflowed squares
 _SQUARES_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
@@ -145,15 +143,6 @@ def _unitarity_residual(mats: np.ndarray) -> float:
     return _max_frobenius_norm(np.swapaxes(np.conj(mats), -1, -2) @ mats - eye)
 
 
-def _row_blocks(n: int, entries_per_row: int):
-    """The ids 0..n-1 in consecutive blocks, each an int array of as many
-    rows as fit ``ROW_BLOCK_ENTRIES`` entries at ``entries_per_row`` each
-    (at least one row): the block policy of every per-row product kernel."""
-    step = max(1, ROW_BLOCK_ENTRIES // max(1, entries_per_row))
-    for start in range(0, n, step):
-        yield np.arange(start, min(start + step, n))
-
-
 def _row_products(group: MagneticGroup, mats: np.ndarray):
     """Yield ``(rows, prod, target)`` over blocks of first elements a:
     prod[i, b] = M(a) conj^[s(a)](M(b)) and target[i, b] = M(ab) for
@@ -167,7 +156,9 @@ def _row_products(group: MagneticGroup, mats: np.ndarray):
     n, d = mats.shape[:2]
     wide = mats.transpose(1, 0, 2).reshape(d, n * d)
     wides = (wide, np.conj(wide))
-    for rows in _row_blocks(n, n * d * d):
+    ids = np.arange(n)
+    for block in _row_blocks(n, n * d * d):
+        rows = ids[block]
         prod = np.empty((len(rows), n, d, d), dtype=complex)
         for flag, w in enumerate(wides):
             sel = group.antiunitary[rows] == flag

@@ -27,6 +27,19 @@ from .errors import (
 #: Default absolute tolerance for cocycle validation.  Factor systems are
 #: exact-phase tables, so violations are either ~0 or O(1).
 COCYCLE_TOL = 1e-10
+#: entries per block of first elements in every per-row kernel
+ROW_BLOCK_ENTRIES = 2 ** 14
+
+
+def _row_blocks(n: int, entries_per_row: int):
+    """Slices of the ids 0..n-1 in consecutive blocks, each of as many rows
+    as fit ``ROW_BLOCK_ENTRIES`` entries at ``entries_per_row`` each (at
+    least one row), so a block's rows of a table are a view.  The block
+    policy of every per-row kernel: the group and cocycle checks here, the
+    co-rep products, the probe-action check and the catalog's table match."""
+    step = max(1, ROW_BLOCK_ENTRIES // max(1, entries_per_row))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 @dataclass
@@ -150,17 +163,17 @@ class MagneticGroup:
 
 
 def _element_orders(cayley: np.ndarray, identity: int) -> np.ndarray:
-    n = cayley.shape[0]
-    orders = np.zeros(n, dtype=int)
-    for g in range(n):
-        k, acc = 1, g
-        while acc != identity:
-            acc = cayley[acc, g]
-            k += 1
-            if k > n:
-                raise NotAGroup(f"element {g} generates no identity within |G| steps")
-        orders[g] = k
-    return orders
+    """Order of every element of a group, from one walk over the powers
+    g, g^2, ... of all elements at once.  The walk stops at the group's
+    exponent, the first power that is the identity for every g, which
+    divides n, so it takes at most n steps."""
+    ids = np.arange(cayley.shape[0])
+    power = ids
+    hits = [power == identity]
+    while not hits[-1].all():
+        power = cayley[power, ids]
+        hits.append(power == identity)
+    return np.argmax(hits, axis=0) + 1
 
 
 def _pick_t0(flags: np.ndarray, orders: np.ndarray) -> Optional[int]:
@@ -216,13 +229,16 @@ def build_group(cayley, flags, labels=None) -> MagneticGroup:
     if bad.any():
         raise NotAGroup(f"row/column {int(np.argmax(bad))} is not a permutation of the element ids")
 
-    # Associativity over all triples, one row a at a time (n^2 temporaries).
-    for a in range(n):
-        left = table[table[a]]        # left[b, c]  = (a b) c
-        right = table[a][table]       # right[b, c] = a (b c)
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise NotAGroup(f"associativity fails at triple {(a, int(b), int(c))}")
+    # Associativity over all triples, a block of first elements a at a time
+    # (``_row_blocks`` of n^2 triples a row); for a = rows[i],
+    # table[ab][i, b, c] = (a b) c and ab.take(table, axis=1)[i, b, c] = a (b c).
+    # The first failing triple in id order is the first in the first bad block.
+    for rows in _row_blocks(n, n * n):
+        ab = table[rows]
+        bad = table[ab] != ab.take(table, axis=1)
+        if bad.any():
+            i, b, c = np.argwhere(bad)[0]
+            raise NotAGroup(f"associativity fails at triple {(rows.start + int(i), int(b), int(c))}")
 
     # Unique two-sided identity.
     id_candidates = np.nonzero((table == ids).all(axis=1) & (table == ids[:, None]).all(axis=0))[0]
@@ -335,13 +351,22 @@ def validate_cocycle(group: MagneticGroup, omega: FactorSystem,
 
     table = group.cayley
     w_conj = np.conj(w)
-    # one row a at a time keeps the temporaries at n^2:
-    # lhs[b,c] = w^[s(a)](b,c) * conj(w(ab,c)) * w(a,bc) * conj(w(a,b))
+    # The twisted factor w^[s(a)] is one table for every a of a coset, so the
+    # first elements a come coset by coset, H then T0 H, with their rows of
+    # w, conj(w) and the Cayley table gathered once.  Each coset goes in
+    # ``_row_blocks`` of n^2 triples a row, one set of array operations per
+    # block; for the block's i-th first element a,
+    # lhs[i, b, c] = w^[s(a)](b,c) * conj(w(ab,c)) * w(a,bc) * conj(w(a,b)),
+    # multiplied left to right, so each entry is bit for bit the row loop's.
     violations = []
-    for a in range(n):
-        lhs = ((w_conj if group.s(a) else w) * w_conj[table[a]] * w[a][table]
-               * w_conj[a][:, None])
-        violations.append(np.abs(lhs - 1.0).max())
+    for ids, twisted in ((group.h_elements, w), (group.coset_elements, w_conj)):
+        w_a, w_conj_a, ab = w[ids], w_conj[ids], table[ids]
+        for rows in _row_blocks(len(ids), n * n):
+            lhs = twisted * w_conj[ab[rows]]
+            lhs *= w_a[rows].take(table, axis=1)
+            lhs *= w_conj_a[rows, :, None]
+            lhs -= 1.0
+            violations.append(np.abs(lhs).max())
     # np.max, unlike the builtin max, lets a NaN violation through
     return CocycleReport(max_modulus_error=modulus_err,
                          max_violation=float(np.max(violations)), tol=tol)

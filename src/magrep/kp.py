@@ -43,7 +43,7 @@ sets of every order of one call read D(g) and its dual once.  They count
 from traces, the full row from the substitution rep's, and build a channel's
 ProbeRepAction, or the full induced action, on first use.
 ``validate_action`` checks all |H|^2 subgroup products in broadcast matmuls,
-one per block of rows from ``coreps._row_blocks``, the block rule of the
+one per block of rows from ``groups._row_blocks``, the block rule of the
 co-rep pair kernel, on the product tables ``MagneticGroup`` caches.
 """
 
@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coreps import CoRep, _row_blocks, restrict_corep
+from .coreps import CoRep, restrict_corep
 from .errors import (
     DimensionMismatch,
     EmptyChannel,
@@ -66,7 +66,7 @@ from .errors import (
     NotCommuting,
     SingularAction,
 )
-from .groups import MagneticGroup, _same_group
+from .groups import MagneticGroup, _row_blocks, _same_group
 from .linalg import _cluster_slices
 from .reduction import _real, criterion_sums, irreducibility_index
 

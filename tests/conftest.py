@@ -469,6 +469,28 @@ def cocycle_violation_full(group, omega):
     return float(np.abs(lhs - 1.0).max())
 
 
+def cocycle_violation_rowwise(group, omega):
+    """Twisted cocycle violation one first element a at a time, each row's
+    products in ``validate_cocycle``'s operand order, so that the two agree
+    bit for bit: lhs[b, c] = w^[s(a)](b,c) conj(w(ab,c)) w(a,bc) conj(w(a,b))."""
+    n, w, table = group.order, omega.values, group.cayley
+    w_conj = np.conj(w)
+    violations = []
+    for a in range(n):
+        lhs = ((w_conj if group.s(a) else w) * w_conj[table[a]] * w[a][table]
+               * w_conj[a][:, None])
+        violations.append(np.abs(lhs - 1.0).max())
+    return float(np.max(violations))
+
+
+def element_order_bruteforce(cayley, identity, g):
+    acc, k = g, 1
+    while acc != identity:
+        acc = cayley[acc][g]
+        k += 1
+    return k
+
+
 def associativity_failure_full(table):
     """First triple (a, b, c) with (a b) c != a (b c), from two n^3 tables;
     None when the table is associative."""

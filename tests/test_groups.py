@@ -22,18 +22,15 @@ from magrep.groups import (
 )
 from magrep.kp import ProbeRepAction, covariant_tuple_basis, linear_multiplicity
 
-from conftest import relabelled, restricted_group_rebuilt, verify_embedding_pairwise
+from conftest import (
+    element_order_bruteforce,
+    relabelled,
+    restricted_group_rebuilt,
+    verify_embedding_pairwise,
+)
 
 Z2T_CAYLEY = [[0, 1], [1, 0]]
 ENTRIES = mr.catalog_list()
-
-
-def element_order_bruteforce(cayley, identity, g):
-    acc, k = g, 1
-    while acc != identity:
-        acc = cayley[acc][g]
-        k += 1
-    return k
 
 
 def test_trivial_group():

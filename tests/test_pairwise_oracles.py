@@ -34,16 +34,16 @@ d = 1-12.
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import magrep as mr
-import magrep.coreps
+import magrep.groups
 from magrep.catalog import _cnv_realization, _group_from_realization, _lift3
 from magrep.coreps import (
     OMEGA_FIT_TOL,
-    ROW_BLOCK_ENTRIES,
     CoRep,
     _frobenius_norms,
     _max_frobenius_norm,
@@ -57,7 +57,14 @@ from magrep.coreps import (
     validate_corep,
 )
 from magrep.errors import InvalidAction, InvalidCoRep, NotAGroup
-from magrep.groups import build_group, conjugacy_classes, restricted_group, validate_cocycle
+from magrep.groups import (
+    ROW_BLOCK_ENTRIES,
+    FactorSystem,
+    build_group,
+    conjugacy_classes,
+    restricted_group,
+    validate_cocycle,
+)
 from magrep.io import write_report
 from magrep.kp import (
     ProbeRepAction,
@@ -83,12 +90,14 @@ from conftest import (
     catalog_irreps,
     channel_set_eager,
     cocycle_violation_full,
+    cocycle_violation_rowwise,
     compatible_rep_groups,
     channel_actions,
     conjugacy_classes_pairwise,
     covariant_tuple_basis_columnwise,
     dispersion_table_eager,
     dispersion_table_per_channel,
+    element_order_bruteforce,
     omega_pairwise,
     relabelled,
     restricted_table_pairwise,
@@ -352,19 +361,9 @@ def assert_ulps(got, want, tag, ulps=4):
 
 
 # squares of entries go subnormal from 1e-160 down and overflow at 1e160
-@pytest.mark.parametrize("mag", [1e-300, 1e-170, 1e-160])
+@pytest.mark.parametrize("mag", [1e-300, 1e-170, 1e-160, 1.0, 1e150, 1e160])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
 def test_frobenius_norms_are_within_ulps_of_hypot(d, mag):
-    assert_frobenius_norms_within_ulps_of_hypot(d, mag)
-
-
-@pytest.mark.parametrize("mag", [1.0, 1e150, 1e160])
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 12])
-def test_max_spectral_norm_is_bit_equal_to_lapack(d, mag):
-    assert_frobenius_norms_within_ulps_of_hypot(d, mag)
-
-
-def assert_frobenius_norms_within_ulps_of_hypot(d, mag):
     # the residual kernel takes the largest Frobenius norm: every matrix's
     # norm within a few ulps of math.hypot, and so between LAPACK's spectral
     # norm and sqrt(d) times it
@@ -887,7 +886,7 @@ def test_group_kernels_match_pairwise(name):
 def test_realization_match_is_the_same_one_row_per_block(name, monkeypatch):
     # blocks of one first element: the table and the first bad pair's labels
     # come out as from a single block, whichever block the pair lies in
-    monkeypatch.setattr(magrep.coreps, "ROW_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(magrep.groups, "ROW_BLOCK_ENTRIES", 1)
     for mats, flags, labels in entry_realizations(name):
         built = _group_from_realization(mats, flags, labels)
         assert np.array_equal(built.cayley, mr.catalog_get(name).group.cayley)
@@ -939,3 +938,91 @@ def test_associativity_matches_full_scan(name):
             failures += 1
             assert got == (NotAGroup, f"associativity fails at triple {want}")
     assert failures > 0 or n <= 2
+
+
+# a Latin square with identity 0 that is not associative: (1 1) 2 != 1 (1 2)
+ORDER5_LOOP = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+def loop_times_z10():
+    """ORDER5_LOOP x Z_10, element (x, y) at id 10 x + y: its first failing
+    triple starts at id 10, past the first block of three rows."""
+    z10 = np.add.outer(np.arange(10), np.arange(10)) % 10
+    return (10 * ORDER5_LOOP[:, None, :, None] + z10[None, :, None, :]).reshape(50, 50)
+
+
+def factor_systems(oht):
+    """(group, factor system) of every catalog co-rep, plain, gauged and with
+    its last entry rephased by i so that the cocycle fails, and of the four
+    O_h x T co-reps, plain and gauged."""
+    out = []
+    for _, _, rep in IRREPS:
+        broken = rep.omega.values.copy()
+        broken[-1, -1] *= 1j
+        out += [(rep.group, rep.omega), (rep.group, random_gauge(rep, 3).omega),
+                (rep.group, FactorSystem(broken))]
+    for mats in oht["coreps"].values():
+        rep = corep_from_matrices(oht["group"], mats)
+        out += [(rep.group, rep.omega), (rep.group, random_gauge(rep, 3).omega)]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_cocycle_blocks_match_the_row_loop(rows, oht, monkeypatch):
+    # blocks of one and of three first elements: every report bit for bit
+    # that of the row loop, in whichever block its largest violation lies
+    cases = factor_systems(oht)
+    broken = 0
+    for g, omega in cases:
+        monkeypatch.setattr(magrep.groups, "ROW_BLOCK_ENTRIES", rows * g.order ** 2)
+        got = validate_cocycle(g, omega).max_violation
+        assert got == cocycle_violation_rowwise(g, omega), (g.order, got)
+        broken += got > 1.0
+    assert broken == len(IRREPS)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_associativity_blocks_name_the_first_triple(rows, monkeypatch):
+    tables = [ORDER5_LOOP, loop_times_z10()]
+    for name in ENTRIES:
+        table = mr.catalog_get(name).group.cayley
+        tables.append((table + 1) % len(table))
+    for t in tables:
+        n = len(t)
+        monkeypatch.setattr(magrep.groups, "ROW_BLOCK_ENTRIES", rows * n * n)
+        want = associativity_failure_full(t)
+        got = raised(build_group, t, np.zeros(n, dtype=int))
+        if want is None:
+            assert got is None or not got[1].startswith("associativity"), got
+        else:
+            assert got == (NotAGroup, f"associativity fails at triple {want}")
+    assert associativity_failure_full(tables[0]) == (1, 1, 2)
+    assert associativity_failure_full(tables[1]) == (10, 10, 20)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_element_orders_match_bruteforce(rows, oht, monkeypatch):
+    for g in [mr.catalog_get(name).group for name in ENTRIES] + [oht["group"]]:
+        monkeypatch.setattr(magrep.groups, "ROW_BLOCK_ENTRIES", rows * g.order ** 2)
+        built = build_group(g.cayley, g.antiunitary, g.labels)
+        want = [element_order_bruteforce(g.cayley, g.identity, e) for e in range(g.order)]
+        assert built.element_order.tolist() == want
+
+
+def test_group_checks_stay_under_a_mebibyte(oht):
+    # the peak traced memory of one check, temporaries included: blocks of
+    # n^2 triples a row keep it at O(max(ROW_BLOCK_ENTRIES, n^2)) entries
+    cases = factor_systems(oht)
+    tracemalloc.start()
+    try:
+        for g, omega in cases:
+            for fn, args in ((validate_cocycle, (g, omega)),
+                             (build_group, (g.cayley, g.antiunitary, g.labels))):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fn(*args)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert peak <= 2 ** 20, (fn.__name__, g.order, peak)
+    finally:
+        tracemalloc.stop()
