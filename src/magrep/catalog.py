@@ -1,16 +1,17 @@
-"""Built-in catalog of small magnetic groups with validated co-reps and
-probe actions.
+"""Built-in catalog of small magnetic groups with co-reps and probe actions.
 
 Every entry takes one path, ``_entry``: a faithful matrix realization plus
 one time-reversal flag per element gives the Cayley table by matching
 products, so no table is typed in.  The realization need only be faithful
 together with the flags, not spatial: ``[1], [1]`` with flags ``[0, 1]`` is
 the time-reversal pair group, and the scalars ``1, -1, i, -i`` its non-split
-extension.  Factor systems are derived from the representation matrices and
-validated on construction.  Entries cover both cocycle classes of the
-time-reversal pair group, split and non-split anti-unitary extensions, and
-planar point groups with unitary or anti-unitary mirrors, giving fixtures of
-real, complex and quaternion type.
+extension.  Factor systems are derived from the representation matrices,
+whose fit refuses a realization that is not a projective co-rep; the full
+co-rep, cocycle and action checks of every entry run in the tests, not on
+each lookup.  Entries cover both cocycle classes of the time-reversal pair
+group, split and non-split anti-unitary extensions, and planar point groups
+with unitary or anti-unitary mirrors, giving fixtures of real, complex and
+quaternion type.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coreps import COREP_TOL, corep_from_matrices, residuals_within
+from .coreps import corep_from_matrices
 from .errors import UnknownName
-from .groups import MagneticGroup, _row_blocks, build_group, validate_cocycle
-from .kp import ProbeRepAction, validate_action
+from .groups import MagneticGroup, _row_blocks, build_group
+from .kp import ProbeRepAction
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _I_SIGMA_Y = 1j * _SIGMA_Y
@@ -114,18 +115,14 @@ def _scalar(flags, t_sign: float):
 
 def _entry(name: str, realization, flags, labels, reps: dict,
            actions: dict) -> CatalogEntry:
-    """Entry on the group of ``realization``, each input validated.  ``reps``
-    maps a co-rep name to (factor-system class, matrices); a class takes the
-    factor system of its first co-rep.  ``actions`` maps an action name to
-    (kind, matrices), or to the name of an earlier action to share."""
+    """Entry on the group of ``realization``.  ``reps`` maps a co-rep name to
+    (factor-system class, matrices); a class takes the factor system of its
+    first co-rep.  ``actions`` maps an action name to (kind, matrices), or to
+    the name of an earlier action to share."""
     group = _group_from_realization(realization, flags, labels)
     entry = CatalogEntry(name=name, group=group)
     for rep_name, (key, mats) in reps.items():
         rep = corep_from_matrices(group, np.asarray(mats, dtype=complex))
-        assert residuals_within(rep, COREP_TOL), \
-            f"catalog rep failed validation: residuals {rep.residuals}"
-        cocycle = validate_cocycle(group, rep.omega)
-        assert cocycle.passed, f"catalog factor system failed validation: {cocycle}"
         entry.reps[rep_name] = rep
         entry.rep_omega[rep_name] = key
         entry.omega_classes.setdefault(key, rep.omega)
@@ -139,9 +136,7 @@ def _entry(name: str, realization, flags, labels, reps: dict,
         # every lookup of the cached entry shares these arrays (d_t0 is a view)
         d_h.flags.writeable = mats.flags.writeable = False
         d_t0 = mats[group.t0] if group.is_magnetic else None
-        action = ProbeRepAction(group, d_h, d_t0, kind)
-        validate_action(action)
-        entry.probe_actions[act_name] = action
+        entry.probe_actions[act_name] = ProbeRepAction(group, d_h, d_t0, kind)
     return entry
 
 

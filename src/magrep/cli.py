@@ -4,8 +4,9 @@ Subcommands: validate | irreducible | torsion | reduce | kp | probe | catalog.
 Inputs are JSON files; an argument of the form ``@entry``, ``@entry/rep`` or
 ``@entry/action`` pulls the object from the built-in catalog instead.  Exit
 codes: 0 success, 1 domain failure (a validation or criterion that fails),
-2 malformed input.  All randomized commands take ``--seed`` and echo it in
-the report; the default seed is 0.
+2 malformed input.  Every command but ``validate`` checks its co-rep once,
+by ``reduce_corep``'s rule, before any criterion reads it.  All randomized
+commands take ``--seed`` and echo it in the report; the default seed is 0.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import numpy as np
 
 from . import io
 from .catalog import catalog_get, catalog_list
-from .coreps import validate_corep
-from .errors import EmptyChannel, MagrepError, ParseError, UnknownName
+from .coreps import _carrying, validate_corep
+from .errors import MagrepError, ParseError, UnknownName
 from .groups import FactorSystem, validate_cocycle
 from .kp import _dispersion_table, build_gamma_matrices, probe_stability
 from .reduction import (
     TORSION_TOL,
+    _check_input,
     _index_and_coset,
     _torsion,
     irreducibility_index,
@@ -91,8 +93,12 @@ def _load_rep(args, group, omega):
     return _resolve(args.rep, "rep", partial(io.load_corep, group=group, omega=omega))
 
 
-def _rep_inputs(args):
-    return _load_rep(args, *_resolve(args.group, "group", io.load_group))
+def _rep_inputs(args, tol: float):
+    """The co-rep argument, checked by ``reduce_corep``'s rule at ``tol``; a
+    co-rep checked here carries the residuals measured, so none is checked twice."""
+    rep = _load_rep(args, *_resolve(args.group, "group", io.load_group))
+    measured = _check_input(rep, tol)
+    return rep if measured is None else _carrying(rep, measured)
 
 
 def cmd_validate(args) -> int:
@@ -122,8 +128,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_irreducible(args) -> int:
-    rep = _rep_inputs(args)
     tol = _tol(args, 1e-8)
+    rep = _rep_inputs(args, tol)
     index = irreducibility_index(rep)
     report = {
         "criterion": index,
@@ -135,8 +141,8 @@ def cmd_irreducible(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    rep = _rep_inputs(args)
     tol = _tol(args, TORSION_TOL)
+    rep = _rep_inputs(args, tol)
     index, coset = _index_and_coset(rep)   # one criterion evaluation
     torsion = _torsion(index, coset, tol)
     _emit({"criterion": index, "tol": tol, "indicator": float(coset.real),
@@ -145,8 +151,8 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    rep = _rep_inputs(args)
     tol = _tol(args, 1e-9)
+    rep = _rep_inputs(args, tol)
     dec = reduce_corep(rep, seed=args.seed, tol=tol)
     index = irreducibility_index(rep)
     irreducible = bool(abs(index - 1.0) <= tol)
@@ -180,11 +186,11 @@ def _matrix_text(m: np.ndarray) -> list:
 
 
 def cmd_kp(args) -> int:
-    rep = _rep_inputs(args)
-    action = _resolve(args.action, "action", partial(io.load_action, group=rep.group))
     if args.max_order < 1:
         raise ParseError("--max-order must be at least 1")
     tol = _tol(args, 1e-9)
+    rep = _rep_inputs(args, tol)
+    action = _resolve(args.action, "action", partial(io.load_action, group=rep.group))
     table, sets = _dispersion_table(rep, action, args.max_order, args.seed)
     report = {"dispersion": table, "models": [], "seed": args.seed, "tol": tol}
     for entry, chans in zip(table["orders"], sets):
@@ -218,19 +224,19 @@ def cmd_kp(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    rep = _rep_inputs(args)
     try:
         ids = [int(tok) for tok in args.subgroup.split(",") if tok != ""]
     except ValueError:
         raise ParseError("--subgroup must be a comma-separated id list") from None
+    tol = _tol(args, 1e-8)
+    rep = _rep_inputs(args, tol)
     probes = {}
     for probe_arg in args.probe or []:
         if "=" not in probe_arg:
             raise ParseError("--probe takes NAME=ACTION")
         name, ref = probe_arg.split("=", 1)
         probes[name] = _resolve(ref, "action", partial(io.load_action, group=rep.group))
-    report = probe_stability(rep, ids, probes=probes, seed=args.seed,
-                             tol=_tol(args, 1e-8))
+    report = probe_stability(rep, ids, probes=probes, seed=args.seed, tol=tol)
     _emit(report, args)
     return EXIT_OK
 
@@ -349,9 +355,6 @@ def main(argv=None) -> int:
     except (ParseError, UnknownName) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except EmptyChannel as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
     except MagrepError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -41,7 +41,7 @@ is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
 co-reps: the probe characters read every element at once, and the channel
 sets of every order of one call read D(g) and its dual once.  They count
 from traces, the full row from the substitution rep's, and build a channel's
-ProbeRepAction, or the full induced action, on first use.
+ProbeRepAction on first use.
 ``validate_action`` checks all |H|^2 subgroup products in broadcast matmuls,
 one per block of rows from ``groups._row_blocks``, the block rule of the
 co-rep pair kernel, on the product tables ``MagneticGroup`` caches.
@@ -252,10 +252,6 @@ class KpModel:
     multiplicity: int
     gammas: np.ndarray          # (p, q, d, d) complex, each slice Hermitian
     residuals: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return self.gammas.shape[2]
 
     def evaluate(self, coefficients, fields) -> np.ndarray:
         r = np.asarray(coefficients, dtype=float)
@@ -489,23 +485,15 @@ class PolynomialChannel:
 
 @dataclass
 class PolynomialChannelSet:
-    """The channels of one order.  ``full_action`` is built on first access:
-    ``action`` at order 1, else the dual of ``subs``, the substitution rep by
-    id, whose traces are its characters (chi(g^-1) = chi(g) for real reps)."""
+    """The channels of one order and their characters, by id: row 0 is the
+    full induced action's, the traces of D(g) at order 1 and of the
+    substitution rep (its dual; chi(g^-1) = chi(g) for real reps) above."""
 
     order: int
     exponents: list
     channels: list
     #: ``(1 + len(channels), |G|)``: the full action's row, then the channels'
     characters: np.ndarray
-    action: ProbeRepAction
-    subs: np.ndarray
-
-    @cached_property
-    def full_action(self) -> ProbeRepAction:
-        if self.order == 1:
-            return self.action
-        return _stack_action(self.action.group, _dual_matrices(self.subs), self.order)
 
 
 def _stack_action(g: MagneticGroup, stack: np.ndarray, n: int) -> ProbeRepAction:
@@ -524,9 +512,9 @@ def polynomial_channel(action: ProbeRepAction, n: int,
     coefficients.  A random symmetric matrix averaged over the whole group
     (the same commutant trick the reduction engine uses, run in real
     arithmetic) splits that rep into minimal invariant channels; each
-    eigenspace is returned with explicit polynomial bases.  Its
-    ProbeRepAction and the full induced action are built on first access.
-    n = 1 reproduces the input action.  ``seed`` must be an integer.
+    eigenspace is returned with explicit polynomial bases, its ProbeRepAction
+    built on first access.  At n = 1 the channels split the input action.
+    ``seed`` must be an integer.
 
     Every input is validated once per call.  The channels are checked
     together, in one group-law check of the block-diagonal rep they form
@@ -584,8 +572,7 @@ def _channel_sets(action: ProbeRepAction, orders, seed: int) -> list:
                                       coefficients=evecs[:, sl].T @ s_half, order=n)
                     for sl in slices]
         sets.append(PolynomialChannelSet(order=n, exponents=exponents, channels=channels,
-                                         characters=np.stack(characters), action=action,
-                                         subs=subs))
+                                         characters=np.stack(characters)))
     return sets
 
 

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .coreps import (
+    COREP_TOL,
     CoRep,
     _max_frobenius_norm,
     conjugate_corep,
@@ -208,6 +209,21 @@ class IrrepDecomposition:
         return [b.dim for b in self.blocks]
 
 
+def _check_input(rep: CoRep, tol: float) -> Optional[tuple]:
+    """Check ``rep`` at max(``COREP_TOL``, ``tol``) unless it carries residuals
+    within that: InvalidCoRep when it fails, else the (unitarity, relation)
+    residuals measured, or None when the carried ones sufficed."""
+    check_tol = max(tol, COREP_TOL)
+    if residuals_within(rep, check_tol):
+        return None
+    report = validate_corep(rep, tol=check_tol)
+    if not report.passed:
+        raise InvalidCoRep(
+            f"input fails validation: unitarity {report.unitarity_residual:.3e}, "
+            f"relation {report.relation_residual:.3e}")
+    return report.unitarity_residual, report.relation_residual
+
+
 def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> IrrepDecomposition:
     """Reduce a co-rep into irreducible blocks.
 
@@ -223,13 +239,7 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
     (``CoRep.residuals``) at or below the validation tolerance.
     """
     seed = operator.index(seed)
-    check_tol = max(tol, 1e-9)
-    if not residuals_within(rep, check_tol):
-        report = validate_corep(rep, tol=check_tol)
-        if not report.passed:
-            raise InvalidCoRep(
-                f"input fails validation: unitarity {report.unitarity_residual:.3e}, "
-                f"relation {report.relation_residual:.3e}")
+    _check_input(rep, tol)
 
     seeds_used = []
     rng_master = np.random.default_rng(seed)

@@ -641,6 +641,19 @@ def tuple_span_residual_projectors(a, b):
     return float(np.linalg.norm(qa @ qa.T - qb @ qb.T, ord=2))
 
 
+def full_induced_action(action, n):
+    """The order-n polynomial action of every monomial at once: ``action``
+    itself at n = 1, else the dual of the substitution rep, by id, whose
+    traces are row 0 of ``polynomial_channel(action, n).characters``."""
+    if n == 1:
+        return action
+    g = action.group
+    full = _dual_matrices(_substitution_matrices(
+        _dual_matrices(action.d(np.arange(g.order))), n))
+    return ProbeRepAction(group=g, d_h=full[g.h_elements], kind=f"polynomial({n})",
+                          d_t0=full[g.t0] if g.is_magnetic else None)
+
+
 def dispersion_table_per_channel(rep, action, n_max, seed=0):
     """dispersion_order's table with one criterion call and one null space
     per full action and per channel."""
@@ -654,7 +667,7 @@ def dispersion_table_per_channel(rep, action, n_max, seed=0):
 
     for n in range(1, n_max + 1):
         chans = polynomial_channel(action, n, seed=seed)
-        full = counts(chans.full_action)
+        full = counts(full_induced_action(action, n))
         orders.append({"order": n, "full": full, "channels": [
             {"dim": ch.action.dim_q, **counts(ch.action),
              "polynomials": ch.coefficients, "exponents": ch.exponents}
@@ -737,7 +750,7 @@ def channel_actions(action, orders):
     out = []
     for n in orders:
         sets = polynomial_channel(action, n, seed=0)
-        out.append((n, "full", sets.full_action))
+        out.append((n, "full", full_induced_action(action, n)))
         out += [(n, f"chan{k}", c.action) for k, c in enumerate(sets.channels)]
     return out
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import magrep as mr
-from magrep.coreps import validate_corep
+import magrep.catalog
+from magrep.coreps import COREP_TOL, validate_corep
 from magrep.errors import UnknownName
 from magrep.groups import validate_cocycle
 from magrep.kp import validate_action
@@ -48,8 +49,30 @@ def test_every_rep_validates():
         for rep_name, rep in entry.reps.items():
             report = validate_corep(rep)
             assert report.passed, (name, rep_name, report)
+            # the fit's carried bounds, which every co-rep consumer trusts
+            assert rep.residuals is not None and max(rep.residuals) <= COREP_TOL, \
+                (name, rep_name, rep.residuals)
             assert validate_cocycle(entry.group, rep.omega).passed
             assert entry.rep_omega[rep_name] in entry.omega_classes
+
+
+def test_cold_build_runs_no_whole_object_check(monkeypatch):
+    # the co-rep, cocycle and action checks of the built-in constants run in
+    # test_every_rep_validates and test_every_action_validates, not on
+    # every cold lookup
+    calls = []
+    checks = ("validate_cocycle", "validate_action", "validate_corep")
+    for module in (magrep.catalog, magrep.groups, magrep.coreps, magrep.kp, magrep.reduction):
+        for check in checks:
+            real = getattr(module, check, None)
+            if real is not None:
+                def spy(*args, _real=real, _name=check, **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(module, check, spy)
+    # catalog_get without its cache: each entry built from scratch
+    built = [magrep.catalog.catalog_get.__wrapped__(name) for name in mr.catalog_list()]
+    assert len(built) == 8 and calls == []
 
 
 def test_every_rep_is_irreducible():

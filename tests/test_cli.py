@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 import magrep as mr
+import magrep.cli
+import magrep.coreps
+import magrep.reduction
 from magrep import io
 from magrep.cli import main
 
@@ -163,6 +166,67 @@ def test_reduce_judges_irreducible_at_the_tolerance_it_echoes(tmp_path, capsys):
     assert report["tol"] == 1e-9
     assert report["irreducible"] is True
     assert report["message"] == "already irreducible"
+
+
+def corrupted_c4v_t_e(exported, tmp_path):
+    """Group and co-rep files of the exported c4v_t ``e`` co-rep with
+    M(C4^3T) = diag(2, 0.5): not unitary, yet its characters on H and the
+    coset indicator look like those of an irreducible co-rep."""
+    data = json.load(open(exported / "c4v_t.rep-e.json"))
+    data["matrices"]["C4^3T"] = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    path = tmp_path / "bad.rep.json"
+    path.write_text(json.dumps(data))
+    return str(exported / "c4v_t.group-e.json"), str(path)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("irreducible", []), ("torsion", []), ("reduce", []), ("kp", ["@c4v_t/momentum"]),
+    ("probe", ["--subgroup", "0,1,2,3,4,5,6,7", "--probe", "kz=@c4v_t/kz_odd"])])
+def test_invalid_co_rep_file_is_refused_before_any_criterion(command, extra, exported,
+                                                             tmp_path, capsys):
+    group, rep = corrupted_c4v_t_e(exported, tmp_path)
+    assert main([command, group, rep, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidCoRep: input fails validation: unitarity ")
+    assert "Traceback" not in captured.err
+
+
+def test_malformed_option_is_an_input_error_before_the_co_rep_check(exported, tmp_path):
+    group, rep = corrupted_c4v_t_e(exported, tmp_path)
+    assert main(["kp", group, rep, "@c4v_t/momentum", "--max-order", "0"]) == 2
+    assert main(["probe", group, rep, "--subgroup", "0,x"]) == 2
+
+
+def test_validate_still_reports_an_invalid_co_rep_file(exported, tmp_path, capsys):
+    code, report = run_cli(capsys, "validate", *corrupted_c4v_t_e(exported, tmp_path))
+    assert code == 1
+    assert report["cocycle"]["passed"] is True
+    assert report["corep"]["passed"] is False and report["passed"] is False
+
+
+def test_co_rep_input_is_validated_once_and_catalog_co_reps_never(exported, monkeypatch,
+                                                                   capsys):
+    calls = []
+    real = magrep.coreps.validate_corep
+
+    def counting(rep, tol=magrep.coreps.COREP_TOL):
+        calls.append(tol)
+        return real(rep, tol)
+
+    for module in (magrep.coreps, magrep.reduction, magrep.cli):
+        monkeypatch.setattr(module, "validate_corep", counting)
+    files = [str(exported / "c4v_t.group-e.json"), str(exported / "c4v_t.rep-e.json")]
+    # reduce_corep accepts the bounds the command measured
+    assert main(["reduce", *files, "--tol", "1e-10"]) == 0
+    assert calls == [1e-9]
+    calls.clear()
+    for command, extra in (("irreducible", []), ("torsion", []), ("reduce", []),
+                           ("kp", ["@c4v_t/momentum"]),
+                           ("probe", ["--subgroup", "0,1,2,3", "--probe", "kz=@c4v_t/kz_odd"])):
+        assert main([command, "@c4v_t", "@c4v_t/e", *extra]) == 0
+    assert calls == []
+    capsys.readouterr()
 
 
 def test_reduce_report_roundtrip(tmp_path, capsys):

@@ -38,6 +38,7 @@ from conftest import (
     catalog_irreps,
     channel_actions,
     covariant_tuple_basis_columnwise,
+    full_induced_action,
     tuple_span_residual_projectors,
     multiplicity_value_diagonal_t0,
     multiplicity_value_trace_form,
@@ -148,7 +149,7 @@ def scaled_quadratic_action():
     a rep, yet every count from its characters is an integer (3 identity
     couplings, where the null space of D(g) - 1 finds none)."""
     mom = mr.catalog_get("c4v_t").probe_actions["momentum"]
-    full = polynomial_channel(mom, 2).full_action
+    full = full_induced_action(mom, 2)
     return ProbeRepAction(group=full.group, d_h=1.5 * full.d_h, d_t0=full.d_t0,
                           kind=full.kind)
 
@@ -417,7 +418,7 @@ def test_gamma_covariance_roundtrip_random_draws():
 def test_polynomial_channel_order_one_recovers_input():
     act = mr.catalog_get("c6v_t").probe_actions["momentum"]
     sets = polynomial_channel(act, 1)
-    assert sets.full_action is act
+    assert np.array_equal(sets.characters[0], magrep.kp._characters(act))
     assert sum(c.action.dim_q for c in sets.channels) == 3
 
 
@@ -505,7 +506,7 @@ def test_polynomial_channel_characters_are_the_action_traces():
         ids = np.arange(act.group.order)
         for n in (1, 2, 3):
             sets = polynomial_channel(act, n)
-            actions = [sets.full_action] + [c.action for c in sets.channels]
+            actions = [full_induced_action(act, n)] + [c.action for c in sets.channels]
             assert sets.characters.shape == (len(actions), len(ids))
             want = np.stack([np.einsum("gii->g", a.d(ids)) for a in actions])
             assert np.abs(sets.characters - want).max() <= 1e-12, (name, n)
@@ -557,9 +558,9 @@ def test_dispersion_order_builds_only_its_split_checks(monkeypatch):
             for chans, entry_n in zip(sets, table["orders"]):
                 assert [ch.action.dim_q for ch in chans.channels] == \
                     [c["dim"] for c in entry_n["channels"]]
-                assert chans.full_action.dim_q == len(chans.exponents)
             # each action once, on first access
-            assert len(built) == sum(len(c.channels) + (c.order > 1) for c in sets)
+            assert len(built) == sum(len(c.channels) for c in sets)
+            assert all(full_induced_action(act, c.order).dim_q == len(c.exponents) for c in sets)
             assert all(ch.action is ch.action for c in sets for ch in c.channels)
 
 
@@ -610,7 +611,7 @@ def test_monomial_count():
     act = mr.catalog_get("z2t").probe_actions["momentum"]
     sets = polynomial_channel(act, 2)
     assert len(sets.exponents) == 6
-    assert sets.full_action.dim_q == 6
+    assert full_induced_action(act, 2).dim_q == 6
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

@@ -98,6 +98,7 @@ from conftest import (
     dispersion_table_eager,
     dispersion_table_per_channel,
     element_order_bruteforce,
+    full_induced_action,
     omega_pairwise,
     relabelled,
     restricted_table_pairwise,
@@ -594,7 +595,7 @@ def assert_substitution_matches_dict_expansion(act, orders, tag):
         want = np.stack([substitution_matrix_dict(monomial_exponents(n, q), m) for m in lin])
         assert np.abs(got - want).max() <= 1e-12, (tag, n)
         # the induced action is the dual of the substitution rep
-        full = polynomial_channel(act, n).full_action
+        full = full_induced_action(act, n)
         assert np.abs(dual_rep(full).d(np.arange(len(lin))) - want).max() <= 1e-12, (tag, n)
 
 
@@ -621,7 +622,7 @@ def test_trivial_multiplicity_matches_h_plus_t0_oracle(name):
         if act.dim_q == 3:
             for n in (2, 3):
                 sets = polynomial_channel(act, n)
-                acts[f"{act_name}-full{n}"] = sets.full_action
+                acts[f"{act_name}-full{n}"] = full_induced_action(act, n)
                 acts.update({f"{act_name}-ord{n}-{k}": c.action
                              for k, c in enumerate(sets.channels)})
     # the count of every entry of ``_coupling_counts``, here under the
@@ -737,7 +738,7 @@ def assert_channel_sets_match_eager(reps, actions, tag):
                 # row 0 from the traces of the substitution rep, not of its inverse
                 assert np.abs(got.characters - want.characters).max() <= 1e-12, where
                 assert np.array_equal(got.characters[1:], want.characters[1:]), where
-                pairs = [(got.full_action, want.full_action)]
+                pairs = [(full_induced_action(act, n), want.full_action)]
                 pairs += [(a.action, b.action) for a, b in zip(got.channels, want.channels)]
                 for a, b in pairs:
                     assert (a.kind, a.dim_q) == (b.kind, b.dim_q), where
