@@ -5,8 +5,9 @@ Inputs are JSON files; an argument of the form ``@entry``, ``@entry/rep`` or
 ``@entry/action`` pulls the object from the built-in catalog instead.  Exit
 codes: 0 success, 1 domain failure (a validation or criterion that fails),
 2 malformed input.  Every command but ``validate`` checks its co-rep once,
-by ``reduce_corep``'s rule, before any criterion reads it.  All randomized
-commands take ``--seed`` and echo it in the report; the default seed is 0.
+by ``reduce_corep``'s rule, before any criterion reads it.  ``reduce``,
+``kp`` and ``probe`` take ``--seed`` (default 0) and report it; ``kp
+--format text`` prints the gamma matrices after its JSON report.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ def _emit(report: dict, args) -> None:
     text = io.write_report(report, out=args.out)
     if not args.out:
         print(text)
-    elif args.format == "text":
-        print(f"report written to {args.out}")
 
 
 def _tol(args, default: float) -> float:
@@ -210,7 +209,9 @@ def cmd_kp(args) -> int:
             })
         break  # leading order only; the table already covers the rest
     _emit(report, args)
-    if args.format == "text" and not args.out:
+    if args.format == "text" and args.out:
+        print(f"report written to {args.out}")
+    elif args.format == "text":
         for model in report["models"]:
             print(f"# order {model['order']} channel {model['channel']} "
                   f"multiplicity {model['multiplicity']}")
@@ -293,18 +294,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "magnetic groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rep=True, action=False):
+    def common(p, rep=True, action=False, seed=False):
         p.add_argument("group", help="group JSON file or @catalog_entry")
         if rep:
             p.add_argument("rep", help="co-rep JSON file or @entry/rep")
         if action:
             p.add_argument("action", help="action JSON file or @entry/action")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="PRNG seed for randomized steps (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help="PRNG seed for randomized steps (default 0)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the default tolerance of the command")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("validate", help="structural validation of group/cocycle/co-rep")
     common(p, rep=False)
@@ -320,16 +321,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("reduce", help="reduce a co-rep into irreducible blocks")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("kp", help="dispersion orders and coupling matrices")
-    common(p, action=True)
+    common(p, action=True, seed=True)
     p.add_argument("--max-order", type=int, default=2)
+    p.add_argument("--format", choices=("json", "text"), default="json",
+                   help="text also prints every gamma matrix row by row")
     p.set_defaults(func=cmd_kp)
 
     p = sub.add_parser("probe", help="stability against a symmetry-lowering probe")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--subgroup", required=True,
                    help="comma-separated ids of the surviving elements")
     p.add_argument("--probe", action="append", default=None, metavar="NAME=ACTION",
@@ -340,7 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--export", default=None, help="write the entry's JSON files here")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_catalog)
     return parser
 

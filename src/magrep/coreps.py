@@ -361,13 +361,9 @@ def restrict_corep(rep: CoRep, element_ids) -> tuple[CoRep, np.ndarray]:
 
 
 def regular_corep(group: MagneticGroup, omega: Optional[FactorSystem] = None) -> CoRep:
-    """Regular projective representation of a purely unitary group.
-
-    M(g)_{ab} = omega(g, h_b) delta(a, g h_b); its reduction contains every
-    irreducible with multiplicity equal to its dimension.
+    """Regular co-rep: M(g)_{ab} = omega(g, b) delta(a, g b), which obeys the
+    twisted multiplication rule for anti-unitary g too.
     """
-    if group.is_magnetic:
-        raise InvalidCoRep("regular co-rep fixture is built for unitary groups")
     n = group.order
     if omega is None:
         omega = FactorSystem.trivial(n)

@@ -8,15 +8,12 @@ class MagrepError(Exception):
 # -- group structure ---------------------------------------------------------
 
 class NotAGroup(MagrepError):
-    """Cayley table fails closure, associativity, identity or inverses."""
+    """Cayley table fails closure, cancellation (a row or column that is no
+    permutation) or associativity."""
 
 
 class FlagInconsistent(MagrepError):
     """Anti-unitary flags are not a homomorphism onto {0, 1}."""
-
-
-class NoHalvingSubgroup(MagrepError):
-    """Anti-unitary elements exist but the unitary part is not half the group."""
 
 
 class NoT0(MagrepError):

@@ -3,6 +3,8 @@
 Each ``load_*`` reader takes a file path or the object parsed from one.  A
 co-rep file holds its ``dim`` and one matrix per element label, nothing
 else: its group and factor system come from the group file read with it.
+An action file holds one real matrix per unitary element label, plus ``t0``
+on a magnetic group.  Both tables go through one reader, ``_element_matrices``.
 Complex numbers serialize as [re, im] pairs and matrices row-major, so every
 file parses without a schema library.  Reports carry the tolerance next to
 each judged value.  ``write_report`` writes every file and report in one
@@ -77,14 +79,36 @@ def _integers(values, what: str, ndim=None) -> np.ndarray:
     raise ParseError(f"{what} must be {'an integer' if ndim == 0 else 'integers'}")
 
 
-def _matrix_table(data: dict, what: str) -> tuple[dict, int]:
+def _labels(group: MagneticGroup, ids) -> list:
+    """The labels of ``ids``: the keys of a co-rep or action file's ``matrices``."""
+    return [group.labels[g] for g in ids]
+
+
+def _element_matrices(data: dict, group: MagneticGroup, ids, read, what: str) -> np.ndarray:
     """The ``matrices`` object (element label -> matrix) of a co-rep or
-    action file and its declared ``dim``, 0 when none is given."""
-    if "matrices" not in data:
-        raise ParseError(f"{what} file misses 'matrices'")
-    if not isinstance(data["matrices"], dict):
-        raise ParseError("'matrices' must map element labels to matrices")
-    return data["matrices"], int(_integers(data.get("dim") or 0, "'dim'", 0))
+    action file as one ``(len(ids), d, d)`` array in the order of ``ids``,
+    each matrix parsed by ``read``.  ``d`` is the file's ``dim``, else the
+    first matrix's size.  Every element of ``ids`` needs a matrix, and no
+    other element may have one."""
+    raw = data.get("matrices")
+    if not isinstance(raw, dict):
+        raise ParseError(f"{what} file needs 'matrices', an object from element labels to matrices")
+    d = int(_integers(data.get("dim") or 0, "'dim'", 0))
+    position = {lab: k for k, lab in enumerate(_labels(group, ids))}
+    mats = [None] * len(position)
+    for lab, rows in raw.items():
+        if lab not in position:
+            if lab in group.labels:
+                raise ParseError(f"{what} files list the unitary elements only, got {lab!r}")
+            raise ParseError(f"{what} matrix given for unknown element label {lab!r}")
+        m = read(rows, what=f"{what} matrix of {lab}")
+        d = d or m.shape[0]
+        if m.shape != (d, d):
+            raise ParseError(f"{what} matrix of {lab} is not {d} x {d}")
+        mats[position[lab]] = m
+    if len(raw) != len(mats):
+        raise ParseError(f"{what} file gives {len(raw)} of its {len(mats)} element matrices")
+    return np.stack(mats)
 
 
 def _load_json(path: str) -> dict:
@@ -148,29 +172,13 @@ def load_corep(source: Union[str, dict], group: MagneticGroup,
     data = _load_json(source) if isinstance(source, str) else source
     if omega is None:
         omega = FactorSystem.trivial(group.order)
-    raw, d = _matrix_table(data, "co-rep")
-    index = {lab: k for k, lab in enumerate(group.labels)}
-    mats = None
-    for lab, rows in raw.items():
-        if lab not in index:
-            raise ParseError(f"matrix given for unknown element label {lab!r}")
-        m = pairs_to_matrix(rows, what=f"matrix of {lab}")
-        if d == 0:
-            d = m.shape[0]
-        if m.shape != (d, d):
-            raise ParseError(f"matrix of {lab} is not {d} x {d}")
-        if mats is None:
-            mats = np.zeros((group.order, d, d), dtype=complex)
-        mats[index[lab]] = m
-    if mats is None or len(raw) != group.order:
-        raise ParseError("co-rep file must give one matrix per group element")
+    mats = _element_matrices(data, group, range(group.order), pairs_to_matrix, "co-rep")
     return CoRep(group=group, omega=omega, matrices=mats)
 
 
 def corep_to_dict(rep: CoRep) -> dict:
-    pairs = _pairs(rep.matrices)
-    return {"dim": rep.dim,
-            "matrices": {rep.group.label(g): pairs[g] for g in range(rep.group.order)}}
+    labels = _labels(rep.group, range(rep.group.order))
+    return {"dim": rep.dim, "matrices": dict(zip(labels, _pairs(rep.matrices)))}
 
 
 # -- probe actions --------------------------------------------------------------------
@@ -178,25 +186,7 @@ def corep_to_dict(rep: CoRep) -> dict:
 def load_action(source: Union[str, dict], group: MagneticGroup) -> ProbeRepAction:
     """The probe action on ``group``, validated as a rep."""
     data = _load_json(source) if isinstance(source, str) else source
-    raw, q = _matrix_table(data, "action")
-    index = {lab: k for k, lab in enumerate(group.labels)}
-    d_h = None
-    for lab, rows in raw.items():
-        if lab not in index:
-            raise ParseError(f"action matrix for unknown element label {lab!r}")
-        g = index[lab]
-        if group.s(g) != 0:
-            raise ParseError(f"action matrices are given on unitary elements only, got {lab!r}")
-        m = real_matrix(rows, what=f"action of {lab}")
-        if q == 0:
-            q = m.shape[0]
-        if m.shape != (q, q):
-            raise ParseError(f"action of {lab} is not {q} x {q}")
-        if d_h is None:
-            d_h = np.zeros((len(group.h_elements), q, q))
-        d_h[group.h_position[g]] = m
-    if d_h is None or len(raw) != len(group.h_elements):
-        raise ParseError("action file must cover every unitary element")
+    d_h = _element_matrices(data, group, group.h_elements, real_matrix, "action")
     d_t0 = None
     if group.is_magnetic:
         if "t0" not in data:
@@ -213,8 +203,7 @@ def action_to_dict(action: ProbeRepAction) -> dict:
     data = {
         "dim": action.dim_q,
         "kind": action.kind,
-        "matrices": {g.label(int(h)): action.d_h[k].tolist()
-                     for k, h in enumerate(g.h_elements)},
+        "matrices": dict(zip(_labels(g, g.h_elements), action.d_h.tolist())),
     }
     if action.d_t0 is not None:
         data["t0"] = action.d_t0.tolist()

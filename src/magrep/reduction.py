@@ -138,7 +138,6 @@ class CommutantHamiltonian:
 
     gamma: np.ndarray
     lam: np.ndarray
-    seed: int
 
 
 def build_H_commutant(rep: CoRep, seed: int) -> np.ndarray:
@@ -155,16 +154,14 @@ def build_H_commutant(rep: CoRep, seed: int) -> np.ndarray:
 
 
 def build_G_commutant(rep: CoRep, seed: int) -> CommutantHamiltonian:
-    """Hermitian matrix commuting with the whole anti-unitary co-rep.
+    """Hermitian matrix commuting with the whole co-rep.
 
     gamma = lam + M(t0) conj(lam) M(t0)^dag, which commutes with every M(h)
-    and intertwines the conjugation of the anti-unitary coset.
+    and intertwines the conjugation of the anti-unitary coset; gamma = lam
+    on a unitary group, which has no t0.
     """
-    g = rep.group
-    if g.t0 is None:
-        raise NoT0("use build_H_commutant for purely unitary groups")
-    lam = build_H_commutant(rep, seed)
-    return CommutantHamiltonian(gamma=lam + rep.apply(g.t0, lam), lam=lam, seed=seed)
+    t0, lam = rep.group.t0, build_H_commutant(rep, seed)
+    return CommutantHamiltonian(gamma=lam if t0 is None else lam + rep.apply(t0, lam), lam=lam)
 
 
 def combined_class_operator(rep: CoRep, rng: np.random.Generator) -> np.ndarray:
@@ -260,9 +257,8 @@ def _reduce_once(rep: CoRep, seed: int, tol: float,
                  seeds_used: list) -> IrrepDecomposition:
     g = rep.group
     rng = np.random.default_rng(seed)
-    com = build_G_commutant(rep, seed) if g.is_magnetic else None
-    lam = com.lam if com else build_H_commutant(rep, seed)
-    gamma = com.gamma if com else lam
+    com = build_G_commutant(rep, seed)
+    gamma, lam = com.gamma, com.lam
 
     label_tol = max(tol, 1e-10)
     energies, u = np.linalg.eigh(gamma)

@@ -43,7 +43,6 @@ from magrep.reduction import (
     Block,
     IrrepDecomposition,
     build_G_commutant,
-    build_H_commutant,
     irreducibility_index,
     torsion_number,
 )
@@ -277,12 +276,8 @@ def reduce_once_two_pass(rep, seed, tol, seeds_used):
     g = rep.group
     d = rep.dim
     rng = np.random.default_rng(seed)
-    if g.is_magnetic:
-        com = build_G_commutant(rep, seed)
-        gamma, lam = com.gamma, com.lam
-    else:
-        lam = build_H_commutant(rep, seed)
-        gamma = lam
+    com = build_G_commutant(rep, seed)
+    gamma, lam = com.gamma, com.lam
 
     family, names = [], []
     h = g.h_elements

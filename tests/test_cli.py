@@ -530,10 +530,47 @@ def test_kp_report_roundtrip(exported, tmp_path, capsys):
      "catalog group reference must be @entry, got '@c6v_t/e_half'"),
     (["validate", "@c6v_t/typo"],
      "catalog group reference must be @entry, got '@c6v_t/typo'"),
+    (["probe", "@z2t_kramers", "@z2t_kramers/kramers", "--subgroup", "0",
+      "--probe", "@z2t_kramers/magnetic"],
+     "--probe takes NAME=ACTION"),
 ])
 def test_unresolved_catalog_reference_is_an_input_error(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# the commands that draw nothing random take no --seed, and only kp has a
+# text format
+@pytest.mark.parametrize("argv", [
+    ["validate", "@c6v_t", "--seed", "0"],
+    ["validate", "@c6v_t", "--format", "text"],
+    ["irreducible", "@c6v_t", "@c6v_t/e_half", "--seed", "0"],
+    ["irreducible", "@c6v_t", "@c6v_t/e_half", "--format", "text"],
+    ["torsion", "@c6v_t", "@c6v_t/e_half", "--seed", "0"],
+    ["torsion", "@c6v_t", "@c6v_t/e_half", "--format", "text"],
+    ["reduce", "@c6v_t", "@c6v_t/e_half", "--format", "text"],
+    ["probe", "@c6v_t", "@c6v_t/e_half", "--subgroup", "0", "--format", "text"],
+    ["catalog", "c6v_t", "--format", "text"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_options_that_changed_nothing_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+def test_catalog_entry_report(capsys):
+    code, report = run_cli(capsys, "catalog", "c6v_t")
+    assert code == 0
+    entry = mr.catalog_get("c6v_t")
+    assert report == {
+        "name": "c6v_t", "order": 24, "labels": list(entry.group.labels),
+        "is_magnetic": True, "t0": entry.group.label(entry.group.t0),
+        "reps": {name: {"dim": rep.dim, "omega_class": entry.rep_omega[name]}
+                 for name, rep in entry.reps.items()},
+        "probe_actions": {name: {"dim": act.dim_q, "kind": act.kind}
+                          for name, act in entry.probe_actions.items()}}
+    assert report["reps"]["e_half"] == {"dim": 2, "omega_class": "spinful"}
 
 
 def test_export_writes_group_rep_and_action_files_that_read_back(tmp_path, capsys):

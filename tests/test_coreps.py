@@ -199,6 +199,32 @@ def test_conjugate_corep_onto_invariant_subspace():
     assert np.allclose(block.matrices, kram.matrices)
 
 
+@pytest.mark.parametrize("name", [*mr.catalog_list(), "oht"])
+def test_regular_corep_of_a_magnetic_group_obeys_the_twisted_rule(name, oht):
+    # M(g)_{ab} = omega(g, b) delta(a, g b) for anti-unitary g as well: the
+    # fit reads back every factor system it was built with, the trivial one
+    # included, and the products hold to within d ulps
+    if name == "oht":   # the order-96 fit dominates the test: the spinor class only
+        group = oht["group"]
+        omegas = [corep_from_matrices(group, oht["coreps"]["spinor"]).omega]
+    else:
+        entry = mr.catalog_get(name)
+        group = entry.group
+        omegas = [FactorSystem.trivial(group.order), *entry.omega_classes.values()]
+    assert group.is_magnetic
+    eps = np.finfo(float).eps
+    for omega in omegas:
+        reg = regular_corep(group, omega)
+        fit = corep_from_matrices(group, reg.matrices)
+        assert np.abs(fit.omega.values - omega.values).max() <= 4 * eps
+        # the fit carries validate_corep's residuals; below order 96 they are
+        # also measured from scratch
+        assert max(fit.residuals) <= reg.dim * eps
+        if name != "oht":
+            report = validate_corep(reg)
+            assert max(report.unitarity_residual, report.relation_residual) <= reg.dim * eps
+
+
 def test_regular_corep_of_unitary_group():
     entry = mr.catalog_get("c4v_t")
     h_rep, _ = restrict_corep(entry.reps["a1"], entry.group.h_elements)
@@ -207,6 +233,36 @@ def test_regular_corep_of_unitary_group():
     chi = np.einsum("gii->g", reg.matrices)
     assert chi[0] == pytest.approx(8.0)
     assert np.abs(chi[1:]).max() < 1e-12
+
+
+KRAMERS = mr.catalog_get("z2t_kramers").reps["kramers"]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: CoRep(group=KRAMERS.group, omega=KRAMERS.omega, matrices=KRAMERS.matrices[0]),
+     DimensionMismatch),
+    (lambda: CoRep(group=KRAMERS.group, omega=KRAMERS.omega, matrices=KRAMERS.matrices[:1]),
+     DimensionMismatch),
+    (lambda: CoRep(group=KRAMERS.group, omega=KRAMERS.omega,
+                   matrices=KRAMERS.matrices[:, :, :1]), DimensionMismatch),
+    (lambda: CoRep(group=KRAMERS.group, omega=FactorSystem.trivial(3),
+                   matrices=KRAMERS.matrices), DimensionMismatch),
+    (lambda: corep_from_matrices(KRAMERS.group, KRAMERS.matrices[:1]), DimensionMismatch),
+    (lambda: direct_sum([]), ValueError),
+    (lambda: gauge_transform(KRAMERS, [1.0]), DimensionMismatch),
+], ids=["matrices-not-3d", "matrix-count", "matrices-not-square", "omega-size",
+        "fit-matrix-count", "empty-direct-sum", "gauge-phase-count"])
+def test_every_corep_boundary_refusal(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_gauge_transform_of_a_co_rep_without_residuals_carries_none():
+    rep = CoRep(group=KRAMERS.group, omega=KRAMERS.omega, matrices=KRAMERS.matrices.copy())
+    gauged = gauge_transform(rep, [1.0, 1j])
+    assert gauged.residuals is None
+    assert np.array_equal(gauged.matrices, [rep.matrices[0], 1j * rep.matrices[1]])
+    assert validate_corep(gauged).passed
 
 
 # -- residuals carried from the boundary -------------------------------------------

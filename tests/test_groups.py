@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import magrep as mr
 from magrep.coreps import CoRep
 from magrep.errors import (
+    DimensionMismatch,
     FlagInconsistent,
-    NoHalvingSubgroup,
     NotAGroup,
     NotASubgroupEmbedding,
 )
@@ -90,8 +90,29 @@ def test_flag_errors():
 def test_no_halving_subgroup():
     # C3 with a bogus anti-unitary flag pattern cannot split in half
     c3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    with pytest.raises((NoHalvingSubgroup, FlagInconsistent)):
+    with pytest.raises(FlagInconsistent):
         build_group(c3, [0, 1, 1])
+
+
+C4V_T = mr.catalog_get("c4v_t").group
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: build_group([[0, 1]], [0]), NotAGroup),
+    (lambda: build_group(Z2T_CAYLEY, [0]), DimensionMismatch),
+    (lambda: build_group([[0, 2], [2, 0]], [0, 0]), NotAGroup),
+    (lambda: build_group(Z2T_CAYLEY, [0, 2]), FlagInconsistent),
+    (lambda: build_group(Z2T_CAYLEY, [0, 1], labels=["E"]), DimensionMismatch),
+    (lambda: build_group(Z2T_CAYLEY, [0, 1], labels=["E", "E"]), DimensionMismatch),
+    (lambda: FactorSystem(np.ones((2, 3))), DimensionMismatch),
+    (lambda: validate_cocycle(C4V_T, FactorSystem.trivial(8)), DimensionMismatch),
+    (lambda: restricted_group(C4V_T, [0, 16]), NotASubgroupEmbedding),
+], ids=["cayley-not-square", "flag-count", "cayley-out-of-range", "flag-not-0-or-1",
+        "label-count", "duplicate-labels", "factor-system-not-square", "cocycle-size",
+        "restricted-ids-out-of-range"])
+def test_every_group_boundary_refusal(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_cocycle_trivial_passes_everywhere():

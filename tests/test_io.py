@@ -242,3 +242,79 @@ def test_non_finite_corep_raises_on_write_and_writes_nothing(tmp_path):
     with pytest.raises(ValueError):
         io.write_report(io.corep_to_dict(bad), out=str(out))
     assert not out.exists()
+
+
+def load_c4v_t(kind, edit):
+    """The c4v_t e_half co-rep file (``kind`` "rep") or momentum action file
+    ("action"), read back after ``edit`` changed its parsed data in place."""
+    entry = mr.catalog_get("c4v_t")
+    data = through_report(io.corep_to_dict(entry.reps["e_half"]) if kind == "rep"
+                          else io.action_to_dict(entry.probe_actions["momentum"]))
+    edit(data)
+    if kind == "rep":
+        return io.load_corep(data, entry.group, entry.reps["e_half"].omega)
+    return io.load_action(data, entry.group)
+
+
+def load_c4v_t_group(edit):
+    entry = mr.catalog_get("c4v_t")
+    data = through_report(io.group_to_dict(entry.group, entry.reps["e_half"].omega))
+    edit(data)
+    return io.load_group(data)
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+#: the element-matrix reader's refusals, each for co-rep and action files:
+#: the edit of the file and the message it gets
+READER_REFUSALS = {
+    "no-matrices": (lambda d: d.pop("matrices"), "needs 'matrices'"),
+    "matrices-a-list": (lambda d: d.update(matrices=list(d["matrices"].values())),
+                        "needs 'matrices'"),
+    "unknown-label": (lambda d: d["matrices"].update(X=d["matrices"]["E"]),
+                      "unknown element label 'X'"),
+    "shape-not-dim": (lambda d: d.update(dim=d["dim"] + 1), "matrix of C2 is not"),
+    "missing-element": (lambda d: d["matrices"].pop("C2"), "element matrices"),
+}
+
+
+@pytest.mark.parametrize("load, match", [
+    *(pytest.param(lambda tmp, kind=kind, edit=edit: load_c4v_t(kind, edit), match,
+                   id=f"{kind}-{case}")
+      for kind in ("rep", "action") for case, (edit, match) in READER_REFUSALS.items()),
+    pytest.param(lambda tmp: load_c4v_t("action", lambda d: d["matrices"].update(
+        ET=d["matrices"]["E"])), "action files list the unitary elements only, got 'ET'",
+        id="action-anti-unitary-label"),
+    pytest.param(lambda tmp: load_c4v_t("action", lambda d: d.pop("t0")), "'t0'",
+                 id="action-magnetic-without-t0"),
+    pytest.param(lambda tmp: load_c4v_t("action", lambda d: d["matrices"].update(
+        C4=[[1.0, 0.0, 0.0], [1.0]])), None, id="real-matrix-ragged-rows"),
+    pytest.param(lambda tmp: load_c4v_t("action", lambda d: d["matrices"].update(
+        C4=[1.0, 0.0, 0.0])), "must be a matrix", id="real-matrix-not-2d"),
+    pytest.param(lambda tmp: io.load_group(str(tmp / "absent.json")), "cannot read",
+                 id="unreadable-path"),
+    pytest.param(lambda tmp: io.load_group(write_text(tmp / "list.json", "[1, 2]")),
+                 "top level must be an object", id="top-level-not-an-object"),
+    pytest.param(lambda tmp: load_c4v_t_group(lambda d: d.pop("cayley")), "'cayley'",
+                 id="group-missing-key"),
+    pytest.param(lambda tmp: load_c4v_t_group(lambda d: d.update(order=8)),
+                 "cayley table size", id="group-cayley-size-not-order"),
+    pytest.param(lambda tmp: load_c4v_t_group(lambda d: d.update(omega=[[[1, 0]]])),
+                 "factor system shape", id="group-omega-shape"),
+])
+def test_every_boundary_refusal_is_a_parse_error(load, match, tmp_path):
+    with pytest.raises(ParseError, match=match):
+        load(tmp_path)
+
+
+def test_the_unedited_files_of_the_refusal_cases_load():
+    # the refusals above come from their edits, not from the files they edit
+    entry = mr.catalog_get("c4v_t")
+    rep = load_c4v_t("rep", lambda d: None)
+    action = load_c4v_t("action", lambda d: None)
+    assert same_bits(rep.matrices, entry.reps["e_half"].matrices)
+    assert same_bits(action.d_h, entry.probe_actions["momentum"].d_h)
+    same_group(load_c4v_t_group(lambda d: None)[0], entry.group)

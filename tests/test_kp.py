@@ -56,6 +56,36 @@ def kramers_setup():
 
 # -- probe actions -----------------------------------------------------------------
 
+C4V_T = mr.catalog_get("c4v_t")
+C4V_T_MOMENTUM = C4V_T.probe_actions["momentum"]
+
+
+def kramers_model():
+    rep, actions = kramers_setup()
+    return build_gamma_matrices(rep, actions["momentum"])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ProbeRepAction(group=C4V_T.group, d_h=C4V_T_MOMENTUM.d_h[:7],
+                            d_t0=C4V_T_MOMENTUM.d_t0), DimensionMismatch),
+    (lambda: ProbeRepAction(group=C4V_T.group, d_h=C4V_T_MOMENTUM.d_h[:, :, :2],
+                            d_t0=C4V_T_MOMENTUM.d_t0), DimensionMismatch),
+    (lambda: ProbeRepAction(group=C4V_T.group, d_h=C4V_T_MOMENTUM.d_h,
+                            d_t0=C4V_T_MOMENTUM.d_t0[:2]), DimensionMismatch),
+    (lambda: ProbeRepAction(group=C4V_T.group, d_h=C4V_T_MOMENTUM.d_h, d_t0=None),
+     InvalidAction),
+    (lambda: kramers_model().evaluate(np.ones(9), np.ones(2)), DimensionMismatch),
+    (lambda: kramers_model().evaluate(np.ones(8), np.ones(3)), DimensionMismatch),
+    (lambda: polynomial_channel(C4V_T_MOMENTUM, 0), ValueError),
+    (lambda: dispersion_order(C4V_T.reps["e_half"], C4V_T_MOMENTUM, 0), ValueError),
+], ids=["matrix-count", "matrices-not-square", "t0-shape", "magnetic-without-t0",
+        "evaluate-field-length", "evaluate-coefficient-length", "polynomial-order-0",
+        "dispersion-order-0"])
+def test_every_kp_boundary_refusal(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_dual_rep_orthogonal_is_identity_map():
     act = mr.catalog_get("c4v_t").probe_actions["momentum"]
     dual = dual_rep(act)

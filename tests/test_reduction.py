@@ -11,7 +11,7 @@ from magrep.coreps import (
     regular_corep,
     restrict_corep,
 )
-from magrep.errors import InvalidCoRep, NonIntegerMultiplicity, NotIrreducible
+from magrep.errors import InvalidCoRep, NonIntegerMultiplicity, NoT0, NotIrreducible
 from magrep.groups import conjugacy_classes
 from magrep.kp import ProbeRepAction, linear_multiplicity, multiplicity_value
 from magrep.linalg import random_unitary
@@ -166,6 +166,14 @@ def test_torsion_rejects_reducible():
         torsion_number(direct_sum([kramers(), kramers()]))
 
 
+def test_torsion_of_a_unitary_group_has_no_t0():
+    rep = mr.catalog_get("z2t").reps["trivial"]
+    h_rep, _ = restrict_corep(rep, rep.group.h_elements)
+    assert irreducibility_index(h_rep) == pytest.approx(1.0)
+    with pytest.raises(NoT0):
+        torsion_number(h_rep)
+
+
 def test_torsion_rejects_a_nan_criterion():
     # a NaN entry makes the criterion NaN, which must not pass as 1
     rep = kramers()
@@ -238,6 +246,14 @@ def test_g_commutant_contracts():
         # irreducible input: anti-unitary Schur forces gamma ~ identity
         scale = np.trace(gamma) / rep.dim
         assert np.abs(gamma - scale * np.eye(rep.dim)).max() < 1e-9, (name, rep_name)
+
+
+def test_g_commutant_of_a_unitary_group_is_its_h_commutant():
+    entry = mr.catalog_get("c4v_t")
+    h_rep, _ = restrict_corep(entry.reps["e"], entry.group.h_elements)
+    com = build_G_commutant(h_rep, seed=4)
+    assert com.gamma is com.lam
+    assert np.array_equal(com.lam, build_H_commutant(h_rep, seed=4))
 
 
 def test_g_commutant_with_identity_lambda():
@@ -483,11 +499,8 @@ def test_commutation_residuals_are_the_per_element_norms(source, oht):
     for rep in reduction_inputs(source, oht):
         dec = reduce_corep(rep, seed=3)
         g, seed = rep.group, dec.seeds_used[-1]
-        if g.is_magnetic:
-            com = build_G_commutant(rep, seed)
-            gamma, lam = com.gamma, com.lam
-        else:
-            gamma = lam = build_H_commutant(rep, seed)
+        com = build_G_commutant(rep, seed)
+        gamma, lam = com.gamma, com.lam
 
         def per_element(ids, x):
             stack = (rep.apply(ids, x) - x).reshape(-1, rep.dim, rep.dim)
