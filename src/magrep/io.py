@@ -12,7 +12,8 @@ layout: a dict, and a list that holds a dict, open with one entry per line;
 every other value, a whole matrix or array included, is one line.  So files
 and reports still diff line by line: one line per element matrix in co-rep
 and action files, and one line per dict entry in reports.  ``_jsonable``
-converts what ``json`` cannot, numpy values and complex numbers.
+converts what ``json`` cannot, numpy values and complex numbers.  Keys and
+scalar leaves are written directly, in ``json``'s spelling.
 
 Non-finite numbers: a complex one in a report becomes ``null``, because
 ``Block.labels`` marks "no label" with a complex NaN (the ``multiplet_split``
@@ -24,7 +25,9 @@ any: JSON parses NaN and Infinity, which no linear algebra downstream survives.
 from __future__ import annotations
 
 import json
+import math
 from functools import reduce
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Union
 
 import numpy as np
@@ -230,9 +233,25 @@ def _jsonable(obj):
     return str(obj)
 
 
-# one encoder for every leaf: ``json.dumps(default=...)`` builds a new one per
-# call, and only an encoder without ``indent`` takes ``json``'s C path
+# every leaf but a scalar goes through ``json``'s C encoder, built once here:
+# ``_LEAF.encode``, the fallback without ``json``'s C accelerator, builds one
+# per call.  No markers (circular-reference ids), so nothing outlives a refusal.
 _LEAF = json.JSONEncoder(default=_jsonable, allow_nan=False, sort_keys=True)
+_C_LEAF = c_make_encoder and c_make_encoder(None, _jsonable, encode_basestring_ascii,
+                                            None, ": ", ", ", True, False, False)
+
+
+def _leaf(value) -> str:
+    """``value`` on one line, as ``_LEAF`` writes it: a str, int, bool, None
+    or finite float directly, in ``json``'s spelling, anything else through
+    the encoder built once, which refuses a non-finite real."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return "".join(_C_LEAF(value, 0)) if _C_LEAF else _LEAF.encode(value)
 
 
 def _key(key) -> str:
@@ -242,8 +261,8 @@ def _key(key) -> str:
         if key is not None and not isinstance(key, (int, float)):
             raise TypeError(f"keys must be str, int, float, bool or None, "
                             f"not {type(key).__name__}")
-        key = _LEAF.encode(key)
-    return _LEAF.encode(key)
+        key = _leaf(key)
+    return encode_basestring_ascii(key)
 
 
 def _render(value, pad: str) -> str:
@@ -258,7 +277,7 @@ def _render(value, pad: str) -> str:
     if isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
         body = ",\n".join(inner + _render(v, inner) for v in value)
         return f"[\n{body}\n{pad}]"
-    return _LEAF.encode(value)
+    return _leaf(value)
 
 
 def write_report(report: dict, out: Optional[str] = None) -> str:

@@ -13,13 +13,13 @@ criterion of ``reduction.criterion_sums`` weighted by the probe characters,
 and the number of identity couplings is the mean probe character, the trace
 of the group-average projector onto the fixed vectors.  Both are linear in
 the probe character, so ``_coupling_counts`` takes both for a stack of
-characters in one call: the full induced action and every channel of one
+characters in one call: the full induced action and every channel of every
 order in ``dispersion_order``, every probe in ``probe_stability``.  Those
 two report the identity couplings; ``linear_multiplicity`` counts the
 couplings of one probe alone.
 Characters cannot tell a rep from a non-rep, so each entry point that counts
-validates its action once per call; the channels of one polynomial order are
-checked together, as the block-diagonal rep they form.
+validates its input action once per call; the channels of one polynomial
+order are checked together, as the block-diagonal rep they form.
 The matrices come from one real null space: a Hermitian q-tuple has
 q d^2 real coordinates over the orthonormal, shared ``hermitian_basis(d)``,
 and ``_covariant_tuples`` writes the covariance equations on them over
@@ -32,13 +32,15 @@ that one solve.  Its independent checks are the character criterion, whose
 count the null space must match, and the covariance residuals over every
 element, which ``build_gamma_matrices`` judges at its ``tol``: input that is
 a rep only on the generators fails there.  ``_covariance_defects`` writes
-the covariance equation once, for any array of elements; the model
-residuals read it.
+the covariance equation once, for any array of elements: in one pass of
+``build_gamma_matrices``, one stack of every element gives both model
+residuals, its largest entries over H and over the coset.
 
 ``ProbeRepAction.d`` takes an element id or an array of ids and returns the
-matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
-is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
-co-reps: the probe characters read every element at once, and the channel
+matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  Its
+``_element_stack`` is the one element-indexed kernel of this module, as
+``CoRep.apply`` is for co-reps; it forms the dual stack of a gamma model too.
+The probe characters read every element at once, and the channel
 sets of every order of one call read D(g) and its dual once.  They count
 from traces, the full row from the substitution rep's, and build a channel's
 ProbeRepAction on first use.
@@ -119,14 +121,18 @@ class ProbeRepAction:
         ``ids`` is an element id or an array of them; the result has shape
         ``ids.shape + (q, q)``.  The coset uses D(h t0) = D(h) D(t0).
         """
-        ids = np.asarray(ids)
-        grp = self.group
-        if not grp.is_magnetic:
-            return self.d_h[grp.h_position[ids]]
-        flip = grp.antiunitary[ids] == 1
-        h = np.where(flip, grp.cayley[ids, grp.inverse[grp.t0]], ids)
-        mats = self.d_h[grp.h_position[h]]
-        return np.where(flip[..., None, None], mats @ self.d_t0, mats)
+        return _element_stack(self.group, self.d_h, self.d_t0, ids)
+
+
+def _element_stack(grp: MagneticGroup, d_h: np.ndarray, d_t0, ids) -> np.ndarray:
+    """``ProbeRepAction.d`` from the matrices ``d_h`` and ``d_t0`` alone."""
+    ids = np.asarray(ids)
+    if not grp.is_magnetic:
+        return d_h[grp.h_position[ids]]
+    flip = grp.antiunitary[ids] == 1
+    h = np.where(flip, grp.cayley[ids, grp.inverse[grp.t0]], ids)
+    mats = d_h[grp.h_position[h]]
+    return np.where(flip[..., None, None], mats @ d_t0, mats)
 
 
 def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
@@ -261,30 +267,32 @@ class KpModel:
         return np.einsum("i,m,imab->ab", r, k, self.gammas)
 
 
-def _covariance_defects(rep: CoRep, dual: ProbeRepAction, ids,
-                        tuples: np.ndarray) -> np.ndarray:
+def _covariance_defects(rep: CoRep, dual, ids, tuples: np.ndarray) -> np.ndarray:
     """Covariance defect of tuples ``(P, q, d, d)`` under every listed element:
 
         M(g) conj^[s(g)](gamma^m) M(g)^dag - sum_n gamma^n dual(D)(g)_{nm},
 
-    shaped ``ids.shape + (P, q, d, d)``, with ``dual = dual_rep(action)``.
-    It vanishes for every g exactly on the coupling tuples.
+    shaped ``ids.shape + (P, q, d, d)``.  ``dual`` is ``dual_rep(action)`` or
+    the stack ``(|G|, q, q)`` of dual(D)(g) of every element, by id.  It
+    vanishes for every g exactly on the coupling tuples.
     """
-    rhs = np.einsum("...nm,pnab->...pmab", dual.d(ids), tuples)
-    return rep.apply(ids, tuples) - rhs
+    duals = dual.d(ids) if isinstance(dual, ProbeRepAction) else dual[ids]
+    defects = rep.apply(ids, tuples)
+    defects -= np.einsum("...nm,pnab->...pmab", duals, tuples)
+    return defects
 
 
-def _covariance_residuals(rep: CoRep, dual: ProbeRepAction,
-                          gammas: np.ndarray) -> dict:
+def _covariance_residuals(rep: CoRep, dual, gammas: np.ndarray) -> dict:
     """Largest covariance defect of the tuples over the unitary elements and,
-    for magnetic groups, over the anti-unitary coset, and their largest
-    departure from Hermiticity; ``dual = dual_rep(action)``."""
+    for magnetic groups, over the anti-unitary coset, both read from one
+    defect stack of every element, and their largest departure from
+    Hermiticity; ``dual`` as in ``_covariance_defects``."""
     g = rep.group
-    parts = {"subgroup_covariance": g.h_elements}
+    defects = np.abs(_covariance_defects(rep, dual, np.arange(g.order), gammas))
+    worst = defects.reshape(g.order, -1).max(axis=1)
+    out = {"subgroup_covariance": float(worst[g.h_elements].max())}
     if g.is_magnetic:
-        parts["coset_covariance"] = g.coset_elements
-    out = {name: float(np.abs(_covariance_defects(rep, dual, ids, gammas)).max())
-           for name, ids in parts.items()}
+        out["coset_covariance"] = float(worst[g.coset_elements].max())
     out["hermiticity"] = float(np.abs(gammas - np.conj(np.swapaxes(gammas, -1, -2))).max())
     return out
 
@@ -326,16 +334,19 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
     so a co-rep or an action that is a rep on the generators only fails
     there, loudly.
     """
+    g = rep.group
     expected = _integer_counts(multiplicity_value(rep, action), "criterion value")
-    dual = dual_rep(action)
-    gammas = _covariant_tuples(rep, dual.d(rep.group.generators))
+    # dual(D)(g) of every element by id, from dual_rep's two inversions
+    d_t0 = None if action.d_t0 is None else _dual_matrices(action.d_t0)
+    duals = _element_stack(g, _dual_matrices(action.d_h), d_t0, np.arange(g.order))
+    gammas = _covariant_tuples(rep, duals[g.generators])
     p = len(gammas)
     if p != expected:
         raise NonIntegerMultiplicity(
             f"null space dimension {p} disagrees with the criterion {expected}")
     if p == 0:
         raise EmptyChannel("channel multiplicity is zero at this order")
-    residuals = _covariance_residuals(rep, dual, gammas)
+    residuals = _covariance_residuals(rep, duals, gammas)
     for name, value in residuals.items():
         if not value <= tol:   # a NaN residual fails too
             raise NotCommuting(f"{name} residual {value:.3e} exceeds tol {tol:.3e}")
@@ -548,8 +559,9 @@ def _channel_sets(action: ProbeRepAction, orders, seed: int) -> list:
         vals, vecs = np.linalg.eigh(flat.T @ flat / g.order)
         if vals.min() <= 1e-12:
             raise SingularAction("substitution metric is singular")
-        s_half = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-        s_half_inv = vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T
+        root = np.sqrt(vals)
+        s_half = (vecs * root) @ vecs.T
+        s_half_inv = (vecs * (1.0 / root)) @ vecs.T
         ortho = s_half @ subs @ s_half_inv
         a = draw[:n_mono * n_mono].reshape(n_mono, n_mono)
         lam = (ortho @ ((a + a.T) / 2) @ np.swapaxes(ortho, 1, 2)).sum(axis=0) / g.order
@@ -586,9 +598,9 @@ def dispersion_order(rep: CoRep, action: ProbeRepAction, n_max: int,
     The leading dispersion order is the smallest order whose full induced
     action has positive multiplicity; per-channel entries expose which
     direction couples (splitting counts exclude identity-tuple couplings).
-    Each order is counted from the character stack of its
-    ``PolynomialChannelSet`` in one criterion call and builds no action but
-    its split check; the action is validated and read once per call.
+    Every order is counted in one criterion call on the stacked characters
+    of all the ``PolynomialChannelSet`` rows, and builds no action but its
+    split check; the action is validated and read once per call.
     """
     return _dispersion_table(rep, action, n_max, seed)[0]
 
@@ -603,13 +615,14 @@ def _dispersion_table(rep: CoRep, action: ProbeRepAction, n_max: int,
     _check_same_group(rep, action)
     validate_action(action)
     sets = _channel_sets(action, range(1, n_max + 1), seed)
+    # every order's rows in one call: per order, the full induced action's
+    # row, then one row per channel
+    counts = iter(_coupling_counts(rep, np.concatenate([c.characters for c in sets])))
     orders = []
     for chans in sets:
-        # row 0 is the full induced action, then one row per channel
-        counts = _coupling_counts(rep, chans.characters)
-        orders.append({"order": chans.order, "full": counts[0], "channels": [
-            {"dim": len(ch.coefficients), **count, "polynomials": ch.coefficients,
-             "exponents": ch.exponents} for ch, count in zip(chans.channels, counts[1:])]})
+        orders.append({"order": chans.order, "full": next(counts), "channels": [
+            {"dim": len(ch.coefficients), **next(counts), "polynomials": ch.coefficients,
+             "exponents": ch.exponents} for ch in chans.channels]})
     leading = next((o["order"] for o in orders if o["full"]["multiplicity"] > 0), None)
     return {"orders": orders, "leading_order": leading, "seed": seed}, sets
 

@@ -122,6 +122,34 @@ def assert_renders_as_indented(report, text):
     assert "".join(text.split()) == "".join(want.split())
 
 
+#: the one encoder ``io.write_report`` once sent every leaf and key through
+_PER_LEAF = json.JSONEncoder(default=_jsonable, allow_nan=False, sort_keys=True)
+
+
+def render_per_leaf(value, pad: str = "") -> str:
+    """``io.write_report``'s text with every leaf and every key encoded by
+    ``json`` one at a time: the oracle of its direct scalar writes."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        body = ",\n".join(f"{inner}{_key_per_leaf(k)}: {render_per_leaf(v, inner)}"
+                          for k, v in sorted(value.items()))
+        return f"{{\n{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
+        body = ",\n".join(inner + render_per_leaf(v, inner) for v in value)
+        return f"[\n{body}\n{pad}]"
+    return _PER_LEAF.encode(value)
+
+
+def _key_per_leaf(key) -> str:
+    """``key`` quoted as ``json`` writes a dict key."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _PER_LEAF.encode(key)
+    return _PER_LEAF.encode(key)
+
+
 def random_symmetric_unitary(d: int, seed) -> np.ndarray:
     """Q^T D Q with unit-modulus diagonal D and real orthogonal Q: the inputs
     of ``linalg.symmetric_unitary_sqrt`` in acceptance criterion 06."""

@@ -7,9 +7,10 @@ import magrep as mr
 from magrep import io
 from magrep.coreps import CoRep, conjugate_corep
 from magrep.errors import ParseError
+from magrep.kp import dispersion_order, probe_stability
 from magrep.linalg import random_unitary
 
-from conftest import assert_renders_as_indented, indented_report
+from conftest import assert_renders_as_indented, indented_report, render_per_leaf
 
 
 def same_bits(a, b):
@@ -221,6 +222,62 @@ def test_report_refuses_keys_json_refuses(report, error):
     for render in (io.write_report, indented_report):
         with pytest.raises(error):
             render(report)
+
+
+def test_report_matches_the_per_leaf_oracle_on_every_catalog_report(kp_sweep):
+    # the direct scalar writes against json encoding every leaf and key
+    reports = []
+    for name in mr.catalog_list():
+        entry = mr.catalog_get(name)
+        g = entry.group
+        for rep in entry.reps.values():
+            for act in entry.probe_actions.values():
+                reports.append(dispersion_order(rep, act, 3, seed=2))
+            if g.is_magnetic:
+                reports.append(probe_stability(rep, g.h_elements, dict(entry.probe_actions)))
+    models = [r["model"] for r in kp_sweep if r["model"] is not None]
+    assert len(models) > 100
+    reports += [{"where": r["where"], "multiplicity": r["model"].multiplicity,
+                 "gammas": r["model"].gammas, "residuals": r["model"].residuals}
+                for r in kp_sweep if r["model"] is not None]
+    for report in reports:
+        assert io.write_report(report) == render_per_leaf(report)
+
+
+@pytest.mark.parametrize("report", [
+    {"complex": np.array([[1 - 1j, complex(np.nan, 0.0)]]), "real": np.array([-0.0, 1e-300])},
+    {"f64": np.float64(0.1), "i64": np.int64(-3), "tiny": 5e-324, "big": 1e300, "neg": -0.0},
+    {"true": True, "false": False, "none": None, "int": 2**70, "str": "\u00e9\n\"\\"},
+    {1: "a", -2: {"x": 0}}, {0.5: 1, 1e-7: 2}, {True: [1], False: 2}, {None: (1, "two")},
+    {"\u00e9\n\"": 1, "": {"\t": [2]}},
+    {"tuple": (1, 2.5, None, (True, "x")), "nested": [{"a": ()}, 3, [{"b": []}]]},
+    {"empty_dict": {}, "empty_list": [], "empty_tuple": ()},
+], ids=["arrays", "numbers", "literals", "int-keys", "float-keys", "bool-keys", "none-key",
+        "str-keys", "tuples", "empty"])
+def test_report_edge_leaves_match_the_per_leaf_oracle(report):
+    assert io.write_report(report) == render_per_leaf(report)
+    assert io.write_report({"wrapped": [report]}) == render_per_leaf({"wrapped": [report]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.array([[0.0], [np.inf]])],
+                         ids=["nan", "array-inf"])
+def test_report_and_oracle_refuse_the_same_non_finite_reals(value):
+    for render in (io.write_report, render_per_leaf):
+        with pytest.raises(ValueError):
+            render({"value": value})
+    # the encoder built once keeps no state from a refusal
+    shared = [1.0, 2]
+    report = {"a": [shared, shared], "b": np.arange(2)}
+    assert io.write_report(report) == render_per_leaf(report)
+
+
+def test_report_without_the_c_encoder_matches_the_oracle(monkeypatch):
+    # without json's C accelerator every non-scalar leaf takes _LEAF.encode
+    monkeypatch.setattr(io, "_C_LEAF", None)
+    report = {"z": np.array([1j, complex(np.nan, 0)]), "t": (1, [2.5, None]), "f": np.float64(1)}
+    assert io.write_report(report) == render_per_leaf(report)
+    with pytest.raises(ValueError):
+        io.write_report({"x": [np.inf]})
 
 
 @pytest.mark.parametrize("value", [

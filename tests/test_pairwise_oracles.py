@@ -19,7 +19,10 @@ one stack of characters, must give the table of one criterion call and one
 null space per channel, on the catalog and at order 96.  Its channel sets,
 which read every element once per call and build their actions on first
 use, must match the eager order-by-order oracle bit for bit, and its tables
-byte for byte.  The co-rep
+byte for byte.  The covariance residuals of every coupled catalog and
+order-96 model, read from one defect stack of every element, must equal
+the largest per-element defects exactly, and one model must stay under a
+mebibyte of traced memory.  The co-rep
 residuals are largest Frobenius norms: each matrix's norm must match
 ``math.hypot`` of its entries within a few ulps, under- and overflowing
 squares and non-contiguous stacks included, and a NaN must give NaN; every
@@ -75,6 +78,7 @@ from magrep.kp import (
     _substitution_matrices,
     dispersion_order,
     dual_rep,
+    linear_multiplicity,
     monomial_exponents,
     polynomial_channel,
     covariant_tuple_basis,
@@ -865,6 +869,57 @@ def test_covariance_defects_match_elementwise(name):
                         - np.einsum("nm,pnab->pmab", dual.d(e), tuples))
                 assert np.abs(_covariance_defects(rep, dual, e, tuples) - want).max() < 1e-12
                 assert np.abs(stack[e] - want).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def coupled_models(oht):
+    """(co-rep, action, model) of every coupled pair of a catalog co-rep with
+    a probe action of its entry or one of its order 1-3 channels, and of an
+    O_h x T co-rep with an O_h x T action or one of its order 1-2 channels."""
+    pairs = []
+    for name in ENTRIES:
+        entry = mr.catalog_get(name)
+        pairs += [(rep, act, 3) for rep in entry.reps.values()
+                  for act in entry.probe_actions.values()]
+    pairs += [(corep_from_matrices(oht["group"], mats), act, 2)
+              for mats in oht["coreps"].values() for act in oht["actions"].values()]
+    cases = []
+    for rep, act, n_max in pairs:
+        for n in range(n_max + 1):
+            for a in [act] if n == 0 else [c.action for c in polynomial_channel(act, n).channels]:
+                if linear_multiplicity(rep, a) > 0:
+                    cases.append((rep, a, mr.build_gamma_matrices(rep, a)))
+    return cases
+
+
+def test_model_residuals_are_the_per_element_defect_maxima(coupled_models):
+    # the one defect stack of build_gamma_matrices, bit for bit the largest
+    # defect of each element alone, over H and over the coset
+    assert sum(rep.group.order == 96 for rep, _, _ in coupled_models) >= 8
+    for rep, act, model in coupled_models:
+        g, dual = rep.group, dual_rep(act)
+        worst = [np.abs(_covariance_defects(rep, dual, e, model.gammas)).max()
+                 for e in range(g.order)]
+        want = {"subgroup_covariance": float(max(worst[h] for h in g.h_elements))}
+        if g.is_magnetic:
+            want["coset_covariance"] = float(max(worst[u] for u in g.coset_elements))
+        got = {k: v for k, v in model.residuals.items() if k != "hermiticity"}
+        assert got == want, (g.order, act.kind)
+
+
+def test_gamma_construction_stays_under_a_mebibyte(coupled_models):
+    # the peak traced memory of one model: its defect stack of every element
+    # is O(|G| p q d^2) entries, 0.6 MiB at most on these pairs
+    tracemalloc.start()
+    try:
+        for rep, act, _ in coupled_models:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mr.build_gamma_matrices(rep, act)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= 2 ** 20, (rep.group.order, rep.dim, act.kind, peak)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("name", ENTRIES)
