@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from functools import reduce
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 import numpy as np
@@ -233,25 +233,23 @@ def _jsonable(obj):
     return str(obj)
 
 
-# every leaf but a scalar goes through ``json``'s C encoder, built once here:
-# ``_LEAF.encode``, the fallback without ``json``'s C accelerator, builds one
-# per call.  No markers (circular-reference ids), so nothing outlives a refusal.
+# one encoder for every leaf but a scalar: ``json.dumps(default=...)`` builds
+# a new one per call, and only an encoder without ``indent`` takes ``json``'s
+# C path
 _LEAF = json.JSONEncoder(default=_jsonable, allow_nan=False, sort_keys=True)
-_C_LEAF = c_make_encoder and c_make_encoder(None, _jsonable, encode_basestring_ascii,
-                                            None, ": ", ", ", True, False, False)
 
 
 def _leaf(value) -> str:
     """``value`` on one line, as ``_LEAF`` writes it: a str, int, bool, None
     or finite float directly, in ``json``'s spelling, anything else through
-    the encoder built once, which refuses a non-finite real."""
+    ``_LEAF``, which refuses a non-finite real."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if type(value) is int or type(value) is float and math.isfinite(value):
         return repr(value)
-    return "".join(_C_LEAF(value, 0)) if _C_LEAF else _LEAF.encode(value)
+    return _LEAF.encode(value)
 
 
 def _key(key) -> str:

@@ -32,15 +32,14 @@ that one solve.  Its independent checks are the character criterion, whose
 count the null space must match, and the covariance residuals over every
 element, which ``build_gamma_matrices`` judges at its ``tol``: input that is
 a rep only on the generators fails there.  ``_covariance_defects`` writes
-the covariance equation once, for any array of elements: in one pass of
-``build_gamma_matrices``, one stack of every element gives both model
-residuals, its largest entries over H and over the coset.
+the covariance equation once, for any array of elements; the two model
+residuals are the largest entries of its one stack of every element over H
+and over the coset.
 
 ``ProbeRepAction.d`` takes an element id or an array of ids and returns the
-matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  Its
-``_element_stack`` is the one element-indexed kernel of this module, as
-``CoRep.apply`` is for co-reps; it forms the dual stack of a gamma model too.
-The probe characters read every element at once, and the channel
+matching stack of probe matrices, the coset through D(h t0) = D(h) D(t0).  It
+is the one element-indexed kernel of this module, as ``CoRep.apply`` is for
+co-reps: the probe characters read every element at once, and the channel
 sets of every order of one call read D(g) and its dual once.  They count
 from traces, the full row from the substitution rep's, and build a channel's
 ProbeRepAction on first use.
@@ -121,18 +120,14 @@ class ProbeRepAction:
         ``ids`` is an element id or an array of them; the result has shape
         ``ids.shape + (q, q)``.  The coset uses D(h t0) = D(h) D(t0).
         """
-        return _element_stack(self.group, self.d_h, self.d_t0, ids)
-
-
-def _element_stack(grp: MagneticGroup, d_h: np.ndarray, d_t0, ids) -> np.ndarray:
-    """``ProbeRepAction.d`` from the matrices ``d_h`` and ``d_t0`` alone."""
-    ids = np.asarray(ids)
-    if not grp.is_magnetic:
-        return d_h[grp.h_position[ids]]
-    flip = grp.antiunitary[ids] == 1
-    h = np.where(flip, grp.cayley[ids, grp.inverse[grp.t0]], ids)
-    mats = d_h[grp.h_position[h]]
-    return np.where(flip[..., None, None], mats @ d_t0, mats)
+        ids = np.asarray(ids)
+        grp = self.group
+        if not grp.is_magnetic:
+            return self.d_h[grp.h_position[ids]]
+        flip = grp.antiunitary[ids] == 1
+        h = np.where(flip, grp.cayley[ids, grp.inverse[grp.t0]], ids)
+        mats = self.d_h[grp.h_position[h]]
+        return np.where(flip[..., None, None], mats @ self.d_t0, mats)
 
 
 def validate_action(action: ProbeRepAction, tol: float = ACTION_TOL) -> float:
@@ -267,26 +262,27 @@ class KpModel:
         return np.einsum("i,m,imab->ab", r, k, self.gammas)
 
 
-def _covariance_defects(rep: CoRep, dual, ids, tuples: np.ndarray) -> np.ndarray:
+def _covariance_defects(rep: CoRep, dual: ProbeRepAction, ids,
+                        tuples: np.ndarray) -> np.ndarray:
     """Covariance defect of tuples ``(P, q, d, d)`` under every listed element:
 
         M(g) conj^[s(g)](gamma^m) M(g)^dag - sum_n gamma^n dual(D)(g)_{nm},
 
-    shaped ``ids.shape + (P, q, d, d)``.  ``dual`` is ``dual_rep(action)`` or
-    the stack ``(|G|, q, q)`` of dual(D)(g) of every element, by id.  It
-    vanishes for every g exactly on the coupling tuples.
+    shaped ``ids.shape + (P, q, d, d)``, with ``dual = dual_rep(action)``.
+    It vanishes for every g exactly on the coupling tuples.
     """
-    duals = dual.d(ids) if isinstance(dual, ProbeRepAction) else dual[ids]
+    rhs = np.einsum("...nm,pnab->...pmab", dual.d(ids), tuples)
     defects = rep.apply(ids, tuples)
-    defects -= np.einsum("...nm,pnab->...pmab", duals, tuples)
+    defects -= rhs
     return defects
 
 
-def _covariance_residuals(rep: CoRep, dual, gammas: np.ndarray) -> dict:
+def _covariance_residuals(rep: CoRep, dual: ProbeRepAction,
+                          gammas: np.ndarray) -> dict:
     """Largest covariance defect of the tuples over the unitary elements and,
     for magnetic groups, over the anti-unitary coset, both read from one
     defect stack of every element, and their largest departure from
-    Hermiticity; ``dual`` as in ``_covariance_defects``."""
+    Hermiticity; ``dual = dual_rep(action)``."""
     g = rep.group
     defects = np.abs(_covariance_defects(rep, dual, np.arange(g.order), gammas))
     worst = defects.reshape(g.order, -1).max(axis=1)
@@ -334,19 +330,16 @@ def build_gamma_matrices(rep: CoRep, action: ProbeRepAction,
     so a co-rep or an action that is a rep on the generators only fails
     there, loudly.
     """
-    g = rep.group
     expected = _integer_counts(multiplicity_value(rep, action), "criterion value")
-    # dual(D)(g) of every element by id, from dual_rep's two inversions
-    d_t0 = None if action.d_t0 is None else _dual_matrices(action.d_t0)
-    duals = _element_stack(g, _dual_matrices(action.d_h), d_t0, np.arange(g.order))
-    gammas = _covariant_tuples(rep, duals[g.generators])
+    dual = dual_rep(action)
+    gammas = _covariant_tuples(rep, dual.d(rep.group.generators))
     p = len(gammas)
     if p != expected:
         raise NonIntegerMultiplicity(
             f"null space dimension {p} disagrees with the criterion {expected}")
     if p == 0:
         raise EmptyChannel("channel multiplicity is zero at this order")
-    residuals = _covariance_residuals(rep, duals, gammas)
+    residuals = _covariance_residuals(rep, dual, gammas)
     for name, value in residuals.items():
         if not value <= tol:   # a NaN residual fails too
             raise NotCommuting(f"{name} residual {value:.3e} exceeds tol {tol:.3e}")
