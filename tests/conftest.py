@@ -700,6 +700,51 @@ def dispersion_table_per_channel(rep, action, n_max, seed=0):
     return {"orders": orders, "leading_order": leading, "seed": seed}
 
 
+def channel_stack(sets):
+    """One order's channel blocks as the block-diagonal stack ``(|G|, m, m)``
+    they form, by id: zero off the blocks."""
+    g = sets.channels[0].group
+    stack = np.zeros((g.order, len(sets.exponents), len(sets.exponents)))
+    start = 0
+    for ch in sets.channels:
+        stop = start + len(ch.coefficients)
+        stack[:, start:stop, start:stop] = ch.block
+        start = stop
+    return stack
+
+
+def stack_group_law(group, stack):
+    """Group-law residual of a stack of probe matrices by id, never raising:
+    on one order's ``channel_stack``, the judge of a split before its
+    leakage was, and second order in that leakage."""
+    act = ProbeRepAction(group=group, d_h=stack[group.h_elements],
+                         d_t0=stack[group.t0] if group.is_magnetic else None)
+    return validate_action(act, tol=np.inf)
+
+
+def block_mask(dims):
+    """``(m, m)`` mask, True on the diagonal blocks of the sizes ``dims``."""
+    owner = np.repeat(np.arange(len(dims)), dims)
+    return owner[:, None] == owner
+
+
+def off_block_max(stack, dims):
+    """Largest entry of ``stack`` ``(..., m, m)`` off the diagonal blocks of
+    the sizes ``dims``."""
+    return float(np.abs(stack[..., ~block_mask(dims)]).max(initial=0.0))
+
+
+def channel_leakage(action, sets):
+    """Leakage of one order's split from its public result: the largest
+    off-block entry, over every element, of C S(g) C^-1, with S the
+    substitution rep and C the channels' coefficient rows stacked."""
+    g = action.group
+    subs = _substitution_matrices(_dual_matrices(action.d(np.arange(g.order))), sets.order)
+    coef = np.concatenate([ch.coefficients for ch in sets.channels])
+    return off_block_max(coef @ subs @ np.linalg.inv(coef),
+                         [len(ch.coefficients) for ch in sets.channels])
+
+
 def channel_set_eager(action, n, seed=0):
     """``polynomial_channel`` of an action the caller has validated, built
     eagerly, one order at a time: D(g) and its dual read per order, the seed
