@@ -73,10 +73,7 @@ class CoRep:
 
     def __post_init__(self):
         self.matrices = np.asarray(self.matrices, dtype=complex)
-        if self.matrices.ndim != 3 or self.matrices.shape[0] != self.group.order:
-            raise DimensionMismatch("need one d x d matrix per group element")
-        if self.matrices.shape[1] != self.matrices.shape[2]:
-            raise DimensionMismatch("representation matrices must be square")
+        _check_shape(self.matrices, self.group.order)
         if self.omega.order != self.group.order:
             raise DimensionMismatch("factor system size does not match the group")
 
@@ -98,6 +95,17 @@ class CoRep:
         mg = self.matrices[ids].reshape(lead + (self.dim, self.dim))
         flip = self.group.antiunitary[ids].reshape(lead + (1, 1)) == 1
         return mg @ np.where(flip, np.conj(mat), mat) @ np.conj(np.swapaxes(mg, -1, -2))
+
+
+def _check_shape(mats: np.ndarray, n: int) -> None:
+    """DimensionMismatch unless ``mats`` holds n square matrices of a
+    dimension d >= 1."""
+    if mats.ndim != 3 or mats.shape[0] != n:
+        raise DimensionMismatch("need one d x d matrix per group element")
+    if mats.shape[1] != mats.shape[2]:
+        raise DimensionMismatch("representation matrices must be square")
+    if mats.shape[1] == 0:
+        raise DimensionMismatch("a co-rep needs matrices of dimension at least 1")
 
 
 @dataclass
@@ -234,8 +242,7 @@ def corep_from_matrices(group: MagneticGroup, matrices) -> CoRep:
     if isinstance(matrices, np.ndarray) and np.may_share_memory(mats, matrices):
         mats = mats.copy()   # the caller keeps a writable handle on its array
     n = group.order
-    if mats.shape[0] != n:
-        raise DimensionMismatch("need one matrix per element")
+    _check_shape(mats, n)
     if not np.isfinite(mats).all():
         raise InvalidCoRep("matrices have non-finite entries")
     d = mats.shape[1]

@@ -6,6 +6,10 @@ flag is set, the unitary elements must form a halving subgroup H and the
 group splits as G = H + T0*H for a distinguished anti-unitary element T0.
 Everything downstream (characters, the class operators of H, coset sums) is
 a plain sum over element ids, so groups are kept small and fully tabulated.
+
+What a group derives from its table (positions and products in H, the
+lowest id of each class of H, generators, the subgroups ``restricted_group``
+builds on it) is computed once, on first use, kept on it and read-only.
 """
 
 from __future__ import annotations
@@ -121,6 +125,20 @@ class MagneticGroup:
         out = self.h_position[self.cayley[np.ix_(self.h_elements, self.h_elements)]]
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def h_class_firsts(self) -> np.ndarray:
+        """Read-only ids of the lowest element of each conjugacy class of H,
+        in ``conjugacy_classes`` order.  Built on first use."""
+        out = np.array([c[0] for c in conjugacy_classes(self, self.h_elements)], dtype=int)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _restrictions(self) -> dict:
+        """``restricted_group``'s memo: sorted unique ids, as bytes, to the
+        (subgroup, embedding) pair built on them."""
+        return {}
 
     @cached_property
     def t0_positions(self) -> Optional[tuple]:
@@ -267,9 +285,26 @@ def build_group(cayley, flags, labels=None) -> MagneticGroup:
     )
 
 
+def _sorted_ids(group: MagneticGroup, element_ids) -> np.ndarray:
+    """The distinct ids of a flat list or array, ascending; raises
+    NotASubgroupEmbedding for an id that is not an integer (1.9 would
+    otherwise be read as 1) or not an element of ``group``, and for no ids
+    at all."""
+    ids = np.asarray(element_ids)
+    if ids.ndim != 1 or ids.size == 0:
+        raise NotASubgroupEmbedding("element ids must be a nonempty flat list")
+    if ids.dtype.kind not in "iu":
+        raise NotASubgroupEmbedding(f"element ids must be integers, got {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= group.order:
+        raise NotASubgroupEmbedding("element ids out of range")
+    return np.array(sorted(set(ids.tolist())), dtype=int)
+
+
 def conjugacy_classes(group: MagneticGroup, members) -> tuple:
-    """Conjugacy classes of the subgroup ``members``, ordered by lowest id."""
-    m = np.asarray(sorted(set(int(x) for x in members)), dtype=int)
+    """Conjugacy classes of the subgroup ``members``, ordered by lowest id.
+    Ids are checked as ``restricted_group`` checks them; a subset that is
+    not closed raises NotAGroup."""
+    m = _sorted_ids(group, members)
     prods = group.cayley[np.ix_(m, m)]
     if not np.isin(prods, m).all():
         raise NotAGroup("conjugacy classes requested for a non-closed subset")
@@ -379,10 +414,17 @@ def restricted_group(group: MagneticGroup, element_ids) -> tuple[MagneticGroup, 
     element orders and the flag homomorphism (whose kernel on the subgroup
     is a halving subgroup or all of it), and the parent's labels.  Only the
     closure is checked here; t0 is picked by ``build_group``'s rule.
+
+    The pair is built once per parent and set of ids, whatever their order
+    or repeats, and shared by every later call: its arrays are read-only,
+    and its fields must not be reassigned.  A subset that is not closed is
+    not stored, so it raises on every call.  Ids must be integers.
     """
-    emb = np.asarray(sorted(set(int(x) for x in element_ids)), dtype=int)
-    if emb.size == 0 or emb.min() < 0 or emb.max() >= group.order:
-        raise NotASubgroupEmbedding("element ids out of range")
+    emb = _sorted_ids(group, element_ids)
+    key = emb.tobytes()
+    hit = group._restrictions.get(key)
+    if hit is not None:
+        return hit
     pos = np.full(group.order, -1)
     pos[emb] = np.arange(len(emb))
     table = pos[group.cayley[np.ix_(emb, emb)]]
@@ -403,4 +445,8 @@ def restricted_group(group: MagneticGroup, element_ids) -> tuple[MagneticGroup, 
         element_order=orders,
         h_elements=np.flatnonzero(flags == 0),
     )
-    return sub, emb
+    for arr in (emb, sub.cayley, sub.antiunitary, sub.inverse, sub.element_order,
+                sub.h_elements):
+        arr.flags.writeable = False
+    # setdefault: of two threads that built the same pair, both get the first
+    return group._restrictions.setdefault(key, (sub, emb))

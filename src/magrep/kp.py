@@ -70,7 +70,7 @@ from .errors import (
     SingularAction,
 )
 from .groups import MagneticGroup, _row_blocks, _same_group
-from .linalg import _cluster_slices
+from .linalg import _cluster_slices, _spectral_norm
 from .reduction import _real, criterion_sums, irreducibility_index
 
 ACTION_TOL = 1e-9
@@ -420,7 +420,7 @@ def tuple_span_residual(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     qa, _ = np.linalg.qr(va)
     qb, _ = np.linalg.qr(vb)
-    return float(np.linalg.norm(qb - qa @ (qa.T @ qb), ord=2))
+    return float(_spectral_norm(qb - qa @ (qa.T @ qb)))
 
 
 # -- polynomial channels -----------------------------------------------------------

@@ -5,6 +5,11 @@ The reduction device is a random Hermitian matrix gamma commuting with the
 whole co-rep: its eigenspaces are exactly the irreducible subspaces.  One
 refinement inside each orders and labels its basis by class operators of the
 unitary subgroup H, then by a random matrix commuting with H only.
+
+At point-group sizes (d <= 12) a reduction is mostly per-call overhead, so
+each step makes one call where it can: a bare SVD per spectral norm, the
+classes of H read from the group, H acting on gamma and lam as one stack, and
+no generator built that nothing draws from.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 from .coreps import (
     COREP_TOL,
     CoRep,
+    _frobenius_norms,
     _max_frobenius_norm,
     conjugate_corep,
     residuals_within,
@@ -32,8 +38,7 @@ from .errors import (
     NotIrreducible,
     ReductionFailed,
 )
-from .groups import conjugacy_classes
-from .linalg import _cluster_slices, refine_eigenbasis
+from .linalg import _cluster_slices, _spectral_norm, refine_eigenbasis
 
 DEFAULT_SEED = 0
 #: reseeded attempts after the first before ``reduce_corep`` gives up
@@ -170,11 +175,10 @@ def combined_class_operator(rep: CoRep, rng: np.random.Generator) -> np.ndarray:
     H: C_i is linear in M(h_i).  Commutes with every M(h) exactly, also for
     projective reps, since the factor-system phases cancel between M(h) and
     its adjoint."""
-    h = rep.group.h_elements
-    classes = conjugacy_classes(rep.group, h)
-    coeff = rng.standard_normal(len(classes))
-    mix = np.tensordot(coeff, rep.matrices[[cls[0] for cls in classes]], axes=1)
-    return rep.apply(h, mix).sum(axis=0)
+    firsts = rep.group.h_class_firsts
+    coeff = rng.standard_normal(len(firsts))
+    mix = np.tensordot(coeff, rep.matrices[firsts], axes=1)
+    return rep.apply(rep.group.h_elements, mix).sum(axis=0)
 
 
 # -- full reduction -------------------------------------------------------------
@@ -239,7 +243,7 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
     _check_input(rep, tol)
 
     seeds_used = []
-    rng_master = np.random.default_rng(seed)
+    rng_master = None   # the retry seeds' generator, built on the first retry
     last_error = None
     attempt_seed = seed
     for attempt in range(MAX_RETRIES + 1):
@@ -248,6 +252,8 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
             return _reduce_once(rep, attempt_seed, tol, seeds_used)
         except NotIrreducible as err:
             last_error = err
+            if rng_master is None:
+                rng_master = np.random.default_rng(seed)
             attempt_seed = int(rng_master.integers(1, 2**63 - 1))
     raise ReductionFailed(
         f"no irreducible split after {MAX_RETRIES + 1} seeds {seeds_used}: {last_error}")
@@ -256,25 +262,24 @@ def reduce_corep(rep: CoRep, seed: int = DEFAULT_SEED, tol: float = 1e-9) -> Irr
 def _reduce_once(rep: CoRep, seed: int, tol: float,
                  seeds_used: list) -> IrrepDecomposition:
     g = rep.group
-    rng = np.random.default_rng(seed)
     com = build_G_commutant(rep, seed)
     gamma, lam = com.gamma, com.lam
 
     label_tol = max(tol, 1e-10)
     energies, u = np.linalg.eigh(gamma)
     scale = max(1.0, np.abs(energies).max())
-    hermiticity = float(np.linalg.norm(gamma - gamma.conj().T, ord=2))
+    hermiticity = float(_spectral_norm(gamma - gamma.conj().T))
     if hermiticity > label_tol * scale:
         raise NotHermitian("gamma is not Hermitian at tolerance")
     block_slices = _cluster_slices(energies, BLOCK_TOL * scale)
 
     n_class = int(g.halving_order > 1)   # a one-element H labels nothing
     names = [f"class_ops_subgroup_{g.halving_order}"] * n_class + ["energy", "multiplet_split"]
-    c = combined_class_operator(rep, rng) if n_class else None
+    c = combined_class_operator(rep, np.random.default_rng(seed)) if n_class else None
     parts = [c + c.conj().T, 1j * (c - c.conj().T)] if n_class else []
     # lam commutes with gamma only inside a block, so it refines only there
     ops = (parts + [lam]) if g.is_magnetic else parts
-    scales = [max(1.0, np.linalg.norm(a, ord=2)) for a in ops]
+    scales = [max(1.0, _spectral_norm(a)) for a in ops]
     refined = [refine_eigenbasis(u[:, sl], ops, [label_tol * s for s in scales])
                for sl in block_slices]
     u = np.hstack([cols for cols, _ in refined])
@@ -326,16 +331,17 @@ def _decomposition_residuals(rep: CoRep, u: np.ndarray, rotated: np.ndarray,
         mask[sl, sl] = False
     off = float(np.abs(rotated[:, mask]).max()) if mask.any() else 0.0
 
-    def commutation(ids, x):
-        return _max_frobenius_norm(rep.apply(ids, x) - x)
-
+    # H acts on gamma and, on magnetic groups, lam as one stack; each keeps
+    # its own largest Frobenius norm over the elements
+    pair = np.stack([gamma, lam] if g.is_magnetic else [gamma])
+    h_norms = _frobenius_norms(rep.apply(g.h_elements, pair) - pair).max(axis=0)
     res = {
         "block_diagonality": off,
-        "unitarity_of_basis": float(np.linalg.norm(u.conj().T @ u - np.eye(d), ord=2)),
-        "gamma_subgroup_commutation": commutation(g.h_elements, gamma),
+        "unitarity_of_basis": float(_spectral_norm(u.conj().T @ u - np.eye(d))),
+        "gamma_subgroup_commutation": float(h_norms[0]),
     }
     if g.is_magnetic:
-        res["gamma_t0_commutation"] = commutation(g.t0, gamma)
-        res["lambda_subgroup_commutation"] = commutation(g.h_elements, lam)
+        res["gamma_t0_commutation"] = _max_frobenius_norm(rep.apply(g.t0, gamma) - gamma)
+        res["lambda_subgroup_commutation"] = float(h_norms[1])
     res["gamma_hermiticity"] = hermiticity
     return res

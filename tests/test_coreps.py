@@ -236,6 +236,8 @@ def test_regular_corep_of_unitary_group():
 
 
 KRAMERS = mr.catalog_get("z2t_kramers").reps["kramers"]
+C4V_T = mr.catalog_get("c4v_t").reps["e"]
+DIM_ZERO = np.zeros((C4V_T.group.order, 0, 0))   # one 0 x 0 matrix per element
 
 
 @pytest.mark.parametrize("call, error", [
@@ -247,11 +249,14 @@ KRAMERS = mr.catalog_get("z2t_kramers").reps["kramers"]
                    matrices=KRAMERS.matrices[:, :, :1]), DimensionMismatch),
     (lambda: CoRep(group=KRAMERS.group, omega=FactorSystem.trivial(3),
                    matrices=KRAMERS.matrices), DimensionMismatch),
+    (lambda: CoRep(group=C4V_T.group, omega=C4V_T.omega, matrices=DIM_ZERO), DimensionMismatch),
     (lambda: corep_from_matrices(KRAMERS.group, KRAMERS.matrices[:1]), DimensionMismatch),
+    (lambda: corep_from_matrices(C4V_T.group, DIM_ZERO), DimensionMismatch),
     (lambda: direct_sum([]), ValueError),
     (lambda: gauge_transform(KRAMERS, [1.0]), DimensionMismatch),
 ], ids=["matrices-not-3d", "matrix-count", "matrices-not-square", "omega-size",
-        "fit-matrix-count", "empty-direct-sum", "gauge-phase-count"])
+        "dimension-zero", "fit-matrix-count", "fit-dimension-zero", "empty-direct-sum",
+        "gauge-phase-count"])
 def test_every_corep_boundary_refusal(call, error):
     with pytest.raises(error):
         call()

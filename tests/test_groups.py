@@ -107,9 +107,15 @@ C4V_T = mr.catalog_get("c4v_t").group
     (lambda: FactorSystem(np.ones((2, 3))), DimensionMismatch),
     (lambda: validate_cocycle(C4V_T, FactorSystem.trivial(8)), DimensionMismatch),
     (lambda: restricted_group(C4V_T, [0, 16]), NotASubgroupEmbedding),
+    (lambda: restricted_group(C4V_T, []), NotASubgroupEmbedding),
+    # int() would truncate each to a closed subset: {0}, and H = 0..7
+    (lambda: restricted_group(C4V_T, [0, 0.5]), NotASubgroupEmbedding),
+    (lambda: restricted_group(C4V_T, np.arange(8.0)), NotASubgroupEmbedding),
+    (lambda: conjugacy_classes(C4V_T, [0, 0.5]), NotASubgroupEmbedding),
 ], ids=["cayley-not-square", "flag-count", "cayley-out-of-range", "flag-not-0-or-1",
         "label-count", "duplicate-labels", "factor-system-not-square", "cocycle-size",
-        "restricted-ids-out-of-range"])
+        "restricted-ids-out-of-range", "restricted-ids-empty", "restricted-ids-fractional",
+        "restricted-ids-integral-floats", "class-ids-fractional"])
 def test_every_group_boundary_refusal(call, error):
     with pytest.raises(error):
         call()
@@ -176,6 +182,58 @@ def test_restricted_group_and_embedding():
     verify_embedding_pairwise(g, sub, emb)
     with pytest.raises(NotASubgroupEmbedding):
         restricted_group(g, [0, 1])  # C4 alone without its powers is not closed
+
+
+def test_fractional_ids_are_refused_not_truncated():
+    # int() would read 1.9 as 1 and blame the closure of {0, 1}
+    rep = mr.catalog_get("c4v_t").reps["e"]
+    with pytest.raises(NotASubgroupEmbedding, match="integers"):
+        mr.restrict_corep(rep, [0.0, 1.9])
+
+
+def test_restricted_group_is_built_once_per_parent_and_id_set():
+    g = mr.catalog_get("c4v_t").group
+    h = g.h_elements
+    sub, emb = first = restricted_group(g, h)
+    shuffled = np.random.default_rng(3).permutation(h)
+    for ids in (h.tolist(), shuffled, [*h.tolist(), int(h[2])], h.astype(np.int32),
+                range(len(h))):
+        again = restricted_group(g, ids)
+        assert again is first and again[0] is sub and again[1] is emb
+    assert np.array_equal(emb, h)
+    for arr in (emb, sub.cayley, sub.antiunitary, sub.inverse, sub.element_order,
+                sub.h_elements):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_a_non_closed_subset_raises_on_every_call_and_is_not_stored():
+    g = mr.catalog_get("c4v_t").group
+    restricted_group(g, g.h_elements)
+    stored = dict(g._restrictions)
+    for _ in range(3):
+        with pytest.raises(NotASubgroupEmbedding, match="not closed"):
+            restricted_group(g, [0, 1])
+    assert g._restrictions == stored
+
+
+def test_two_parents_never_share_a_restriction():
+    g = mr.catalog_get("c4v_t").group
+    twin = build_group(g.cayley, g.antiunitary, labels=g.labels)
+    sub, twin_sub = (restricted_group(x, g.h_elements)[0] for x in (g, twin))
+    assert sub is not twin_sub
+    assert_same_group(sub, twin_sub)
+    assert restricted_group(sub, sub.h_elements)[0] is not twin_sub
+
+
+def test_h_class_firsts_are_the_lowest_ids_of_the_classes_of_h(oht):
+    groups = [mr.catalog_get(name).group for name in ENTRIES] + [oht["group"]]
+    groups += [restricted_group(oht["group"], ids)[0] for ids in oht["lowerings"].values()]
+    for g in groups:
+        firsts = g.h_class_firsts
+        assert firsts.tolist() == [c[0] for c in conjugacy_classes(g, g.h_elements)]
+        assert firsts is g.h_class_firsts and not firsts.flags.writeable
 
 
 def assert_same_group(a, b):

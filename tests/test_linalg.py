@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from magrep.errors import EigenvalueAtBranchCutWarning, NotCommuting, NotSymmetricUnitary
-from magrep.linalg import random_unitary, refine_eigenbasis, symmetric_unitary_sqrt
+from magrep.linalg import (
+    _spectral_norm,
+    random_unitary,
+    refine_eigenbasis,
+    symmetric_unitary_sqrt,
+)
 
 from conftest import random_symmetric_unitary, simultaneous_diag
 
@@ -159,3 +164,41 @@ def test_symmetric_sqrt_rejects_plain_unitary():
     if np.abs(u @ np.conj(u) - np.eye(3)).max() > 1e-6:
         with pytest.raises(NotSymmetricUnitary):
             symmetric_unitary_sqrt(u)
+
+
+# -- spectral norm --------------------------------------------------------------
+
+def spectral_norm_inputs(kind, rng):
+    """Matrices of one kind, square at several d and one tall one, as
+    ``tuple_span_residual`` passes."""
+    for shape in ((2, 2), (3, 3), (5, 5), (12, 12), (18, 4)):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if kind == "complex":
+            yield z
+        elif kind == "real":
+            yield z.real
+        elif kind == "rank-deficient":   # rank 1, and the zero matrix
+            yield np.outer(z[:, 0], z[0].conj())
+            yield np.zeros(shape, dtype=complex)
+    if kind == "one-by-one":
+        yield np.array([[-3.5]])
+        yield np.array([[2.0 - 1.5j]])
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "rank-deficient", "one-by-one"])
+def test_spectral_norm_is_numpys_two_norm_bit_for_bit(kind):
+    rng = np.random.default_rng(17)
+    for a in spectral_norm_inputs(kind, rng):
+        got, want = _spectral_norm(a), np.linalg.norm(a, 2)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a.shape, got, want)
+
+
+def test_spectral_norm_raises_like_numpy_on_nan():
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.norm(a, 2)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _spectral_norm(a)
+    assert str(got.value) == str(want.value)

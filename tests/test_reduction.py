@@ -558,3 +558,46 @@ def test_reduction_rotates_the_co_rep_once_per_attempt(monkeypatch):
     dec = reduce_corep(conjugate_corep(rep, random_unitary(4, 2)), seed=0)
     assert len(dec.blocks) == 3 and len(attempts) == 2
     assert rotations == [(4, 4)] * 2
+
+
+def test_no_generator_is_built_that_nothing_draws_from(monkeypatch):
+    # every attempt draws its commutant, and its class-operator coefficients
+    # when |H| > 1, from a generator of the attempt's seed; the generator of
+    # the retry seeds is built once, on the first NotIrreducible, and never
+    # on success
+    trivial = direct_sum(list(mr.catalog_get("z2t").reps.values()))
+    rep = mr.catalog_get("c4v_t").reps["e_half"]
+    rep = conjugate_corep(direct_sum([rep, rep]), random_unitary(4, 2))
+    built, default_rng = [], np.random.default_rng
+
+    def counted(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    dec = reduce_corep(rep, seed=4)
+    assert dec.seeds_used == [4] and built == [4, 4]
+    built.clear()
+    assert trivial.group.halving_order == 1
+    assert reduce_corep(trivial, seed=4).seeds_used == [4] and built == [4]
+
+    built.clear()
+    build = reduction.build_H_commutant
+    monkeypatch.setattr(reduction, "build_H_commutant", lambda rep, seed: (
+        3.0 * np.eye(rep.dim) if seed == 0 else build(rep, seed)))
+    dec = reduce_corep(rep, seed=0)
+    retry = dec.seeds_used[1]
+    assert len(dec.seeds_used) == 2 and built == [0, 0, retry, retry]
+
+    def fails(times):
+        def attempt(rep, seed, tol, seeds_used):
+            if len(seeds_used) <= times:
+                raise NotIrreducible("collision")
+            return list(seeds_used)
+        return attempt
+
+    for times in (1, 3):
+        built.clear()
+        monkeypatch.setattr(reduction, "_reduce_once", fails(times))
+        assert len(reduce_corep(rep, seed=7)) == times + 1
+        assert built == [7]
