@@ -8,8 +8,8 @@ Everything downstream (characters, the class operators of H, coset sums) is
 a plain sum over element ids, so groups are kept small and fully tabulated.
 
 What a group derives from its table (positions and products in H, the
-lowest id of each class of H, generators, the subgroups ``restricted_group``
-builds on it) is computed once, on first use, kept on it and read-only.
+lowest id of each class of H, generators) is computed once, on first use,
+kept on it and read-only.
 """
 
 from __future__ import annotations
@@ -130,15 +130,12 @@ class MagneticGroup:
     def h_class_firsts(self) -> np.ndarray:
         """Read-only ids of the lowest element of each conjugacy class of H,
         in ``conjugacy_classes`` order.  Built on first use."""
-        out = np.array([c[0] for c in conjugacy_classes(self, self.h_elements)], dtype=int)
+        h = self.h_elements
+        # column j holds the class of h_j, which h_j opens iff it is lowest
+        orbits = self.cayley[self.cayley[np.ix_(h, h)], self.inverse[h][:, None]]
+        out = h[orbits.min(axis=0) == h]
         out.flags.writeable = False
         return out
-
-    @cached_property
-    def _restrictions(self) -> dict:
-        """``restricted_group``'s memo: sorted unique ids, as bytes, to the
-        (subgroup, embedding) pair built on them."""
-        return {}
 
     @cached_property
     def t0_positions(self) -> Optional[tuple]:
@@ -199,7 +196,7 @@ def _pick_t0(flags: np.ndarray, orders: np.ndarray) -> Optional[int]:
     anti = np.flatnonzero(flags == 1)
     if not len(anti):
         return None
-    return int(min(anti, key=lambda g: (orders[g], g)))
+    return int(anti[np.argmin(orders[anti])])   # argmin keeps the first, lowest id
 
 
 def _checked_labels(labels, n: int) -> tuple:
@@ -286,11 +283,11 @@ def build_group(cayley, flags, labels=None) -> MagneticGroup:
 
 
 def _sorted_ids(group: MagneticGroup, element_ids) -> np.ndarray:
-    """The distinct ids of a flat list or array, ascending; raises
-    NotASubgroupEmbedding for an id that is not an integer (1.9 would
-    otherwise be read as 1) or not an element of ``group``, and for no ids
-    at all."""
-    ids = np.asarray(element_ids)
+    """The distinct ids of an array or any iterable of ids (a list, a set, a
+    generator), ascending; raises NotASubgroupEmbedding for an id that is not
+    an integer (1.9 would otherwise be read as 1) or not an element of
+    ``group``, and for no ids at all."""
+    ids = np.asarray(element_ids if isinstance(element_ids, np.ndarray) else list(element_ids))
     if ids.ndim != 1 or ids.size == 0:
         raise NotASubgroupEmbedding("element ids must be a nonempty flat list")
     if ids.dtype.kind not in "iu":
@@ -413,18 +410,10 @@ def restricted_group(group: MagneticGroup, element_ids) -> tuple[MagneticGroup, 
     the parent: associativity, the permutation rows, identity, inverses,
     element orders and the flag homomorphism (whose kernel on the subgroup
     is a halving subgroup or all of it), and the parent's labels.  Only the
-    closure is checked here; t0 is picked by ``build_group``'s rule.
-
-    The pair is built once per parent and set of ids, whatever their order
-    or repeats, and shared by every later call: its arrays are read-only,
-    and its fields must not be reassigned.  A subset that is not closed is
-    not stored, so it raises on every call.  Ids must be integers.
+    closure is checked here; t0 is picked by ``build_group``'s rule.  Ids
+    must be integers; their order and repeats do not matter.
     """
     emb = _sorted_ids(group, element_ids)
-    key = emb.tobytes()
-    hit = group._restrictions.get(key)
-    if hit is not None:
-        return hit
     pos = np.full(group.order, -1)
     pos[emb] = np.arange(len(emb))
     table = pos[group.cayley[np.ix_(emb, emb)]]
@@ -445,8 +434,4 @@ def restricted_group(group: MagneticGroup, element_ids) -> tuple[MagneticGroup, 
         element_order=orders,
         h_elements=np.flatnonzero(flags == 0),
     )
-    for arr in (emb, sub.cayley, sub.antiunitary, sub.inverse, sub.element_order,
-                sub.h_elements):
-        arr.flags.writeable = False
-    # setdefault: of two threads that built the same pair, both get the first
-    return group._restrictions.setdefault(key, (sub, emb))
+    return sub, emb
